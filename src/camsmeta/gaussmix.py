@@ -5,19 +5,40 @@ so posterior summaries reduce to CDF evaluation and inversion of mixtures.
 Components with zero standard deviation are allowed and treated as atoms,
 which keeps degenerate fits (fixed heterogeneity, point-mass conditionals)
 inside the same code path.
+
+One engine, ``mixture_quantiles``, inverts many mixtures at many levels in a
+single call. The q-quantile of a mixture lies in the exact bracket
+[min_i(mu_i + sd_i z_q), max_i(mu_i + sd_i z_q)], z_q the standard normal
+quantile, because every component CDF is below q left of it and above q right
+of it. The first guess is the moment-matched normal quantile clipped into
+that bracket. Newton steps on the mixture pdf follow; a step that leaves the
+bracket or fails to halve the previous one is replaced by bisection, and
+mixtures that contain an atom bisect only. A quantile is done when a Newton
+step is below QUANTILE_TOL / 4 or the bracket is narrower than QUANTILE_TOL.
+
+CDF and pdf sums run in blocks of at most BLOCK_CELLS point-by-component
+cells, so the temporaries stay a few MB whatever the mixture and point count.
+Each row's sum is reduced on its own, so a mixture's result does not depend
+on the other rows of its batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .errors import ContractError, DomainError
 
-# Absolute tolerance for quantile bisection.
+# Absolute tolerance of every mixture quantile.
 QUANTILE_TOL = 1e-8
+
+# Points x components evaluated at once by the CDF and pdf sums.
+BLOCK_CELLS = 2 ** 16
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -52,14 +73,11 @@ class GaussianMixture1D:
     def cdf(self, x):
         """P(X <= x), vectorized over x."""
         xa = np.asarray(x, dtype=float)
-        flat = xa.reshape(-1, 1)
-        smooth = self.sds > 0
-        out = np.zeros(flat.shape[0])
-        if smooth.any():
-            z = (flat - self.means[smooth]) / self.sds[smooth]
-            out += ndtr(z) @ self.weights[smooth]
-        if (~smooth).any():
-            out += (flat >= self.means[~smooth]) @ self.weights[~smooth]
+        flat = xa.ravel()
+        out = np.empty(flat.size)
+        mu, inv_sd = self.means[None, :], _inverse(self.sds)[None, :]
+        for blk in _blocks(flat.size, self.weights.size):
+            out[blk] = _cdf_pdf(flat[blk], mu, inv_sd, self.weights, False)[0]
         return out.reshape(xa.shape) if xa.shape else float(out[0])
 
     def tail_prob(self, threshold: float) -> float:
@@ -84,25 +102,13 @@ class GaussianMixture1D:
     # quantiles
     # ------------------------------------------------------------------
 
+    def quantiles(self, levels) -> np.ndarray:
+        """Inverse CDF at each level, to absolute tolerance QUANTILE_TOL."""
+        return mixture_quantiles(self.weights, self.means[None, :],
+                                 self.sds[None, :], levels)[0]
+
     def quantile(self, q: float) -> float:
-        """Inverse CDF by bracketed bisection to absolute tolerance 1e-8."""
-        if not (0.0 < q < 1.0):
-            raise DomainError(f"quantile level must lie in (0, 1), got {q}")
-        spread = float(self.sds.max(initial=0.0))
-        lo = float(self.means.min()) - max(10.0 * spread, 1e-6)
-        hi = float(self.means.max()) + max(10.0 * spread, 1e-6)
-        # widen until the bracket surely contains the quantile
-        while self.cdf(lo) > q:
-            lo -= (hi - lo)
-        while self.cdf(hi) < q:
-            hi += (hi - lo)
-        while hi - lo > QUANTILE_TOL:
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < q:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return float(self.quantiles((q,))[0])
 
     def median(self) -> float:
         return self.quantile(0.5)
@@ -112,7 +118,142 @@ class GaussianMixture1D:
         if not (0.0 < level < 1.0):
             raise DomainError(f"interval level must lie in (0, 1), got {level}")
         half = 0.5 * (1.0 - level)
-        return self.quantile(half), self.quantile(1.0 - half)
+        lo, hi = self.quantiles((half, 1.0 - half))
+        return float(lo), float(hi)
+
+
+# ----------------------------------------------------------------------
+# batched quantile engine
+# ----------------------------------------------------------------------
+
+def _blocks(rows: int, width: int):
+    """Row slices of at most BLOCK_CELLS // width rows."""
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+def _cdf_pdf(x, mu, inv_sd, w, want_pdf: bool):
+    """Mixture CDF (and pdf) at x[k] for component rows mu[k], 1/sd[k].
+
+    ``mu`` and ``inv_sd`` are (k, n) or a broadcast (1, n) row; ``w`` is a
+    shared (n,) weight vector or per-row (k, n) weights. Atoms (1/sd = inf)
+    count as steps, so the pdf of a row holding one is not finite. Each row
+    is summed on its own (pairwise), so its value does not depend on the
+    other rows.
+    """
+    z = np.subtract(x[:, None], mu)
+    with np.errstate(invalid="ignore"):
+        z *= inv_sd
+    # an atom exactly at x gives 0 * inf; its CDF there is 1
+    z[np.isnan(z)] = np.inf
+    # without the pdf, z is not needed again and can take the CDF terms
+    cdf = ndtr(z, out=None if want_pdf else z)
+    cdf *= w
+    if not want_pdf:
+        return cdf.sum(axis=1), None
+    dens = z * z
+    dens *= -0.5
+    np.exp(dens, out=dens)
+    with np.errstate(invalid="ignore"):
+        dens *= inv_sd
+    dens *= w
+    return cdf.sum(axis=1), dens.sum(axis=1) * _INV_SQRT_2PI
+
+
+def _inverse(sd: np.ndarray) -> np.ndarray:
+    """1 / sd, inf for atoms."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / sd
+
+
+def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
+    """Quantiles of many Gaussian mixtures at many levels in one call.
+
+    Row r of ``means`` and ``sds`` (both (m, n)) holds the components of
+    mixture r; ``weights`` is one (n,) vector shared by all rows or an (m, n)
+    array with one weight row per mixture, each summing to 1. Returns the
+    (m, L) array whose entry [r, l] is the levels[l]-quantile of mixture r,
+    within QUANTILE_TOL (see the module docstring for the method). Each row
+    is made nondecreasing in the level, which keeps every entry within the
+    tolerance.
+    """
+    q = np.asarray(levels, dtype=float).ravel()
+    if q.size == 0 or not np.all((q > 0.0) & (q < 1.0)):
+        raise DomainError(f"quantile levels must lie in (0, 1), got {levels}")
+    mu = np.asarray(means, dtype=float)
+    sd = np.asarray(sds, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if mu.ndim != 2 or sd.shape != mu.shape or mu.size == 0 \
+            or w.shape not in (mu.shape, mu.shape[1:]):
+        raise ContractError(
+            f"means and sds must be equal (m, n) arrays with (n,) or (m, n) "
+            f"weights, got {mu.shape}, {sd.shape}, {w.shape}")
+    if not (np.isfinite(mu).all() and np.isfinite(sd).all()):
+        raise DomainError("component means and sds must be finite")
+    if np.any(w < 0) or np.any(sd < 0):
+        raise DomainError("weights and sds must be nonnegative")
+    if np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-8):
+        raise ContractError("each weight row must sum to 1")
+    m, n = mu.shape
+    levels_z = ndtri(q)
+
+    # moment-matched starting point and the exact bracket, per (row, level)
+    mean = np.empty(m)
+    second = np.empty(m)
+    lo = np.empty((m, q.size))
+    hi = np.empty((m, q.size))
+    for blk in _blocks(m, n):
+        mu_b, sd_b = mu[blk], sd[blk]
+        w_b = w if w.ndim == 1 else w[blk]
+        mean[blk] = (mu_b * w_b).sum(axis=1)
+        second[blk] = ((sd_b * sd_b + mu_b * mu_b) * w_b).sum(axis=1)
+        for j, zq in enumerate(levels_z):
+            comp = mu_b + sd_b * zq
+            lo[blk, j] = comp.min(axis=1)
+            hi[blk, j] = comp.max(axis=1)
+    spread = np.sqrt(np.clip(second - mean * mean, 0.0, None))
+    lo, hi = lo.ravel(), hi.ravel()
+    row = np.repeat(np.arange(m), q.size)
+    target = np.tile(q, m)
+    x = np.clip(mean[row] + spread[row] * np.tile(levels_z, m), lo, hi)
+    newton_row = ~(sd == 0).any(axis=1)[row]
+    last_step = hi - lo
+    out = 0.5 * (lo + hi)
+    active = np.flatnonzero(hi - lo > QUANTILE_TOL)
+
+    while active.size:
+        r = row[active]
+        xa = x[active]
+        cdf = np.empty(active.size)
+        pdf = np.empty(active.size)
+        for blk in _blocks(active.size, n):
+            rb = r[blk]
+            cdf[blk], pdf[blk] = _cdf_pdf(
+                xa[blk], mu[rb], _inverse(sd[rb]),
+                w if w.ndim == 1 else w[rb], True)
+        below = cdf < target[active]
+        a = np.where(below, xa, lo[active])
+        b = np.where(below, hi[active], xa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (cdf - target[active]) / pdf
+        cand = xa - step
+        newton = (newton_row[active] & (cand >= a) & (cand <= b)
+                  & (np.abs(step) <= 0.5 * last_step[active]))
+        mid = 0.5 * (a + b)
+        nxt = np.where(newton, cand, mid)
+        # a bracket at the spacing of floats cannot shrink any further
+        closed = (b - a <= QUANTILE_TOL) | (mid <= a) | (mid >= b)
+        done = closed | (newton & (np.abs(step) <= 0.25 * QUANTILE_TOL))
+        out[active] = nxt
+        lo[active], hi[active], x[active] = a, b, nxt
+        last_step[active] = np.where(newton, np.abs(step), 0.5 * (b - a))
+        active = active[~done]
+
+    out = out.reshape(m, q.size)
+    order = np.argsort(q, kind="stable")
+    out[:, order] = np.maximum.accumulate(out[:, order], axis=1)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ from scipy.special import logsumexp
 from .contrasts import ContrastBasis
 from .errors import ContractError, DomainError, IdentifiabilityWarning
 from .gaussmix import (GaussianMixture1D, grid_interval, grid_quantile,
-                       grid_tail_prob)
+                       grid_tail_prob, mixture_quantiles)
 from .model_core import (CovarianceStructure, MetaDataset, MultiStudyRecord,
                          StudyRecord, cov_gm)
 
@@ -195,6 +195,22 @@ class FitResult:
         """
         return _grid_mixture(self.grid, self._coef_vector(spec))
 
+    def functional_quantiles(self, specs, levels) -> np.ndarray:
+        """Quantiles of several functionals in one batched solve.
+
+        Entry [i, l] is the levels[l]-quantile of the posterior of specs[i];
+        each spec is read as in ``functional_mixture``.
+        """
+        mean, sd = _functional_moments(self.grid, self._coef_matrix(specs))
+        return mixture_quantiles(self.grid.weight.reshape(-1), mean, sd, levels)
+
+    def functional_summaries(self, specs) -> list:
+        """ParameterSummary (median, 95% interval, P(> 0)) of each spec."""
+        return _summaries(self.grid, self._coef_matrix(specs))
+
+    def _coef_matrix(self, specs) -> np.ndarray:
+        return np.array([self._coef_vector(s) for s in specs], dtype=float)
+
     def _coef_vector(self, spec) -> np.ndarray:
         if isinstance(spec, str):
             if spec not in self.functionals:
@@ -227,11 +243,31 @@ class TracePoint:
 # engine internals
 # ----------------------------------------------------------------------
 
+def _functional_moments(grid: PosteriorGrid, vecs: np.ndarray):
+    """Component means and sds, shape (m, T*G), of the functionals in the
+    rows of ``vecs`` at every lattice node."""
+    p = len(grid.param_names)
+    mean = vecs @ grid.cond_mean.reshape(-1, p).T
+    outer = (vecs[:, :, None] * vecs[:, None, :]).reshape(len(vecs), p * p)
+    sd = outer @ grid.cond_cov.reshape(-1, p * p).T
+    np.clip(sd, 0.0, None, out=sd)
+    return mean, np.sqrt(sd, out=sd)
+
+
 def _grid_mixture(grid: PosteriorGrid, vec: np.ndarray) -> GaussianMixture1D:
+    mean, sd = _functional_moments(grid, vec[None, :])
+    return GaussianMixture1D(grid.weight.reshape(-1), mean[0], sd[0])
+
+
+def _summaries(grid: PosteriorGrid, vecs: np.ndarray) -> list:
+    """Median, 95% interval and P(> 0) of each functional row of ``vecs``,
+    from one batched quantile solve."""
     w = grid.weight.reshape(-1)
-    mean = (grid.cond_mean @ vec).reshape(-1)
-    var = np.einsum("tgpq,p,q->tg", grid.cond_cov, vec, vec).reshape(-1)
-    return GaussianMixture1D(w, mean, np.sqrt(np.clip(var, 0.0, None)))
+    mean, sd = _functional_moments(grid, vecs)
+    qs = mixture_quantiles(w, mean, sd, (0.5, 0.025, 0.975))
+    return [ParameterSummary(med, lo, hi,
+                             GaussianMixture1D(w, mu, s).tail_prob(0.0))
+            for (med, lo, hi), mu, s in zip(qs.tolist(), mean, sd)]
 
 
 def _halfnormal_logpdf(t: np.ndarray, scale: float) -> np.ndarray:
@@ -429,11 +465,8 @@ def _assemble(estimator: str, data: MetaDataset, priors: PriorSpec,
     scale_names = tuple(n for n, used in (("tau", use_tau), ("tau_gamma", use_tg)) if used)
     grid = PosteriorGrid(tau_nodes, tg_nodes, log_weight, weight,
                          theta, cond_cov, tuple(param_names), scale_names)
-    summaries = {}
-    for name, vec in functionals.items():
-        mix = _grid_mixture(grid, vec)
-        lo, hi = mix.interval(0.95)
-        summaries[name] = ParameterSummary(mix.median(), lo, hi, mix.tail_prob(0.0))
+    summaries = dict(zip(functionals, _summaries(
+        grid, np.array(list(functionals.values()), dtype=float))))
     for name in scale_names:
         nodes, w = grid.scale_axis(name)
         lo, hi = grid_interval(nodes, w, 0.95)
@@ -675,24 +708,23 @@ def interaction_trace(fit: FitResult, tau_gamma_values) -> list:
     if "gamma" not in fit.functionals or "tau_gamma" not in fit.grid.scale_names:
         raise ContractError(
             f"{fit.estimator} fit has no interaction/heterogeneity axis to trace")
-    vec = fit.functionals["gamma"]
     grid = fit.grid
-    mean = grid.cond_mean @ vec
-    var = np.einsum("tgpq,p,q->tg", grid.cond_cov, vec, vec)
-    sd = np.sqrt(np.clip(var, 0.0, None))
-    out = []
-    for value in np.atleast_1d(np.asarray(tau_gamma_values, dtype=float)):
-        idx = int(np.argmin(np.abs(grid.tau_gamma_nodes - value)))
-        w = grid.weight[:, idx]
-        total = w.sum()
-        if total <= 0.0:
-            # conditional weights underflowed; fall back to the prior over tau
-            w = np.exp(grid.log_weight[:, idx] - grid.log_weight[:, idx].max())
-            total = w.sum()
-        mix = GaussianMixture1D(w / total, mean[:, idx], sd[:, idx])
-        lo, hi = mix.interval(0.50)
-        out.append(TracePoint(float(grid.tau_gamma_nodes[idx]), mix.median(), lo, hi))
-    return out
+    mean, sd = _functional_moments(grid, fit.functionals["gamma"][None, :])
+    t, g = grid.weight.shape
+    mean, sd = mean.reshape(t, g).T, sd.reshape(t, g).T
+    values = np.atleast_1d(np.asarray(tau_gamma_values, dtype=float))
+    idx = np.argmin(np.abs(grid.tau_gamma_nodes[None, :] - values[:, None]),
+                    axis=1)
+    w = grid.weight.T[idx]
+    total = w.sum(axis=1)
+    for i in np.flatnonzero(total <= 0.0):
+        # conditional weights underflowed; fall back to the prior over tau
+        col = grid.log_weight[:, idx[i]]
+        w[i] = np.exp(col - col.max())
+    w /= w.sum(axis=1, keepdims=True)
+    qs = mixture_quantiles(w, mean[idx], sd[idx], (0.5, 0.25, 0.75))
+    return [TracePoint(float(grid.tau_gamma_nodes[i]), med, lo, hi)
+            for i, (med, lo, hi) in zip(idx.tolist(), qs.tolist())]
 
 
 # ----------------------------------------------------------------------

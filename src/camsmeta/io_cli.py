@@ -32,8 +32,9 @@ from .errors import CamsmetaError, ContractError, ValidationWarning
 from .inference import (FitResult, GridSpec, PriorSpec, fit_bim, fit_bms,
                         fit_cams, fit_overall, interaction_trace)
 from .model_core import MetaDataset, StudyRecord, SubgroupObservation
-from .reporting import (PrevalenceSpec, ReportedEffects, marginalize_prevalence,
-                        optimal_if, report_effects, strategy_prevalence)
+from .reporting import (STRATEGY_KINDS, PrevalenceSpec, ReportedEffects,
+                        marginalize_prevalence, optimal_if, report_effects,
+                        strategy_prevalence)
 from .verify import SimScenario, run_battery, simulate
 
 REQUIRED_COLUMNS = ("study.name", "est", "se", "ifrac", "subgroup12", "ifrac2")
@@ -486,8 +487,7 @@ def _cmd_report(config: RunConfig) -> int:
     strategies = {}
     has_counts = all(s.obs_a.count is not None and s.obs_b.count is not None
                      for s in data.studies)
-    for kind in ("average", "trial_weighted", "overall_if", "optimal_if",
-                 "closeness_a", "closeness_b", "external"):
+    for kind in STRATEGY_KINDS:
         if kind == "trial_weighted" and not has_counts:
             strategies[kind] = {"skipped": "needs n_a and n_b counts"}
             continue
@@ -544,17 +544,13 @@ def _cmd_plotdata(config: RunConfig) -> int:
 
     # forest: per-study contrasts plus the pooled interaction
     forest = [["label", "estimate", "lower", "upper", "weight"]]
-    inv_var = []
-    for s in data.studies:
-        g = s.obs_b.estimate - s.obs_a.estimate
-        se_g = math.sqrt(s.obs_a.std_error ** 2 + s.obs_b.std_error ** 2)
-        inv_var.append(1.0 / se_g ** 2)
-    total = sum(inv_var)
-    for s, w in zip(data.studies, inv_var):
-        g = s.obs_b.estimate - s.obs_a.estimate
-        se_g = math.sqrt(s.obs_a.std_error ** 2 + s.obs_b.std_error ** 2)
-        forest.append([s.study_id, g, g - 1.96 * se_g, g + 1.96 * se_g,
-                       w / total])
+    contrasts = [(s.study_id, s.obs_b.estimate - s.obs_a.estimate,
+                  math.sqrt(s.obs_a.std_error ** 2 + s.obs_b.std_error ** 2))
+                 for s in data.studies]
+    total = sum(1.0 / se_g ** 2 for _, _, se_g in contrasts)
+    for study_id, g, se_g in contrasts:
+        forest.append([study_id, g, g - 1.96 * se_g, g + 1.96 * se_g,
+                       1.0 / se_g ** 2 / total])
     pooled = bim.summaries["gamma"]
     forest.append(["POOLED", pooled.median, pooled.lower, pooled.upper, 1.0])
     _write_rows(os.path.join(out, "forest.csv"), forest)
@@ -572,11 +568,11 @@ def _cmd_plotdata(config: RunConfig) -> int:
 
     lines = [["pi", "mu_a_median", "mu_b_median"]]
     line_pi = np.linspace(0.0, 1.0, 41)
-    for p in line_pi:
-        ma = cams.functional_mixture({"alpha": 1.0, "delta": float(p)}).median()
-        mb = cams.functional_mixture(
-            {"alpha": 1.0, "delta": float(p), "gamma": 1.0}).median()
-        lines.append([float(p), ma, mb])
+    medians = cams.functional_quantiles(
+        [{"alpha": 1.0, "delta": float(p), "gamma": g}
+         for g in (0.0, 1.0) for p in line_pi], (0.5,)).reshape(2, -1)
+    for p, ma, mb in zip(line_pi.tolist(), *medians.tolist()):
+        lines.append([p, ma, mb])
     _write_rows(os.path.join(out, "bubble_lines.csv"), lines)
 
     opt = optimal_if(cams)

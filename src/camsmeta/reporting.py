@@ -20,11 +20,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln, log_expit, logit, logsumexp, ndtr
+from scipy.special import expit, gammaln, log_expit, logit, logsumexp
 
 from .errors import (ContractError, DomainError, ExtrapolationWarning,
                      ValidationWarning)
-from .gaussmix import grid_quantile
+from .gaussmix import grid_quantile, mixture_quantiles
 from .inference import (FitResult, GridSpec, ParameterSummary,
                         _halfnormal_logpdf, _quad_log_weights)
 from .model_core import MetaDataset, _check_unit_interval
@@ -106,7 +106,17 @@ class ReportedEffects:
         out = {}
         for name in ("mu_a", "mu_b", "overall", "interaction"):
             s = getattr(self, name)
-            out[name] = (math.exp(s.median), math.exp(s.lower), math.exp(s.upper))
+            values = []
+            for field_name in ("median", "lower", "upper"):
+                value = getattr(s, field_name)
+                try:
+                    values.append(math.exp(value))
+                except OverflowError:
+                    raise DomainError(
+                        f"{name}.{field_name} = {value!r} overflows on the "
+                        f"ratio scale (exp); are the estimates on the log "
+                        f"scale?") from None
+            out[name] = tuple(values)
         return out
 
 
@@ -142,11 +152,6 @@ def _require_cams(fit: FitResult) -> None:
             f"prevalence reporting needs a CAMS fit, got {fit.estimator}")
 
 
-def _mix_summary(mix) -> ParameterSummary:
-    lo, hi = mix.interval(0.95)
-    return ParameterSummary(mix.median(), lo, hi, mix.tail_prob(0.0))
-
-
 def effects_at(fit: FitResult, pi: float) -> ReportedEffects:
     """Posterior subgroup-A, subgroup-B, and overall effects at prevalence pi.
 
@@ -157,11 +162,11 @@ def effects_at(fit: FitResult, pi: float) -> ReportedEffects:
     _require_cams(fit)
     pi = float(pi)
     _check_unit_interval(pi, "prevalence")
-    mu_a = fit.functional_mixture({"alpha": 1.0, "delta": pi})
-    mu_b = fit.functional_mixture({"alpha": 1.0, "delta": pi, "gamma": 1.0})
-    overall = fit.functional_mixture({"alpha": 1.0, "delta": pi, "gamma": pi})
-    return ReportedEffects(_mix_summary(mu_a), _mix_summary(mu_b),
-                           _mix_summary(overall), fit.summaries["gamma"],
+    mu_a, mu_b, overall = fit.functional_summaries(
+        [{"alpha": 1.0, "delta": pi},
+         {"alpha": 1.0, "delta": pi, "gamma": 1.0},
+         {"alpha": 1.0, "delta": pi, "gamma": pi}])
+    return ReportedEffects(mu_a, mu_b, overall, fit.summaries["gamma"],
                            {"kind": "point", "value": pi})
 
 
@@ -215,14 +220,18 @@ def optimal_if(fit: FitResult, search_range=(0.0, 1.0),
     _check_unit_interval(lo, "search range low")
     _check_unit_interval(hi, "search range high")
 
+    def widths(pis) -> np.ndarray:
+        specs = [{"alpha": 1.0, "delta": float(p), "gamma": g}
+                 for g in (0.0, 1.0) for p in pis]
+        qs = fit.functional_quantiles(specs, (0.025, 0.975))
+        span = (qs[:, 1] - qs[:, 0]).reshape(2, len(pis))
+        return span[0] + span[1]
+
     def width(pi: float) -> float:
-        wa = fit.functional_mixture({"alpha": 1.0, "delta": pi}).interval(0.95)
-        wb = fit.functional_mixture(
-            {"alpha": 1.0, "delta": pi, "gamma": 1.0}).interval(0.95)
-        return (wa[1] - wa[0]) + (wb[1] - wb[0])
+        return float(widths([pi])[0])
 
     curve_pi = np.linspace(lo, hi, curve_points)
-    curve_width = np.array([width(p) for p in curve_pi])
+    curve_width = widths(curve_pi)
     if curve_width.max() - curve_width.min() < 1e-10:
         return OptimalIF(0.5 * (lo + hi), float(curve_width[0]),
                          curve_pi, curve_width, flat_range=(lo, hi))
@@ -245,14 +254,17 @@ def _closeness(fit: FitResult, reference: FitResult, subgroup: str) -> float:
         raise ContractError("closeness strategies need a reference BMS fit")
     target = reference.summaries["mu_a" if subgroup == "a" else "mu_b"].median
 
+    gamma = 1.0 if subgroup == "b" else 0.0
+
+    def distances(pis) -> np.ndarray:
+        specs = [{"alpha": 1.0, "delta": float(p), "gamma": gamma} for p in pis]
+        return np.abs(fit.functional_quantiles(specs, (0.5,))[:, 0] - target)
+
     def objective(pi: float) -> float:
-        spec = {"alpha": 1.0, "delta": pi}
-        if subgroup == "b":
-            spec["gamma"] = 1.0
-        return abs(fit.functional_mixture(spec).median() - target)
+        return float(distances([pi])[0])
 
     scan = np.linspace(0.0, 1.0, 101)
-    vals = np.array([objective(p) for p in scan])
+    vals = distances(scan)
     best = int(np.argmin(vals))
     blo = float(scan[max(best - 1, 0)])
     bhi = float(scan[min(best + 1, scan.size - 1)])
@@ -478,26 +490,11 @@ def fit_map_prevalence(counts, sd_scale: float = 0.5, phi_points: int = 201,
     pooled = (float(expit(grid_quantile(phi, w_phi, 0.025))),
               float(expit(grid_quantile(phi, w_phi, 0.975))))
 
-    def predictive_cdf(x: float) -> float:
-        lx = logit(x)
-        with np.errstate(divide="ignore"):
-            z = np.where(psi[None, :] > 0.0,
-                         (lx - phi[:, None]) / np.where(psi[None, :] > 0.0,
-                                                        psi[None, :], 1.0),
-                         np.where(phi[:, None] <= lx, np.inf, -np.inf))
-        return float((w * ndtr(z)).sum())
-
-    def invert(q: float) -> float:
-        lo, hi = 1e-12, 1.0 - 1e-12
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if predictive_cdf(mid) < q:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    predictive = (invert(0.025), invert(0.975))
+    # the predictive law is a normal mixture on the logit scale; its
+    # quantiles commute with expit
+    predictive = tuple(float(expit(x)) for x in mixture_quantiles(
+        w.reshape(-1), np.repeat(phi, psi_points)[None, :],
+        np.tile(psi, phi_points)[None, :], (0.025, 0.975))[0])
     return MapPrevalence(float(a), float(b), mean, math.sqrt(var),
                          pooled, predictive, len(clean))
 

@@ -182,8 +182,9 @@ def leverage_scenario(seed: int = 0, n_studies: int = 8) -> SimScenario:
 # ----------------------------------------------------------------------
 
 def _cdf_distance(mix_a, mix_b, points: int = 2001) -> float:
-    lo = min(mix_a.quantile(0.001), mix_b.quantile(0.001))
-    hi = max(mix_a.quantile(0.999), mix_b.quantile(0.999))
+    (lo_a, hi_a), (lo_b, hi_b) = (mix.quantiles((0.001, 0.999))
+                                  for mix in (mix_a, mix_b))
+    lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
     xs = np.linspace(lo, hi, points)
     return float(np.max(np.abs(mix_a.cdf(xs) - mix_b.cdf(xs))))
 

@@ -1,10 +1,19 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
+from scipy.special import ndtr
 
+from camsmeta import gaussmix
 from camsmeta.errors import ContractError, DomainError
-from camsmeta.gaussmix import (GaussianMixture1D, grid_interval,
-                               grid_quantile, grid_tail_prob)
+from camsmeta.gaussmix import (QUANTILE_TOL, GaussianMixture1D, grid_interval,
+                               grid_quantile, grid_tail_prob,
+                               mixture_quantiles)
 
 
 def test_single_component_matches_normal():
@@ -123,3 +132,133 @@ def test_grid_interval_and_tail():
                               abs=1e-12)
     assert grid_tail_prob(nodes, weights, -1.0) == pytest.approx(1.0)
     assert grid_tail_prob(nodes, weights, 3.0) == pytest.approx(0.0)
+
+
+# ----------------------------------------------------------------------
+# properties of the batched quantile engine
+# ----------------------------------------------------------------------
+
+def dense_cdf(weights, means, sds, x):
+    """Unblocked reference: ndtr(z) @ w, atoms as steps."""
+    x = np.asarray(x, dtype=float)[:, None]
+    smooth = sds > 0
+    out = ndtr((x - means[smooth]) / sds[smooth]) @ weights[smooth]
+    return out + (x >= means[~smooth]) @ weights[~smooth]
+
+
+@st.composite
+def mixture_rows(draw, max_rows=4, atoms=True):
+    """(weights, mixtures): m mixtures of n components each, sds spanning
+    1e-4..10, optionally with atoms. ``weights`` is the batch's weight
+    argument, shared (n,) or per row (m, n), taken from the normalized
+    weights of the mixtures so that batch and single calls see equal input."""
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, 60))
+    means = draw(arrays(float, (m, n), elements=st.floats(-10.0, 10.0)))
+    sds = 10.0 ** draw(arrays(float, (m, n), elements=st.floats(-4.0, 1.0)))
+    if atoms:
+        sds[draw(arrays(bool, (m, n)))] = 0.0
+    shared = draw(st.booleans())
+    w = draw(arrays(float, (1 if shared else m, n),
+                    elements=st.floats(0.01, 1.0)))
+    w /= w.sum(axis=1, keepdims=True)
+    mixes = [GaussianMixture1D(w_r, mu, sd) for w_r, mu, sd
+             in zip(np.broadcast_to(w, (m, n)), means, sds)]
+    weights = np.array([mix.weights for mix in mixes])
+    return (weights[0] if shared else weights), mixes
+
+
+def batch(weights, mixes, levels):
+    return mixture_quantiles(weights, np.array([mix.means for mix in mixes]),
+                             np.array([mix.sds for mix in mixes]), levels)
+
+
+levels_st = st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixture_rows(), levels_st)
+def test_batched_quantiles_bracket_the_level(rows, levels):
+    weights, mixes = rows
+    out = batch(weights, mixes, levels)
+    assert out.shape == (len(mixes), len(levels))
+    for mix, xs in zip(mixes, out):
+        for q, x in zip(levels, xs):
+            assert mix.cdf(x - QUANTILE_TOL) <= q <= mix.cdf(x + QUANTILE_TOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixture_rows(), levels_st)
+def test_batch_equals_single_mixture(rows, levels):
+    weights, mixes = rows
+    out = batch(weights, mixes, levels)
+    for mix, xs in zip(mixes, out):
+        np.testing.assert_allclose(xs, mix.quantiles(levels),
+                                   rtol=0.0, atol=1e-12)
+        if len(levels) == 1:
+            assert abs(mix.quantile(levels[0]) - xs[0]) <= 1e-12
+
+
+def test_per_row_weights_select_each_mixture():
+    # the same components under two weightings give two different mixtures
+    means = np.tile([-2.0, 0.0, 3.0], (2, 1))
+    sds = np.tile([0.5, 1.0, 0.3], (2, 1))
+    w = np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
+    out = mixture_quantiles(w, means, sds, (0.25, 0.5, 0.75))
+    for w_r, xs in zip(w, out):
+        want = GaussianMixture1D(w_r, means[0], sds[0]).quantiles((0.25, 0.5, 0.75))
+        np.testing.assert_array_equal(xs, want)
+    assert out[0, 1] < -1.0 < 2.0 < out[1, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixture_rows(max_rows=1),
+       arrays(float, st.integers(1, 300), elements=st.floats(-60.0, 60.0)))
+def test_blocked_cdf_matches_dense(rows, xs):
+    mix = rows[1][0]
+    xs = np.concatenate([xs, mix.means])  # atoms are hit exactly
+    want = dense_cdf(mix.weights, mix.means, mix.sds, xs)
+    with mock.patch.object(gaussmix, "BLOCK_CELLS", 97):  # many blocks
+        got = mix.cdf(xs)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixture_rows(max_rows=1, atoms=False), st.floats(-5.0, 5.0),
+       st.floats(0.05, 0.9), st.floats(0.01, 0.99))
+def test_quantile_inside_atom_mass_is_the_atom(rows, loc, mass, frac):
+    smooth = rows[1][0]
+    mix = GaussianMixture1D(np.append(smooth.weights * (1.0 - mass), mass),
+                            np.append(smooth.means, loc),
+                            np.append(smooth.sds, 0.0))
+    below = mix.cdf(loc) - mix.weights[-1]  # P(X < loc)
+    q = below + frac * mix.weights[-1]
+    assert abs(mix.quantile(q) - loc) <= QUANTILE_TOL
+
+
+def test_engine_rejects_bad_input():
+    w, mu, sd = np.array([1.0]), np.zeros((1, 1)), np.ones((1, 1))
+    for bad in ((0.0,), (1.0,), (float("nan"),), ()):
+        with pytest.raises(DomainError):
+            mixture_quantiles(w, mu, sd, bad)
+    with pytest.raises(ContractError):
+        mixture_quantiles(np.array([0.5, 0.5]), mu, sd, (0.5,))
+    with pytest.raises(DomainError):
+        mixture_quantiles(w, np.full((1, 1), np.inf), sd, (0.5,))
+
+
+def test_cdf_working_set_is_blocked():
+    # 2001 points x 3721 components is ~60 MB per dense temporary; blocked
+    # evaluation keeps the traced peak to a few MB
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.1, 1.0, 3721)
+    mix = GaussianMixture1D(w / w.sum(), rng.normal(0.0, 1.0, 3721),
+                            rng.uniform(0.05, 1.0, 3721))
+    xs = np.linspace(-4.0, 4.0, 2001)
+    tracemalloc.start()
+    try:
+        mix.cdf(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20

@@ -314,3 +314,18 @@ def test_main_verify_ok(tmp_path):
     blob = json.load(open(os.path.join(out, "verify.json")))
     assert blob["all_pass"]
     assert blob["n_checks"] == 13
+
+
+def test_main_report_ratio_overflow_is_clean_error(tmp_path, capsys):
+    # log-scale estimates near 800 overflow exp(); the CLI must name the
+    # field and exit 1 instead of printing a traceback
+    out = str(tmp_path / "big")
+    assert main(["simulate", "--sim-alpha", "800", "--sim-studies", "8",
+                 "--output-dir", out]) == EXIT_OK
+    code = main(["report", "--input", os.path.join(out, "simulated.csv"),
+                 "--output-dir", out, "--grid-nodes", "21"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: mu_a.median")
+    assert "overflows" in err
+    assert not os.path.exists(os.path.join(out, "report.json"))
