@@ -15,8 +15,8 @@ from .model_core import (CovarianceStructure, MetaDataset, MultiStudyRecord,
                          StudyRecord, SubgroupObservation, compose,
                          compute_if, cov_gm, decompose, marginal_covariance,
                          missing_observation, prevalence_from_counts)
-from .contrasts import (ContrastBasis, TransformMatrix, contrast_mean_cov,
-                        helmert_basis, kronecker_contrast, per_arm_prevalence,
+from .contrasts import (ContrastBasis, contrast_mean_cov, helmert_basis,
+                        kronecker_contrast, per_arm_prevalence,
                         precision_prevalence, transform_matrix)
 from .gaussmix import (GaussianMixture1D, grid_interval, grid_quantile,
                        grid_tail_prob)
@@ -45,7 +45,7 @@ __all__ = [
     "CovarianceStructure", "MetaDataset", "MultiStudyRecord", "StudyRecord",
     "SubgroupObservation", "compose", "compute_if", "cov_gm", "decompose",
     "marginal_covariance", "missing_observation", "prevalence_from_counts",
-    "ContrastBasis", "TransformMatrix", "contrast_mean_cov", "helmert_basis",
+    "ContrastBasis", "contrast_mean_cov", "helmert_basis",
     "kronecker_contrast", "per_arm_prevalence", "precision_prevalence",
     "transform_matrix",
     "GaussianMixture1D", "grid_interval", "grid_quantile", "grid_tail_prob",

@@ -56,17 +56,6 @@ class ContrastBasis:
         if abs(np.linalg.det(cb)) < 1e-12:
             raise ContractError("C @ B must be nonsingular")
 
-    def with_contrast_rows(self, rows: np.ndarray) -> "ContrastBasis":
-        """Same contrast space and heterogeneity structure, new rows C."""
-        return ContrastBasis(np.asarray(rows, dtype=float), self.basis_b, self.k)
-
-
-@dataclass(frozen=True)
-class TransformMatrix:
-    """The K x K transform stacking contrast rows over a prevalence row."""
-
-    rows: np.ndarray
-
 
 def helmert_basis(k: int) -> ContrastBasis:
     """Unnormalized Helmert contrasts for k levels.
@@ -116,8 +105,8 @@ def contrast_mean_cov(basis: ContrastBasis, cov_diag: np.ndarray,
     return basis.matrix_c @ (var * pvec)
 
 
-def transform_matrix(basis: ContrastBasis, pi: np.ndarray) -> TransformMatrix:
-    """Stack C over pi' and certify invertibility.
+def transform_matrix(basis: ContrastBasis, pi: np.ndarray) -> np.ndarray:
+    """The K x K transform stacking C over pi', certified invertible.
 
     Nonsingularity is certified by LU factorization with partial pivoting; a
     reciprocal-condition estimate worse than 1e-8 emits a warning since the
@@ -139,7 +128,7 @@ def transform_matrix(basis: ContrastBasis, pi: np.ndarray) -> TransformMatrix:
             f"transform condition estimate {1.0 / rcond:.3g} exceeds "
             f"{CONDITION_WARN_THRESHOLD:.0e}; (g, m) split is ill-conditioned",
             IdentifiabilityWarning, stacklevel=2)
-    return TransformMatrix(rows)
+    return rows
 
 
 def kronecker_contrast(treat_basis: ContrastBasis,

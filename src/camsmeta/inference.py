@@ -17,6 +17,11 @@ half-normal-prior-times-likelihood node weights. Everything downstream
 (quantiles, tail probabilities, reporting functionals) is CDF arithmetic on
 that mixture, accumulated in a fixed node order for bit reproducibility.
 
+Each block of observations contributes GLS statistics on its own node
+lattice; statistics of independent blocks add before one shared solve. CAMS
+is thus a contrast block on the tau_gamma axis plus a mean-regression block
+on the tau axis, which decouple exactly at the information fraction.
+
 Location priors are flat by default; a flat prior requires at least as many
 studies as fixed effects. Proper normal priors lift that requirement and are
 folded into the per-node GLS.
@@ -37,7 +42,8 @@ from .errors import ContractError, DomainError, IdentifiabilityWarning
 from .gaussmix import (GaussianMixture1D, grid_interval, grid_quantile,
                        grid_tail_prob, mixture_quantiles)
 from .model_core import (CovarianceStructure, MetaDataset, MultiStudyRecord,
-                         StudyRecord, cov_gm)
+                         cams_covariance, cov_gm, decompose_arrays,
+                         subgroup_arrays)
 
 ESTIMATORS = ("BIM", "BMS", "CAMS", "OVERALL", "BIM_K")
 
@@ -325,23 +331,36 @@ def _check_flat_prior_rule(priors: PriorSpec, param_names: tuple,
             f"proper location priors or more data")
 
 
-def _conditional_gls(y: np.ndarray, x: np.ndarray, v: np.ndarray,
-                     param_names: tuple, priors: PriorSpec):
-    """Per-node GLS with optional normal priors on location parameters.
-
-    Parameters are stacked study blocks: y (J, b), x (J, b, p), and the grid
-    of covariances v (T, G, J, b, b). Returns the integrated log likelihood
-    (location parameters marginalized) per node, the conditional means and
-    covariances, and any flat directions found in the design.
-    """
-    j, b = y.shape
-    p = x.shape[-1]
+def _gls_stats(y: np.ndarray, x: np.ndarray, v: np.ndarray):
+    """(X'V^-1 X, X'V^-1 y, y'V^-1 y, sum_j log|V_j|) per node for study
+    blocks y (J, b), x (J, b, p) and covariances v (T, G, J, b, b), whose
+    lattice axes may be singletons."""
     vinv, logdet = _batched_inv_logdet(v)
-    logdet_sum = logdet.sum(axis=-1)
-    a = np.einsum("jbp,tgjbc,jcq->tgpq", x, vinv, x, optimize=True)
-    bvec = np.einsum("jbp,tgjbc,jc->tgp", x, vinv, y, optimize=True)
-    quad = np.einsum("jb,tgjbc,jc->tg", y, vinv, y, optimize=True)
+    return (np.einsum("jbp,tgjbc,jcq->tgpq", x, vinv, x, optimize=True),
+            np.einsum("jbp,tgjbc,jc->tgp", x, vinv, y, optimize=True),
+            np.einsum("jb,tgjbc,jc->tg", y, vinv, y, optimize=True),
+            logdet.sum(axis=-1))
 
+
+def _scalar_stats(y: np.ndarray, x: np.ndarray, var: np.ndarray,
+                  het2: np.ndarray):
+    """``_gls_stats`` of one observation per study: y (J,) with design rows
+    x (J, p) and variance var (J,) plus the heterogeneity het2 (T, G)."""
+    v = (var + het2[..., None])[..., None, None]
+    return _gls_stats(y[:, None], x[:, None, :], v)
+
+
+def _solve_grid(stats, design: np.ndarray, param_names: tuple,
+                priors: PriorSpec, tau_nodes: np.ndarray, tg_nodes: np.ndarray,
+                scale_names: tuple) -> PosteriorGrid:
+    """Posterior grid from (summed) ``_gls_stats``: per-node GLS with
+    optional normal location priors, then half-normal priors on the axes in
+    ``scale_names``. ``design`` holds the rows (last axis p) of every
+    observation behind the statistics, for the rank and the constant.
+    """
+    a, bvec, quad, logdet_sum = stats
+    p = len(param_names)
+    stacked = design.reshape(-1, p)
     loc = priors.location_map()
     prior_prec = np.zeros(p)
     prior_mean = np.zeros(p)
@@ -358,18 +377,15 @@ def _conditional_gls(y: np.ndarray, x: np.ndarray, v: np.ndarray,
         quad = quad + float(prior_prec @ (prior_mean ** 2))
 
     # rank of the (prior-augmented) design decides between solve and pinv
-    stacked = x.reshape(j * b, p)
     augmented = np.vstack([stacked, np.diag(np.sqrt(prior_prec))])
     svals = np.linalg.svd(augmented, compute_uv=False)
     tol = svals.max() * max(augmented.shape) * np.finfo(float).eps
     rank = int((svals > tol).sum())
-    flat_directions = []
     if rank < p:
         _, _, vt = np.linalg.svd(augmented)
-        flat_directions = [vt[i] for i in range(rank, p)]
         pretty = ["; ".join(
             f"{c:+.3f}*{n}" for c, n in zip(d, param_names) if abs(c) > 1e-9)
-            for d in flat_directions]
+            for d in vt[rank:p]]
         warnings.warn(
             f"design is rank deficient ({rank} < {p}); flat directions: "
             f"{pretty}; summaries along them are prior-driven only",
@@ -384,9 +400,16 @@ def _conditional_gls(y: np.ndarray, x: np.ndarray, v: np.ndarray,
         _, logdet_a = np.linalg.slogdet(a)
     fit_quad = np.einsum("tgp,tgp->tg", bvec, theta, optimize=True)
     log_marginal = (-0.5 * (logdet_sum + quad - fit_quad + logdet_a)
-                    - 0.5 * (j * b - rank) * _LOG_2PI + prior_const)
+                    - 0.5 * (stacked.shape[0] - rank) * _LOG_2PI + prior_const)
     cond_cov = 0.5 * (cond_cov + np.swapaxes(cond_cov, -1, -2))
-    return log_marginal, theta, cond_cov, flat_directions
+    log_prior = (_axis_log_prior(tau_nodes, priors.tau_scale,
+                                 "tau" in scale_names)[:, None]
+                 + _axis_log_prior(tg_nodes, priors.tau_gamma_scale,
+                                   "tau_gamma" in scale_names)[None, :])
+    log_weight = log_marginal + log_prior
+    weight = np.exp(log_weight - logsumexp(log_weight.reshape(-1)))
+    return PosteriorGrid(tau_nodes, tg_nodes, log_weight, weight,
+                         theta, cond_cov, tuple(param_names), scale_names)
 
 
 def _dataset_sha(data: MetaDataset) -> str:
@@ -403,26 +426,6 @@ def _dataset_sha(data: MetaDataset) -> str:
                      repr(s.obs_b.estimate), repr(s.obs_b.std_error), repr(s.obs_b.count)]
         lines.append("|".join(parts))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
-def _two_subgroup_arrays(data: MetaDataset):
-    if data.is_multi:
-        raise ContractError("this estimator needs two-subgroup study records")
-    ya = np.array([s.obs_a.estimate for s in data.studies])
-    yb = np.array([s.obs_b.estimate for s in data.studies])
-    va = np.array([s.obs_a.std_error ** 2 for s in data.studies])
-    vb = np.array([s.obs_b.std_error ** 2 for s in data.studies])
-    pi = np.array([s.info_fraction for s in data.studies])
-    return ya, yb, va, vb, pi
-
-
-def _interaction_structure(pi: np.ndarray) -> np.ndarray:
-    out = np.empty((pi.size, 2, 2))
-    out[:, 0, 0] = pi ** 2
-    out[:, 0, 1] = -pi * (1.0 - pi)
-    out[:, 1, 0] = out[:, 0, 1]
-    out[:, 1, 1] = (1.0 - pi) ** 2
-    return out
 
 
 def _axis_descriptor(nodes: np.ndarray) -> dict:
@@ -454,20 +457,11 @@ def _provenance(data: MetaDataset, priors: PriorSpec, grid: GridSpec,
 
 
 def _assemble(estimator: str, data: MetaDataset, priors: PriorSpec,
-              grid_spec: GridSpec, tau_nodes, tg_nodes, use_tau, use_tg,
-              log_marginal, theta, cond_cov, param_names, functionals,
+              grid_spec: GridSpec, grid: PosteriorGrid, functionals,
               options) -> FitResult:
-    log_prior = (_axis_log_prior(tau_nodes, priors.tau_scale, use_tau)[:, None]
-                 + _axis_log_prior(tg_nodes, priors.tau_gamma_scale, use_tg)[None, :])
-    log_weight = log_marginal + log_prior
-    total = logsumexp(log_weight.reshape(-1))
-    weight = np.exp(log_weight - total)
-    scale_names = tuple(n for n, used in (("tau", use_tau), ("tau_gamma", use_tg)) if used)
-    grid = PosteriorGrid(tau_nodes, tg_nodes, log_weight, weight,
-                         theta, cond_cov, tuple(param_names), scale_names)
     summaries = dict(zip(functionals, _summaries(
         grid, np.array(list(functionals.values()), dtype=float))))
-    for name in scale_names:
+    for name in grid.scale_names:
         nodes, w = grid.scale_axis(name)
         lo, hi = grid_interval(nodes, w, 0.95)
         summaries[name] = ParameterSummary(grid_quantile(nodes, w, 0.5), lo, hi,
@@ -491,19 +485,15 @@ def fit_bim(data: MetaDataset, priors: PriorSpec | None = None,
     """
     priors = priors if priors is not None else PriorSpec()
     grid = grid if grid is not None else GridSpec.default(priors)
-    ya, yb, va, vb, _ = _two_subgroup_arrays(data)
-    j = ya.size
+    g, _, var_g, _ = decompose_arrays(*subgroup_arrays(data))
     param_names = ("gamma",)
-    _check_flat_prior_rule(priors, param_names, j, 1)
-    g = yb - ya
-    v0 = va + vb
+    _check_flat_prior_rule(priors, param_names, g.size, 1)
     tg = grid.tau_gamma_nodes
-    tau_nodes = np.array([0.0])
-    v = (v0[None, None, :] + (tg ** 2)[None, :, None])[..., None, None]
-    x = np.ones((j, 1, 1))
-    logml, theta, cov, _ = _conditional_gls(g[:, None], x, v, param_names, priors)
-    return _assemble("BIM", data, priors, grid, tau_nodes, tg, False, True,
-                     logml, theta, cov, param_names,
+    x = np.ones((g.size, 1))
+    posterior = _solve_grid(_scalar_stats(g, x, var_g, (tg ** 2)[None, :]), x,
+                            param_names, priors, np.array([0.0]), tg,
+                            ("tau_gamma",))
+    return _assemble("BIM", data, priors, grid, posterior,
                      {"gamma": np.array([1.0])}, {})
 
 
@@ -516,19 +506,15 @@ def fit_overall(data: MetaDataset, priors: PriorSpec | None = None,
     """
     priors = priors if priors is not None else PriorSpec()
     grid = grid if grid is not None else GridSpec.default(priors)
-    ya, yb, va, vb, pi = _two_subgroup_arrays(data)
-    j = ya.size
+    _, m, _, var_m = decompose_arrays(*subgroup_arrays(data))
     param_names = ("mu",)
-    _check_flat_prior_rule(priors, param_names, j, 1)
-    m = (1.0 - pi) * ya + pi * yb
-    v0 = (1.0 - pi) ** 2 * va + pi ** 2 * vb
+    _check_flat_prior_rule(priors, param_names, m.size, 1)
     taus = grid.tau_nodes
-    tg_nodes = np.array([0.0])
-    v = (v0[None, None, :] + (taus ** 2)[:, None, None])[..., None, None]
-    x = np.ones((j, 1, 1))
-    logml, theta, cov, _ = _conditional_gls(m[:, None], x, v, param_names, priors)
-    return _assemble("OVERALL", data, priors, grid, taus, tg_nodes, True, False,
-                     logml, theta, cov, param_names,
+    x = np.ones((m.size, 1))
+    posterior = _solve_grid(_scalar_stats(m, x, var_m, (taus ** 2)[:, None]),
+                            x, param_names, priors, taus, np.array([0.0]),
+                            ("tau",))
+    return _assemble("OVERALL", data, priors, grid, posterior,
                      {"mu": np.array([1.0])}, {})
 
 
@@ -544,94 +530,72 @@ def fit_bms(data: MetaDataset, priors: PriorSpec | None = None,
     """
     priors = priors if priors is not None else PriorSpec()
     grid = grid if grid is not None else GridSpec.default(priors)
-    ya, yb, va, vb, _ = _two_subgroup_arrays(data)
+    ya, yb, va, vb, _ = subgroup_arrays(data)
     j = ya.size
     param_names = ("alpha", "gamma")
     _check_flat_prior_rule(priors, param_names, j, 2)
-    y = np.stack([ya, yb], axis=1)
-    s = np.zeros((j, 2, 2))
-    s[:, 0, 0] = va
-    s[:, 1, 1] = vb
-    half = np.array([[0.25, -0.25], [-0.25, 0.25]])
     tg = grid.tau_gamma_nodes
     taus = grid.tau_nodes if alpha_heterogeneity else np.array([0.0])
-    v = (s[None, None] + (tg ** 2)[None, :, None, None, None] * half)
-    if alpha_heterogeneity:
-        v = v + (taus ** 2)[:, None, None, None, None] * np.ones((2, 2))
+    # the CAMS covariance with the interaction centered at 0.5
+    v = cams_covariance(va, vb, 0.5, taus[:, None, None], tg[None, :, None])
     x = np.broadcast_to(np.array([[1.0, -0.5], [1.0, 0.5]]), (j, 2, 2)).copy()
-    logml, theta, cov, _ = _conditional_gls(y, x, v, param_names, priors)
+    scale_names = ("tau", "tau_gamma") if alpha_heterogeneity else ("tau_gamma",)
+    posterior = _solve_grid(_gls_stats(np.stack([ya, yb], axis=1), x, v), x,
+                            param_names, priors, taus, tg, scale_names)
     functionals = {
         "alpha": np.array([1.0, 0.0]),
         "gamma": np.array([0.0, 1.0]),
         "mu_a": np.array([1.0, -0.5]),
         "mu_b": np.array([1.0, 0.5]),
     }
-    return _assemble("BMS", data, priors, grid, taus, tg, alpha_heterogeneity, True,
-                     logml, theta, cov, param_names, functionals,
+    return _assemble("BMS", data, priors, grid, posterior, functionals,
                      {"alpha_heterogeneity": alpha_heterogeneity})
 
 
 def fit_cams(data: MetaDataset, priors: PriorSpec | None = None,
-             grid: GridSpec | None = None, parametrization: str = "explicit",
-             pi_override=None) -> FitResult:
+             grid: GridSpec | None = None,
+             parametrization: str = "explicit") -> FitResult:
     """Contribution-adjusted bivariate model on a 2-D heterogeneity grid.
 
     Explicit parametrization: mean y = alpha + delta * pi + gamma * x with x
     in {0, 1}; implicit: alpha + beta * pi + gamma * (x - pi), related by
-    beta = delta + gamma. Both carry the same marginal covariance built from
-    the trial covariance, tau^2 on all entries, and the IF-centered
-    interaction structure.
+    beta = delta + gamma. Both carry the marginal covariance of
+    ``model_core.cams_covariance``.
 
-    ``pi_override`` replaces the information fractions (scalar or per-study
-    vector). It exists for verification harnesses that deliberately break the
-    orthogonal decomposition; regular fits leave it None.
+    At the information fraction that covariance decouples the contrast g
+    from the mean m, so the fit adds the GLS statistics of two blocks:
+    g_j ~ N(gamma, var_g + tau_gamma^2) on the tau_gamma axis and the
+    meta-regression m_j ~ N(alpha + (delta + gamma) pi_j, var_m + tau^2) on
+    the tau axis. Location priors enter after the sum, so a prior coupling
+    the blocks stays exact. ``verify.cams_oracle`` is the joint 2-D solve.
     """
     priors = priors if priors is not None else PriorSpec()
     grid = grid if grid is not None else GridSpec.default(priors)
     if parametrization not in ("explicit", "implicit"):
         raise ContractError(f"unknown parametrization {parametrization!r}")
-    ya, yb, va, vb, pi = _two_subgroup_arrays(data)
-    j = ya.size
-    if pi_override is not None:
-        pi = np.broadcast_to(np.asarray(pi_override, dtype=float), (j,)).copy()
-        if np.any(pi < 0) or np.any(pi > 1):
-            raise DomainError("pi_override values must lie in [0, 1]")
+    ya, yb, va, vb, pi = subgroup_arrays(data)
+    g, m, var_g, var_m = decompose_arrays(ya, yb, va, vb, pi)
+    j = g.size
     if parametrization == "explicit":
         param_names = ("alpha", "delta", "gamma")
-        functionals = {
-            "alpha": np.array([1.0, 0.0, 0.0]),
-            "beta": np.array([0.0, 1.0, 1.0]),
-            "delta": np.array([0.0, 1.0, 0.0]),
-            "gamma": np.array([0.0, 0.0, 1.0]),
-        }
-        x = np.stack([np.stack([np.ones(j), pi, np.zeros(j)], axis=1),
-                      np.stack([np.ones(j), pi, np.ones(j)], axis=1)], axis=1)
+        beta, delta, gamma_in_mean = [0.0, 1.0, 1.0], [0.0, 1.0, 0.0], pi
     else:
         param_names = ("alpha", "beta", "gamma")
-        functionals = {
-            "alpha": np.array([1.0, 0.0, 0.0]),
-            "beta": np.array([0.0, 1.0, 0.0]),
-            "delta": np.array([0.0, 1.0, -1.0]),
-            "gamma": np.array([0.0, 0.0, 1.0]),
-        }
-        x = np.stack([np.stack([np.ones(j), pi, -pi], axis=1),
-                      np.stack([np.ones(j), pi, 1.0 - pi], axis=1)], axis=1)
+        beta, delta, gamma_in_mean = [0.0, 1.0, 0.0], [0.0, 1.0, -1.0], np.zeros(j)
+    functionals = {"alpha": np.array([1.0, 0.0, 0.0]), "beta": np.array(beta),
+                   "delta": np.array(delta), "gamma": np.array([0.0, 0.0, 1.0])}
     _check_flat_prior_rule(priors, param_names, j, 3)
-    y = np.stack([ya, yb], axis=1)
-    s = np.zeros((j, 2, 2))
-    s[:, 0, 0] = va
-    s[:, 1, 1] = vb
+    x_g = np.tile([0.0, 0.0, 1.0], (j, 1))
+    x_m = np.stack([np.ones(j), pi, gamma_in_mean], axis=1)
     taus = grid.tau_nodes
     tg = grid.tau_gamma_nodes
-    v = (s[None, None]
-         + (taus ** 2)[:, None, None, None, None] * np.ones((2, 2))
-         + (tg ** 2)[None, :, None, None, None] * _interaction_structure(pi)[None, None])
-    logml, theta, cov, _ = _conditional_gls(y, x, v, param_names, priors)
-    options = {"parametrization": parametrization}
-    if pi_override is not None:
-        options["pi_override"] = [float(p) for p in pi]
-    return _assemble("CAMS", data, priors, grid, taus, tg, True, True,
-                     logml, theta, cov, param_names, functionals, options)
+    contrast = _scalar_stats(g, x_g, var_g, (tg ** 2)[None, :])
+    mean = _scalar_stats(m, x_m, var_m, (taus ** 2)[:, None])
+    stats = tuple(c + mm for c, mm in zip(contrast, mean))
+    posterior = _solve_grid(stats, np.stack([x_g, x_m], axis=1), param_names,
+                            priors, taus, tg, ("tau", "tau_gamma"))
+    return _assemble("CAMS", data, priors, grid, posterior, functionals,
+                     {"parametrization": parametrization})
 
 
 def fit_bim_k(data: MetaDataset, basis: ContrastBasis,
@@ -664,13 +628,12 @@ def fit_bim_k(data: MetaDataset, basis: ContrastBasis,
     base = np.stack([c @ np.diag(s.cov_diag) @ c.T for s in data.studies])
     het = cb @ cb.T
     taus = grid.tau_nodes
-    tg_nodes = np.array([0.0])
     v = base[None, None] + (taus ** 2)[:, None, None, None, None] * het
     x = np.broadcast_to(cb, (j, q, q)).copy()
-    logml, theta, cov, _ = _conditional_gls(g, x, v, param_names, priors)
+    posterior = _solve_grid(_gls_stats(g, x, v), x, param_names, priors,
+                            taus, np.array([0.0]), ("tau",))
     functionals = {name: np.eye(q)[i] for i, name in enumerate(param_names)}
-    return _assemble("BIM_K", data, priors, grid, taus, tg_nodes, True, False,
-                     logml, theta, cov, param_names, functionals,
+    return _assemble("BIM_K", data, priors, grid, posterior, functionals,
                      {"k": k})
 
 
@@ -737,43 +700,38 @@ def interaction_trace(fit: FitResult, tau_gamma_values) -> list:
 # sum of the two blocks; any gap is exactly the covariance-induced cross
 # term, which vanishes at the information fraction.
 
-def _pi_vector(data: MetaDataset, pi) -> np.ndarray:
-    _, _, _, _, pif = _two_subgroup_arrays(data)
-    if pi is None:
-        return pif
-    return np.broadcast_to(np.asarray(pi, dtype=float), pif.shape).copy()
-
-
 def joint_loglikelihood(data: MetaDataset, alpha: float, delta: float,
                         gamma: float, het: CovarianceStructure,
                         pi=None) -> float:
     """Log likelihood of all (y_A, y_B) pairs under the explicit-slope model."""
-    ya, yb, va, vb, _ = _two_subgroup_arrays(data)
-    p = _pi_vector(data, pi)
+    ya, yb, va, vb, p = subgroup_arrays(data, pi)
     mean_a = alpha + delta * p
     resid = np.stack([ya - mean_a, yb - mean_a - gamma], axis=1)
-    v = np.zeros((p.size, 2, 2))
-    v[:, 0, 0] = va
-    v[:, 1, 1] = vb
-    v += het.tau ** 2 * np.ones((2, 2)) + het.tau_gamma ** 2 * _interaction_structure(p)
+    v = cams_covariance(va, vb, p, het.tau, het.tau_gamma)
     vinv, logdet = _batched_inv_logdet(v)
     quad = np.einsum("jb,jbc,jc->j", resid, vinv, resid)
     return float(-0.5 * (2.0 * _LOG_2PI * p.size + logdet.sum() + quad.sum()))
+
+
+def _block_z(data: MetaDataset, alpha: float, delta: float, gamma: float,
+             het: CovarianceStructure, pi):
+    """Standardized block residuals, their variances and the study vectors."""
+    arrays = subgroup_arrays(data, pi)
+    g, m, var_g, var_m = decompose_arrays(*arrays)
+    vg = var_g + het.tau_gamma ** 2
+    vm = var_m + het.tau ** 2
+    zg = (g - gamma) / np.sqrt(vg)
+    zm = (m - (alpha + (delta + gamma) * arrays[4])) / np.sqrt(vm)
+    return zg, zm, vg, vm, arrays
 
 
 def factorized_loglikelihood(data: MetaDataset, alpha: float, delta: float,
                              gamma: float, het: CovarianceStructure,
                              pi=None) -> tuple[float, float]:
     """(contrast-block, mean-block) log likelihoods of the decomposed data."""
-    ya, yb, va, vb, _ = _two_subgroup_arrays(data)
-    p = _pi_vector(data, pi)
-    g = yb - ya
-    m = (1.0 - p) * ya + p * yb
-    vg = va + vb + het.tau_gamma ** 2
-    vm = het.tau ** 2 + (1.0 - p) ** 2 * va + p ** 2 * vb
-    lg = -0.5 * np.sum(_LOG_2PI + np.log(vg) + (g - gamma) ** 2 / vg)
-    mu_m = alpha + (delta + gamma) * p
-    lm = -0.5 * np.sum(_LOG_2PI + np.log(vm) + (m - mu_m) ** 2 / vm)
+    zg, zm, vg, vm, _ = _block_z(data, alpha, delta, gamma, het, pi)
+    lg = -0.5 * np.sum(_LOG_2PI + np.log(vg) + zg ** 2)
+    lm = -0.5 * np.sum(_LOG_2PI + np.log(vm) + zm ** 2)
     return float(lg), float(lm)
 
 
@@ -797,16 +755,10 @@ def cross_term_correction(data: MetaDataset, alpha: float, delta: float,
         -log(1 - rho^2)/2 - [ (z_g^2 - 2 rho z_g z_m + z_m^2)/(1 - rho^2)
                               - z_g^2 - z_m^2 ] / 2.
     """
-    ya, yb, va, vb, _ = _two_subgroup_arrays(data)
-    p = _pi_vector(data, pi)
-    g = yb - ya
-    m = (1.0 - p) * ya + p * yb
-    vg = va + vb + het.tau_gamma ** 2
-    vm = het.tau ** 2 + (1.0 - p) ** 2 * va + p ** 2 * vb
+    zg, zm, vg, vm, (_, _, va, vb, p) = _block_z(data, alpha, delta, gamma,
+                                                  het, pi)
     c = np.array([cov_gm(pj, vaj, vbj) for pj, vaj, vbj in zip(p, va, vb)])
     rho = c / np.sqrt(vg * vm)
-    zg = (g - gamma) / np.sqrt(vg)
-    zm = (m - (alpha + (delta + gamma) * p)) / np.sqrt(vm)
     one = 1.0 - rho ** 2
     corr = (-0.5 * np.log(one)
             - 0.5 * ((zg ** 2 - 2.0 * rho * zg * zm + zm ** 2) / one

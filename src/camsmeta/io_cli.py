@@ -24,14 +24,15 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
 import numpy as np
 
 from .errors import CamsmetaError, ContractError, ValidationWarning
 from .inference import (FitResult, GridSpec, PriorSpec, fit_bim, fit_bms,
                         fit_cams, fit_overall, interaction_trace)
-from .model_core import MetaDataset, StudyRecord, SubgroupObservation
+from .model_core import (MetaDataset, StudyRecord, SubgroupObservation,
+                         decompose_arrays, subgroup_arrays)
 from .reporting import (STRATEGY_KINDS, PrevalenceSpec, ReportedEffects,
                         marginalize_prevalence, optimal_if, report_effects,
                         strategy_prevalence)
@@ -192,9 +193,9 @@ def save_csv(data: MetaDataset, path: str) -> None:
     if with_counts:
         header += ["n_a", "n_b"]
     rows = [header]
-    for s in data.studies:
-        g = s.obs_b.estimate - s.obs_a.estimate
-        se_g = math.sqrt(s.obs_a.std_error ** 2 + s.obs_b.std_error ** 2)
+    g_all, _, var_g, _ = decompose_arrays(*subgroup_arrays(data))
+    for s, g, var in zip(data.studies, g_all.tolist(), var_g.tolist()):
+        se_g = math.sqrt(var)
         pi = s.info_fraction
         for sg, obs in ((-0.5, s.obs_a), (0.5, s.obs_b)):
             row = [s.study_id, repr(g), repr(se_g), repr(obs.estimate),
@@ -237,7 +238,7 @@ def _parse_law(text) -> tuple:
     return (kind, *params)
 
 
-def _opt_float(text):
+def _opt_float(text) -> float | None:
     if text is None or str(text).strip().lower() in ("", "none"):
         return None
     return float(text)
@@ -276,53 +277,36 @@ _CONFIG_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat run configuration; every field is a config key and a CLI flag."""
+def _check_config(config) -> None:
+    if config.tau_prior <= 0 or config.tau_gamma_prior <= 0:
+        raise ContractError("prior scales must be positive")
 
-    input: str
-    output_dir: str
-    estimators: str
-    tau_prior: float
-    tau_gamma_prior: float
-    grid_nodes: int
-    parametrization: str
-    alpha_heterogeneity: bool
-    prevalence: str
-    prevalence_value: float | None
-    beta_a: float | None
-    beta_b: float | None
-    draws: int
-    seed: int
-    scale_label: str
-    exponentiated_input: bool
-    verify_seeds: int
-    svg: bool
-    sim_studies: int
-    sim_alpha: float
-    sim_delta: float
-    sim_gamma: float
-    sim_tau: float
-    sim_tau_gamma: float
-    sim_sigma_law: tuple
-    sim_prevalence_law: tuple
-    sim_uisd: float | None
-    sim_output: str
 
-    def __post_init__(self) -> None:
-        if self.tau_prior <= 0 or self.tau_gamma_prior <= 0:
-            raise ContractError("prior scales must be positive")
+def _config_from_sources(cls, config_path: str | None, overrides: dict):
+    values = {key: default for key, (_, default) in _CONFIG_SCHEMA.items()}
+    if config_path:
+        values.update(_read_config_file(config_path))
+    for key, raw in overrides.items():
+        if key not in _CONFIG_SCHEMA:
+            raise ContractError(f"unknown config key {key!r}")
+        values[key] = _parse_config_value(key, raw)
+    return cls(**values)
 
-    @classmethod
-    def from_sources(cls, config_path: str | None, overrides: dict) -> "RunConfig":
-        values = {key: default for key, (_, default) in _CONFIG_SCHEMA.items()}
-        if config_path:
-            values.update(_read_config_file(config_path))
-        for key, raw in overrides.items():
-            if key not in _CONFIG_SCHEMA:
-                raise ContractError(f"unknown config key {key!r}")
-            values[key] = _parse_config_value(key, raw)
-        return cls(**values)
+
+# one field per schema key, typed by what its parser returns
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(key, parser if isinstance(parser, type)
+      else parser.__annotations__["return"])
+     for key, (parser, _) in _CONFIG_SCHEMA.items()],
+    frozen=True,
+    namespace={
+        "__doc__": "Flat run configuration; every field is a config key "
+                   "and a CLI flag.",
+        "__module__": __name__,
+        "__post_init__": _check_config,
+        "from_sources": classmethod(_config_from_sources),
+    })
 
 
 def _parse_config_value(key: str, raw):
@@ -544,9 +528,9 @@ def _cmd_plotdata(config: RunConfig) -> int:
 
     # forest: per-study contrasts plus the pooled interaction
     forest = [["label", "estimate", "lower", "upper", "weight"]]
-    contrasts = [(s.study_id, s.obs_b.estimate - s.obs_a.estimate,
-                  math.sqrt(s.obs_a.std_error ** 2 + s.obs_b.std_error ** 2))
-                 for s in data.studies]
+    g_all, _, var_g, _ = decompose_arrays(*subgroup_arrays(data))
+    contrasts = [(s.study_id, g, math.sqrt(var)) for s, g, var
+                 in zip(data.studies, g_all.tolist(), var_g.tolist())]
     total = sum(1.0 / se_g ** 2 for _, _, se_g in contrasts)
     for study_id, g, se_g in contrasts:
         forest.append([study_id, g, g - 1.96 * se_g, g + 1.96 * se_g,

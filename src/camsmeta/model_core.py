@@ -274,7 +274,15 @@ def cov_gm(pi: float, var_a: float, var_b: float) -> float:
 
 def marginal_covariance(study: StudyRecord, het: CovarianceStructure,
                         pi: float) -> np.ndarray:
-    """Marginal 2x2 covariance of (y_A, y_B) under the hierarchical model.
+    """Marginal 2x2 covariance of one study's (y_A, y_B); see
+    :func:`cams_covariance`."""
+    return cams_covariance(study.obs_a.std_error ** 2,
+                           study.obs_b.std_error ** 2, pi, het.tau,
+                           het.tau_gamma)
+
+
+def cams_covariance(var_a, var_b, pi, tau, tau_gamma) -> np.ndarray:
+    """Marginal covariance of (y_A, y_B) under the hierarchical model.
 
     The shared trial effect contributes tau^2 on every entry; the interaction
     random effect loads on (x - pi) with x in {0, 1}, contributing
@@ -283,16 +291,40 @@ def marginal_covariance(study: StudyRecord, het: CovarianceStructure,
 
     on top of the sampling covariance diag(sigma_A^2, sigma_B^2). At pi = 0.5
     with tau = 0 this reduces to the familiar +/- tau_gamma^2 / 4 pattern.
+    The arguments broadcast against each other; the result has shape
+    (..., 2, 2).
     """
-    va = study.obs_a.std_error ** 2
-    vb = study.obs_b.std_error ** 2
-    t2 = het.tau ** 2
-    tg2 = het.tau_gamma ** 2
+    t2 = np.square(tau)
+    tg2 = np.square(tau_gamma)
     off = t2 - pi * (1.0 - pi) * tg2
-    return np.array([
-        [va + t2 + pi * pi * tg2, off],
-        [off, vb + t2 + (1.0 - pi) * (1.0 - pi) * tg2],
-    ])
+    a, off, d = np.broadcast_arrays(var_a + t2 + pi * pi * tg2, off,
+                                    var_b + t2 + (1.0 - pi) * (1.0 - pi) * tg2)
+    return np.stack([np.stack([a, off], axis=-1),
+                     np.stack([off, d], axis=-1)], axis=-2)
+
+
+def subgroup_arrays(data: MetaDataset, pi=None):
+    """Study vectors (y_A, y_B, sigma_A^2, sigma_B^2, pi); ``pi`` defaults
+    to the information fractions, an override must lie in [0, 1]."""
+    if data.is_multi:
+        raise ContractError("this estimator needs two-subgroup study records")
+    ya = np.array([s.obs_a.estimate for s in data.studies])
+    yb = np.array([s.obs_b.estimate for s in data.studies])
+    va = np.array([s.obs_a.std_error ** 2 for s in data.studies])
+    vb = np.array([s.obs_b.std_error ** 2 for s in data.studies])
+    if pi is None:
+        return ya, yb, va, vb, data.info_fractions
+    pi = np.broadcast_to(np.asarray(pi, dtype=float), ya.shape).copy()
+    if not np.all((pi >= 0.0) & (pi <= 1.0)):
+        raise DomainError("prevalence values must lie in [0, 1]")
+    return ya, yb, va, vb, pi
+
+
+def decompose_arrays(ya, yb, va, vb, pi):
+    """Vectorized :func:`decompose` plus the blocks' sampling variances:
+    (g, m, var_g, var_m), uncorrelated when pi is the IF (:func:`cov_gm`)."""
+    return (yb - ya, (1.0 - pi) * ya + pi * yb, va + vb,
+            (1.0 - pi) ** 2 * va + pi ** 2 * vb)
 
 
 def _check_unit_interval(x: float, name: str) -> None:

@@ -27,7 +27,8 @@ from .errors import (ContractError, DomainError, ExtrapolationWarning,
 from .gaussmix import grid_quantile, mixture_quantiles
 from .inference import (FitResult, GridSpec, ParameterSummary,
                         _halfnormal_logpdf, _quad_log_weights)
-from .model_core import MetaDataset, _check_unit_interval
+from .model_core import (MetaDataset, _check_unit_interval, decompose_arrays,
+                         subgroup_arrays)
 
 STRATEGY_KINDS = ("average", "trial_weighted", "overall_if", "optimal_if",
                   "closeness_a", "closeness_b", "external")
@@ -178,12 +179,10 @@ def overall_if(fit: FitResult, data: MetaDataset) -> float:
     is propagated by averaging over the tau grid posterior.
     """
     _require_cams(fit)
-    va = np.array([s.obs_a.std_error ** 2 for s in data.studies])
-    vb = np.array([s.obs_b.std_error ** 2 for s in data.studies])
-    pi = data.info_fractions
-    base = (1.0 - pi) ** 2 * va + pi ** 2 * vb
+    ya, yb, va, vb, pi = subgroup_arrays(data)
+    _, _, _, var_m = decompose_arrays(ya, yb, va, vb, pi)
     taus, wt = fit.grid.scale_axis("tau")
-    w = 1.0 / ((taus ** 2)[:, None] + base[None, :])
+    w = 1.0 / ((taus ** 2)[:, None] + var_m[None, :])
     pstar = (w @ pi) / w.sum(axis=1)
     return float(wt @ pstar)
 

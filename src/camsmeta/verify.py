@@ -21,11 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv
 
-from .contrasts import helmert_basis, precision_prevalence
+from .contrasts import (helmert_basis, kronecker_contrast, per_arm_prevalence,
+                        precision_prevalence)
 from .errors import ContractError, DomainError, IdentifiabilityWarning
-from .inference import GridSpec, PriorSpec, fit_bim, fit_bms, fit_cams
+from .inference import (GridSpec, PosteriorGrid, PriorSpec, _grid_mixture,
+                        _gls_stats, _solve_grid, fit_bim, fit_cams)
 from .model_core import (MetaDataset, MultiStudyRecord, StudyRecord,
-                         SubgroupObservation)
+                         SubgroupObservation, cams_covariance,
+                         subgroup_arrays)
 from .reporting import PrevalenceSpec, bayes_risk
 
 TOL_EXACT = 1e-10
@@ -181,6 +184,44 @@ def leverage_scenario(seed: int = 0, n_studies: int = 8) -> SimScenario:
 # checks
 # ----------------------------------------------------------------------
 
+def cams_oracle(data: MetaDataset, pi, priors: PriorSpec, grid: GridSpec,
+                parametrization: str = "explicit") -> PosteriorGrid:
+    """Reference for ``fit_cams``: the joint 2-D GLS over (y_A, y_B) pairs,
+    inverting every study's ``cams_covariance`` at every (tau, tau_gamma)
+    node. ``pi`` (scalar or per study, in [0, 1]) sets the slope regressor
+    and the interaction loading; at the information fractions the grid
+    equals ``fit_cams(...).grid`` to rounding. No summaries are computed.
+    """
+    ya, yb, va, vb, p = subgroup_arrays(data, pi)
+    ones, zeros = np.ones(p.size), np.zeros(p.size)
+    if parametrization == "explicit":
+        param_names = ("alpha", "delta", "gamma")
+        rows = ((ones, p, zeros), (ones, p, ones))
+    elif parametrization == "implicit":
+        param_names = ("alpha", "beta", "gamma")
+        rows = ((ones, p, -p), (ones, p, 1.0 - p))
+    else:
+        raise ContractError(f"unknown parametrization {parametrization!r}")
+    x = np.stack([np.stack(r, axis=1) for r in rows], axis=1)
+    taus, tg = grid.tau_nodes, grid.tau_gamma_nodes
+    v = cams_covariance(va, vb, p, taus[:, None, None], tg[None, :, None])
+    return _solve_grid(_gls_stats(np.stack([ya, yb], axis=1), x, v), x,
+                       param_names, priors, taus, tg, ("tau", "tau_gamma"))
+
+
+def _grid_distance(grid: PosteriorGrid, oracle: PosteriorGrid) -> float:
+    """Largest |difference| of node weights and of weight-scaled conditional
+    moments. Unweighted moments would not do: at large-tau nodes the
+    oracle's explicit 2x2 covariances lose their small eigenvalue to
+    rounding, which the solve amplifies, but those nodes carry no weight."""
+    w = oracle.weight
+    return max(float(np.max(np.abs(grid.weight - w))),
+               float(np.max(w[..., None]
+                            * np.abs(grid.cond_mean - oracle.cond_mean))),
+               float(np.max(w[..., None, None]
+                            * np.abs(grid.cond_cov - oracle.cond_cov))))
+
+
 def _cdf_distance(mix_a, mix_b, points: int = 2001) -> float:
     (lo_a, hi_a), (lo_b, hi_b) = (mix.quantiles((0.001, 0.999))
                                   for mix in (mix_a, mix_b))
@@ -194,9 +235,11 @@ def check_equivalence(scenario: SimScenario, force_half: bool = False,
     """Fit the contrast model and the adjusted bivariate model on one
     simulated dataset at matched priors and grids, and compare posteriors.
 
-    PASS means both the gamma CDFs and the tau_gamma node weights agree
-    within the grid tolerance. ``force_half`` replaces the information
-    fractions by 0.5 inside the bivariate fit, which on unbalanced data must
+    PASS means the joint ``cams_oracle`` at the information fractions
+    agrees with the contrast fit on the gamma CDF and the tau_gamma weights
+    within the grid tolerance, and production ``fit_cams`` matches the
+    oracle within the exact one (``oracle_distance``). ``force_half`` runs
+    the oracle at prevalence 0.5 instead, which on unbalanced data must
     break the agreement by more than ``BREAK_MIN``.
     """
     data = simulate(scenario)
@@ -205,21 +248,23 @@ def check_equivalence(scenario: SimScenario, force_half: bool = False,
     bim = fit_bim(data, priors, grid)
     with warnings.catch_warnings():
         if force_half:
-            # identical overridden fractions make alpha and delta collinear
-            # on purpose; the deficiency warning is expected here
+            # identical fractions make alpha and delta collinear on purpose;
+            # the deficiency warning is expected here
             warnings.simplefilter("ignore", IdentifiabilityWarning)
-        cams = fit_cams(data, priors, grid,
-                        pi_override=0.5 if force_half else None)
+        oracle = cams_oracle(data, 0.5 if force_half else data.info_fractions,
+                             priors, grid)
+    d_oracle = (None if force_half else
+                _grid_distance(fit_cams(data, priors, grid).grid, oracle))
     d_gamma = _cdf_distance(bim.functional_mixture("gamma"),
-                            cams.functional_mixture("gamma"))
+                            _grid_mixture(oracle, np.array([0.0, 0.0, 1.0])))
     _, w_bim = bim.grid.scale_axis("tau_gamma")
-    _, w_cams = cams.grid.scale_axis("tau_gamma")
-    d_tg = float(np.max(np.abs(np.cumsum(w_bim) - np.cumsum(w_cams))))
+    _, w_oracle = oracle.scale_axis("tau_gamma")
+    d_tg = float(np.max(np.abs(np.cumsum(w_bim) - np.cumsum(w_oracle))))
     # an honest fit must agree; a deliberately broken one must visibly differ
     if force_half:
         passed = d_gamma > BREAK_MIN
     else:
-        passed = max(d_gamma, d_tg) < TOL_GRID
+        passed = max(d_gamma, d_tg) < TOL_GRID and d_oracle < TOL_EXACT
     return {
         "check": "equivalence",
         "seed": scenario.seed,
@@ -229,6 +274,8 @@ def check_equivalence(scenario: SimScenario, force_half: bool = False,
         "tau_gamma_distance": d_tg,
         "tolerance": BREAK_MIN if force_half else TOL_GRID,
         "tier": "grid",
+        "oracle_distance": d_oracle,
+        "oracle_tolerance": TOL_EXACT,
         "pass": bool(passed),
     }
 
@@ -321,15 +368,11 @@ def check_kronecker(seed: int = 0, n_arms: int = 2, k: int = 2,
     number of arms), the Kronecker contrast (C_T (x) C_K) annihilates S pi.
     """
     rng = np.random.default_rng(seed)
-    ct = helmert_basis(n_arms).matrix_c
-    ck = helmert_basis(k).matrix_c
-    kron = np.kron(ct, ck)
+    kron = kronecker_contrast(helmert_basis(n_arms), helmert_basis(k))
     max_orth = 0.0
     for _ in range(n_draws):
         variances = rng.uniform(0.05, 2.0, size=n_arms * k)
-        pi = np.concatenate([
-            precision_prevalence(variances[a * k:(a + 1) * k]) / n_arms
-            for a in range(n_arms)])
+        pi = per_arm_prevalence(variances.reshape(n_arms, k))
         max_orth = max(max_orth, float(np.max(np.abs(kron @ np.diag(variances) @ pi))))
     return {
         "check": "kronecker",

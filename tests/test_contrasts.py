@@ -66,7 +66,7 @@ def test_transform_matrix_inverts(k):
         pi = precision_prevalence(cov_diag)
         t = transform_matrix(basis, pi)
         full = np.vstack([basis.matrix_c, pi])
-        assert np.allclose(t.rows, full)
+        assert np.allclose(t, full)
         y = rng.normal(size=k)
         z = full @ y
         assert np.allclose(np.linalg.solve(full, z), y, atol=1e-10)

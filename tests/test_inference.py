@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from camsmeta.errors import ContractError, DomainError, IdentifiabilityWarning
 from camsmeta.inference import (ESTIMATORS, GridSpec, PriorSpec,
+                                _grid_mixture, _summaries,
                                 cross_term_correction, ecological_evidence,
                                 factorization_residual,
                                 factorized_loglikelihood, fit_bim, fit_bim_k,
@@ -14,6 +19,8 @@ from camsmeta.contrasts import helmert_basis
 from camsmeta.model_core import (CovarianceStructure, MetaDataset,
                                  MultiStudyRecord, StudyRecord,
                                  SubgroupObservation)
+from camsmeta.verify import (BREAK_MIN, SimScenario, _cdf_distance,
+                             cams_oracle, simulate)
 
 
 def make_dataset(seed=0, n=6, alpha=0.2, delta=0.6, gamma=0.3, noise=0.15):
@@ -175,14 +182,67 @@ def test_cams_matches_bim_on_gamma():
     assert np.max(np.abs(wb - wc)) < 1e-12
 
 
-def test_cams_pi_override():
+def test_oracle_forced_half_breaks_equivalence():
     data = make_dataset(seed=6)
     grid = GridSpec.default(PriorSpec(), n_nodes=21)
     with pytest.warns(IdentifiabilityWarning):
-        forced = fit_cams(data, PriorSpec(), grid, pi_override=0.5)
-    assert forced.provenance["options"]["pi_override"] == [0.5] * 6
+        forced = cams_oracle(data, 0.5, PriorSpec(), grid)
+    bim = fit_bim(data, PriorSpec(), grid)
+    gamma = np.array([0.0, 0.0, 1.0])
+    assert _cdf_distance(bim.functional_mixture("gamma"),
+                         _grid_mixture(forced, gamma)) > BREAK_MIN
+    honest = cams_oracle(data, data.info_fractions, PriorSpec(), grid)
+    assert _cdf_distance(bim.functional_mixture("gamma"),
+                         _grid_mixture(honest, gamma)) < 1e-10
     with pytest.raises(DomainError):
-        fit_cams(data, PriorSpec(), grid, pi_override=1.5)
+        cams_oracle(data, 1.5, PriorSpec(), grid)
+    with pytest.raises(DomainError):
+        cams_oracle(data, [0.3, 0.4, -0.1, 0.5, 0.5, 0.5], PriorSpec(), grid)
+
+
+location_priors = st.lists(
+    st.tuples(st.sampled_from(("alpha", "beta", "delta", "gamma")),
+              st.floats(-2.0, 2.0), st.floats(0.05, 5.0)),
+    max_size=3, unique_by=lambda entry: entry[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_studies=st.integers(3, 40),
+       parametrization=st.sampled_from(("explicit", "implicit")),
+       n_nodes=st.integers(11, 41), location=location_priors,
+       tau=st.floats(0.0, 0.5), tau_gamma=st.floats(0.0, 0.5))
+def test_cams_matches_joint_oracle(seed, n_studies, parametrization, n_nodes,
+                                   location, tau, tau_gamma):
+    data = simulate(SimScenario(n_studies=n_studies, alpha=0.2, delta=0.8,
+                                gamma=0.3, tau=tau, tau_gamma=tau_gamma,
+                                seed=seed))
+    priors = PriorSpec(location_prior=tuple(location))
+    grid = GridSpec.default(priors, n_nodes=n_nodes)
+    fit = fit_cams(data, priors, grid, parametrization)
+    oracle = cams_oracle(data, data.info_fractions, priors, grid,
+                         parametrization)
+    assert np.max(np.abs(fit.grid.weight - oracle.weight)) < 1e-12
+    names = list(fit.functionals)
+    want = _summaries(oracle, np.array([fit.functionals[n] for n in names]))
+    for name, ref in zip(names, want):
+        got = fit.summaries[name]
+        for part in ("median", "lower", "upper", "p_positive"):
+            assert getattr(got, part) == pytest.approx(getattr(ref, part),
+                                                       abs=1e-9), (name, part)
+
+
+def test_cams_working_set_stays_one_dimensional():
+    # a joint (T, G, J, 2, 2) covariance build needs over 1 GB at this size
+    data = simulate(SimScenario(n_studies=1000, gamma=0.3, tau=0.1,
+                                tau_gamma=0.1, seed=0))
+    grid = GridSpec.default(PriorSpec(), n_nodes=101)
+    tracemalloc.start()
+    try:
+        fit_cams(data, PriorSpec(), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_bms_functionals():

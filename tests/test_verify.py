@@ -86,6 +86,7 @@ def test_check_equivalence_passes():
     assert rep["pass"]
     assert rep["gamma_distance"] < 1e-10
     assert rep["tau_gamma_distance"] < 1e-10
+    assert rep["oracle_distance"] < 1e-10
     assert rep["tier"] == "grid"
 
 
@@ -96,6 +97,7 @@ def test_check_equivalence_detects_forced_break():
     rep = check_equivalence(sc, force_half=True, n_nodes=41)
     assert rep["pass"]
     assert rep["gamma_distance"] > 1e-3
+    assert rep["oracle_distance"] is None
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
