@@ -235,7 +235,7 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
         below = cdf < target[active]
         a = np.where(below, xa, lo[active])
         b = np.where(below, hi[active], xa)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             step = (cdf - target[active]) / pdf
         cand = xa - step
         newton = (newton_row[active] & (cand >= a) & (cand <= b)

@@ -678,12 +678,10 @@ def interaction_trace(fit: FitResult, tau_gamma_values) -> list:
     values = np.atleast_1d(np.asarray(tau_gamma_values, dtype=float))
     idx = np.argmin(np.abs(grid.tau_gamma_nodes[None, :] - values[:, None]),
                     axis=1)
-    w = grid.weight.T[idx]
-    total = w.sum(axis=1)
-    for i in np.flatnonzero(total <= 0.0):
-        # conditional weights underflowed; fall back to the prior over tau
-        col = grid.log_weight[:, idx[i]]
-        w[i] = np.exp(col - col.max())
+    # conditional weights over tau at each chosen tau_gamma node, from the
+    # log weights so that a column of negligible total mass cannot underflow
+    log_w = grid.log_weight.T[idx]
+    w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
     qs = mixture_quantiles(w, mean[idx], sd[idx], (0.5, 0.25, 0.75))
     return [TracePoint(float(grid.tau_gamma_nodes[i]), med, lo, hi)

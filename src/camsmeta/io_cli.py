@@ -34,8 +34,7 @@ from .inference import (FitResult, GridSpec, PriorSpec, fit_bim, fit_bms,
 from .model_core import (MetaDataset, StudyRecord, SubgroupObservation,
                          decompose_arrays, subgroup_arrays)
 from .reporting import (STRATEGY_KINDS, PrevalenceSpec, ReportedEffects,
-                        marginalize_prevalence, optimal_if, report_effects,
-                        strategy_prevalence)
+                        optimal_if, report_effects)
 from .verify import SimScenario, run_battery, simulate
 
 REQUIRED_COLUMNS = ("study.name", "est", "se", "ifrac", "subgroup12", "ifrac2")
@@ -445,57 +444,48 @@ def _cmd_fit(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _prevalence_spec(config: RunConfig) -> PrevalenceSpec:
-    kind = config.prevalence
-    if kind in ("point", "external"):
-        if config.prevalence_value is None:
-            raise ContractError(f"prevalence={kind} needs prevalence_value")
-        return PrevalenceSpec(kind, value=config.prevalence_value)
+def _prevalence_spec(config: RunConfig, kind: str) -> PrevalenceSpec:
+    """The configured values as the prevalence policy ``kind``."""
+    if kind in ("point", "external") and config.prevalence_value is None:
+        raise ContractError(f"prevalence={kind} needs prevalence_value")
     if kind == "beta":
         if config.beta_a is None or config.beta_b is None:
             raise ContractError("prevalence=beta needs beta_a and beta_b")
         return PrevalenceSpec.beta(config.beta_a, config.beta_b,
                                    draws=config.draws, seed=config.seed)
-    return PrevalenceSpec(kind, value=config.prevalence_value,
-                          draws=config.draws, seed=config.seed)
+    return PrevalenceSpec(kind, value=config.prevalence_value)
 
 
 def _cmd_report(config: RunConfig) -> int:
     data = _load_data(config)
+    configured = _prevalence_spec(config, config.prevalence)
     priors = _priors(config)
     grid = GridSpec.default(priors, n_nodes=config.grid_nodes)
-    cams = fit_cams(data, priors, grid, parametrization=config.parametrization)
-    reference = fit_bms(data, priors, grid)
-    configured = report_effects(data, cams, _prevalence_spec(config), reference)
+    cams = _fit_one("cams", data, priors, grid, config)
+    reference = _fit_one("bms", data, priors, grid, config)
 
-    strategies = {}
-    has_counts = all(s.obs_a.count is not None and s.obs_b.count is not None
-                     for s in data.studies)
-    for kind in STRATEGY_KINDS:
-        if kind == "trial_weighted" and not has_counts:
-            strategies[kind] = {"skipped": "needs n_a and n_b counts"}
-            continue
-        if kind == "external":
-            if config.prevalence_value is None:
-                strategies[kind] = {"skipped": "needs prevalence_value"}
-                continue
-            pi = strategy_prevalence(data, cams, kind, reference,
-                                     config.prevalence_value)
-        else:
-            pi = strategy_prevalence(data, cams, kind, reference)
-        spec = PrevalenceSpec("external", value=pi)
-        strategies[kind] = _effects_dict(
-            report_effects(data, cams, spec, reference))
-        strategies[kind]["prevalence_used"] = {"kind": kind, "value": pi}
+    skipped = {}
+    if not all(s.obs_a.count is not None and s.obs_b.count is not None
+               for s in data.studies):
+        skipped["trial_weighted"] = "needs n_a and n_b counts"
+    if config.prevalence_value is None:
+        skipped["external"] = "needs prevalence_value"
+    kinds = [kind for kind in STRATEGY_KINDS if kind not in skipped]
     if config.beta_a is not None and config.beta_b is not None:
-        eff = marginalize_prevalence(
-            cams, PrevalenceSpec.beta(config.beta_a, config.beta_b),
-            draws=config.draws, seed=config.seed)
-        strategies["beta"] = _effects_dict(eff)
+        kinds.append("beta")
+    strategies = {kind: {"skipped": why} for kind, why in skipped.items()}
+    for kind in kinds:
+        strategies[kind] = _effects_dict(report_effects(
+            data, cams, _prevalence_spec(config, kind), reference))
+    # the configured policy reuses its table entry; a point policy has none,
+    # and a skipped kind is run anyway so that its error surfaces
+    if configured.kind in kinds:
+        entry = strategies[configured.kind]
+    else:
+        entry = _effects_dict(report_effects(data, cams, configured, reference))
 
     _write_json(os.path.join(config.output_dir, "report.json"),
-                {"configured": _effects_dict(configured),
-                 "strategies": strategies})
+                {"configured": entry, "strategies": strategies})
     return EXIT_OK
 
 

@@ -52,6 +52,8 @@ class PrevalenceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.draws < 1000:
+            raise ContractError("distributional reporting needs >= 1000 draws")
         if self.kind in ("point", "external"):
             if self.value is None:
                 raise ContractError(f"{self.kind} prevalence needs a value")
@@ -67,8 +69,6 @@ class PrevalenceSpec:
             total = sum(w for w, _, _ in comps)
             object.__setattr__(self, "components",
                                tuple((w / total, a, b) for w, a, b in comps))
-            if self.draws < 1000:
-                raise ContractError("distributional reporting needs >= 1000 draws")
         elif self.kind not in STRATEGY_KINDS:
             raise ContractError(f"unknown prevalence kind {self.kind!r}")
 
@@ -187,20 +187,34 @@ def overall_if(fit: FitResult, data: MetaDataset) -> float:
     return float(wt @ pstar)
 
 
-def _golden_min(objective, lo: float, hi: float, tol: float) -> float:
+def _scan_min(values, lo: float, hi: float,
+              points: int) -> tuple[float | None, np.ndarray, np.ndarray]:
+    """Minimize ``values`` (vectorized over prevalences) on [lo, hi].
+
+    Scans ``points`` evenly spaced prevalences, then refines by golden
+    section to 1e-4 between the neighbours of the best one. Returns (argmin,
+    scan, curve); the argmin is None when the curve varies by less than
+    1e-10, since a flat objective has no minimizer to refine.
+    """
+    scan = np.linspace(lo, hi, points)
+    curve = values(scan)
+    if curve.max() - curve.min() < 1e-10:
+        return None, scan, curve
+    best = int(np.argmin(curve))
+    lo, hi = float(scan[max(best - 1, 0)]), float(scan[min(best + 1, points - 1)])
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
-    fc, fd = objective(c), objective(d)
-    while hi - lo > tol:
+    fc, fd = values([c])[0], values([d])[0]
+    while hi - lo > _SEARCH_TOL:
         if fc <= fd:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
-            fc = objective(c)
+            fc = values([c])[0]
         else:
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
-            fd = objective(d)
-    return 0.5 * (lo + hi)
+            fd = values([d])[0]
+    return 0.5 * (lo + hi), scan, curve
 
 
 def optimal_if(fit: FitResult, search_range=(0.0, 1.0),
@@ -226,18 +240,10 @@ def optimal_if(fit: FitResult, search_range=(0.0, 1.0),
         span = (qs[:, 1] - qs[:, 0]).reshape(2, len(pis))
         return span[0] + span[1]
 
-    def width(pi: float) -> float:
-        return float(widths([pi])[0])
-
-    curve_pi = np.linspace(lo, hi, curve_points)
-    curve_width = widths(curve_pi)
-    if curve_width.max() - curve_width.min() < 1e-10:
+    pi_opt, curve_pi, curve_width = _scan_min(widths, lo, hi, curve_points)
+    if pi_opt is None:
         return OptimalIF(0.5 * (lo + hi), float(curve_width[0]),
                          curve_pi, curve_width, flat_range=(lo, hi))
-    best = int(np.argmin(curve_width))
-    blo = curve_pi[max(best - 1, 0)]
-    bhi = curve_pi[min(best + 1, curve_points - 1)]
-    pi_opt = _golden_min(width, float(blo), float(bhi), _SEARCH_TOL)
     pifs = fit.provenance.get("info_fractions")
     if pifs and not (min(pifs) <= pi_opt <= max(pifs)):
         warnings.warn(
@@ -245,29 +251,22 @@ def optimal_if(fit: FitResult, search_range=(0.0, 1.0),
             f"information fractions [{min(pifs):.4f}, {max(pifs):.4f}]; "
             f"the subgroup lines are extrapolated there",
             ExtrapolationWarning, stacklevel=2)
-    return OptimalIF(pi_opt, width(pi_opt), curve_pi, curve_width)
+    return OptimalIF(pi_opt, float(widths([pi_opt])[0]), curve_pi, curve_width)
 
 
 def _closeness(fit: FitResult, reference: FitResult, subgroup: str) -> float:
     if reference is None or reference.estimator != "BMS":
         raise ContractError("closeness strategies need a reference BMS fit")
     target = reference.summaries["mu_a" if subgroup == "a" else "mu_b"].median
-
     gamma = 1.0 if subgroup == "b" else 0.0
 
     def distances(pis) -> np.ndarray:
         specs = [{"alpha": 1.0, "delta": float(p), "gamma": gamma} for p in pis]
         return np.abs(fit.functional_quantiles(specs, (0.5,))[:, 0] - target)
 
-    def objective(pi: float) -> float:
-        return float(distances([pi])[0])
-
-    scan = np.linspace(0.0, 1.0, 101)
-    vals = distances(scan)
-    best = int(np.argmin(vals))
-    blo = float(scan[max(best - 1, 0)])
-    bhi = float(scan[min(best + 1, scan.size - 1)])
-    return _golden_min(objective, blo, bhi, _SEARCH_TOL)
+    pi, _, _ = _scan_min(distances, 0.0, 1.0, 101)
+    # a subgroup line flat in the prevalence is equally close everywhere
+    return 0.5 if pi is None else pi
 
 
 def strategy_prevalence(data: MetaDataset, fit: FitResult, kind: str,
@@ -316,8 +315,8 @@ def report_effects(data: MetaDataset, fit: FitResult, spec: PrevalenceSpec,
                    reference: FitResult | None = None) -> ReportedEffects:
     """Resolve a prevalence policy and report effects under it."""
     if spec.kind == "beta":
-        return marginalize_prevalence(fit, spec, spec.draws, spec.seed)
-    if spec.kind in ("point", "external"):
+        return marginalize_prevalence(fit, spec)
+    if spec.kind == "point":
         pi = float(spec.value)
     else:
         pi = strategy_prevalence(data, fit, spec.kind, reference, spec.value)
@@ -330,8 +329,13 @@ def report_effects(data: MetaDataset, fit: FitResult, spec: PrevalenceSpec,
 # distributional prevalences
 # ----------------------------------------------------------------------
 
-def _draw_locations(fit: FitResult, draws: int, rng) -> np.ndarray:
-    """Joint draws of the location parameters from the grid mixture."""
+def _joint_draws(fit: FitResult, spec: PrevalenceSpec):
+    """``spec.draws`` joint draws of the location parameters from the grid
+    mixture and as many independent prevalences from ``spec``, both from
+    one generator seeded with ``spec.seed``."""
+    if spec.kind not in ("point", "external", "beta"):
+        raise ContractError(f"cannot draw prevalences from kind {spec.kind!r}")
+    rng = np.random.default_rng(spec.seed)
     grid = fit.grid
     p = len(grid.param_names)
     w = grid.weight.reshape(-1)
@@ -340,29 +344,16 @@ def _draw_locations(fit: FitResult, draws: int, rng) -> np.ndarray:
     vals, vecs = np.linalg.eigh(cov)
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) \
         @ vecs.swapaxes(-1, -2)
-    idx = rng.choice(w.size, size=draws, p=w)
-    z = rng.standard_normal((draws, p))
-    return mean[idx] + np.einsum("npq,nq->np", root[idx], z)
-
-
-def _draw_prevalences(spec, draws: int, rng) -> np.ndarray:
-    if isinstance(spec, PrevalenceSpec):
-        if spec.kind in ("point", "external"):
-            return np.full(draws, float(spec.value))
-        if spec.kind != "beta":
-            raise ContractError(
-                f"cannot draw prevalences from kind {spec.kind!r}")
-        comps = spec.components
-    else:
-        a, b = spec
-        comps = ((1.0, float(a), float(b)),)
-    wts = np.array([c[0] for c in comps])
-    aa = np.array([c[1] for c in comps])
-    bb = np.array([c[2] for c in comps])
-    if len(comps) == 1:
-        return rng.beta(aa[0], bb[0], size=draws)
-    ci = rng.choice(len(comps), size=draws, p=wts)
-    return rng.beta(aa[ci], bb[ci])
+    idx = rng.choice(w.size, size=spec.draws, p=w)
+    z = rng.standard_normal((spec.draws, p))
+    theta = mean[idx] + np.einsum("npq,nq->np", root[idx], z)
+    if spec.kind != "beta":
+        return theta, np.full(spec.draws, float(spec.value))
+    wts, aa, bb = np.array(spec.components).T
+    if wts.size == 1:
+        return theta, rng.beta(aa[0], bb[0], size=spec.draws)
+    ci = rng.choice(wts.size, size=spec.draws, p=wts)
+    return theta, rng.beta(aa[ci], bb[ci])
 
 
 def _mc_summary(x: np.ndarray) -> ParameterSummary:
@@ -371,38 +362,31 @@ def _mc_summary(x: np.ndarray) -> ParameterSummary:
                             float(np.mean(x > 0.0)))
 
 
-def marginalize_prevalence(fit: FitResult, dist, draws: int = 20000,
-                           seed: int = 0) -> ReportedEffects:
+def marginalize_prevalence(fit: FitResult,
+                           spec: PrevalenceSpec) -> ReportedEffects:
     """Report effects averaged over a prevalence distribution.
 
     Joint Monte Carlo over (alpha, delta, gamma) from the posterior mixture
-    and pi from ``dist`` (a beta-kind PrevalenceSpec or an (a, b) pair).
-    mu_B is mu_A + gamma draw for draw; the interaction summary itself is the
-    exact grid functional, not a Monte Carlo estimate.
+    and pi from ``spec`` (beta, point or external kind), with ``spec.draws``
+    draws from ``spec.seed``. mu_B is mu_A + gamma draw for draw; the
+    interaction summary itself is the exact grid functional, not a Monte
+    Carlo estimate.
     """
     _require_cams(fit)
-    if draws < 1000:
-        raise ContractError("distributional reporting needs >= 1000 draws")
-    rng = np.random.default_rng(seed)
-    theta = _draw_locations(fit, draws, rng)
-    pis = _draw_prevalences(dist, draws, rng)
+    theta, pis = _joint_draws(fit, spec)
     alpha = theta @ fit.functionals["alpha"]
     delta = theta @ fit.functionals["delta"]
     gamma = theta @ fit.functionals["gamma"]
     mu_a = alpha + delta * pis
     mu_b = mu_a + gamma
     overall = alpha + (delta + gamma) * pis
-    if isinstance(dist, PrevalenceSpec):
-        used = {"kind": dist.kind,
-                "components": [list(c) for c in dist.components],
-                "mean": dist.mean(), "draws": draws, "seed": seed}
-        if dist.kind in ("point", "external"):
-            used = {"kind": dist.kind, "value": float(dist.value),
-                    "draws": draws, "seed": seed}
+    if spec.kind == "beta":
+        used = {"kind": "beta",
+                "components": [list(c) for c in spec.components],
+                "mean": spec.mean()}
     else:
-        a, b = dist
-        used = {"kind": "beta", "components": [[1.0, float(a), float(b)]],
-                "mean": float(a / (a + b)), "draws": draws, "seed": seed}
+        used = {"kind": spec.kind, "value": float(spec.value)}
+    used.update(draws=spec.draws, seed=spec.seed)
     return ReportedEffects(_mc_summary(mu_a), _mc_summary(mu_b),
                            _mc_summary(overall), fit.summaries["gamma"], used)
 
@@ -502,16 +486,16 @@ def fit_map_prevalence(counts, sd_scale: float = 0.5, phi_points: int = 201,
 # reporting-prevalence risk
 # ----------------------------------------------------------------------
 
-def bayes_risk(fit: FitResult, pi_dist, loss: str = "squared",
-               pi_grid=None, draws: int = 20000,
-               seed: int = 0) -> tuple[np.ndarray, float]:
+def bayes_risk(fit: FitResult, spec: PrevalenceSpec, loss: str = "squared",
+               pi_grid=None) -> tuple[np.ndarray, float]:
     """Risk of reporting subgroup effects at a fixed prevalence when the
-    next trial's prevalence follows ``pi_dist``.
+    next trial's prevalence follows ``spec``.
 
     The reported-vs-realized gap for subgroup A is delta (pi - pi_j), so the
     squared risk is E[delta^2 (pi - pi_j)^2] and the absolute risk is
     E[|delta| |pi - pi_j|]. Monte Carlo over the joint posterior and
-    ``pi_dist`` (assumed independent of the effect parameters). Returns the
+    ``spec`` (assumed independent of the effect parameters), with
+    ``spec.draws`` draws from ``spec.seed``. Returns the
     risk on ``pi_grid`` and the empirical argmin: the delta^2-weighted mean
     of pi_j under squared loss, the |delta|-weighted median under absolute.
     """
@@ -520,9 +504,7 @@ def bayes_risk(fit: FitResult, pi_dist, loss: str = "squared",
         raise ContractError(f"unknown loss {loss!r}")
     grid = (np.linspace(0.0, 1.0, 101) if pi_grid is None
             else np.asarray(pi_grid, dtype=float))
-    rng = np.random.default_rng(seed)
-    theta = _draw_locations(fit, draws, rng)
-    pis = _draw_prevalences(pi_dist, draws, rng)
+    theta, pis = _joint_draws(fit, spec)
     delta = theta @ fit.functionals["delta"]
     if loss == "squared":
         d2 = delta ** 2

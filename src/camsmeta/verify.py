@@ -36,6 +36,23 @@ TOL_GRID = 1e-4
 BREAK_MIN = 1e-3  # a broken factorization must move the posterior this much
 
 
+# law kind -> number of parameters
+_SIGMA_LAWS = {"fixed": 1, "lognormal": 2, "uniform": 2}
+_PREVALENCE_LAWS = {"fixed": 1, "beta": 2, "uniform": 2, "leverage": 3}
+
+
+def _check_law(name: str, law: tuple, arity: dict) -> tuple:
+    kind, *params = law or ("",)
+    if kind not in arity:
+        raise ContractError(f"unknown {name} kind {kind!r}; have {sorted(arity)}")
+    if len(params) != arity[kind]:
+        raise ContractError(f"{name} {kind!r} takes {arity[kind]} "
+                            f"parameter(s), got {len(params)}")
+    if not all(math.isfinite(p) for p in params):
+        raise DomainError(f"{name} {law}: parameters must be finite")
+    return kind, params
+
+
 @dataclass(frozen=True)
 class SimScenario:
     """Generative settings for a synthetic portfolio.
@@ -48,6 +65,10 @@ class SimScenario:
         sigma_law       ("fixed", s) | ("lognormal", mu, sd) | ("uniform", lo, hi)
         prevalence_law  ("fixed", p) | ("beta", a, b) | ("uniform", lo, hi)
                         | ("leverage", lo, hi, outlier)
+
+    Construction checks each law's kind and arity, that every parameter is
+    finite, that s, sd, lo, hi of the sigma law and a, b of the beta law are
+    positive, and that every other prevalence parameter lies in [0, 1].
 
     The leverage law draws all but the last study uniformly on [lo, hi] and
     pins the last study at ``outlier`` with a tripled sampling SD: one small
@@ -76,6 +97,20 @@ class SimScenario:
             raise ContractError("need at least two subgroups")
         if self.tau < 0 or self.tau_gamma < 0:
             raise DomainError("heterogeneities must be nonnegative")
+        kind, params = _check_law("sigma_law", self.sigma_law, _SIGMA_LAWS)
+        if kind == "lognormal":
+            params = params[1:]  # the first is a log-scale location
+        if not all(p > 0 for p in params):
+            raise DomainError(
+                f"sigma_law {self.sigma_law}: SD parameters must be positive")
+        kind, params = _check_law("prevalence_law", self.prevalence_law,
+                                  _PREVALENCE_LAWS)
+        if kind == "beta" and not all(p > 0 for p in params):
+            raise DomainError(f"prevalence_law {self.prevalence_law}: beta "
+                              f"parameters must be positive")
+        if kind != "beta" and not all(0.0 <= p <= 1.0 for p in params):
+            raise DomainError(f"prevalence_law {self.prevalence_law}: "
+                              f"prevalences must lie in [0, 1]")
 
 
 def _draw_prevalence(law: tuple, n: int, rng) -> np.ndarray:
@@ -84,14 +119,10 @@ def _draw_prevalence(law: tuple, n: int, rng) -> np.ndarray:
         return np.full(n, float(law[1]))
     if kind == "beta":
         return rng.beta(law[1], law[2], size=n)
-    if kind == "uniform":
-        return rng.uniform(law[1], law[2], size=n)
+    pi = rng.uniform(law[1], law[2], size=n)
     if kind == "leverage":
-        lo, hi, outlier = law[1], law[2], law[3]
-        pi = rng.uniform(lo, hi, size=n)
-        pi[-1] = outlier
-        return pi
-    raise ContractError(f"unknown prevalence law {kind!r}")
+        pi[-1] = law[3]
+    return pi
 
 
 def _draw_sigma(law: tuple, n: int, rng) -> np.ndarray:
@@ -100,9 +131,7 @@ def _draw_sigma(law: tuple, n: int, rng) -> np.ndarray:
         return np.full(n, float(law[1]))
     if kind == "lognormal":
         return rng.lognormal(law[1], law[2], size=n)
-    if kind == "uniform":
-        return rng.uniform(law[1], law[2], size=n)
-    raise ContractError(f"unknown sigma law {kind!r}")
+    return rng.uniform(law[1], law[2], size=n)
 
 
 def simulate(scenario: SimScenario) -> MetaDataset:
@@ -391,25 +420,19 @@ def check_bayes_optimum(dist, loss: str = "squared", seed: int = 0,
                         draws: int = 20000) -> dict:
     """Empirical reporting-prevalence optimum against the predicted one.
 
-    Squared loss predicts the prevalence distribution's mean, absolute loss
-    its median; the empirical argmin comes from reporting.bayes_risk on a
-    small synthetic fit whose effect parameters are independent of the
-    prevalence draws.
+    ``dist`` is the (a, b) pair of a Beta prevalence law. Squared loss
+    predicts its mean, absolute loss its median; the empirical argmin comes
+    from reporting.bayes_risk on a small synthetic fit whose effect
+    parameters are independent of the prevalence draws.
     """
-    if isinstance(dist, PrevalenceSpec):
-        spec = dist
-        if len(spec.components) != 1:
-            raise ContractError("optimum check needs a single beta component")
-        _, a, b = spec.components[0]
-    else:
-        a, b = float(dist[0]), float(dist[1])
-        spec = PrevalenceSpec.beta(a, b)
+    a, b = float(dist[0]), float(dist[1])
     scenario = SimScenario(n_studies=7, alpha=0.1, delta=0.5, gamma=0.25,
                            tau=0.05, tau_gamma=0.1,
                            sigma_law=("lognormal", -1.6, 0.3),
                            prevalence_law=("beta", 2.0, 2.0), seed=seed)
     fit = fit_cams(simulate(scenario), grid=GridSpec.default(PriorSpec(), 41))
-    _, argmin = bayes_risk(fit, spec, loss=loss, draws=draws, seed=seed)
+    spec = PrevalenceSpec.beta(a, b, draws=draws, seed=seed)
+    _, argmin = bayes_risk(fit, spec, loss=loss)
     predicted = a / (a + b) if loss == "squared" else float(betaincinv(a, b, 0.5))
     gap = abs(argmin - predicted)
     return {

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -197,6 +198,20 @@ def test_batch_equals_single_mixture(rows, levels):
                                    rtol=0.0, atol=1e-12)
         if len(levels) == 1:
             assert abs(mix.quantile(levels[0]) - xs[0]) <= 1e-12
+
+
+def test_newton_step_on_a_subnormal_density_is_silent():
+    # between well-separated narrow components the density underflows to a
+    # subnormal and the Newton step overflows; the bracket takes over
+    w = np.array([0.1, 0.5, 0.01, 1.0]) / 1.61
+    means = np.array([[0.1, -9.0, -9.4, 0.0]])
+    sds = np.array([[1e-3, 1e-3, 1e-4, 1e-3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = mixture_quantiles(w, means, sds, (0.5, 0.3))
+    mix = GaussianMixture1D(w, means[0], sds[0])
+    for q, x in zip((0.5, 0.3), out[0]):
+        assert mix.cdf(x - QUANTILE_TOL) <= q <= mix.cdf(x + QUANTILE_TOL)
 
 
 def test_per_row_weights_select_each_mixture():

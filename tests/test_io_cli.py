@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from camsmeta.errors import ContractError, ValidationWarning
+from camsmeta.inference import GridSpec, PriorSpec, fit_bms, fit_cams
 from camsmeta.io_cli import (EXIT_ERROR, EXIT_OK, EXIT_VERIFY_FAIL, RunConfig,
                              load_csv, main, run, save_csv)
+from camsmeta.reporting import STRATEGY_KINDS, strategy_prevalence
 from camsmeta.verify import SimScenario, simulate
 
 HEADER = "study.name,contrast.esti,contrast.se,est,se,ifrac,subgroup12,ifrac2"
@@ -257,6 +259,82 @@ def test_run_report_skips_unavailable(tmp_path):
     assert "skipped" in strat["trial_weighted"]
     assert "skipped" in strat["external"]
     assert "beta" not in strat
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS + ("beta",))
+def test_report_configured_is_its_table_entry(tmp_path, kind):
+    path = make_input(tmp_path)
+    out = str(tmp_path / "rep")
+    cfg = RunConfig.from_sources(None, {
+        "input": path, "output_dir": out, "grid_nodes": "21",
+        "prevalence": kind, "prevalence_value": "0.3", "beta_a": "2",
+        "beta_b": "5", "draws": "2000", "seed": "3"})
+    assert run("report", cfg) == EXIT_OK
+    blob = json.load(open(os.path.join(out, "report.json")))
+    assert blob["configured"] == blob["strategies"][kind]
+    assert blob["configured"]["prevalence_used"]["kind"] == kind
+
+
+def test_report_configured_point_and_skipped_kinds(tmp_path):
+    path = make_input(tmp_path, uisd=None)
+    out = str(tmp_path / "rep")
+    cfg = RunConfig.from_sources(None, {
+        "input": path, "output_dir": out, "grid_nodes": "21",
+        "prevalence": "point", "prevalence_value": "0.3"})
+    assert run("report", cfg) == EXIT_OK
+    blob = json.load(open(os.path.join(out, "report.json")))
+    assert blob["configured"]["prevalence_used"] == {"kind": "point",
+                                                     "value": 0.3}
+    external = blob["strategies"]["external"]
+    for name in ("mu_a", "mu_b", "overall", "interaction"):
+        assert blob["configured"][name] == external[name]
+    # a configured kind the table skips still reports why it cannot run
+    with pytest.raises(ContractError, match="counts"):
+        run("report", RunConfig.from_sources(None, {
+            "input": path, "output_dir": out, "grid_nodes": "21",
+            "prevalence": "trial_weighted"}))
+    with pytest.raises(ContractError, match="beta_a and beta_b"):
+        run("report", RunConfig.from_sources(None, {
+            "input": path, "output_dir": out, "prevalence": "beta"}))
+
+
+def test_report_reference_bms_honours_alpha_heterogeneity(tmp_path):
+    path = make_input(tmp_path)
+    out = str(tmp_path / "rep")
+    cfg = RunConfig.from_sources(None, {
+        "input": path, "output_dir": out, "grid_nodes": "21",
+        "alpha_heterogeneity": "true"})
+    assert run("report", cfg) == EXIT_OK
+    strat = json.load(open(os.path.join(out, "report.json")))["strategies"]
+    data = load_csv(path)
+    priors = PriorSpec(tau_scale=1.0, tau_gamma_scale=0.5)
+    grid = GridSpec.default(priors, n_nodes=21)
+    cams = fit_cams(data, priors, grid)
+    for kind in ("closeness_a", "closeness_b"):
+        want = strategy_prevalence(
+            data, cams, kind,
+            fit_bms(data, priors, grid, alpha_heterogeneity=True))
+        common = strategy_prevalence(data, cams, kind,
+                                     fit_bms(data, priors, grid))
+        assert strat[kind]["prevalence_used"]["value"] == want != common
+
+
+@pytest.mark.parametrize("flag, law, why", [
+    ("--sim-prevalence-law", "beta", "takes 2 parameter"),
+    ("--sim-sigma-law", "fixed:-1", "must be positive"),
+    ("--sim-prevalence-law", "uniform:0.2,1.5", "must lie in [0, 1]"),
+    ("--sim-prevalence-law", "leverage:0.1,0.2", "takes 3 parameter"),
+    ("--sim-prevalence-law", "fixed:nan", "must be finite"),
+    ("--sim-sigma-law", "lognormal:-1.6,0", "must be positive"),
+    ("--sim-sigma-law", "gamma:1,2", "unknown sigma_law kind"),
+])
+def test_simulate_rejects_malformed_laws(tmp_path, capsys, flag, law, why):
+    out = str(tmp_path / "sim")
+    assert main(["simulate", flag, law, "--output-dir", out]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and why in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "simulated.csv"))
 
 
 def test_run_simulate_then_fit(tmp_path):

@@ -42,6 +42,8 @@ def test_prevalence_spec_validation():
         PrevalenceSpec("point")  # needs a value
     with pytest.raises(ContractError):
         PrevalenceSpec.beta(2, 5, draws=10)  # too few draws
+    with pytest.raises(ContractError):
+        PrevalenceSpec("point", value=0.3, draws=10)
     spec = PrevalenceSpec.beta(2.0, 5.0)
     assert spec.mean() == pytest.approx(2.0 / 7.0)
 
@@ -200,16 +202,28 @@ def test_report_effects_strategies_share_interaction(fitted):
 def test_marginalize_prevalence(fitted):
     data, cams, _ = fitted
     spec = PrevalenceSpec.beta(2.0, 5.0, draws=4000, seed=0)
-    eff = marginalize_prevalence(cams, spec, draws=4000, seed=0)
+    eff = marginalize_prevalence(cams, spec)
     # the interaction is exact, not Monte Carlo
     assert eff.interaction == cams.summaries["gamma"]
     # reproducible under the same seed
-    eff2 = marginalize_prevalence(cams, spec, draws=4000, seed=0)
+    eff2 = marginalize_prevalence(cams, spec)
     assert eff.overall == eff2.overall
     # averaging over prevalence lands between the endpoint effects
     lo = effects_at(cams, 0.0).overall.median
     hi = effects_at(cams, 1.0).overall.median
     assert min(lo, hi) < eff.overall.median < max(lo, hi)
+
+
+def test_spec_alone_sets_draws_and_seed(fitted):
+    data, cams, _ = fitted
+    spec = PrevalenceSpec.beta(2.0, 3.0, draws=4000, seed=7)
+    eff = marginalize_prevalence(cams, spec)
+    assert eff == report_effects(data, cams, spec)
+    assert eff.prevalence_used["draws"] == spec.draws
+    assert eff.prevalence_used["seed"] == spec.seed
+    other = marginalize_prevalence(
+        cams, PrevalenceSpec.beta(2.0, 3.0, draws=4000, seed=8))
+    assert other.overall != eff.overall
 
 
 def test_beta_moments_against_scipy():
@@ -257,16 +271,16 @@ def test_bayes_risk_point_mass(fitted):
     _, cams, _ = fitted
     # under a point prevalence the optimum is that point, for either loss
     for loss in ("squared", "absolute"):
-        curve, argmin = bayes_risk(cams, PrevalenceSpec.point(0.3),
-                                   loss=loss, draws=2000, seed=1)
+        spec = PrevalenceSpec("point", value=0.3, draws=2000, seed=1)
+        curve, argmin = bayes_risk(cams, spec, loss=loss)
         assert curve.shape == (101,)
         assert argmin == pytest.approx(0.3, abs=0.01)
 
 
 def test_bayes_risk_squared_matches_beta_mean(fitted):
     _, cams, _ = fitted
-    curve, argmin = bayes_risk(cams, PrevalenceSpec.beta(2.0, 6.0),
-                               loss="squared", draws=20000, seed=2)
+    curve, argmin = bayes_risk(cams, PrevalenceSpec.beta(2.0, 6.0, seed=2),
+                               loss="squared")
     assert argmin == pytest.approx(0.25, abs=0.01)
     # the curve is a parabola in the reporting prevalence: second
     # differences are constant
@@ -276,8 +290,8 @@ def test_bayes_risk_squared_matches_beta_mean(fitted):
 
 def test_bayes_risk_absolute_matches_beta_median(fitted):
     _, cams, _ = fitted
-    curve, argmin = bayes_risk(cams, PrevalenceSpec.beta(2.0, 8.0),
-                               loss="absolute", draws=20000, seed=3)
+    curve, argmin = bayes_risk(cams, PrevalenceSpec.beta(2.0, 8.0, seed=3),
+                               loss="absolute")
     want = stats.beta.ppf(0.5, 2.0, 8.0)
     assert argmin == pytest.approx(want, abs=0.01)
     with pytest.raises(ContractError):
