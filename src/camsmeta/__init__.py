@@ -9,7 +9,7 @@ method rests on.
 """
 
 from .errors import (CamsmetaError, CamsmetaWarning, ContractError,
-                     DomainError, ExtrapolationWarning,
+                     DomainError, ExtrapolationWarning, GridEdgeWarning,
                      IdentifiabilityWarning, ValidationWarning)
 from .model_core import (CovarianceStructure, MetaDataset, MultiStudyRecord,
                          StudyRecord, SubgroupObservation, compose,
@@ -41,7 +41,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CamsmetaError", "CamsmetaWarning", "ContractError", "DomainError",
-    "ExtrapolationWarning", "IdentifiabilityWarning", "ValidationWarning",
+    "ExtrapolationWarning", "GridEdgeWarning", "IdentifiabilityWarning",
+    "ValidationWarning",
     "CovarianceStructure", "MetaDataset", "MultiStudyRecord", "StudyRecord",
     "SubgroupObservation", "compose", "compute_if", "cov_gm", "decompose",
     "marginal_covariance", "missing_observation", "prevalence_from_counts",

@@ -35,3 +35,8 @@ class IdentifiabilityWarning(CamsmetaWarning):
 
 class ExtrapolationWarning(CamsmetaWarning):
     """A reporting quantity was requested outside the observed range."""
+
+
+class GridEdgeWarning(CamsmetaWarning):
+    """A heterogeneity posterior holds visible mass at the last grid node, so
+    the grid cuts it off and the upper summaries are too low."""

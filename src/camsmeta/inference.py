@@ -38,7 +38,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .contrasts import ContrastBasis
-from .errors import ContractError, DomainError, IdentifiabilityWarning
+from .errors import (ContractError, DomainError, GridEdgeWarning,
+                     IdentifiabilityWarning)
 from .gaussmix import (GaussianMixture1D, grid_interval, grid_quantile,
                        grid_tail_prob, mixture_quantiles)
 from .model_core import (CovarianceStructure, MetaDataset, MultiStudyRecord,
@@ -48,6 +49,14 @@ from .model_core import (CovarianceStructure, MetaDataset, MultiStudyRecord,
 ESTIMATORS = ("BIM", "BMS", "CAMS", "OVERALL", "BIM_K")
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# Largest sup-norm change of a functional's mixture CDF that dropping a scale
+# axis along which its conditional law is constant may cause.
+COLLAPSE_TOL = 1e-9
+
+# Posterior mass at the last node of a scale axis above which a fit warns
+# that the grid truncates that heterogeneity.
+EDGE_MASS_TOL = 1e-3
 
 
 # ----------------------------------------------------------------------
@@ -198,6 +207,11 @@ class FitResult:
         ``spec`` may be a functional name (e.g. "gamma"), a mapping from
         names to coefficients (e.g. {"alpha": 1, "delta": 0.3}), or a raw
         coefficient vector over the natural parametrization.
+
+        Scale axes along which the functional's conditional law is constant
+        are summed out (``_grid_mixture``): on a CAMS fit "gamma" is a
+        mixture over the tau_gamma nodes, "alpha" and "beta" over the tau
+        nodes, and "delta" keeps the full lattice.
         """
         return _grid_mixture(self.grid, self._coef_vector(spec))
 
@@ -261,8 +275,41 @@ def _functional_moments(grid: PosteriorGrid, vecs: np.ndarray):
 
 
 def _grid_mixture(grid: PosteriorGrid, vec: np.ndarray) -> GaussianMixture1D:
+    """Posterior mixture of the functional ``vec``, without the scale axes
+    along which its conditional law does not vary.
+
+    An axis collapses when replacing every node's component (mu, sd) by the
+    one at the first node of that axis moves the mixture CDF by at most
+    COLLAPSE_TOL in sup norm; its weights are then summed and the first
+    node's moments kept. The bound used is sum w |dmu| / sd_ref plus
+    sum w |dsd| / sd_ref, since per component
+
+        sup |Phi((x - mu) / sd_ref) - Phi((x - mu_ref) / sd_ref)|
+            <= |dmu| / (sd_ref sqrt(2 pi)),
+        sup |Phi((x - mu) / sd) - Phi((x - mu) / sd_ref)|
+            <= min(1/2, |dsd| / (min(sd, sd_ref) sqrt(2 pi e))),
+
+    the second by the mean value theorem (sup_z |z| phi(c z) = 1 /
+    (c sqrt(2 pi e))) and because two normals of one mean cross at it; it is
+    at most |dsd| / sd_ref whether sd is above or below sd_ref. A reference
+    atom (sd_ref = 0) collapses only on exact equality. The second axis is
+    checked against what the first left of the tolerance, so the collapsed
+    CDF stays within COLLAPSE_TOL of the full lattice's.
+    """
     mean, sd = _functional_moments(grid, vec[None, :])
-    return GaussianMixture1D(grid.weight.reshape(-1), mean[0], sd[0])
+    w = grid.weight
+    mean, sd = mean.reshape(w.shape), sd.reshape(w.shape)
+    budget = COLLAPSE_TOL
+    for axis in (0, 1):
+        mu_ref, sd_ref = mean.take([0], axis), sd.take([0], axis)
+        gap = np.abs(mean - mu_ref) + np.abs(sd - sd_ref)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = float(np.sum(np.where(gap > 0, w * gap / sd_ref, 0.0)))
+        if bound <= budget:
+            budget -= bound
+            w = w.sum(axis=axis, keepdims=True)
+            mean, sd = mu_ref, sd_ref
+    return GaussianMixture1D(w.reshape(-1), mean.reshape(-1), sd.reshape(-1))
 
 
 def _summaries(grid: PosteriorGrid, vecs: np.ndarray) -> list:
@@ -299,7 +346,18 @@ def _axis_log_prior(nodes: np.ndarray, scale: float, in_use: bool) -> np.ndarray
 
 
 def _batched_inv_logdet(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse and log determinant of stacked SPD blocks (..., b, b)."""
+    """Inverse and log determinant of stacked SPD blocks (..., b, b); a
+    DomainError when either is not finite in float64."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inv, logdet = _inv_logdet(v)
+    if not (np.isfinite(logdet).all() and np.isfinite(inv).all()):
+        raise DomainError(
+            "a study covariance overflows or underflows float64 when "
+            "inverted; are the standard errors on an extreme scale?")
+    return inv, logdet
+
+
+def _inv_logdet(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b = v.shape[-1]
     if b == 1:
         d = v[..., 0, 0]
@@ -395,8 +453,13 @@ def _solve_grid(stats, design: np.ndarray, param_names: tuple,
         eigs = np.linalg.eigvalsh(a)
         logdet_a = np.log(eigs[..., p - rank:]).sum(axis=-1)
     else:
-        theta = np.linalg.solve(a, bvec[..., None])[..., 0]
-        cond_cov = np.linalg.inv(a)
+        try:
+            theta = np.linalg.solve(a, bvec[..., None])[..., 0]
+            cond_cov = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            raise DomainError(
+                "the per-node GLS system is numerically singular; are the "
+                "estimates and standard errors on an extreme scale?") from None
         _, logdet_a = np.linalg.slogdet(a)
     fit_quad = np.einsum("tgp,tgp->tg", bvec, theta, optimize=True)
     log_marginal = (-0.5 * (logdet_sum + quad - fit_quad + logdet_a)
@@ -408,8 +471,24 @@ def _solve_grid(stats, design: np.ndarray, param_names: tuple,
                                    "tau_gamma" in scale_names)[None, :])
     log_weight = log_marginal + log_prior
     weight = np.exp(log_weight - logsumexp(log_weight.reshape(-1)))
-    return PosteriorGrid(tau_nodes, tg_nodes, log_weight, weight,
-                         theta, cond_cov, tuple(param_names), scale_names)
+    posterior = PosteriorGrid(tau_nodes, tg_nodes, log_weight, weight,
+                              theta, cond_cov, tuple(param_names), scale_names)
+    _warn_grid_edge(posterior)
+    return posterior
+
+
+def _warn_grid_edge(grid: PosteriorGrid) -> None:
+    """GridEdgeWarning for each scale axis in use whose last node holds more
+    than EDGE_MASS_TOL of the posterior: the grid truncates it there."""
+    for name in grid.scale_names:
+        nodes, w = grid.scale_axis(name)
+        if nodes.size > 1 and w[-1] > EDGE_MASS_TOL:
+            warnings.warn(
+                f"the last {name} grid node ({nodes[-1]:g}) holds "
+                f"{100 * w[-1]:.3g} % of the posterior mass, so the grid "
+                f"truncates the posterior and its upper summaries are too "
+                f"low; raise the {name} prior scale",
+                GridEdgeWarning, stacklevel=4)
 
 
 def _dataset_sha(data: MetaDataset) -> str:

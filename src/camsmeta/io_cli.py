@@ -28,7 +28,8 @@ from dataclasses import make_dataclass
 
 import numpy as np
 
-from .errors import CamsmetaError, ContractError, ValidationWarning
+from .errors import (CamsmetaError, ContractError, DomainError,
+                     ValidationWarning)
 from .inference import (FitResult, GridSpec, PriorSpec, fit_bim, fit_bms,
                         fit_cams, fit_overall, interaction_trace)
 from .model_core import (MetaDataset, StudyRecord, SubgroupObservation,
@@ -100,6 +101,10 @@ def load_csv(path: str, exponentiated_input: bool = False,
         se = _parse_float(row_num, "se", row.get("se"))
         if se <= 0:
             raise ContractError(f"row {row_num}: se must be positive, got {se}")
+        if not 0.0 < se * se < math.inf:
+            raise DomainError(
+                f"row {row_num}: se {se} is out of range, its square is not "
+                f"a positive finite float")
         ifrac = _parse_float(row_num, "ifrac", row.get("ifrac"))
         sg = _parse_float(row_num, "subgroup12", row.get("subgroup12"))
         ifrac2 = _parse_float(row_num, "ifrac2", row.get("ifrac2"))

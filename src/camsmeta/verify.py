@@ -34,6 +34,7 @@ from .reporting import PrevalenceSpec, bayes_risk
 TOL_EXACT = 1e-10
 TOL_GRID = 1e-4
 BREAK_MIN = 1e-3  # a broken factorization must move the posterior this much
+CDF_POINTS = 2001  # evaluation points of the CDF-distance grid
 
 
 # law kind -> number of parameters
@@ -251,11 +252,11 @@ def _grid_distance(grid: PosteriorGrid, oracle: PosteriorGrid) -> float:
                             * np.abs(grid.cond_cov - oracle.cond_cov))))
 
 
-def _cdf_distance(mix_a, mix_b, points: int = 2001) -> float:
+def _cdf_distance(mix_a, mix_b) -> float:
     (lo_a, hi_a), (lo_b, hi_b) = (mix.quantiles((0.001, 0.999))
                                   for mix in (mix_a, mix_b))
     lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
-    xs = np.linspace(lo, hi, points)
+    xs = np.linspace(lo, hi, CDF_POINTS)
     return float(np.max(np.abs(mix_a.cdf(xs) - mix_b.cdf(xs))))
 
 
@@ -284,8 +285,8 @@ def check_equivalence(scenario: SimScenario, force_half: bool = False,
                              priors, grid)
     d_oracle = (None if force_half else
                 _grid_distance(fit_cams(data, priors, grid).grid, oracle))
-    d_gamma = _cdf_distance(bim.functional_mixture("gamma"),
-                            _grid_mixture(oracle, np.array([0.0, 0.0, 1.0])))
+    oracle_gamma = _grid_mixture(oracle, np.array([0.0, 0.0, 1.0]))
+    d_gamma = _cdf_distance(bim.functional_mixture("gamma"), oracle_gamma)
     _, w_bim = bim.grid.scale_axis("tau_gamma")
     _, w_oracle = oracle.scale_axis("tau_gamma")
     d_tg = float(np.max(np.abs(np.cumsum(w_bim) - np.cumsum(w_oracle))))
@@ -305,6 +306,7 @@ def check_equivalence(scenario: SimScenario, force_half: bool = False,
         "tier": "grid",
         "oracle_distance": d_oracle,
         "oracle_tolerance": TOL_EXACT,
+        "oracle_gamma_components": int(oracle_gamma.weights.size),
         "pass": bool(passed),
     }
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from camsmeta.errors import ContractError, DomainError, IdentifiabilityWarning
-from camsmeta.inference import (ESTIMATORS, GridSpec, PriorSpec,
-                                _grid_mixture, _summaries,
+from camsmeta.errors import (ContractError, DomainError, GridEdgeWarning,
+                             IdentifiabilityWarning)
+from camsmeta.gaussmix import GaussianMixture1D
+from camsmeta.inference import (COLLAPSE_TOL, ESTIMATORS, GridSpec,
+                                PosteriorGrid, PriorSpec,
+                                _functional_moments, _grid_mixture, _summaries,
                                 cross_term_correction, ecological_evidence,
                                 factorization_residual,
                                 factorized_loglikelihood, fit_bim, fit_bim_k,
@@ -19,8 +23,8 @@ from camsmeta.contrasts import helmert_basis
 from camsmeta.model_core import (CovarianceStructure, MetaDataset,
                                  MultiStudyRecord, StudyRecord,
                                  SubgroupObservation)
-from camsmeta.verify import (BREAK_MIN, SimScenario, _cdf_distance,
-                             cams_oracle, simulate)
+from camsmeta.verify import (BREAK_MIN, CDF_POINTS, SimScenario,
+                             _cdf_distance, cams_oracle, simulate)
 
 
 def make_dataset(seed=0, n=6, alpha=0.2, delta=0.6, gamma=0.3, noise=0.15):
@@ -198,6 +202,113 @@ def test_oracle_forced_half_breaks_equivalence():
         cams_oracle(data, 1.5, PriorSpec(), grid)
     with pytest.raises(DomainError):
         cams_oracle(data, [0.3, 0.4, -0.1, 0.5, 0.5, 0.5], PriorSpec(), grid)
+
+
+def full_lattice_mixture(grid, vec):
+    """The functional's mixture over every lattice node, nothing collapsed."""
+    mean, sd = _functional_moments(grid, np.asarray(vec, dtype=float)[None, :])
+    return GaussianMixture1D(grid.weight.reshape(-1), mean[0], sd[0])
+
+
+def max_cdf_gap(mix, full):
+    xs = np.linspace(*full.quantiles((0.001, 0.999)), CDF_POINTS)
+    return float(np.max(np.abs(mix.cdf(xs) - full.cdf(xs))))
+
+
+def test_oracle_gamma_mixture_collapses_only_when_honest():
+    # the battery's force-half scenario: unbalanced fractions
+    data = simulate(SimScenario(n_studies=7, alpha=0.2, delta=0.8, gamma=0.3,
+                                tau=0.15, tau_gamma=0.12,
+                                prevalence_law=("uniform", 0.1, 0.25),
+                                seed=21240))
+    grid = GridSpec.default(PriorSpec(), n_nodes=61)
+    gamma = np.array([0.0, 0.0, 1.0])
+    honest = cams_oracle(data, data.info_fractions, PriorSpec(), grid)
+    mix = _grid_mixture(honest, gamma)
+    assert mix.weights.size == 61
+    assert np.allclose(mix.weights, honest.scale_axis("tau_gamma")[1],
+                       rtol=0.0, atol=1e-15)
+    assert max_cdf_gap(mix, full_lattice_mixture(honest, gamma)) <= COLLAPSE_TOL
+    with pytest.warns(IdentifiabilityWarning):
+        forced = cams_oracle(data, 0.5, PriorSpec(), grid)
+    assert _grid_mixture(forced, gamma).weights.size == 61 * 61
+
+
+@pytest.mark.parametrize("parametrization", ["explicit", "implicit"])
+def test_cams_functionals_drop_the_axes_they_do_not_vary_along(parametrization):
+    data = make_dataset(seed=4)
+    grid = GridSpec.default(PriorSpec(), n_nodes=41)
+    fit = fit_cams(data, PriorSpec(), grid, parametrization)
+    # gamma lives on the contrast block (tau_gamma), alpha and beta on the
+    # mean block (tau); delta = beta - gamma and a subgroup mean need both
+    sizes = {name: fit.functional_mixture(name).weights.size
+             for name in ("alpha", "beta", "gamma", "delta")}
+    assert sizes == {"alpha": 41, "beta": 41, "gamma": 41, "delta": 41 * 41}
+    mu_a = {"alpha": 1.0, "delta": 0.3}
+    assert fit.functional_mixture(mu_a).weights.size == 41 * 41
+    for spec in ("alpha", "beta", "gamma"):
+        full = full_lattice_mixture(fit.grid, fit._coef_vector(spec))
+        assert max_cdf_gap(fit.functional_mixture(spec), full) <= COLLAPSE_TOL
+        assert tail_probability(fit, spec, 0.1) == pytest.approx(
+            full.tail_prob(0.1), abs=COLLAPSE_TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.integers(2, 6), g=st.integers(2, 6), flat_tau=st.booleans(),
+       jitter=st.floats(0.0, 1e-13), draw=st.data())
+def test_grid_mixture_collapses_exactly_the_constant_axes(t, g, flat_tau,
+                                                          jitter, draw):
+    # node weights >= 1e-3/36 and mean steps >= 1e-3 at sd <= 4 put every
+    # varying axis above the tolerance: 2.8e-5 * 1e-3 / 4 > COLLAPSE_TOL
+    def floats(lo, hi, n):
+        return np.array(draw.draw(st.lists(st.floats(lo, hi), min_size=n,
+                                           max_size=n)))
+
+    def steps(n):
+        signs = np.where(floats(-1.0, 1.0, n - 1) < 0, -1.0, 1.0)
+        return np.concatenate([[0.0], signs * floats(1e-3, 2.0, n - 1)])
+
+    w = floats(1e-3, 1.0, t * g).reshape(t, g)
+    w /= w.sum()
+    mean = floats(-1.0, 1.0, 1)[0] + steps(g)[None, :]
+    sd = np.broadcast_to(floats(0.1, 2.0, g)[None, :], (t, g))
+    if flat_tau:
+        # constant along tau up to relative noise far below the tolerance
+        mean = mean * (1.0 + jitter * floats(-1.0, 1.0, t)[:, None])
+    else:
+        mean = mean + steps(t)[:, None]
+        sd = sd * floats(0.5, 2.0, t)[:, None]
+    mean = np.broadcast_to(mean, (t, g))
+    lattice = PosteriorGrid(np.arange(t) * 0.1, np.arange(g) * 0.1, np.log(w),
+                            w, mean[..., None].copy(),
+                            (sd ** 2)[..., None, None].copy(), ("x",),
+                            ("tau", "tau_gamma"))
+    mix = _grid_mixture(lattice, np.array([1.0]))
+    assert mix.weights.size == (g if flat_tau else t * g)
+    assert max_cdf_gap(mix, full_lattice_mixture(lattice, [1.0])) <= COLLAPSE_TOL
+
+
+def test_grid_edge_warning_on_truncated_heterogeneity():
+    # true tau_gamma 3.0 lies beyond the default grid's 2.5 = 5 prior scales
+    data = simulate(SimScenario(n_studies=15, gamma=0.3, tau=0.1,
+                                tau_gamma=3.0, seed=1))
+    with pytest.warns(GridEdgeWarning, match="last tau_gamma grid node"):
+        fit = fit_cams(data)
+    assert fit.summaries["tau_gamma"].upper < 3.0
+    _, w = fit.grid.scale_axis("tau_gamma")
+    assert w[-1] > 1e-3
+
+
+def test_grid_edge_warning_silent_on_quickstart_data():
+    priors = PriorSpec()
+    grid = GridSpec.default(priors, n_nodes=101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GridEdgeWarning)
+        for seed in range(8):
+            data = simulate(SimScenario(n_studies=8, gamma=0.3, tau=0.1,
+                                        tau_gamma=0.1, uisd=1.0, seed=seed))
+            for fit in (fit_cams, fit_bim, fit_bms, fit_overall):
+                fit(data, priors, grid)
 
 
 location_priors = st.lists(

@@ -407,3 +407,27 @@ def test_main_report_ratio_overflow_is_clean_error(tmp_path, capsys):
     assert err.startswith("error: mu_a.median")
     assert "overflows" in err
     assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+@pytest.mark.parametrize("factor, why", [
+    (1e200, "is out of range"),     # se ** 2 overflows in load_csv
+    (1e150, "a study covariance"),  # the BMS 2x2 determinant overflows
+    (1e-150, "per-node GLS system is numerically singular"),
+])
+def test_fit_on_extreme_scale_is_clean_error(tmp_path, capsys, factor, why):
+    # the quick-start data with every estimate and SE multiplied by ``factor``
+    data = simulate(SimScenario(n_studies=8, gamma=0.3, tau=0.1, tau_gamma=0.1,
+                                uisd=1.0, seed=0))
+    rows = []
+    for s in data.studies:
+        pi = s.info_fraction
+        for sg, obs in ((-0.5, s.obs_a), (0.5, s.obs_b)):
+            rows.append(f"{s.study_id},{obs.estimate * factor!r},"
+                        f"{obs.std_error * factor!r},{pi!r},{sg!r},"
+                        f"{sg + 0.5 - pi!r}")
+    path = str(tmp_path / "scaled.csv")
+    write_csv(path, rows, header="study.name,est,se,ifrac,subgroup12,ifrac2")
+    code = main(["fit", "--input", path, "--output-dir", str(tmp_path)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and why in err[0]

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from camsmeta.errors import ContractError, DomainError
+from camsmeta.errors import ContractError, DomainError, GridEdgeWarning
 from camsmeta.model_core import compute_if
 from camsmeta.verify import (SimScenario, check_bayes_optimum,
                              check_equivalence, check_k_sufficiency,
@@ -88,6 +90,8 @@ def test_check_equivalence_passes():
     assert rep["tau_gamma_distance"] < 1e-10
     assert rep["oracle_distance"] < 1e-10
     assert rep["tier"] == "grid"
+    # the honest oracle's gamma posterior is read over tau_gamma alone
+    assert rep["oracle_gamma_components"] == 41
 
 
 def test_check_equivalence_detects_forced_break():
@@ -98,6 +102,7 @@ def test_check_equivalence_detects_forced_break():
     assert rep["pass"]
     assert rep["gamma_distance"] > 1e-3
     assert rep["oracle_distance"] is None
+    assert rep["oracle_gamma_components"] == 41 * 41
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -134,3 +139,18 @@ def test_run_battery_structure():
     kinds = {c["check"] for c in out["checks"]}
     assert kinds == {"equivalence", "k_sufficiency", "kronecker",
                      "bayes_optimum"}
+
+
+def test_default_battery_collapses_honest_checks_inside_the_grid():
+    # the CLI's 50-seed battery: no posterior reaches the grid edge, every
+    # honest oracle collapses to its 61 tau_gamma components and force-half
+    # keeps the full lattice
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GridEdgeWarning)
+        out = run_battery(seeds=50)
+    assert out["all_pass"]
+    equivalence = [c for c in out["checks"] if c["check"] == "equivalence"]
+    assert len(equivalence) == 55
+    for c in equivalence:
+        want = 61 * 61 if c["force_half"] else 61
+        assert c["oracle_gamma_components"] == want, c["seed"]
