@@ -18,9 +18,10 @@ half-normal-prior-times-likelihood node weights. Everything downstream
 that mixture, accumulated in a fixed node order for bit reproducibility.
 
 Each block of observations contributes GLS statistics on its own node
-lattice; statistics of independent blocks add before one shared solve. CAMS
-is thus a contrast block on the tau_gamma axis plus a mean-regression block
-on the tau axis, which decouple exactly at the information fraction.
+lattice; statistics of independent blocks add before one shared solve. A
+(y_A, y_B) pair is its contrast plus its mean given the contrast
+(``_pair_stats``); at the information fraction these decouple, so CAMS is
+a contrast block on the tau_gamma axis plus a mean block on the tau axis.
 
 Location priors are flat by default; a flat prior requires at least as many
 studies as fixed effects. Proper normal priors lift that requirement and are
@@ -35,7 +36,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .contrasts import ContrastBasis
 from .errors import (ContractError, DomainError, GridEdgeWarning,
@@ -43,7 +43,7 @@ from .errors import (ContractError, DomainError, GridEdgeWarning,
 from .gaussmix import (GaussianMixture1D, grid_interval, grid_quantile,
                        grid_tail_prob, mixture_quantiles)
 from .model_core import (CovarianceStructure, MetaDataset, MultiStudyRecord,
-                         cams_covariance, cov_gm, decompose_arrays,
+                         cams_covariance, decompose_arrays,
                          subgroup_arrays)
 
 ESTIMATORS = ("BIM", "BMS", "CAMS", "OVERALL", "BIM_K")
@@ -349,34 +349,18 @@ def _batched_inv_logdet(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse and log determinant of stacked SPD blocks (..., b, b); a
     DomainError when either is not finite in float64."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        inv, logdet = _inv_logdet(v)
+        if v.shape[-1] == 1:
+            inv, logdet = 1.0 / v, np.log(v[..., 0, 0])
+        else:
+            sign, logdet = np.linalg.slogdet(v)
+            if np.any(sign <= 0):
+                raise ContractError("covariance block is not positive definite")
+            inv = np.linalg.inv(v)
     if not (np.isfinite(logdet).all() and np.isfinite(inv).all()):
         raise DomainError(
             "a study covariance overflows or underflows float64 when "
             "inverted; are the standard errors on an extreme scale?")
     return inv, logdet
-
-
-def _inv_logdet(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    b = v.shape[-1]
-    if b == 1:
-        d = v[..., 0, 0]
-        return 1.0 / v, np.log(d)
-    if b == 2:
-        a = v[..., 0, 0]
-        off = v[..., 0, 1]
-        d = v[..., 1, 1]
-        det = a * d - off * off
-        inv = np.empty_like(v)
-        inv[..., 0, 0] = d / det
-        inv[..., 0, 1] = -off / det
-        inv[..., 1, 0] = -off / det
-        inv[..., 1, 1] = a / det
-        return inv, np.log(det)
-    sign, logdet = np.linalg.slogdet(v)
-    if np.any(sign <= 0):
-        raise ContractError("covariance block is not positive definite")
-    return np.linalg.inv(v), logdet
 
 
 def _check_flat_prior_rule(priors: PriorSpec, param_names: tuple,
@@ -391,21 +375,42 @@ def _check_flat_prior_rule(priors: PriorSpec, param_names: tuple,
 
 def _gls_stats(y: np.ndarray, x: np.ndarray, v: np.ndarray):
     """(X'V^-1 X, X'V^-1 y, y'V^-1 y, sum_j log|V_j|) per node for study
-    blocks y (J, b), x (J, b, p) and covariances v (T, G, J, b, b), whose
-    lattice axes may be singletons."""
+    blocks y (..., J, b), x (..., J, b, p) and covariances v (T, G, J, b, b);
+    leading axes broadcast against the (T, G) lattice and may be singletons."""
     vinv, logdet = _batched_inv_logdet(v)
-    return (np.einsum("jbp,tgjbc,jcq->tgpq", x, vinv, x, optimize=True),
-            np.einsum("jbp,tgjbc,jc->tgp", x, vinv, y, optimize=True),
-            np.einsum("jb,tgjbc,jc->tg", y, vinv, y, optimize=True),
+    return (np.einsum("...jbp,...jbc,...jcq->...pq", x, vinv, x, optimize=True),
+            np.einsum("...jbp,...jbc,...jc->...p", x, vinv, y, optimize=True),
+            np.einsum("...jb,...jbc,...jc->...", y, vinv, y, optimize=True),
             logdet.sum(axis=-1))
 
 
 def _scalar_stats(y: np.ndarray, x: np.ndarray, var: np.ndarray,
                   het2: np.ndarray):
-    """``_gls_stats`` of one observation per study: y (J,) with design rows
-    x (J, p) and variance var (J,) plus the heterogeneity het2 (T, G)."""
+    """``_gls_stats`` of one observation per study: y (..., J), design rows
+    x (..., J, p), variance var (..., J) plus the heterogeneity het2 (T, G)."""
     v = (var + het2[..., None])[..., None, None]
-    return _gls_stats(y[:, None], x[:, None, :], v)
+    return _gls_stats(y[..., None], x[..., None, :], v)
+
+
+def _pair_stats(ya, yb, va, vb, pi, x, taus, tg):
+    """``_gls_stats`` of one (y_A, y_B) pair per study with design rows x
+    (J, 2, p) and covariance ``model_core.cams_covariance`` at weighting pi,
+    on the (taus, tg) lattice. In (g, m) coordinates (unit Jacobian) tau_gamma
+    loads on g, tau on m, and only c = Cov(g, m) couples them: a pair is its
+    contrast (variance v_g = var_g + tau_gamma^2) plus its mean given g, with
+    k = c / v_g, response m - k g, design x_m - k x_g and variance tau^2 +
+    (var_a var_b + var_m tau_gamma^2) / v_g, which cannot cancel or overflow.
+    """
+    g, m, var_g, var_m, c = decompose_arrays(ya, yb, va, vb, pi)
+    x_g = x[:, 1] - x[:, 0]
+    tg2 = (tg ** 2)[:, None]
+    v_g = var_g + tg2
+    k = c / v_g
+    contrast = _scalar_stats(g, x_g, var_g, tg2.T)
+    mean = _scalar_stats(m - k * g, x[:, 0] + (pi - k)[..., None] * x_g,
+                         va * (vb / v_g) + var_m * (tg2 / v_g),
+                         (taus ** 2)[:, None])
+    return tuple(a + b for a, b in zip(contrast, mean))
 
 
 def _solve_grid(stats, design: np.ndarray, param_names: tuple,
@@ -470,11 +475,18 @@ def _solve_grid(stats, design: np.ndarray, param_names: tuple,
                  + _axis_log_prior(tg_nodes, priors.tau_gamma_scale,
                                    "tau_gamma" in scale_names)[None, :])
     log_weight = log_marginal + log_prior
-    weight = np.exp(log_weight - logsumexp(log_weight.reshape(-1)))
+    weight = _normalize_log_weights(log_weight)
     posterior = PosteriorGrid(tau_nodes, tg_nodes, log_weight, weight,
                               theta, cond_cov, tuple(param_names), scale_names)
     _warn_grid_edge(posterior)
     return posterior
+
+
+def _normalize_log_weights(log_w: np.ndarray, axis=None) -> np.ndarray:
+    """exp(log_w) summing to 1 over ``axis`` (default: all entries); unlike
+    exp(log_w - logsumexp), it cannot drift from 1 by eps * |log_w|."""
+    w = np.exp(log_w - log_w.max(axis=axis, keepdims=True))
+    return w / w.sum(axis=axis, keepdims=True)
 
 
 def _warn_grid_edge(grid: PosteriorGrid) -> None:
@@ -564,7 +576,7 @@ def fit_bim(data: MetaDataset, priors: PriorSpec | None = None,
     """
     priors = priors if priors is not None else PriorSpec()
     grid = grid if grid is not None else GridSpec.default(priors)
-    g, _, var_g, _ = decompose_arrays(*subgroup_arrays(data))
+    g, _, var_g, *_ = decompose_arrays(*subgroup_arrays(data))
     param_names = ("gamma",)
     _check_flat_prior_rule(priors, param_names, g.size, 1)
     tg = grid.tau_gamma_nodes
@@ -585,7 +597,7 @@ def fit_overall(data: MetaDataset, priors: PriorSpec | None = None,
     """
     priors = priors if priors is not None else PriorSpec()
     grid = grid if grid is not None else GridSpec.default(priors)
-    _, m, _, var_m = decompose_arrays(*subgroup_arrays(data))
+    _, m, _, var_m, _ = decompose_arrays(*subgroup_arrays(data))
     param_names = ("mu",)
     _check_flat_prior_rule(priors, param_names, m.size, 1)
     taus = grid.tau_nodes
@@ -605,21 +617,19 @@ def fit_bms(data: MetaDataset, priors: PriorSpec | None = None,
     Per study the mean is (alpha - gamma/2, alpha + gamma/2) and the
     covariance adds +/- tau_gamma^2/4 to the sampling covariance. The model
     carries no intercept heterogeneity by default; ``alpha_heterogeneity``
-    adds a tau^2 term on all entries and a second grid axis.
-    """
+    adds a tau^2 term on all entries and a second grid axis. The pairs are
+    fitted by ``_pair_stats`` at pi = 0.5."""
     priors = priors if priors is not None else PriorSpec()
     grid = grid if grid is not None else GridSpec.default(priors)
-    ya, yb, va, vb, _ = subgroup_arrays(data)
-    j = ya.size
+    arrays = subgroup_arrays(data, 0.5)
+    j = arrays[0].size
     param_names = ("alpha", "gamma")
     _check_flat_prior_rule(priors, param_names, j, 2)
     tg = grid.tau_gamma_nodes
     taus = grid.tau_nodes if alpha_heterogeneity else np.array([0.0])
-    # the CAMS covariance with the interaction centered at 0.5
-    v = cams_covariance(va, vb, 0.5, taus[:, None, None], tg[None, :, None])
-    x = np.broadcast_to(np.array([[1.0, -0.5], [1.0, 0.5]]), (j, 2, 2)).copy()
+    x = np.broadcast_to(np.array([[1.0, -0.5], [1.0, 0.5]]), (j, 2, 2))
     scale_names = ("tau", "tau_gamma") if alpha_heterogeneity else ("tau_gamma",)
-    posterior = _solve_grid(_gls_stats(np.stack([ya, yb], axis=1), x, v), x,
+    posterior = _solve_grid(_pair_stats(*arrays, x, taus, tg), x,
                             param_names, priors, taus, tg, scale_names)
     functionals = {
         "alpha": np.array([1.0, 0.0]),
@@ -653,7 +663,7 @@ def fit_cams(data: MetaDataset, priors: PriorSpec | None = None,
     if parametrization not in ("explicit", "implicit"):
         raise ContractError(f"unknown parametrization {parametrization!r}")
     ya, yb, va, vb, pi = subgroup_arrays(data)
-    g, m, var_g, var_m = decompose_arrays(ya, yb, va, vb, pi)
+    g, m, var_g, var_m, _ = decompose_arrays(ya, yb, va, vb, pi)
     j = g.size
     if parametrization == "explicit":
         param_names = ("alpha", "delta", "gamma")
@@ -759,9 +769,7 @@ def interaction_trace(fit: FitResult, tau_gamma_values) -> list:
                     axis=1)
     # conditional weights over tau at each chosen tau_gamma node, from the
     # log weights so that a column of negligible total mass cannot underflow
-    log_w = grid.log_weight.T[idx]
-    w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-    w /= w.sum(axis=1, keepdims=True)
+    w = _normalize_log_weights(grid.log_weight.T[idx], axis=1)
     qs = mixture_quantiles(w, mean[idx], sd[idx], (0.5, 0.25, 0.75))
     return [TracePoint(float(grid.tau_gamma_nodes[i]), med, lo, hi)
             for i, (med, lo, hi) in zip(idx.tolist(), qs.tolist())]
@@ -792,14 +800,14 @@ def joint_loglikelihood(data: MetaDataset, alpha: float, delta: float,
 
 def _block_z(data: MetaDataset, alpha: float, delta: float, gamma: float,
              het: CovarianceStructure, pi):
-    """Standardized block residuals, their variances and the study vectors."""
+    """Standardized block residuals, their variances and Cov(g, m)."""
     arrays = subgroup_arrays(data, pi)
-    g, m, var_g, var_m = decompose_arrays(*arrays)
+    g, m, var_g, var_m, c = decompose_arrays(*arrays)
     vg = var_g + het.tau_gamma ** 2
     vm = var_m + het.tau ** 2
     zg = (g - gamma) / np.sqrt(vg)
     zm = (m - (alpha + (delta + gamma) * arrays[4])) / np.sqrt(vm)
-    return zg, zm, vg, vm, arrays
+    return zg, zm, vg, vm, c
 
 
 def factorized_loglikelihood(data: MetaDataset, alpha: float, delta: float,
@@ -832,9 +840,7 @@ def cross_term_correction(data: MetaDataset, alpha: float, delta: float,
         -log(1 - rho^2)/2 - [ (z_g^2 - 2 rho z_g z_m + z_m^2)/(1 - rho^2)
                               - z_g^2 - z_m^2 ] / 2.
     """
-    zg, zm, vg, vm, (_, _, va, vb, p) = _block_z(data, alpha, delta, gamma,
-                                                  het, pi)
-    c = np.array([cov_gm(pj, vaj, vbj) for pj, vaj, vbj in zip(p, va, vb)])
+    zg, zm, vg, vm, c = _block_z(data, alpha, delta, gamma, het, pi)
     rho = c / np.sqrt(vg * vm)
     one = 1.0 - rho ** 2
     corr = (-0.5 * np.log(one)

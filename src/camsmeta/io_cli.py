@@ -197,7 +197,7 @@ def save_csv(data: MetaDataset, path: str) -> None:
     if with_counts:
         header += ["n_a", "n_b"]
     rows = [header]
-    g_all, _, var_g, _ = decompose_arrays(*subgroup_arrays(data))
+    g_all, _, var_g, *_ = decompose_arrays(*subgroup_arrays(data))
     for s, g, var in zip(data.studies, g_all.tolist(), var_g.tolist()):
         se_g = math.sqrt(var)
         pi = s.info_fraction
@@ -523,7 +523,7 @@ def _cmd_plotdata(config: RunConfig) -> int:
 
     # forest: per-study contrasts plus the pooled interaction
     forest = [["label", "estimate", "lower", "upper", "weight"]]
-    g_all, _, var_g, _ = decompose_arrays(*subgroup_arrays(data))
+    g_all, _, var_g, *_ = decompose_arrays(*subgroup_arrays(data))
     contrasts = [(s.study_id, g, math.sqrt(var)) for s, g, var
                  in zip(data.studies, g_all.tolist(), var_g.tolist())]
     total = sum(1.0 / se_g ** 2 for _, _, se_g in contrasts)

@@ -269,7 +269,7 @@ def cov_gm(pi: float, var_a: float, var_b: float) -> float:
     _check_unit_interval(pi, "pi")
     if not (var_a > 0) or not (var_b > 0):
         raise DomainError(f"variances must be positive, got ({var_a}, {var_b})")
-    return pi * var_b - (1.0 - pi) * var_a
+    return decompose_arrays(0.0, 0.0, var_a, var_b, pi)[4]
 
 
 def marginal_covariance(study: StudyRecord, het: CovarianceStructure,
@@ -321,10 +321,10 @@ def subgroup_arrays(data: MetaDataset, pi=None):
 
 
 def decompose_arrays(ya, yb, va, vb, pi):
-    """Vectorized :func:`decompose` plus the blocks' sampling variances:
-    (g, m, var_g, var_m), uncorrelated when pi is the IF (:func:`cov_gm`)."""
+    """Vectorized :func:`decompose` plus the sampling moments: (g, m, var_g,
+    var_m, c), where c = Cov(g, m) vanishes at the IF (:func:`cov_gm`)."""
     return (yb - ya, (1.0 - pi) * ya + pi * yb, va + vb,
-            (1.0 - pi) ** 2 * va + pi ** 2 * vb)
+            (1.0 - pi) ** 2 * va + pi ** 2 * vb, pi * vb - (1.0 - pi) * va)
 
 
 def _check_unit_interval(x: float, name: str) -> None:

@@ -26,7 +26,8 @@ from .errors import (ContractError, DomainError, ExtrapolationWarning,
                      ValidationWarning)
 from .gaussmix import grid_quantile, mixture_quantiles
 from .inference import (FitResult, GridSpec, ParameterSummary,
-                        _halfnormal_logpdf, _quad_log_weights)
+                        _halfnormal_logpdf, _normalize_log_weights,
+                        _quad_log_weights)
 from .model_core import (MetaDataset, _check_unit_interval, decompose_arrays,
                          subgroup_arrays)
 
@@ -180,7 +181,7 @@ def overall_if(fit: FitResult, data: MetaDataset) -> float:
     """
     _require_cams(fit)
     ya, yb, va, vb, pi = subgroup_arrays(data)
-    _, _, _, var_m = decompose_arrays(ya, yb, va, vb, pi)
+    _, _, _, var_m, _ = decompose_arrays(ya, yb, va, vb, pi)
     taus, wt = fit.grid.scale_axis("tau")
     w = 1.0 / ((taus ** 2)[:, None] + var_m[None, :])
     pstar = (w @ pi) / w.sum(axis=1)
@@ -451,8 +452,7 @@ def fit_map_prevalence(counts, sd_scale: float = 0.5, phi_points: int = 201,
     lp_phi[[0, -1]] = math.log(0.5 * h)
     lp_psi = _halfnormal_logpdf(psi, sd_scale) + _quad_log_weights(psi)
     logw = loglik + lp_phi[:, None] + lp_psi[None, :]
-    w = np.exp(logw - logsumexp(logw.reshape(-1)))
-    w /= w.sum()
+    w = _normalize_log_weights(logw)
 
     # predictive moments of expit(phi + psi Z) node-wise, then mixed
     gh_norm = wgh / math.sqrt(math.pi)

@@ -25,10 +25,9 @@ from .contrasts import (helmert_basis, kronecker_contrast, per_arm_prevalence,
                         precision_prevalence)
 from .errors import ContractError, DomainError, IdentifiabilityWarning
 from .inference import (GridSpec, PosteriorGrid, PriorSpec, _grid_mixture,
-                        _gls_stats, _solve_grid, fit_bim, fit_cams)
+                        _pair_stats, _solve_grid, fit_bim, fit_cams)
 from .model_core import (MetaDataset, MultiStudyRecord, StudyRecord,
-                         SubgroupObservation, cams_covariance,
-                         subgroup_arrays)
+                         SubgroupObservation, subgroup_arrays)
 from .reporting import PrevalenceSpec, bayes_risk
 
 TOL_EXACT = 1e-10
@@ -216,11 +215,11 @@ def leverage_scenario(seed: int = 0, n_studies: int = 8) -> SimScenario:
 
 def cams_oracle(data: MetaDataset, pi, priors: PriorSpec, grid: GridSpec,
                 parametrization: str = "explicit") -> PosteriorGrid:
-    """Reference for ``fit_cams``: the joint 2-D GLS over (y_A, y_B) pairs,
-    inverting every study's ``cams_covariance`` at every (tau, tau_gamma)
-    node. ``pi`` (scalar or per study, in [0, 1]) sets the slope regressor
-    and the interaction loading; at the information fractions the grid
-    equals ``fit_cams(...).grid`` to rounding. No summaries are computed.
+    """Reference for ``fit_cams``: the joint GLS of the (y_A, y_B) pairs on
+    the full (tau, tau_gamma) lattice, Cov(g, m) kept (``_pair_stats``).
+    ``pi`` (scalar or per study, in [0, 1]) sets the slope regressor and the
+    interaction loading; at the information fractions the grid equals
+    ``fit_cams(...).grid`` to rounding. No summaries are computed.
     """
     ya, yb, va, vb, p = subgroup_arrays(data, pi)
     ones, zeros = np.ones(p.size), np.zeros(p.size)
@@ -234,22 +233,21 @@ def cams_oracle(data: MetaDataset, pi, priors: PriorSpec, grid: GridSpec,
         raise ContractError(f"unknown parametrization {parametrization!r}")
     x = np.stack([np.stack(r, axis=1) for r in rows], axis=1)
     taus, tg = grid.tau_nodes, grid.tau_gamma_nodes
-    v = cams_covariance(va, vb, p, taus[:, None, None], tg[None, :, None])
-    return _solve_grid(_gls_stats(np.stack([ya, yb], axis=1), x, v), x,
+    return _solve_grid(_pair_stats(ya, yb, va, vb, p, x, taus, tg), x,
                        param_names, priors, taus, tg, ("tau", "tau_gamma"))
 
 
 def _grid_distance(grid: PosteriorGrid, oracle: PosteriorGrid) -> float:
-    """Largest |difference| of node weights and of weight-scaled conditional
-    moments. Unweighted moments would not do: at large-tau nodes the
-    oracle's explicit 2x2 covariances lose their small eigenvalue to
-    rounding, which the solve amplifies, but those nodes carry no weight."""
-    w = oracle.weight
-    return max(float(np.max(np.abs(grid.weight - w))),
-               float(np.max(w[..., None]
-                            * np.abs(grid.cond_mean - oracle.cond_mean))),
-               float(np.max(w[..., None, None]
-                            * np.abs(grid.cond_cov - oracle.cond_cov))))
+    """Largest |difference| of node weights, of conditional means in the
+    oracle's conditional SDs and of conditional covariances in its
+    correlation units, over every node. A zero SD (a direction the data and
+    priors pin exactly) leaves that difference absolute."""
+    sd = np.sqrt(np.diagonal(oracle.cond_cov, axis1=-2, axis2=-1))
+    sd = np.where(sd > 0, sd, 1.0)
+    return max(float(np.max(np.abs(grid.weight - oracle.weight))),
+               float(np.max(np.abs(grid.cond_mean - oracle.cond_mean) / sd)),
+               float(np.max(np.abs(grid.cond_cov - oracle.cond_cov)
+                            / (sd[..., :, None] * sd[..., None, :]))))
 
 
 def _cdf_distance(mix_a, mix_b) -> float:

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from camsmeta.contrasts import (contrast_mean_cov, helmert_basis,
                                 kronecker_contrast, per_arm_prevalence,
                                 precision_prevalence, transform_matrix)
-from camsmeta.errors import DomainError
+from camsmeta.errors import (ContractError, DomainError,
+                             IdentifiabilityWarning)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
@@ -70,6 +73,27 @@ def test_transform_matrix_inverts(k):
         y = rng.normal(size=k)
         z = full @ y
         assert np.allclose(np.linalg.solve(full, z), y, atol=1e-10)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_transform_matrix_rejects_singular_prevalence(k):
+    # pi' 1 = 0 puts pi in the row space of C
+    basis = helmert_basis(k)
+    for pi in (np.zeros(k), np.r_[0.5, -0.5, np.zeros(k - 2)]):
+        with pytest.raises(ContractError, match="singular"):
+            transform_matrix(basis, pi)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_transform_matrix_warns_only_when_ill_conditioned(k):
+    basis = helmert_basis(k)
+    nearly = np.r_[0.5, -0.5 + 1e-10, np.zeros(k - 2)]
+    with pytest.warns(IdentifiabilityWarning, match="ill-conditioned"):
+        t = transform_matrix(basis, nearly)
+    assert np.array_equal(t[-1], nearly)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        transform_matrix(basis, precision_prevalence(np.arange(1.0, k + 1)))
 
 
 def test_kronecker_contrast_annihilates_constants():

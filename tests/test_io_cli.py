@@ -409,13 +409,8 @@ def test_main_report_ratio_overflow_is_clean_error(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
-@pytest.mark.parametrize("factor, why", [
-    (1e200, "is out of range"),     # se ** 2 overflows in load_csv
-    (1e150, "a study covariance"),  # the BMS 2x2 determinant overflows
-    (1e-150, "per-node GLS system is numerically singular"),
-])
-def test_fit_on_extreme_scale_is_clean_error(tmp_path, capsys, factor, why):
-    # the quick-start data with every estimate and SE multiplied by ``factor``
+def write_scaled_quickstart(tmp_path, factor):
+    """The quick-start data with every estimate and SE times ``factor``."""
     data = simulate(SimScenario(n_studies=8, gamma=0.3, tau=0.1, tau_gamma=0.1,
                                 uisd=1.0, seed=0))
     rows = []
@@ -427,7 +422,28 @@ def test_fit_on_extreme_scale_is_clean_error(tmp_path, capsys, factor, why):
                         f"{sg + 0.5 - pi!r}")
     path = str(tmp_path / "scaled.csv")
     write_csv(path, rows, header="study.name,est,se,ifrac,subgroup12,ifrac2")
+    return path
+
+
+@pytest.mark.parametrize("factor, why", [
+    (1e200, "is out of range"),     # se ** 2 overflows in load_csv
+    (1e-150, "per-node GLS system is numerically singular"),
+])
+def test_fit_on_extreme_scale_is_clean_error(tmp_path, capsys, factor, why):
+    path = write_scaled_quickstart(tmp_path, factor)
     code = main(["fit", "--input", path, "--output-dir", str(tmp_path)])
     assert code == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and why in err[0]
+
+
+@pytest.mark.parametrize("factor", [1e100, 1e150])
+def test_fit_on_large_scale_returns_results(tmp_path, factor):
+    # no pair covariance is inverted as a 2x2 block, so variances near
+    # 1e300 neither overflow a determinant nor cancel
+    path = write_scaled_quickstart(tmp_path, factor)
+    assert main(["fit", "--input", path, "--output-dir", str(tmp_path)]) == EXIT_OK
+    for estimator in ("cams", "bim", "bms", "overall"):
+        blob = json.load(open(tmp_path / f"fit_{estimator}.json"))
+        values = [v for s in blob["summaries"].values() for v in s.values()]
+        assert values and all(math.isfinite(v) for v in values), estimator
