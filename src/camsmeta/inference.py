@@ -17,11 +17,12 @@ half-normal-prior-times-likelihood node weights. Everything downstream
 (quantiles, tail probabilities, reporting functionals) is CDF arithmetic on
 that mixture, accumulated in a fixed node order for bit reproducibility.
 
-Each block of observations contributes GLS statistics on its own node
-lattice; statistics of independent blocks add before one shared solve. A
-(y_A, y_B) pair is its contrast plus its mean given the contrast
-(``_pair_stats``); at the information fraction these decouple, so CAMS is
-a contrast block on the tau_gamma axis plus a mean block on the tau axis.
+Every fit is a sum of independent scalar observations, in blocks whose GLS
+statistics (``_scalar_stats``) add before one shared solve; no node inverts
+a covariance block. A (y_A, y_B) pair is its contrast plus its mean given
+the contrast (``_pair_blocks``); at the information fraction these
+decouple, so CAMS is a contrast block on the tau_gamma axis plus a mean
+block on the tau axis. ``fit_bim_k`` splits K-level contrasts likewise.
 
 Location priors are flat by default; a flat prior requires at least as many
 studies as fixed effects. Proper normal priors lift that requirement and are
@@ -76,8 +77,9 @@ class PriorSpec:
     location_prior: tuple = ()
 
     def __post_init__(self) -> None:
-        if not (self.tau_scale > 0) or not (self.tau_gamma_scale > 0):
-            raise DomainError("prior scales must be positive")
+        scales = (self.tau_scale, self.tau_gamma_scale)
+        if not all(0 < s < math.inf for s in scales):
+            raise DomainError(f"prior scales must be positive and finite, got {scales}")
         entries = tuple((str(n), float(m), float(s)) for n, m, s in self.location_prior)
         for name, _, sd in entries:
             if not (sd > 0):
@@ -113,6 +115,10 @@ class GridSpec:
                 raise ContractError(f"{label} must start at 0")
             if np.any(np.diff(nodes) <= 0):
                 raise ContractError(f"{label} must be strictly increasing")
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.isfinite(nodes ** 2).all():
+                    raise DomainError(f"{label} must be finite with a finite "
+                                      f"square, got {nodes[-1]:g}")
         if self.quantile_resolution < 16:
             raise ContractError("quantile_resolution must be at least 16")
 
@@ -121,9 +127,9 @@ class GridSpec:
              min_frac: float = 1e-3) -> np.ndarray:
         if n_nodes < 1:
             raise ContractError("need at least one node")
-        if not (prior_scale > 0) or not (span > 0):
+        if not (0 < prior_scale < math.inf) or not (0 < span < math.inf):
             raise DomainError(
-                f"prior scale and span must be positive, got "
+                f"grid prior scale and span must be positive and finite, got "
                 f"({prior_scale}, {span})")
         hi = span * prior_scale
         if n_nodes == 1:
@@ -345,24 +351,6 @@ def _axis_log_prior(nodes: np.ndarray, scale: float, in_use: bool) -> np.ndarray
     return _halfnormal_logpdf(nodes, scale) + _quad_log_weights(nodes)
 
 
-def _batched_inv_logdet(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse and log determinant of stacked SPD blocks (..., b, b); a
-    DomainError when either is not finite in float64."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if v.shape[-1] == 1:
-            inv, logdet = 1.0 / v, np.log(v[..., 0, 0])
-        else:
-            sign, logdet = np.linalg.slogdet(v)
-            if np.any(sign <= 0):
-                raise ContractError("covariance block is not positive definite")
-            inv = np.linalg.inv(v)
-    if not (np.isfinite(logdet).all() and np.isfinite(inv).all()):
-        raise DomainError(
-            "a study covariance overflows or underflows float64 when "
-            "inverted; are the standard errors on an extreme scale?")
-    return inv, logdet
-
-
 def _check_flat_prior_rule(priors: PriorSpec, param_names: tuple,
                            n_studies: int, min_studies: int) -> None:
     proper = set(priors.location_map())
@@ -373,57 +361,58 @@ def _check_flat_prior_rule(priors: PriorSpec, param_names: tuple,
             f"proper location priors or more data")
 
 
-def _gls_stats(y: np.ndarray, x: np.ndarray, v: np.ndarray):
-    """(X'V^-1 X, X'V^-1 y, y'V^-1 y, sum_j log|V_j|) per node for study
-    blocks y (..., J, b), x (..., J, b, p) and covariances v (T, G, J, b, b);
-    leading axes broadcast against the (T, G) lattice and may be singletons."""
-    vinv, logdet = _batched_inv_logdet(v)
-    return (np.einsum("...jbp,...jbc,...jcq->...pq", x, vinv, x, optimize=True),
-            np.einsum("...jbp,...jbc,...jc->...p", x, vinv, y, optimize=True),
-            np.einsum("...jb,...jbc,...jc->...", y, vinv, y, optimize=True),
-            logdet.sum(axis=-1))
-
-
 def _scalar_stats(y: np.ndarray, x: np.ndarray, var: np.ndarray,
                   het2: np.ndarray):
-    """``_gls_stats`` of one observation per study: y (..., J), design rows
-    x (..., J, p), variance var (..., J) plus the heterogeneity het2 (T, G)."""
-    v = (var + het2[..., None])[..., None, None]
-    return _gls_stats(y[..., None], x[..., None, :], v)
+    """(X'WX, X'Wy, y'Wy, sum log V) per node of one block of independent
+    scalar observations: y (..., n), design rows x (..., n, p), sampling
+    variance var (..., n) plus the heterogeneity het2 (T, G), so V = var +
+    het2 and W = 1/V. Leading axes broadcast against the (T, G) lattice and
+    may be singletons. A DomainError when W or log V is not finite."""
+    v = var + het2[..., None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w, log_v = 1.0 / v, np.log(v)
+    if not (np.isfinite(w).all() and np.isfinite(log_v).all()):
+        raise DomainError(
+            "a study covariance overflows or underflows float64 when "
+            "inverted; are the standard errors on an extreme scale?")
+    return (np.einsum("...jp,...j,...jq->...pq", x, w, x, optimize=True),
+            np.einsum("...jp,...j,...j->...p", x, w, y, optimize=True),
+            np.einsum("...j,...j,...j->...", y, w, y, optimize=True),
+            log_v.sum(axis=-1))
 
 
-def _pair_stats(ya, yb, va, vb, pi, x, taus, tg):
-    """``_gls_stats`` of one (y_A, y_B) pair per study with design rows x
-    (J, 2, p) and covariance ``model_core.cams_covariance`` at weighting pi,
-    on the (taus, tg) lattice. In (g, m) coordinates (unit Jacobian) tau_gamma
-    loads on g, tau on m, and only c = Cov(g, m) couples them: a pair is its
-    contrast (variance v_g = var_g + tau_gamma^2) plus its mean given g, with
-    k = c / v_g, response m - k g, design x_m - k x_g and variance tau^2 +
-    (var_a var_b + var_m tau_gamma^2) / v_g, which cannot cancel or overflow.
-    """
+def _pair_blocks(ya, yb, va, vb, pi, x, taus, tg) -> list:
+    """Two scalar blocks from one (y_A, y_B) pair per study with design rows
+    x (J, 2, p) and covariance ``model_core.cams_covariance`` at weighting
+    pi, on the (taus, tg) lattice. In (g, m) coordinates (unit Jacobian)
+    tau_gamma loads on g, tau on m, and only c = Cov(g, m) couples them: a
+    pair is its contrast (variance v_g = var_g + tau_gamma^2) plus its mean
+    given g, with k = c / v_g, response m - k g, design x_m - k x_g and
+    variance tau^2 + (var_a var_b + var_m tau_gamma^2) / v_g, which cannot
+    cancel or overflow."""
     g, m, var_g, var_m, c = decompose_arrays(ya, yb, va, vb, pi)
     x_g = x[:, 1] - x[:, 0]
     tg2 = (tg ** 2)[:, None]
     v_g = var_g + tg2
     k = c / v_g
-    contrast = _scalar_stats(g, x_g, var_g, tg2.T)
-    mean = _scalar_stats(m - k * g, x[:, 0] + (pi - k)[..., None] * x_g,
-                         va * (vb / v_g) + var_m * (tg2 / v_g),
-                         (taus ** 2)[:, None])
-    return tuple(a + b for a, b in zip(contrast, mean))
+    return [(g, x_g, var_g, tg2.T),
+            (m - k * g, x[:, 0] + (pi - k)[..., None] * x_g,
+             va * (vb / v_g) + var_m * (tg2 / v_g), (taus ** 2)[:, None])]
 
 
-def _solve_grid(stats, design: np.ndarray, param_names: tuple,
-                priors: PriorSpec, tau_nodes: np.ndarray, tg_nodes: np.ndarray,
+def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
+                tau_nodes: np.ndarray, tg_nodes: np.ndarray,
                 scale_names: tuple) -> PosteriorGrid:
-    """Posterior grid from (summed) ``_gls_stats``: per-node GLS with
-    optional normal location priors, then half-normal priors on the axes in
-    ``scale_names``. ``design`` holds the rows (last axis p) of every
-    observation behind the statistics, for the rank and the constant.
+    """Posterior grid from blocks (y, x, var, het2) of scalar observations
+    (``_scalar_stats``): summed statistics, per-node GLS with optional normal
+    location priors, then half-normal priors on the axes in ``scale_names``.
+    Design rows vary across nodes at most by an invertible row operation
+    (``_pair_blocks``), so those at the first node give the rank.
     """
-    a, bvec, quad, logdet_sum = stats
+    a, bvec, quad, logdet_sum = map(sum, zip(*(_scalar_stats(*block)
+                                               for block in blocks)))
     p = len(param_names)
-    stacked = design.reshape(-1, p)
+    stacked = np.concatenate([x[(0,) * (x.ndim - 2)] for _, x, _, _ in blocks])
     loc = priors.location_map()
     prior_prec = np.zeros(p)
     prior_mean = np.zeros(p)
@@ -580,9 +569,8 @@ def fit_bim(data: MetaDataset, priors: PriorSpec | None = None,
     param_names = ("gamma",)
     _check_flat_prior_rule(priors, param_names, g.size, 1)
     tg = grid.tau_gamma_nodes
-    x = np.ones((g.size, 1))
-    posterior = _solve_grid(_scalar_stats(g, x, var_g, (tg ** 2)[None, :]), x,
-                            param_names, priors, np.array([0.0]), tg,
+    blocks = [(g, np.ones((g.size, 1)), var_g, (tg ** 2)[None, :])]
+    posterior = _solve_grid(blocks, param_names, priors, np.array([0.0]), tg,
                             ("tau_gamma",))
     return _assemble("BIM", data, priors, grid, posterior,
                      {"gamma": np.array([1.0])}, {})
@@ -601,9 +589,8 @@ def fit_overall(data: MetaDataset, priors: PriorSpec | None = None,
     param_names = ("mu",)
     _check_flat_prior_rule(priors, param_names, m.size, 1)
     taus = grid.tau_nodes
-    x = np.ones((m.size, 1))
-    posterior = _solve_grid(_scalar_stats(m, x, var_m, (taus ** 2)[:, None]),
-                            x, param_names, priors, taus, np.array([0.0]),
+    blocks = [(m, np.ones((m.size, 1)), var_m, (taus ** 2)[:, None])]
+    posterior = _solve_grid(blocks, param_names, priors, taus, np.array([0.0]),
                             ("tau",))
     return _assemble("OVERALL", data, priors, grid, posterior,
                      {"mu": np.array([1.0])}, {})
@@ -617,8 +604,9 @@ def fit_bms(data: MetaDataset, priors: PriorSpec | None = None,
     Per study the mean is (alpha - gamma/2, alpha + gamma/2) and the
     covariance adds +/- tau_gamma^2/4 to the sampling covariance. The model
     carries no intercept heterogeneity by default; ``alpha_heterogeneity``
-    adds a tau^2 term on all entries and a second grid axis. The pairs are
-    fitted by ``_pair_stats`` at pi = 0.5."""
+    adds a tau^2 term on all entries and a second grid axis. Each pair is
+    two scalar observations, its contrast and its mean given the contrast
+    (``_pair_blocks`` at pi = 0.5)."""
     priors = priors if priors is not None else PriorSpec()
     grid = grid if grid is not None else GridSpec.default(priors)
     arrays = subgroup_arrays(data, 0.5)
@@ -629,8 +617,8 @@ def fit_bms(data: MetaDataset, priors: PriorSpec | None = None,
     taus = grid.tau_nodes if alpha_heterogeneity else np.array([0.0])
     x = np.broadcast_to(np.array([[1.0, -0.5], [1.0, 0.5]]), (j, 2, 2))
     scale_names = ("tau", "tau_gamma") if alpha_heterogeneity else ("tau_gamma",)
-    posterior = _solve_grid(_pair_stats(*arrays, x, taus, tg), x,
-                            param_names, priors, taus, tg, scale_names)
+    posterior = _solve_grid(_pair_blocks(*arrays, x, taus, tg), param_names,
+                            priors, taus, tg, scale_names)
     functionals = {
         "alpha": np.array([1.0, 0.0]),
         "gamma": np.array([0.0, 1.0]),
@@ -678,11 +666,10 @@ def fit_cams(data: MetaDataset, priors: PriorSpec | None = None,
     x_m = np.stack([np.ones(j), pi, gamma_in_mean], axis=1)
     taus = grid.tau_nodes
     tg = grid.tau_gamma_nodes
-    contrast = _scalar_stats(g, x_g, var_g, (tg ** 2)[None, :])
-    mean = _scalar_stats(m, x_m, var_m, (taus ** 2)[:, None])
-    stats = tuple(c + mm for c, mm in zip(contrast, mean))
-    posterior = _solve_grid(stats, np.stack([x_g, x_m], axis=1), param_names,
-                            priors, taus, tg, ("tau", "tau_gamma"))
+    blocks = [(g, x_g, var_g, (tg ** 2)[None, :]),
+              (m, x_m, var_m, (taus ** 2)[:, None])]
+    posterior = _solve_grid(blocks, param_names, priors, taus, tg,
+                            ("tau", "tau_gamma"))
     return _assemble("CAMS", data, priors, grid, posterior, functionals,
                      {"parametrization": parametrization})
 
@@ -693,9 +680,11 @@ def fit_bim_k(data: MetaDataset, basis: ContrastBasis,
     """Multivariate contrast pooling for K subgroup levels.
 
     Per study the contrast vector g_j = C y_j is Normal(C B gamma,
-    C S_j C' + tau^2 (C B)(C B)'). With the pseudo-inverse pairing C B = I
-    this is the K-level analogue of the univariate contrast model and reduces
-    to it exactly at K = 2.
+    C S_j C' + tau^2 (C B)(C B)'). Through L = (C B)^-1 C it is L y_j ~
+    N(gamma, A_j + tau^2 I), A_j = L S_j L' = U_j diag(lambda_j) U_j', so
+    q independent scalar observations U_j' L y_j ~ N(U_j' gamma, lambda_j +
+    tau^2) (log weights drop the constant J log|det C B|). At K = 2 this is
+    the univariate contrast model exactly.
     """
     priors = priors if priors is not None else PriorSpec()
     grid = grid if grid is not None else GridSpec.default(priors)
@@ -707,20 +696,19 @@ def fit_bim_k(data: MetaDataset, basis: ContrastBasis,
             raise ContractError(
                 f"study {s.study_id} has {s.k} subgroups, basis expects {k}")
     q = k - 1
-    c = basis.matrix_c
-    cb = c @ basis.basis_b
     j = len(data.studies)
     param_names = tuple(f"gamma_{i + 1}" for i in range(q))
     # each study contributes q contrast observations
     _check_flat_prior_rule(priors, param_names, j * q, q)
-    g = np.stack([c @ s.estimates for s in data.studies])
-    base = np.stack([c @ np.diag(s.cov_diag) @ c.T for s in data.studies])
-    het = cb @ cb.T
-    taus = grid.tau_nodes
-    v = base[None, None] + (taus ** 2)[:, None, None, None, None] * het
-    x = np.broadcast_to(cb, (j, q, q)).copy()
-    posterior = _solve_grid(_gls_stats(g, x, v), x, param_names, priors,
-                            taus, np.array([0.0]), ("tau",))
+    lmap = np.linalg.solve(basis.matrix_c @ basis.basis_b, basis.matrix_c)
+    var = np.stack([s.cov_diag for s in data.studies])
+    lam, u = np.linalg.eigh(np.einsum("ik,jk,lk->jil", lmap, var, lmap))
+    h = np.stack([s.estimates for s in data.studies]) @ lmap.T
+    blocks = [(np.einsum("jik,ji->jk", u, h).ravel(),
+               u.transpose(0, 2, 1).reshape(j * q, q), lam.ravel(),
+               (grid.tau_nodes ** 2)[:, None])]
+    posterior = _solve_grid(blocks, param_names, priors, grid.tau_nodes,
+                            np.array([0.0]), ("tau",))
     functionals = {name: np.eye(q)[i] for i, name in enumerate(param_names)}
     return _assemble("BIM_K", data, priors, grid, posterior, functionals,
                      {"k": k})
@@ -793,9 +781,17 @@ def joint_loglikelihood(data: MetaDataset, alpha: float, delta: float,
     mean_a = alpha + delta * p
     resid = np.stack([ya - mean_a, yb - mean_a - gamma], axis=1)
     v = cams_covariance(va, vb, p, het.tau, het.tau_gamma)
-    vinv, logdet = _batched_inv_logdet(v)
-    quad = np.einsum("jb,jbc,jc->j", resid, vinv, resid)
-    return float(-0.5 * (2.0 * _LOG_2PI * p.size + logdet.sum() + quad.sum()))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sign, logdet = np.linalg.slogdet(v)
+        total = math.nan  # solve would raise on a singular (sign 0) block
+        if np.all(sign > 0):
+            z = np.linalg.solve(v, resid[..., None])[..., 0]
+            total = -0.5 * float(2.0 * _LOG_2PI * p.size + logdet.sum()
+                                 + np.sum(resid * z))
+    if not math.isfinite(total):
+        raise DomainError("the joint log likelihood is not finite in float64; "
+                          "are the standard errors on an extreme scale?")
+    return total
 
 
 def _block_z(data: MetaDataset, alpha: float, delta: float, gamma: float,

@@ -25,7 +25,7 @@ from .contrasts import (helmert_basis, kronecker_contrast, per_arm_prevalence,
                         precision_prevalence)
 from .errors import ContractError, DomainError, IdentifiabilityWarning
 from .inference import (GridSpec, PosteriorGrid, PriorSpec, _grid_mixture,
-                        _pair_stats, _solve_grid, fit_bim, fit_cams)
+                        _pair_blocks, _solve_grid, fit_bim, fit_cams)
 from .model_core import (MetaDataset, MultiStudyRecord, StudyRecord,
                          SubgroupObservation, subgroup_arrays)
 from .reporting import PrevalenceSpec, bayes_risk
@@ -216,7 +216,8 @@ def leverage_scenario(seed: int = 0, n_studies: int = 8) -> SimScenario:
 def cams_oracle(data: MetaDataset, pi, priors: PriorSpec, grid: GridSpec,
                 parametrization: str = "explicit") -> PosteriorGrid:
     """Reference for ``fit_cams``: the joint GLS of the (y_A, y_B) pairs on
-    the full (tau, tau_gamma) lattice, Cov(g, m) kept (``_pair_stats``).
+    the full (tau, tau_gamma) lattice, Cov(g, m) kept: each pair is two
+    scalar observations, its contrast and its mean given it (``_pair_blocks``).
     ``pi`` (scalar or per study, in [0, 1]) sets the slope regressor and the
     interaction loading; at the information fractions the grid equals
     ``fit_cams(...).grid`` to rounding. No summaries are computed.
@@ -233,7 +234,7 @@ def cams_oracle(data: MetaDataset, pi, priors: PriorSpec, grid: GridSpec,
         raise ContractError(f"unknown parametrization {parametrization!r}")
     x = np.stack([np.stack(r, axis=1) for r in rows], axis=1)
     taus, tg = grid.tau_nodes, grid.tau_gamma_nodes
-    return _solve_grid(_pair_stats(ya, yb, va, vb, p, x, taus, tg), x,
+    return _solve_grid(_pair_blocks(ya, yb, va, vb, p, x, taus, tg),
                        param_names, priors, taus, tg, ("tau", "tau_gamma"))
 
 

@@ -10,18 +10,19 @@ from scipy import stats
 from camsmeta.errors import (CamsmetaError, CamsmetaWarning, ContractError,
                              DomainError, GridEdgeWarning,
                              IdentifiabilityWarning)
-from camsmeta.gaussmix import GaussianMixture1D
+from camsmeta.gaussmix import QUANTILE_TOL, GaussianMixture1D
 from camsmeta.inference import (COLLAPSE_TOL, ESTIMATORS, GridSpec,
                                 PosteriorGrid, PriorSpec,
-                                _functional_moments, _gls_stats, _grid_mixture,
-                                _pair_stats, _summaries,
+                                _functional_moments, _grid_mixture,
+                                _pair_blocks, _scalar_stats, _summaries,
                                 cross_term_correction, ecological_evidence,
                                 factorization_residual,
                                 factorized_loglikelihood, fit_bim, fit_bim_k,
                                 fit_bms, fit_cams, fit_overall,
                                 interaction_trace, joint_loglikelihood,
                                 tail_probability)
-from camsmeta.contrasts import helmert_basis
+from camsmeta.contrasts import (ContrastBasis, helmert_basis,
+                                precision_prevalence)
 from camsmeta.model_core import (CovarianceStructure, MetaDataset,
                                  MultiStudyRecord, StudyRecord,
                                  SubgroupObservation, cams_covariance)
@@ -65,11 +66,22 @@ def test_grid_axis_shape():
     assert nodes[-1] == pytest.approx(2.5)
     with pytest.raises(DomainError):
         GridSpec.axis(-1.0)
+    with pytest.raises(DomainError):
+        GridSpec.axis(np.inf)
+
+
+@pytest.mark.parametrize("top", [np.inf, np.nan, 1e200])
+def test_grid_rejects_nodes_whose_square_is_not_finite(top):
+    with pytest.raises(DomainError, match="tau_gamma_nodes must be finite"):
+        GridSpec(np.array([0.0, 1.0]), np.array([0.0, 1.0, top]))
 
 
 def test_prior_spec_validation():
     with pytest.raises(DomainError):
         PriorSpec(tau_scale=0.0)
+    for scale in (np.inf, np.nan):
+        with pytest.raises(DomainError, match="prior scales"):
+            PriorSpec(tau_gamma_scale=scale)
     with pytest.raises(ContractError):
         PriorSpec(location_prior=(("gamma", 0, 1), ("gamma", 0, 2)))
     p = PriorSpec(location_prior=(("gamma", 0.0, 1.0),))
@@ -351,6 +363,17 @@ def test_cams_matches_joint_oracle(seed, n_studies, parametrization, n_nodes,
                                                        abs=1e-9), (name, part)
 
 
+def block_gls_stats(y, x, v):
+    """Raw-coordinate GLS statistics (X'V^-1 X, X'V^-1 y, y'V^-1 y, sum
+    log|V|) of study blocks y (J, b), x (J, b, p) with covariances v
+    (T, G, J, b, b): every block inverted at every node."""
+    vinv = np.linalg.inv(v)
+    return (np.einsum("jbp,tgjbc,jcq->tgpq", x, vinv, x),
+            np.einsum("jbp,tgjbc,jc->tgp", x, vinv, y),
+            np.einsum("jb,tgjbc,jc->tg", y, vinv, y),
+            np.linalg.slogdet(v)[1].sum(axis=-1))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_pair_stats_match_the_raw_coordinate_solve(seed):
     # the reference inverts every study's 2x2 cams_covariance at every node
@@ -362,14 +385,15 @@ def test_pair_stats_match_the_raw_coordinate_solve(seed):
     x = rng.normal(0.0, 1.0, (j, 2, 3))
     taus = np.array([0.0, 0.05, 0.3, 1.5])
     tg = np.array([0.0, 0.02, 0.4])
-    got = _pair_stats(ya, yb, va, vb, pi, x, taus, tg)
-    want = _gls_stats(np.stack([ya, yb], 1), x,
-                      cams_covariance(va, vb, pi, taus[:, None, None],
-                                      tg[None, :, None]))
-    for a, b in zip(got, want):
-        assert a.shape == b.shape
-        np.testing.assert_allclose(a, b, rtol=1e-9,
-                                   atol=1e-9 * np.abs(b).max())
+    contrast, mean = (_scalar_stats(*block)
+                      for block in _pair_blocks(ya, yb, va, vb, pi, x, taus, tg))
+    want = block_gls_stats(np.stack([ya, yb], 1), x,
+                           cams_covariance(va, vb, pi, taus[:, None, None],
+                                           tg[None, :, None]))
+    for a, b, c in zip(contrast, mean, want):
+        assert (a + b).shape == c.shape
+        np.testing.assert_allclose(a + b, c, rtol=1e-9,
+                                   atol=1e-9 * np.abs(c).max())
 
 
 def test_cams_working_set_stays_one_dimensional():
@@ -557,6 +581,65 @@ def test_bim_k_matches_bim_at_k2():
     assert sk.upper == sb.upper
 
 
+def multi_dataset(k, seed, n=6):
+    rng = np.random.default_rng(seed)
+    studies = []
+    for i in range(n):
+        var = rng.uniform(0.01, 0.2, k)
+        studies.append(MultiStudyRecord(f"M{i + 1}", rng.normal(0.0, 0.5, k),
+                                        var, precision_prevalence(var)))
+    return MetaDataset(tuple(studies))
+
+
+def bim_k_basis(k, kind):
+    """Helmert contrasts, their basis columns rescaled (C B diagonal, not
+    I), or rescaled and mixed (C B upper triangular)."""
+    helmert = helmert_basis(k)
+    r = np.eye(k - 1)
+    if kind != "helmert":
+        r = np.diag(np.linspace(0.5, 2.0, k - 1))
+    if kind == "mixed":
+        r = r + np.triu(np.full((k - 1, k - 1), 0.3), 1)
+    return ContrastBasis(helmert.matrix_c, helmert.basis_b @ r, k)
+
+
+def bim_k_reference(data, basis, priors, taus):
+    """Node weights and conditional moments of the K-level contrast model,
+    solving every study's q x q covariance C S_j C' + tau^2 (C B)(C B)' as
+    a block at every tau node."""
+    c = basis.matrix_c
+    cb = c @ basis.basis_b
+    y = np.stack([c @ s.estimates for s in data.studies])
+    sampling = np.stack([c @ np.diag(s.cov_diag) @ c.T for s in data.studies])
+    v = sampling[None, None] + (taus ** 2)[:, None, None, None, None] * (cb @ cb.T)
+    x = np.broadcast_to(cb, (len(data.studies),) + cb.shape)
+    a, b, quad, logdet = block_gls_stats(y, x, v)
+    cov = np.linalg.inv(a)
+    mean = np.einsum("tgpq,tgq->tgp", cov, b)
+    fit_quad = np.einsum("tgp,tgp->tg", b, mean)
+    padded = np.concatenate([taus[:1], taus, taus[-1:]])
+    log_prior = (stats.halfnorm.logpdf(taus, scale=priors.tau_scale)
+                 + np.log(0.5 * (padded[2:] - padded[:-2])))
+    log_w = (-0.5 * (logdet + quad - fit_quad + np.linalg.slogdet(a)[1])
+             + log_prior[:, None])
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum(), mean, cov
+
+
+@pytest.mark.parametrize("kind", ["helmert", "rescaled", "mixed"])
+@pytest.mark.parametrize("k", [3, 5])
+def test_bim_k_matches_the_block_solve(k, kind):
+    data = multi_dataset(k, seed=10 + k)
+    basis = bim_k_basis(k, kind)
+    priors = PriorSpec(tau_scale=0.3)
+    taus = GridSpec.axis(priors.tau_scale, 21)
+    fit = fit_bim_k(data, basis, priors, GridSpec(taus, np.array([0.0])))
+    weight, mean, cov = bim_k_reference(data, basis, priors, taus)
+    np.testing.assert_allclose(fit.grid.weight, weight, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fit.grid.cond_mean, mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fit.grid.cond_cov, cov, rtol=0, atol=1e-12)
+
+
 def test_bim_k_rejects_two_subgroup_dataset():
     data = make_dataset(seed=21)
     with pytest.raises(ContractError):
@@ -647,6 +730,56 @@ def test_label_swap_and_common_shift(case, arrays, n_nodes, shift):
                                  shift=shift, tail=False)
         else:
             assert_summary_close(shifted.summaries[name], base.summaries[name])
+
+
+EQUIVARIANCE_FITS = {
+    "bim": fit_bim,
+    "bms": fit_bms,
+    "cams_explicit": fit_cams,
+    "cams_implicit": lambda data, priors, grid: fit_cams(data, priors, grid,
+                                                         "implicit"),
+    "overall": fit_overall,
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVARIANCE_FITS))
+@settings(max_examples=200, deadline=None)
+@given(arrays=pair_arrays(), n_nodes=st.integers(1, 21),
+       power=st.integers(-8, 8))
+def test_scale_equivariance(case, arrays, n_nodes, power):
+    # estimates, SEs and both prior scales (hence the grid nodes) times c:
+    # every location and scale summary scales by c, the weights stay put
+    fit = EQUIVARIANCE_FITS[case]
+    est, se = arrays
+    c = 2.0 ** power
+    priors = PriorSpec()
+    scaled_priors = PriorSpec(c * priors.tau_scale, c * priors.tau_gamma_scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CamsmetaWarning)
+        base = fit(pair_dataset(est, se), priors,
+                   GridSpec.default(priors, n_nodes=n_nodes))
+        scaled = fit(pair_dataset(c * est, c * se), scaled_priors,
+                     GridSpec.default(scaled_priors, n_nodes=n_nodes))
+    assert np.max(np.abs(scaled.grid.weight - base.grid.weight)) <= 1e-12
+    tol = 2.0 * QUANTILE_TOL * (1.0 + c)
+    for name, want in base.summaries.items():
+        got = scaled.summaries[name]
+        for part in ("median", "lower", "upper"):
+            assert abs(getattr(got, part) - c * getattr(want, part)) <= tol, (
+                name, part)
+        assert abs(got.p_positive - want.p_positive) <= 1e-12, name
+
+
+@pytest.mark.parametrize("fit", [fit_bim, fit_bms, fit_cams, fit_overall],
+                         ids=lambda f: f.__name__)
+def test_subnormal_variances_are_a_clean_domain_error(fit):
+    # SEs near 1e-161 square to subnormal variances: 1 / var overflows
+    rng = np.random.default_rng(4)
+    est = rng.normal(0.0, 1.0, (5, 2))
+    se = rng.uniform(0.05, 0.3, (5, 2)) * 1e-160
+    with pytest.raises(DomainError, match="overflows or underflows") as info:
+        fit(pair_dataset(est, se))
+    assert info.traceback[-1].name == "_scalar_stats"
 
 
 def fuzz_datasets(n=80, seed=2):

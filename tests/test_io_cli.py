@@ -437,6 +437,25 @@ def test_fit_on_extreme_scale_is_clean_error(tmp_path, capsys, factor, why):
     assert len(err) == 1 and err[0].startswith("error:") and why in err[0]
 
 
+@pytest.mark.parametrize("flag, value, why", [
+    ("--tau-prior", "inf", "prior scales must be positive and finite"),
+    ("--tau-gamma-prior", "inf", "prior scales must be positive and finite"),
+    ("--tau-prior", "1e300", "tau_nodes must be finite with a finite square"),
+    ("--tau-gamma-prior", "1e300",
+     "tau_gamma_nodes must be finite with a finite square"),
+])
+def test_fit_on_extreme_prior_scale_is_clean_error(tmp_path, capsys, flag,
+                                                   value, why):
+    # an infinite scale or a grid whose squared nodes overflow is refused
+    # before any numpy warning can leak
+    path = write_scaled_quickstart(tmp_path, 1.0)
+    code = main(["fit", "--input", path, "--output-dir", str(tmp_path),
+                 flag, value])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and why in err[0]
+
+
 @pytest.mark.parametrize("factor", [1e100, 1e150])
 def test_fit_on_large_scale_returns_results(tmp_path, factor):
     # no pair covariance is inverted as a 2x2 block, so variances near
