@@ -280,15 +280,9 @@ def _functional_moments(grid: PosteriorGrid, vecs: np.ndarray):
     return mean, np.sqrt(sd, out=sd)
 
 
-def _grid_mixture(grid: PosteriorGrid, vec: np.ndarray) -> GaussianMixture1D:
-    """Posterior mixture of the functional ``vec``, without the scale axes
-    along which its conditional law does not vary.
-
-    An axis collapses when replacing every node's component (mu, sd) by the
-    one at the first node of that axis moves the mixture CDF by at most
-    COLLAPSE_TOL in sup norm; its weights are then summed and the first
-    node's moments kept. The bound used is sum w |dmu| / sd_ref plus
-    sum w |dsd| / sd_ref, since per component
+def _cdf_shift(mean, sd, mu_ref, sd_ref) -> np.ndarray:
+    """Per-component bound on sup_x |Phi((x - mean) / sd) - Phi((x - mu_ref)
+    / sd_ref)|, elementwise: (|dmu| + |dsd|) / sd_ref, since
 
         sup |Phi((x - mu) / sd_ref) - Phi((x - mu_ref) / sd_ref)|
             <= |dmu| / (sd_ref sqrt(2 pi)),
@@ -297,10 +291,25 @@ def _grid_mixture(grid: PosteriorGrid, vec: np.ndarray) -> GaussianMixture1D:
 
     the second by the mean value theorem (sup_z |z| phi(c z) = 1 /
     (c sqrt(2 pi e))) and because two normals of one mean cross at it; it is
-    at most |dsd| / sd_ref whether sd is above or below sd_ref. A reference
-    atom (sd_ref = 0) collapses only on exact equality. The second axis is
-    checked against what the first left of the tolerance, so the collapsed
-    CDF stays within COLLAPSE_TOL of the full lattice's.
+    at most |dsd| / sd_ref whether sd is above or below sd_ref. Exact
+    equality gives 0; a reference atom (sd_ref = 0) that differs in any way
+    gives inf, so it is never called close.
+    """
+    gap = np.abs(mean - mu_ref) + np.abs(sd - sd_ref)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(gap > 0, gap / sd_ref, 0.0)
+
+
+def _grid_mixture(grid: PosteriorGrid, vec: np.ndarray) -> GaussianMixture1D:
+    """Posterior mixture of the functional ``vec``, without the scale axes
+    along which its conditional law does not vary.
+
+    An axis collapses when replacing every node's component (mu, sd) by the
+    one at the first node of that axis moves the mixture CDF by at most
+    COLLAPSE_TOL in sup norm; its weights are then summed and the first
+    node's moments kept. The bound used is sum w * ``_cdf_shift``. The
+    second axis is checked against what the first left of the tolerance, so
+    the collapsed CDF stays within COLLAPSE_TOL of the full lattice's.
     """
     mean, sd = _functional_moments(grid, vec[None, :])
     w = grid.weight
@@ -308,9 +317,7 @@ def _grid_mixture(grid: PosteriorGrid, vec: np.ndarray) -> GaussianMixture1D:
     budget = COLLAPSE_TOL
     for axis in (0, 1):
         mu_ref, sd_ref = mean.take([0], axis), sd.take([0], axis)
-        gap = np.abs(mean - mu_ref) + np.abs(sd - sd_ref)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = float(np.sum(np.where(gap > 0, w * gap / sd_ref, 0.0)))
+        bound = float(np.sum(w * _cdf_shift(mean, sd, mu_ref, sd_ref)))
         if bound <= budget:
             budget -= bound
             w = w.sum(axis=axis, keepdims=True)
@@ -648,6 +655,16 @@ def fit_cams(data: MetaDataset, priors: PriorSpec | None = None,
     """
     priors = priors if priors is not None else PriorSpec()
     grid = grid if grid is not None else GridSpec.default(priors)
+    solve_args, functionals = _cams_problem(data, priors, grid, parametrization)
+    return _assemble("CAMS", data, priors, grid, _solve_grid(*solve_args),
+                     functionals, {"parametrization": parametrization})
+
+
+def _cams_problem(data: MetaDataset, priors: PriorSpec, grid: GridSpec,
+                  parametrization: str = "explicit"):
+    """(``_solve_grid`` arguments, functionals) of ``fit_cams``: solving
+    them gives its lattice without computing any summary. The solve stays in
+    the caller so that its warnings point one frame above it."""
     if parametrization not in ("explicit", "implicit"):
         raise ContractError(f"unknown parametrization {parametrization!r}")
     ya, yb, va, vb, pi = subgroup_arrays(data)
@@ -668,10 +685,8 @@ def fit_cams(data: MetaDataset, priors: PriorSpec | None = None,
     tg = grid.tau_gamma_nodes
     blocks = [(g, x_g, var_g, (tg ** 2)[None, :]),
               (m, x_m, var_m, (taus ** 2)[:, None])]
-    posterior = _solve_grid(blocks, param_names, priors, taus, tg,
-                            ("tau", "tau_gamma"))
-    return _assemble("CAMS", data, priors, grid, posterior, functionals,
-                     {"parametrization": parametrization})
+    return ((blocks, param_names, priors, taus, tg, ("tau", "tau_gamma")),
+            functionals)
 
 
 def fit_bim_k(data: MetaDataset, basis: ContrastBasis,

@@ -282,8 +282,7 @@ _CONFIG_SCHEMA = {
 
 
 def _check_config(config) -> None:
-    if config.tau_prior <= 0 or config.tau_gamma_prior <= 0:
-        raise ContractError("prior scales must be positive")
+    _priors(config)  # PriorSpec refuses a bad prior scale up front
 
 
 def _config_from_sources(cls, config_path: str | None, overrides: dict):

@@ -75,7 +75,7 @@ class StudyRecord:
     prevalence_proxy: float | None = None
 
     def __post_init__(self) -> None:
-        recomputed = compute_if(self.obs_a.std_error, self.obs_b.std_error)
+        recomputed = _record_if(self.study_id, self.obs_a, self.obs_b)
         if abs(self.info_fraction - recomputed) > 1e-12:
             raise ContractError(
                 f"study {self.study_id}: info_fraction {self.info_fraction!r} "
@@ -92,7 +92,7 @@ class StudyRecord:
         1e-6, warning on mismatch), never adopted: the recomputed IF is what
         carries the orthogonality guarantee.
         """
-        pi = compute_if(obs_a.std_error, obs_b.std_error)
+        pi = _record_if(study_id, obs_a, obs_b)
         if reported_ifrac is not None and abs(reported_ifrac - pi) > IFRAC_MATCH_TOL:
             warnings.warn(
                 f"study {study_id}: reported ifrac {reported_ifrac} differs from "
@@ -104,6 +104,20 @@ class StudyRecord:
             if obs_a.count + obs_b.count > 0:
                 proxy = prevalence_from_counts(obs_a.count, obs_b.count)
         return cls(study_id, obs_a, obs_b, pi, proxy)
+
+
+def _record_if(study_id: str, obs_a: SubgroupObservation,
+               obs_b: SubgroupObservation) -> float:
+    """``compute_if`` after checking that both variances are positive finite
+    floats; a subnormal variance passes, the fits refuse it later."""
+    for obs in (obs_a, obs_b):
+        var = obs.std_error * obs.std_error
+        if not 0.0 < var < math.inf:
+            raise DomainError(
+                f"study {study_id}: subgroup {obs.subgroup_label} standard "
+                f"error {obs.std_error!r} squares to {var!r}, outside float64 "
+                f"range; rescale the estimates and standard errors")
+    return compute_if(obs_a.std_error, obs_b.std_error)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from camsmeta.errors import ContractError, ValidationWarning
+from camsmeta.errors import ContractError, DomainError, ValidationWarning
 from camsmeta.inference import GridSpec, PriorSpec, fit_bms, fit_cams
 from camsmeta.io_cli import (EXIT_ERROR, EXIT_OK, EXIT_VERIFY_FAIL, RunConfig,
                              load_csv, main, run, save_csv)
@@ -454,6 +454,23 @@ def test_fit_on_extreme_prior_scale_is_clean_error(tmp_path, capsys, flag,
     assert code == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and why in err[0]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("flag", ["--tau-prior", "--tau-gamma-prior"])
+@pytest.mark.parametrize("command", ["fit", "verify"])
+def test_bad_prior_scale_is_refused_up_front(tmp_path, capsys, command, flag,
+                                             value):
+    # one check, PriorSpec's, for every command and every bad value; verify
+    # never builds a prior from the flag, so the refusal comes before any work
+    code = main([command, "--input", str(tmp_path / "absent.csv"),
+                 "--output-dir", str(tmp_path), flag, value])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "prior scales must be positive and finite" in err[0]
+    with pytest.raises(DomainError, match="positive and finite"):
+        RunConfig.from_sources(None, {flag[2:].replace("-", "_"): value})
 
 
 @pytest.mark.parametrize("factor", [1e100, 1e150])

@@ -146,6 +146,23 @@ def test_from_observations_warns_on_discrepant_ifrac():
             reported_ifrac=0.9)
 
 
+@pytest.mark.parametrize("se", [1e-170, 1e170])
+def test_from_observations_rejects_variances_outside_float64(se):
+    # 1e-170 squares to 0 (the IF would divide by zero), 1e170 to inf
+    with pytest.raises(DomainError, match="study S7: subgroup B"):
+        StudyRecord.from_observations("S7", SubgroupObservation("A", 0.0, 0.2),
+                                      SubgroupObservation("B", 0.0, se))
+    with pytest.raises(DomainError, match="study S7: subgroup A"):
+        StudyRecord("S7", SubgroupObservation("A", 0.0, se),
+                    SubgroupObservation("B", 0.0, 0.2), 0.5)
+    # a subnormal square is a positive float: the record builds, and the
+    # fits refuse it when they invert it
+    tiny = StudyRecord.from_observations(
+        "S7", SubgroupObservation("A", 0.0, 1e-160),
+        SubgroupObservation("B", 0.0, 1e-160))
+    assert tiny.info_fraction == 0.5
+
+
 def test_from_observations_counts_proxy():
     s = make_study(na=30, nb=70)
     assert s.prevalence_proxy == pytest.approx(0.7)

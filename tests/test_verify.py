@@ -1,14 +1,23 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from camsmeta.errors import ContractError, DomainError, GridEdgeWarning
+from camsmeta import verify
+from camsmeta.errors import (ContractError, DomainError, GridEdgeWarning,
+                             IdentifiabilityWarning)
+from camsmeta.gaussmix import GaussianMixture1D
+from camsmeta.inference import GridSpec, PriorSpec, _grid_mixture, fit_bim
 from camsmeta.model_core import compute_if
-from camsmeta.verify import (SimScenario, check_bayes_optimum,
-                             check_equivalence, check_k_sufficiency,
-                             check_kronecker, leverage_scenario, run_battery,
-                             simulate)
+from camsmeta.verify import (TOL_GRID, SimScenario, _cdf_lattice,
+                             _cdf_witness, _mixture_gap_bound,
+                             _unbalanced_scenario, cams_oracle,
+                             check_bayes_optimum, check_equivalence,
+                             check_k_sufficiency, check_kronecker,
+                             leverage_scenario, run_battery, simulate)
 
 
 def test_simulate_deterministic():
@@ -94,11 +103,13 @@ def test_check_equivalence_passes():
     assert rep["oracle_gamma_components"] == 41
 
 
+FORCED_BREAK = SimScenario(n_studies=8, alpha=0.2, delta=2.0, gamma=0.3,
+                           tau=0.0, tau_gamma=0.0, sigma_law=("fixed", 0.12),
+                           prevalence_law=("uniform", 0.1, 0.3), seed=5)
+
+
 def test_check_equivalence_detects_forced_break():
-    sc = SimScenario(n_studies=8, alpha=0.2, delta=2.0, gamma=0.3,
-                     tau=0.0, tau_gamma=0.0, sigma_law=("fixed", 0.12),
-                     prevalence_law=("uniform", 0.1, 0.3), seed=5)
-    rep = check_equivalence(sc, force_half=True, n_nodes=41)
+    rep = check_equivalence(FORCED_BREAK, force_half=True, n_nodes=41)
     assert rep["pass"]
     assert rep["gamma_distance"] > 1e-3
     assert rep["oracle_distance"] is None
@@ -154,3 +165,108 @@ def test_default_battery_collapses_honest_checks_inside_the_grid():
     for c in equivalence:
         want = 61 * 61 if c["force_half"] else 61
         assert c["oracle_gamma_components"] == want, c["seed"]
+
+
+def dense_gap(mix_a, mix_b):
+    """max |F_a - F_b| over every point of the witness's lattice."""
+    xs = _cdf_lattice(mix_a, mix_b)
+    return float(np.max(np.abs(mix_a.cdf(xs) - mix_b.cdf(xs))))
+
+
+@st.composite
+def matched_mixtures(draw):
+    """A reference mixture over G nodes and a perturbation of it over a
+    (T, G) lattice: each node's weight split over T rows and perturbed, its
+    mean and SD perturbed, each perturbation 0 or 10^U(-8, 0) in size."""
+    g, t = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: 10 ** e))
+    eps_w, eps_mu, eps_sd = draw(size), draw(size), draw(size)
+    w_ref = rng.dirichlet(np.ones(g))
+    mu_ref = rng.normal(0.0, 1.0, g)
+    sd_ref = rng.uniform(0.05, 1.0, g)
+    if draw(st.booleans()):
+        sd_ref[0] = 0.0  # an atom, matched by atoms
+    w = w_ref * rng.dirichlet(np.ones(t), size=g).T
+    w *= 1.0 + eps_w * rng.uniform(-1.0, 1.0, (t, g))
+    w /= w.sum()
+    mu = mu_ref + eps_mu * rng.normal(0.0, 1.0, (t, g))
+    sd = sd_ref * np.exp(eps_sd * rng.normal(0.0, 1.0, (t, g)))
+    return (w_ref, mu_ref, sd_ref), (w, mu, sd)
+
+
+@settings(max_examples=250, deadline=None)
+@given(pair=matched_mixtures())
+def test_gap_bound_and_witness_bracket_the_lattice_max(pair):
+    ref, lattice = pair
+    mix_ref = GaussianMixture1D(*ref)
+    mix = GaussianMixture1D(*(a.ravel() for a in lattice))
+    dense = dense_gap(mix_ref, mix)
+    assert _cdf_witness(mix_ref, mix) <= dense
+    # the slack covers the CDF sums' own rounding, a few ulps per component
+    assert dense <= _mixture_gap_bound(*ref, *lattice) + 1e-14
+
+
+@pytest.mark.parametrize("scenario, n_nodes", [
+    *[(_unbalanced_scenario(20240 + 1000 + i), 61) for i in range(5)],
+    (FORCED_BREAK, 41),
+], ids=[*(f"battery{i}" for i in range(5)), "forced_break"])
+def test_force_half_witness_is_the_lattice_max(scenario, n_nodes):
+    # the battery's five force-half scenarios at its default base seed, and
+    # the forced-break test's
+    data = simulate(scenario)
+    grid = GridSpec.default(PriorSpec(), n_nodes=n_nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IdentifiabilityWarning)
+        forced = cams_oracle(data, 0.5, PriorSpec(), grid)
+    bim = fit_bim(data, PriorSpec(), grid).functional_mixture("gamma")
+    oracle = _grid_mixture(forced, np.array([0.0, 0.0, 1.0]))
+    assert _cdf_witness(bim, oracle) == dense_gap(bim, oracle)
+
+
+def move_weight(grid):
+    """1e-3 of weight from the heaviest lattice node to its tau_gamma
+    neighbour."""
+    t, g = np.unravel_index(np.argmax(grid.weight), grid.weight.shape)
+    w = grid.weight.copy()
+    w[t, g] -= 1e-3
+    w[t, g + 1 if g + 1 < w.shape[1] else g - 1] += 1e-3
+    return dataclasses.replace(grid, weight=w)
+
+
+def shift_mean(grid):
+    """The gamma conditional mean at the heaviest tau_gamma node, moved by
+    1e-3 of its conditional SD at every tau node."""
+    g = int(np.argmax(grid.weight.sum(axis=0)))
+    assert grid.weight[:, g].sum() > 0.3  # so the move exceeds 3 * TOL_GRID
+    mean = grid.cond_mean.copy()
+    mean[:, g, 2] += 1e-3 * np.sqrt(grid.cond_cov[:, g, 2, 2])
+    return dataclasses.replace(grid, cond_mean=mean)
+
+
+@pytest.mark.parametrize("breakage", [move_weight, shift_mean])
+def test_gamma_bound_fails_a_broken_honest_oracle(monkeypatch, breakage):
+    sc = SimScenario(n_studies=7, alpha=0.2, delta=0.8, gamma=0.3,
+                     tau=0.15, tau_gamma=0.12, seed=4)
+    assert check_equivalence(sc, n_nodes=11)["pass"]
+    oracle = verify.cams_oracle
+    monkeypatch.setattr(verify, "cams_oracle",
+                        lambda *args: breakage(oracle(*args)))
+    rep = check_equivalence(sc, n_nodes=11)
+    assert not rep["pass"]
+    assert rep["gamma_distance"] > TOL_GRID
+
+
+def test_battery_cdf_cells_stay_few(monkeypatch):
+    # CDF points x mixture components: 3.5 M here, ~39 M with the dense
+    # force-half grid; one dense 2001-point force-half check adds 7.6 M
+    cells = []
+    cdf = GaussianMixture1D.cdf
+
+    def counted(mix, x):
+        cells.append(np.size(x) * mix.weights.size)
+        return cdf(mix, x)
+
+    monkeypatch.setattr(GaussianMixture1D, "cdf", counted)
+    assert run_battery(seeds=6, n_nodes=61)["all_pass"]
+    assert sum(cells) < 8_000_000
