@@ -41,19 +41,16 @@ import numpy as np
 from .contrasts import ContrastBasis
 from .errors import (ContractError, DomainError, GridEdgeWarning,
                      IdentifiabilityWarning)
-from .gaussmix import (GaussianMixture1D, grid_interval, grid_quantile,
-                       grid_tail_prob, mixture_quantiles)
+from .gaussmix import (BLOCK_CELLS, GaussianMixture1D, grid_interval,
+                       grid_quantile, grid_tail_prob, mixture_quantiles)
 from .model_core import (CovarianceStructure, MetaDataset, MultiStudyRecord,
                          cams_covariance, decompose_arrays,
                          subgroup_arrays)
 
 ESTIMATORS = ("BIM", "BMS", "CAMS", "OVERALL", "BIM_K")
+PARAMETRIZATIONS = ("explicit", "implicit")
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-# Largest sup-norm change of a functional's mixture CDF that dropping a scale
-# axis along which its conditional law is constant may cause.
-COLLAPSE_TOL = 1e-9
 
 # Posterior mass at the last node of a scale axis above which a fit warns
 # that the grid truncates that heterogeneity.
@@ -214,12 +211,11 @@ class FitResult:
         names to coefficients (e.g. {"alpha": 1, "delta": 0.3}), or a raw
         coefficient vector over the natural parametrization.
 
-        Scale axes along which the functional's conditional law is constant
-        are summed out (``_grid_mixture``): on a CAMS fit "gamma" is a
-        mixture over the tau_gamma nodes, "alpha" and "beta" over the tau
-        nodes, and "delta" keeps the full lattice.
+        The mixture has one component per lattice node, the same components
+        ``functional_quantiles`` and ``functional_summaries`` read.
         """
-        return _grid_mixture(self.grid, self._coef_vector(spec))
+        mean, sd = _functional_moments(self.grid, self._coef_matrix([spec]))
+        return GaussianMixture1D(self.grid.weight.ravel(), mean[0], sd[0])
 
     def functional_quantiles(self, specs, levels) -> np.ndarray:
         """Quantiles of several functionals in one batched solve.
@@ -228,7 +224,7 @@ class FitResult:
         each spec is read as in ``functional_mixture``.
         """
         mean, sd = _functional_moments(self.grid, self._coef_matrix(specs))
-        return mixture_quantiles(self.grid.weight.reshape(-1), mean, sd, levels)
+        return mixture_quantiles(_mixture_weights(self.grid), mean, sd, levels)
 
     def functional_summaries(self, specs) -> list:
         """ParameterSummary (median, 95% interval, P(> 0)) of each spec."""
@@ -280,57 +276,18 @@ def _functional_moments(grid: PosteriorGrid, vecs: np.ndarray):
     return mean, np.sqrt(sd, out=sd)
 
 
-def _cdf_shift(mean, sd, mu_ref, sd_ref) -> np.ndarray:
-    """Per-component bound on sup_x |Phi((x - mean) / sd) - Phi((x - mu_ref)
-    / sd_ref)|, elementwise: (|dmu| + |dsd|) / sd_ref, since
-
-        sup |Phi((x - mu) / sd_ref) - Phi((x - mu_ref) / sd_ref)|
-            <= |dmu| / (sd_ref sqrt(2 pi)),
-        sup |Phi((x - mu) / sd) - Phi((x - mu) / sd_ref)|
-            <= min(1/2, |dsd| / (min(sd, sd_ref) sqrt(2 pi e))),
-
-    the second by the mean value theorem (sup_z |z| phi(c z) = 1 /
-    (c sqrt(2 pi e))) and because two normals of one mean cross at it; it is
-    at most |dsd| / sd_ref whether sd is above or below sd_ref. Exact
-    equality gives 0; a reference atom (sd_ref = 0) that differs in any way
-    gives inf, so it is never called close.
-    """
-    gap = np.abs(mean - mu_ref) + np.abs(sd - sd_ref)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(gap > 0, gap / sd_ref, 0.0)
-
-
-def _grid_mixture(grid: PosteriorGrid, vec: np.ndarray) -> GaussianMixture1D:
-    """Posterior mixture of the functional ``vec``, without the scale axes
-    along which its conditional law does not vary.
-
-    An axis collapses when replacing every node's component (mu, sd) by the
-    one at the first node of that axis moves the mixture CDF by at most
-    COLLAPSE_TOL in sup norm; its weights are then summed and the first
-    node's moments kept. The bound used is sum w * ``_cdf_shift``. The
-    second axis is checked against what the first left of the tolerance, so
-    the collapsed CDF stays within COLLAPSE_TOL of the full lattice's.
-    """
-    mean, sd = _functional_moments(grid, vec[None, :])
-    w = grid.weight
-    mean, sd = mean.reshape(w.shape), sd.reshape(w.shape)
-    budget = COLLAPSE_TOL
-    for axis in (0, 1):
-        mu_ref, sd_ref = mean.take([0], axis), sd.take([0], axis)
-        bound = float(np.sum(w * _cdf_shift(mean, sd, mu_ref, sd_ref)))
-        if bound <= budget:
-            budget -= bound
-            w = w.sum(axis=axis, keepdims=True)
-            mean, sd = mu_ref, sd_ref
-    return GaussianMixture1D(w.reshape(-1), mean.reshape(-1), sd.reshape(-1))
+def _mixture_weights(grid: PosteriorGrid) -> np.ndarray:
+    """The lattice weights normalized as ``GaussianMixture1D`` stores them."""
+    w = grid.weight.ravel()
+    return w / w.sum()
 
 
 def _summaries(grid: PosteriorGrid, vecs: np.ndarray) -> list:
     """Median, 95% interval and P(> 0) of each functional row of ``vecs``,
     from one batched quantile solve."""
-    w = grid.weight.reshape(-1)
+    w = grid.weight.ravel()
     mean, sd = _functional_moments(grid, vecs)
-    qs = mixture_quantiles(w, mean, sd, (0.5, 0.025, 0.975))
+    qs = mixture_quantiles(_mixture_weights(grid), mean, sd, (0.5, 0.025, 0.975))
     return [ParameterSummary(med, lo, hi,
                              GaussianMixture1D(w, mu, s).tail_prob(0.0))
             for (med, lo, hi), mu, s in zip(qs.tolist(), mean, sd)]
@@ -374,7 +331,10 @@ def _scalar_stats(y: np.ndarray, x: np.ndarray, var: np.ndarray,
     scalar observations: y (..., n), design rows x (..., n, p), sampling
     variance var (..., n) plus the heterogeneity het2 (T, G), so V = var +
     het2 and W = 1/V. Leading axes broadcast against the (T, G) lattice and
-    may be singletons. A DomainError when W or log V is not finite."""
+    may be singletons; y and x are node-free or vary along the tau_gamma
+    axis alone, with one leading axis of length G. All three statistics are
+    matmuls of W against the per-study outer products of the rows [x | y].
+    A DomainError when W or log V is not finite."""
     v = var + het2[..., None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         w, log_v = 1.0 / v, np.log(v)
@@ -382,10 +342,29 @@ def _scalar_stats(y: np.ndarray, x: np.ndarray, var: np.ndarray,
         raise DomainError(
             "a study covariance overflows or underflows float64 when "
             "inverted; are the standard errors on an extreme scale?")
-    return (np.einsum("...jp,...j,...jq->...pq", x, w, x, optimize=True),
-            np.einsum("...jp,...j,...j->...p", x, w, y, optimize=True),
-            np.einsum("...j,...j,...j->...", y, w, y, optimize=True),
+    rows = np.concatenate([x, y[..., None]], axis=-1)
+    n, q = rows.shape[-2:]
+    if rows.ndim == 2:
+        stats = (w.reshape(-1, n) @ _outer(rows)).reshape(
+            w.shape[:-1] + (q * q,))
+    else:
+        # one (T, n) x (n, q^2) product per tau_gamma node, over as many
+        # nodes at a time as keep the outer products within BLOCK_CELLS
+        stats = np.empty(w.shape[:-1] + (q * q,))
+        step = max(1, BLOCK_CELLS // (n * q * q))
+        for g in range(0, rows.shape[0], step):
+            blk = slice(g, g + step)
+            stats[:, blk] = np.swapaxes(
+                np.swapaxes(w[:, blk], 0, 1) @ _outer(rows[blk]), 0, 1)
+    stats = stats.reshape(stats.shape[:-1] + (q, q))
+    return (stats[..., :-1, :-1], stats[..., :-1, -1], stats[..., -1, -1],
             log_v.sum(axis=-1))
+
+
+def _outer(rows: np.ndarray) -> np.ndarray:
+    """Each row's outer product with itself, flattened: (..., q) -> (..., q*q)."""
+    return (rows[..., :, None] * rows[..., None, :]).reshape(
+        rows.shape[:-1] + (-1,))
 
 
 def _pair_blocks(ya, yb, va, vb, pi, x, taus, tg) -> list:
@@ -414,7 +393,11 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
     (``_scalar_stats``): summed statistics, per-node GLS with optional normal
     location priors, then half-normal priors on the axes in ``scale_names``.
     Design rows vary across nodes at most by an invertible row operation
-    (``_pair_blocks``), so those at the first node give the rank.
+    (``_pair_blocks``), so those at the first node give the rank. One thin
+    SVD of the prior-augmented rows gives the identified directions, of any
+    rank; each node's system is projected onto them and Cholesky-factored
+    once, which yields the conditional mean, the conditional covariance
+    (zero along flat directions) and the log determinant.
     """
     a, bvec, quad, logdet_sum = map(sum, zip(*(_scalar_stats(*block)
                                                for block in blocks)))
@@ -435,37 +418,36 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
         bvec = bvec + prior_prec * prior_mean
         quad = quad + float(prior_prec @ (prior_mean ** 2))
 
-    # rank of the (prior-augmented) design decides between solve and pinv
+    # the prior-augmented design's leading right singular vectors span every
+    # identified direction; the per-node system is solved on those alone
     augmented = np.vstack([stacked, np.diag(np.sqrt(prior_prec))])
-    svals = np.linalg.svd(augmented, compute_uv=False)
+    _, svals, vt = np.linalg.svd(augmented, full_matrices=False)
     tol = svals.max() * max(augmented.shape) * np.finfo(float).eps
     rank = int((svals > tol).sum())
     if rank < p:
-        _, _, vt = np.linalg.svd(augmented)
         pretty = ["; ".join(
             f"{c:+.3f}*{n}" for c, n in zip(d, param_names) if abs(c) > 1e-9)
-            for d in vt[rank:p]]
+            for d in vt[rank:]]
         warnings.warn(
             f"design is rank deficient ({rank} < {p}); flat directions: "
             f"{pretty}; summaries along them are prior-driven only",
             IdentifiabilityWarning, stacklevel=3)
-        cond_cov = np.linalg.pinv(a, hermitian=True)
-        theta = np.einsum("tgpq,tgq->tgp", cond_cov, bvec, optimize=True)
-        eigs = np.linalg.eigvalsh(a)
-        logdet_a = np.log(eigs[..., p - rank:]).sum(axis=-1)
-    else:
-        try:
-            theta = np.linalg.solve(a, bvec[..., None])[..., 0]
-            cond_cov = np.linalg.inv(a)
-        except np.linalg.LinAlgError:
-            raise DomainError(
-                "the per-node GLS system is numerically singular; are the "
-                "estimates and standard errors on an extreme scale?") from None
-        _, logdet_a = np.linalg.slogdet(a)
-    fit_quad = np.einsum("tgp,tgp->tg", bvec, theta, optimize=True)
-    log_marginal = (-0.5 * (logdet_sum + quad - fit_quad + logdet_a)
+    basis = vt[:rank].T
+    try:
+        chol = np.linalg.cholesky(basis.T @ a @ basis)
+    except np.linalg.LinAlgError:
+        raise DomainError(
+            "the per-node GLS system is numerically singular; are the "
+            "estimates and standard errors on an extreme scale?") from None
+    # cond_cov = root root' is the inverse of a on the identified directions
+    root = basis @ np.swapaxes(np.linalg.inv(chol), -1, -2)
+    u = (bvec[..., None, :] @ root)[..., 0, :]
+    theta = (root @ u[..., None])[..., 0]
+    cond_cov = root @ np.swapaxes(root, -1, -2)
+    logdet_a = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    log_marginal = (-0.5 * (logdet_sum + quad - np.sum(u * u, axis=-1)
+                            + logdet_a)
                     - 0.5 * (stacked.shape[0] - rank) * _LOG_2PI + prior_const)
-    cond_cov = 0.5 * (cond_cov + np.swapaxes(cond_cov, -1, -2))
     log_prior = (_axis_log_prior(tau_nodes, priors.tau_scale,
                                  "tau" in scale_names)[:, None]
                  + _axis_log_prior(tg_nodes, priors.tau_gamma_scale,
@@ -665,7 +647,7 @@ def _cams_problem(data: MetaDataset, priors: PriorSpec, grid: GridSpec,
     """(``_solve_grid`` arguments, functionals) of ``fit_cams``: solving
     them gives its lattice without computing any summary. The solve stays in
     the caller so that its warnings point one frame above it."""
-    if parametrization not in ("explicit", "implicit"):
+    if parametrization not in PARAMETRIZATIONS:
         raise ContractError(f"unknown parametrization {parametrization!r}")
     ya, yb, va, vb, pi = subgroup_arrays(data)
     g, m, var_g, var_m, _ = decompose_arrays(ya, yb, va, vb, pi)

@@ -30,13 +30,17 @@ import numpy as np
 
 from .errors import (CamsmetaError, ContractError, DomainError,
                      ValidationWarning)
-from .inference import (FitResult, GridSpec, PriorSpec, fit_bim, fit_bms,
-                        fit_cams, fit_overall, interaction_trace)
+from .inference import (PARAMETRIZATIONS, FitResult, GridSpec, PriorSpec,
+                        fit_bim, fit_bms, fit_cams, fit_overall,
+                        interaction_trace)
 from .model_core import (MetaDataset, StudyRecord, SubgroupObservation,
                          decompose_arrays, subgroup_arrays)
 from .reporting import (STRATEGY_KINDS, PrevalenceSpec, ReportedEffects,
                         optimal_if, report_effects)
 from .verify import SimScenario, run_battery, simulate
+
+# the estimators ``fit`` can write, one fit_<name>.json each
+FIT_ESTIMATORS = ("cams", "bim", "bms", "overall")
 
 REQUIRED_COLUMNS = ("study.name", "est", "se", "ifrac", "subgroup12", "ifrac2")
 
@@ -282,7 +286,22 @@ _CONFIG_SCHEMA = {
 
 
 def _check_config(config) -> None:
+    # refuse a bad value before any command does work
     _priors(config)  # PriorSpec refuses a bad prior scale up front
+    _estimator_names(config)
+    if config.parametrization not in PARAMETRIZATIONS:
+        raise ContractError(
+            f"unknown parametrization {config.parametrization!r}")
+
+
+def _estimator_names(config) -> list:
+    names = [n.strip() for n in config.estimators.split(",") if n.strip()]
+    if not names:
+        raise ContractError("estimators list is empty")
+    for name in names:
+        if name not in FIT_ESTIMATORS:
+            raise ContractError(f"unknown estimator {name!r}")
+    return names
 
 
 def _config_from_sources(cls, config_path: str | None, overrides: dict):
@@ -429,19 +448,14 @@ def _fit_one(name: str, data: MetaDataset, priors: PriorSpec, grid: GridSpec,
     if name == "cams":
         return fit_cams(data, priors, grid,
                         parametrization=config.parametrization)
-    if name == "overall":
-        return fit_overall(data, priors, grid)
-    raise ContractError(f"unknown estimator {name!r}")
+    return fit_overall(data, priors, grid)
 
 
 def _cmd_fit(config: RunConfig) -> int:
     data = _load_data(config)
     priors = _priors(config)
     grid = GridSpec.default(priors, n_nodes=config.grid_nodes)
-    names = [n.strip() for n in config.estimators.split(",") if n.strip()]
-    if not names:
-        raise ContractError("estimators list is empty")
-    for name in names:
+    for name in _estimator_names(config):
         fit = _fit_one(name, data, priors, grid, config)
         _write_json(os.path.join(config.output_dir, f"fit_{name}.json"),
                     _fit_dict(fit))

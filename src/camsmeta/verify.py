@@ -12,7 +12,7 @@ by tier: "exact" (1e-10, pure algebra), "grid" (1e-4, discretization), and
 Where a check compares two posteriors, its reading can err only toward
 failing: an honest check that must show agreement reports an upper bound on
 the distance, and a forced break that must show disagreement reports a
-distance it attains on a point lattice.
+distance it attains at a few points.
 
 Every check returns a plain dict so batteries serialize straight to JSON.
 """
@@ -26,12 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv
 
-from .contrasts import (helmert_basis, kronecker_contrast, per_arm_prevalence,
-                        precision_prevalence)
+from .contrasts import (contrast_mean_cov, helmert_basis, kronecker_contrast,
+                        per_arm_prevalence, precision_prevalence,
+                        transform_matrix)
 from .errors import ContractError, DomainError, IdentifiabilityWarning
+from .gaussmix import GaussianMixture1D
 from .inference import (GridSpec, PosteriorGrid, PriorSpec, _cams_problem,
-                        _cdf_shift, _functional_moments, _grid_mixture,
-                        _pair_blocks, _solve_grid, fit_bim, fit_cams)
+                        _functional_moments, _pair_blocks, _solve_grid,
+                        fit_bim, fit_cams)
 from .model_core import (MetaDataset, MultiStudyRecord, StudyRecord,
                          SubgroupObservation, subgroup_arrays)
 from .reporting import PrevalenceSpec, bayes_risk
@@ -39,11 +41,9 @@ from .reporting import PrevalenceSpec, bayes_risk
 TOL_EXACT = 1e-10
 TOL_GRID = 1e-4
 BREAK_MIN = 1e-3  # a broken factorization must move the posterior this much
-# The force-half gamma_distance is a value of |F_a - F_b| attained on a lattice
-# of CDF_POINTS evenly spaced points, read at every CDF_STRIDE-th point and
-# then at every point near a coarse peak (``_cdf_witness``).
-CDF_POINTS = 2001
-CDF_STRIDE = 20
+# The force-half gamma_distance is the largest |F_a - F_b| at these quantile
+# levels of either mixture (``_cdf_witness``).
+WITNESS_LEVELS = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
 
 
 # law kind -> number of parameters
@@ -261,6 +261,26 @@ def _grid_distance(grid: PosteriorGrid, oracle: PosteriorGrid) -> float:
                             / (sd[..., :, None] * sd[..., None, :]))))
 
 
+def _cdf_shift(mean, sd, mu_ref, sd_ref) -> np.ndarray:
+    """Per-component bound on sup_x |Phi((x - mean) / sd) - Phi((x - mu_ref)
+    / sd_ref)|, elementwise: (|dmu| + |dsd|) / sd_ref, since
+
+        sup |Phi((x - mu) / sd_ref) - Phi((x - mu_ref) / sd_ref)|
+            <= |dmu| / (sd_ref sqrt(2 pi)),
+        sup |Phi((x - mu) / sd) - Phi((x - mu) / sd_ref)|
+            <= min(1/2, |dsd| / (min(sd, sd_ref) sqrt(2 pi e))),
+
+    the second by the mean value theorem (sup_z |z| phi(c z) = 1 /
+    (c sqrt(2 pi e))) and because two normals of one mean cross at it; it is
+    at most |dsd| / sd_ref whether sd is above or below sd_ref. Exact
+    equality gives 0; a reference atom (sd_ref = 0) that differs in any way
+    gives inf.
+    """
+    gap = np.abs(mean - mu_ref) + np.abs(sd - sd_ref)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(gap > 0, gap / sd_ref, 0.0)
+
+
 def _mixture_gap_bound(w_ref, mu_ref, sd_ref, w, mu, sd) -> float:
     """Upper bound on sup_x |F - F_ref| for F = sum_{t,g} w[t, g] N(mu[t, g],
     sd[t, g]^2) against the node-matched F_ref = sum_g w_ref[g] N(mu_ref[g],
@@ -292,33 +312,12 @@ def _gamma_bound(bim: PosteriorGrid, oracle: PosteriorGrid,
                               mu_o.reshape(shape), sd_o.reshape(shape))
 
 
-def _cdf_lattice(mix_a, mix_b) -> np.ndarray:
-    """CDF_POINTS evenly spaced points from the lower 0.001 to the upper
-    0.999 quantile of the two mixtures."""
-    (lo_a, hi_a), (lo_b, hi_b) = (mix.quantiles((0.001, 0.999))
-                                  for mix in (mix_a, mix_b))
-    return np.linspace(min(lo_a, lo_b), max(hi_a, hi_b), CDF_POINTS)
-
-
 def _cdf_witness(mix_a, mix_b) -> float:
-    """A value of |F_a - F_b| attained on the ``_cdf_lattice``: the max over
-    every CDF_STRIDE-th point and every point within CDF_STRIDE of a local
-    maximum among those. It is a max over a subset of the lattice, so it
-    never exceeds the lattice max, and it equals it whenever the lattice
-    maximizer lies in a peak's window."""
-    xs = _cdf_lattice(mix_a, mix_b)
-
-    def gap(idx):
-        return np.abs(mix_a.cdf(xs[idx]) - mix_b.cdf(xs[idx]))
-
-    coarse = np.arange(0, xs.size, CDF_STRIDE)
-    d = gap(coarse)
-    edge = [-np.inf]
-    peaks = coarse[(d > np.concatenate([edge, d[:-1]]))
-                   & (d >= np.concatenate([d[1:], edge]))]
-    near = np.unique(peaks[:, None] + np.r_[-CDF_STRIDE + 1:0, 1:CDF_STRIDE])
-    near = near[(near >= 0) & (near < xs.size)]
-    return float(max(d.max(), gap(near).max(initial=0.0)))
+    """The largest |F_a - F_b| at the WITNESS_LEVELS quantiles of both
+    mixtures: a value the sup distance attains, so it can only read low."""
+    xs = np.concatenate([mix_a.quantiles(WITNESS_LEVELS),
+                         mix_b.quantiles(WITNESS_LEVELS)])
+    return float(np.max(np.abs(mix_a.cdf(xs) - mix_b.cdf(xs))))
 
 
 def check_equivalence(scenario: SimScenario, force_half: bool = False,
@@ -335,8 +334,8 @@ def check_equivalence(scenario: SimScenario, force_half: bool = False,
     CDFs, so a pass is a proof. ``force_half`` runs the oracle at
     prevalence 0.5 instead, which on unbalanced data must break the
     agreement by more than ``BREAK_MIN``; there ``gamma_distance`` is
-    ``_cdf_witness``, a distance attained on the CDF_POINTS lattice, so it
-    can only read low and a pass is again certain.
+    ``_cdf_witness``, a distance attained at quantile points of the two
+    gamma posteriors, so it can only read low and a pass is again certain.
     """
     data = simulate(scenario)
     priors = PriorSpec()
@@ -350,13 +349,14 @@ def check_equivalence(scenario: SimScenario, force_half: bool = False,
         oracle = cams_oracle(data, 0.5 if force_half else data.info_fractions,
                              priors, grid)
     gamma = np.array([0.0, 0.0, 1.0])
-    oracle_gamma = _grid_mixture(oracle, gamma)
     _, w_bim = bim.grid.scale_axis("tau_gamma")
     _, w_oracle = oracle.scale_axis("tau_gamma")
     d_tg = float(np.max(np.abs(np.cumsum(w_bim) - np.cumsum(w_oracle))))
     # an honest fit must agree; a deliberately broken one must visibly differ
     if force_half:
         d_oracle = None
+        mean, sd = _functional_moments(oracle, gamma[None, :])
+        oracle_gamma = GaussianMixture1D(oracle.weight.ravel(), mean[0], sd[0])
         d_gamma = _cdf_witness(bim.functional_mixture("gamma"), oracle_gamma)
         passed = d_gamma > BREAK_MIN
     else:
@@ -375,7 +375,6 @@ def check_equivalence(scenario: SimScenario, force_half: bool = False,
         "tier": "grid",
         "oracle_distance": d_oracle,
         "oracle_tolerance": TOL_EXACT,
-        "oracle_gamma_components": int(oracle_gamma.weights.size),
         "pass": bool(passed),
     }
 
@@ -422,12 +421,12 @@ def check_k_sufficiency(k: int, seed: int = 0, n_draws: int = 100) -> dict:
         variances = rng.uniform(0.05, 2.0, size=k)
         s = np.diag(variances)
         pi = precision_prevalence(variances)
-        max_orth = max(max_orth, float(np.max(np.abs(c @ s @ pi))))
+        max_orth = max(max_orth, float(np.max(np.abs(
+            contrast_mean_cov(basis, variances, pi)))))
 
         theta = rng.normal(0.0, 1.0, size=k)
         y = theta + rng.normal(0.0, np.sqrt(variances))
-        t = np.vstack([c, pi])
-        _, logdet_t = np.linalg.slogdet(t)
+        _, logdet_t = np.linalg.slogdet(transform_matrix(basis, pi))
         joint = _mvn_logpdf(y, theta, s)
         lg = _mvn_logpdf(c @ y, c @ theta, c @ s @ c.T)
         lm = float(-0.5 * (math.log(2.0 * math.pi) + math.log(pi @ s @ pi)
@@ -437,14 +436,14 @@ def check_k_sufficiency(k: int, seed: int = 0, n_draws: int = 100) -> dict:
         # a perturbed prevalence reintroduces exactly the analytic cross term
         pert = pi.copy()
         pert[0] += 0.05
-        tp = np.vstack([c, pert])
-        _, logdet_tp = np.linalg.slogdet(tp)
+        _, logdet_tp = np.linalg.slogdet(transform_matrix(basis, pert))
         lmp = float(-0.5 * (math.log(2.0 * math.pi) + math.log(pert @ s @ pert)
                             + (pert @ y - pert @ theta) ** 2 / (pert @ s @ pert)))
         resid = joint - (lg + lmp + logdet_tp)
         analytic = _block_cross_term(
             float(pert @ y), float(pert @ theta), float(pert @ s @ pert),
-            c @ y, c @ theta, c @ s @ c.T, c @ s @ pert)
+            c @ y, c @ theta, c @ s @ c.T,
+            contrast_mean_cov(basis, variances, pert))
         max_pert_gap = max(max_pert_gap, abs(resid - analytic))
     return {
         "check": "k_sufficiency",

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -11,10 +12,11 @@ from camsmeta.errors import (CamsmetaError, CamsmetaWarning, ContractError,
                              DomainError, GridEdgeWarning,
                              IdentifiabilityWarning)
 from camsmeta.gaussmix import QUANTILE_TOL, GaussianMixture1D
-from camsmeta.inference import (COLLAPSE_TOL, ESTIMATORS, GridSpec,
-                                PosteriorGrid, PriorSpec,
-                                _functional_moments, _grid_mixture,
-                                _pair_blocks, _scalar_stats, _summaries,
+from camsmeta import verify
+from camsmeta.inference import (_LOG_2PI, ESTIMATORS, GridSpec, PriorSpec,
+                                _axis_log_prior, _cams_problem,
+                                _functional_moments, _pair_blocks,
+                                _scalar_stats, _solve_grid, _summaries,
                                 cross_term_correction, ecological_evidence,
                                 factorization_residual,
                                 factorized_loglikelihood, fit_bim, fit_bim_k,
@@ -26,7 +28,7 @@ from camsmeta.contrasts import (ContrastBasis, helmert_basis,
 from camsmeta.model_core import (CovarianceStructure, MetaDataset,
                                  MultiStudyRecord, StudyRecord,
                                  SubgroupObservation, cams_covariance)
-from camsmeta.verify import (BREAK_MIN, CDF_POINTS, TOL_EXACT, SimScenario,
+from camsmeta.verify import (BREAK_MIN, TOL_EXACT, SimScenario,
                              _cdf_witness, _gamma_bound, _grid_distance,
                              cams_oracle, simulate)
 
@@ -203,6 +205,12 @@ def test_cams_matches_bim_on_gamma():
     assert np.max(np.abs(wb - wc)) < 1e-12
 
 
+def full_lattice_mixture(grid, vec):
+    """The functional's mixture over every lattice node."""
+    mean, sd = _functional_moments(grid, np.asarray(vec, dtype=float)[None, :])
+    return GaussianMixture1D(grid.weight.reshape(-1), mean[0], sd[0])
+
+
 def test_oracle_forced_half_breaks_equivalence():
     data = make_dataset(seed=6)
     grid = GridSpec.default(PriorSpec(), n_nodes=21)
@@ -211,7 +219,7 @@ def test_oracle_forced_half_breaks_equivalence():
     bim = fit_bim(data, PriorSpec(), grid)
     gamma = np.array([0.0, 0.0, 1.0])
     assert _cdf_witness(bim.functional_mixture("gamma"),
-                        _grid_mixture(forced, gamma)) > BREAK_MIN
+                        full_lattice_mixture(forced, gamma)) > BREAK_MIN
     # an upper bound on the honest distance, not a sample of it
     honest = cams_oracle(data, data.info_fractions, PriorSpec(), grid)
     assert _gamma_bound(bim.grid, honest, gamma) < 1e-10
@@ -221,88 +229,99 @@ def test_oracle_forced_half_breaks_equivalence():
         cams_oracle(data, [0.3, 0.4, -0.1, 0.5, 0.5, 0.5], PriorSpec(), grid)
 
 
-def full_lattice_mixture(grid, vec):
-    """The functional's mixture over every lattice node, nothing collapsed."""
-    mean, sd = _functional_moments(grid, np.asarray(vec, dtype=float)[None, :])
-    return GaussianMixture1D(grid.weight.reshape(-1), mean[0], sd[0])
-
-
-def max_cdf_gap(mix, full):
-    xs = np.linspace(*full.quantiles((0.001, 0.999)), CDF_POINTS)
-    return float(np.max(np.abs(mix.cdf(xs) - full.cdf(xs))))
-
-
-def test_oracle_gamma_mixture_collapses_only_when_honest():
-    # the battery's force-half scenario: unbalanced fractions
-    data = simulate(SimScenario(n_studies=7, alpha=0.2, delta=0.8, gamma=0.3,
-                                tau=0.15, tau_gamma=0.12,
-                                prevalence_law=("uniform", 0.1, 0.25),
-                                seed=21240))
-    grid = GridSpec.default(PriorSpec(), n_nodes=61)
-    gamma = np.array([0.0, 0.0, 1.0])
-    honest = cams_oracle(data, data.info_fractions, PriorSpec(), grid)
-    mix = _grid_mixture(honest, gamma)
-    assert mix.weights.size == 61
-    assert np.allclose(mix.weights, honest.scale_axis("tau_gamma")[1],
-                       rtol=0.0, atol=1e-15)
-    assert max_cdf_gap(mix, full_lattice_mixture(honest, gamma)) <= COLLAPSE_TOL
-    with pytest.warns(IdentifiabilityWarning):
-        forced = cams_oracle(data, 0.5, PriorSpec(), grid)
-    assert _grid_mixture(forced, gamma).weights.size == 61 * 61
-
-
 @pytest.mark.parametrize("parametrization", ["explicit", "implicit"])
-def test_cams_functionals_drop_the_axes_they_do_not_vary_along(parametrization):
-    data = make_dataset(seed=4)
-    grid = GridSpec.default(PriorSpec(), n_nodes=41)
-    fit = fit_cams(data, PriorSpec(), grid, parametrization)
-    # gamma lives on the contrast block (tau_gamma), alpha and beta on the
-    # mean block (tau); delta = beta - gamma and a subgroup mean need both
-    sizes = {name: fit.functional_mixture(name).weights.size
-             for name in ("alpha", "beta", "gamma", "delta")}
-    assert sizes == {"alpha": 41, "beta": 41, "gamma": 41, "delta": 41 * 41}
-    mu_a = {"alpha": 1.0, "delta": 0.3}
-    assert fit.functional_mixture(mu_a).weights.size == 41 * 41
-    for spec in ("alpha", "beta", "gamma"):
-        full = full_lattice_mixture(fit.grid, fit._coef_vector(spec))
-        assert max_cdf_gap(fit.functional_mixture(spec), full) <= COLLAPSE_TOL
-        assert tail_probability(fit, spec, 0.1) == pytest.approx(
-            full.tail_prob(0.1), abs=COLLAPSE_TOL)
+def test_functional_mixture_is_what_the_batched_readers_read(parametrization):
+    # one mixture per functional: the full lattice, read bit for bit alike
+    fit = fit_cams(make_dataset(seed=4), PriorSpec(),
+                   GridSpec.default(PriorSpec(), n_nodes=41), parametrization)
+    # weights that sum to 1 only to rounding, as a fit's may
+    fit = dataclasses.replace(fit, grid=dataclasses.replace(
+        fit.grid, weight=fit.grid.weight * (1.0 + 1e-12)))
+    levels = (0.025, 0.1, 0.5, 0.9, 0.975)
+    for spec in ("alpha", "beta", "gamma", "delta", {"alpha": 1.0, "delta": 0.3}):
+        mix = fit.functional_mixture(spec)
+        assert mix.weights.size == 41 * 41
+        np.testing.assert_array_equal(
+            mix.quantiles(levels), fit.functional_quantiles([spec], levels)[0])
 
 
-@settings(max_examples=60, deadline=None)
-@given(t=st.integers(2, 6), g=st.integers(2, 6), flat_tau=st.booleans(),
-       jitter=st.floats(0.0, 1e-13), draw=st.data())
-def test_grid_mixture_collapses_exactly_the_constant_axes(t, g, flat_tau,
-                                                          jitter, draw):
-    # node weights >= 1e-3/36 and mean steps >= 1e-3 at sd <= 4 put every
-    # varying axis above the tolerance: 2.8e-5 * 1e-3 / 4 > COLLAPSE_TOL
-    def floats(lo, hi, n):
-        return np.array(draw.draw(st.lists(st.floats(lo, hi), min_size=n,
-                                           max_size=n)))
+def pinv_reference(blocks, param_names, priors, taus, tg, scale_names):
+    """Log weights and conditional moments of a lattice from the normal
+    matrix A itself: pinv(A) and the log of its top-rank eigenvalues, with
+    the rank from the singular values of the prior-augmented design rows."""
+    a, b, quad, logdet_v = map(sum, zip(*(_scalar_stats(*blk) for blk in blocks)))
+    p = len(param_names)
+    loc = priors.location_map()
+    prec = np.array([loc[n][1] ** -2 if n in loc else 0.0 for n in param_names])
+    mean = np.array([loc[n][0] if n in loc else 0.0 for n in param_names])
+    rows = np.vstack([x[(0,) * (x.ndim - 2)] for _, x, _, _ in blocks]
+                     + [np.diag(np.sqrt(prec))])
+    rank = np.linalg.matrix_rank(rows)
+    a = a + np.diag(prec)
+    b = b + prec * mean
+    cov = np.linalg.pinv(a, hermitian=True)
+    theta = (cov @ b[..., None])[..., 0]
+    logdet_a = np.log(np.linalg.eigvalsh(a)[..., p - rank:]).sum(axis=-1)
+    log_marginal = (-0.5 * (logdet_v + quad + prec @ mean ** 2
+                            - np.sum(b * theta, axis=-1) + logdet_a)
+                    - 0.5 * (rows.shape[0] - p - rank) * _LOG_2PI
+                    - sum(0.5 * _LOG_2PI + np.log(sd) for _, sd in loc.values()))
+    log_prior = (_axis_log_prior(taus, priors.tau_scale, "tau" in scale_names)[:, None]
+                 + _axis_log_prior(tg, priors.tau_gamma_scale,
+                                   "tau_gamma" in scale_names)[None, :])
+    return log_marginal + log_prior, theta, cov, rank
 
-    def steps(n):
-        signs = np.where(floats(-1.0, 1.0, n - 1) < 0, -1.0, 1.0)
-        return np.concatenate([[0.0], signs * floats(1e-3, 2.0, n - 1)])
 
-    w = floats(1e-3, 1.0, t * g).reshape(t, g)
-    w /= w.sum()
-    mean = floats(-1.0, 1.0, 1)[0] + steps(g)[None, :]
-    sd = np.broadcast_to(floats(0.1, 2.0, g)[None, :], (t, g))
-    if flat_tau:
-        # constant along tau up to relative noise far below the tolerance
-        mean = mean * (1.0 + jitter * floats(-1.0, 1.0, t)[:, None])
-    else:
-        mean = mean + steps(t)[:, None]
-        sd = sd * floats(0.5, 2.0, t)[:, None]
-    mean = np.broadcast_to(mean, (t, g))
-    lattice = PosteriorGrid(np.arange(t) * 0.1, np.arange(g) * 0.1, np.log(w),
-                            w, mean[..., None].copy(),
-                            (sd ** 2)[..., None, None].copy(), ("x",),
-                            ("tau", "tau_gamma"))
-    mix = _grid_mixture(lattice, np.array([1.0]))
-    assert mix.weights.size == (g if flat_tau else t * g)
-    assert max_cdf_gap(mix, full_lattice_mixture(lattice, [1.0])) <= COLLAPSE_TOL
+def rank_deficient_data():
+    """Five studies that all have information fraction 0.4."""
+    rng = np.random.default_rng(9)
+    studies = []
+    for i in range(5):
+        s = rng.uniform(0.1, 0.3)
+        sa, sb = np.sqrt(0.4) * s, np.sqrt(0.6) * s
+        studies.append(StudyRecord.from_observations(
+            f"S{i+1}",
+            SubgroupObservation("A", rng.normal(), sa),
+            SubgroupObservation("B", rng.normal(), sb)))
+    return MetaDataset(tuple(studies))
+
+
+def force_half_args(monkeypatch):
+    """The solve arguments of the battery's first force-half oracle."""
+    data = simulate(verify._unbalanced_scenario(21240))
+    calls = []
+    monkeypatch.setattr(verify, "_solve_grid",
+                        lambda *args: calls.append(args) or _solve_grid(*args))
+    verify.cams_oracle(data, 0.5, PriorSpec(),
+                       GridSpec.default(PriorSpec(), n_nodes=61))
+    return calls[0]
+
+
+def cams_args(data, priors):
+    return _cams_problem(data, priors, GridSpec.default(priors, n_nodes=11))[0]
+
+
+@pytest.mark.parametrize("case, want_rank", [
+    ("force_half", 2), ("equal_fractions", 2), ("delta_prior", 3)])
+def test_one_path_solve_matches_a_pinv_reference(monkeypatch, case, want_rank):
+    # flat designs and a design made full rank only by a proper delta prior
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IdentifiabilityWarning)
+        args = {
+            "force_half": lambda: force_half_args(monkeypatch),
+            "equal_fractions": lambda: cams_args(rank_deficient_data(), PriorSpec()),
+            "delta_prior": lambda: cams_args(rank_deficient_data(), PriorSpec(
+                location_prior=(("delta", 0.2, 0.5),))),
+        }[case]()
+    log_weight, theta, cov, rank = pinv_reference(*args)
+    assert rank == want_rank
+    with warnings.catch_warnings():
+        warnings.simplefilter("error" if rank == 3 else "ignore",
+                              IdentifiabilityWarning)
+        grid = _solve_grid(*args)
+    np.testing.assert_allclose(grid.log_weight, log_weight, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grid.cond_mean, theta, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(grid.cond_cov, cov, rtol=0, atol=1e-10)
 
 
 def test_grid_edge_warning_on_truncated_heterogeneity():
@@ -436,16 +455,7 @@ def test_flat_prior_rule():
 
 def test_rank_deficiency_warns():
     # equal information fractions collapse the intercept and slope columns
-    rng = np.random.default_rng(9)
-    studies = []
-    for i in range(5):
-        s = rng.uniform(0.1, 0.3)
-        sa, sb = np.sqrt(0.4) * s, np.sqrt(0.6) * s
-        studies.append(StudyRecord.from_observations(
-            f"S{i+1}",
-            SubgroupObservation("A", rng.normal(), sa),
-            SubgroupObservation("B", rng.normal(), sb)))
-    data = MetaDataset(tuple(studies))
+    data = rank_deficient_data()
     grid = GridSpec.default(PriorSpec(), n_nodes=11)
     with pytest.warns(IdentifiabilityWarning):
         fit = fit_cams(data, PriorSpec(), grid)

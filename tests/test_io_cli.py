@@ -473,6 +473,24 @@ def test_bad_prior_scale_is_refused_up_front(tmp_path, capsys, command, flag,
         RunConfig.from_sources(None, {flag[2:].replace("-", "_"): value})
 
 
+@pytest.mark.parametrize("flags, why", [
+    (["--estimators", "cams,bim,foo"], "unknown estimator 'foo'"),
+    (["--estimators", "bim,cams", "--parametrization", "foo"],
+     "unknown parametrization 'foo'"),
+], ids=["estimator", "parametrization"])
+def test_fit_refuses_a_bad_config_before_any_fit(tmp_path, capsys, flags, why):
+    # the names are checked with the config, so no fit_*.json is written
+    # before the bad value is reached
+    path = write_scaled_quickstart(tmp_path, 1.0)
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["fit", "--input", path, "--output-dir", str(out), *flags])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and why in err[0]
+    assert not list(out.glob("fit_*.json"))
+
+
 @pytest.mark.parametrize("factor", [1e100, 1e150])
 def test_fit_on_large_scale_returns_results(tmp_path, factor):
     # no pair covariance is inverted as a 2x2 block, so variances near

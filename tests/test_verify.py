@@ -10,10 +10,11 @@ from camsmeta import verify
 from camsmeta.errors import (ContractError, DomainError, GridEdgeWarning,
                              IdentifiabilityWarning)
 from camsmeta.gaussmix import GaussianMixture1D
-from camsmeta.inference import GridSpec, PriorSpec, _grid_mixture, fit_bim
+from camsmeta.inference import (GridSpec, PriorSpec, _functional_moments,
+                                fit_bim)
 from camsmeta.model_core import compute_if
-from camsmeta.verify import (TOL_GRID, SimScenario, _cdf_lattice,
-                             _cdf_witness, _mixture_gap_bound,
+from camsmeta.verify import (BREAK_MIN, TOL_GRID, SimScenario, _cdf_witness,
+                             _mixture_gap_bound,
                              _unbalanced_scenario, cams_oracle,
                              check_bayes_optimum, check_equivalence,
                              check_k_sufficiency, check_kronecker,
@@ -99,8 +100,6 @@ def test_check_equivalence_passes():
     assert rep["tau_gamma_distance"] < 1e-10
     assert rep["oracle_distance"] < 1e-10
     assert rep["tier"] == "grid"
-    # the honest oracle's gamma posterior is read over tau_gamma alone
-    assert rep["oracle_gamma_components"] == 41
 
 
 FORCED_BREAK = SimScenario(n_studies=8, alpha=0.2, delta=2.0, gamma=0.3,
@@ -113,7 +112,6 @@ def test_check_equivalence_detects_forced_break():
     assert rep["pass"]
     assert rep["gamma_distance"] > 1e-3
     assert rep["oracle_distance"] is None
-    assert rep["oracle_gamma_components"] == 41 * 41
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -152,24 +150,22 @@ def test_run_battery_structure():
                      "bayes_optimum"}
 
 
-def test_default_battery_collapses_honest_checks_inside_the_grid():
-    # the CLI's 50-seed battery: no posterior reaches the grid edge, every
-    # honest oracle collapses to its 61 tau_gamma components and force-half
-    # keeps the full lattice
+def test_default_battery_passes_inside_the_grid():
+    # the CLI's 50-seed battery: no posterior reaches the grid edge
     with warnings.catch_warnings():
         warnings.simplefilter("error", GridEdgeWarning)
         out = run_battery(seeds=50)
     assert out["all_pass"]
     equivalence = [c for c in out["checks"] if c["check"] == "equivalence"]
     assert len(equivalence) == 55
-    for c in equivalence:
-        want = 61 * 61 if c["force_half"] else 61
-        assert c["oracle_gamma_components"] == want, c["seed"]
 
 
 def dense_gap(mix_a, mix_b):
-    """max |F_a - F_b| over every point of the witness's lattice."""
-    xs = _cdf_lattice(mix_a, mix_b)
+    """max |F_a - F_b| over 2001 evenly spaced points from the lower 0.001
+    to the upper 0.999 quantile of the two mixtures."""
+    (lo_a, hi_a), (lo_b, hi_b) = (mix.quantiles((0.001, 0.999))
+                                  for mix in (mix_a, mix_b))
+    xs = np.linspace(min(lo_a, lo_b), max(hi_a, hi_b), 2001)
     return float(np.max(np.abs(mix_a.cdf(xs) - mix_b.cdf(xs))))
 
 
@@ -201,27 +197,31 @@ def test_gap_bound_and_witness_bracket_the_lattice_max(pair):
     ref, lattice = pair
     mix_ref = GaussianMixture1D(*ref)
     mix = GaussianMixture1D(*(a.ravel() for a in lattice))
-    dense = dense_gap(mix_ref, mix)
-    assert _cdf_witness(mix_ref, mix) <= dense
+    bound = _mixture_gap_bound(*ref, *lattice)
     # the slack covers the CDF sums' own rounding, a few ulps per component
-    assert dense <= _mixture_gap_bound(*ref, *lattice) + 1e-14
+    assert dense_gap(mix_ref, mix) <= bound + 1e-14
+    assert _cdf_witness(mix_ref, mix) <= bound + 1e-14
 
 
 @pytest.mark.parametrize("scenario, n_nodes", [
     *[(_unbalanced_scenario(20240 + 1000 + i), 61) for i in range(5)],
     (FORCED_BREAK, 41),
 ], ids=[*(f"battery{i}" for i in range(5)), "forced_break"])
-def test_force_half_witness_is_the_lattice_max(scenario, n_nodes):
+def test_force_half_witness_reads_near_the_dense_max(scenario, n_nodes):
     # the battery's five force-half scenarios at its default base seed, and
-    # the forced-break test's
+    # the forced-break test's: a few quantile points find the break that a
+    # dense lattice shows, far above the pass threshold
     data = simulate(scenario)
     grid = GridSpec.default(PriorSpec(), n_nodes=n_nodes)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IdentifiabilityWarning)
         forced = cams_oracle(data, 0.5, PriorSpec(), grid)
     bim = fit_bim(data, PriorSpec(), grid).functional_mixture("gamma")
-    oracle = _grid_mixture(forced, np.array([0.0, 0.0, 1.0]))
-    assert _cdf_witness(bim, oracle) == dense_gap(bim, oracle)
+    mean, sd = _functional_moments(forced, np.array([[0.0, 0.0, 1.0]]))
+    oracle = GaussianMixture1D(forced.weight.ravel(), mean[0], sd[0])
+    witness = _cdf_witness(bim, oracle)
+    assert witness >= 0.9 * dense_gap(bim, oracle)
+    assert witness > 10 * BREAK_MIN
 
 
 def move_weight(grid):
@@ -258,8 +258,8 @@ def test_gamma_bound_fails_a_broken_honest_oracle(monkeypatch, breakage):
 
 
 def test_battery_cdf_cells_stay_few(monkeypatch):
-    # CDF points x mixture components: 3.5 M here, ~39 M with the dense
-    # force-half grid; one dense 2001-point force-half check adds 7.6 M
+    # CDF points x mixture components: ~0.26 M here; one dense 2001-point
+    # force-half check would add 7.6 M
     cells = []
     cdf = GaussianMixture1D.cdf
 
@@ -269,4 +269,4 @@ def test_battery_cdf_cells_stay_few(monkeypatch):
 
     monkeypatch.setattr(GaussianMixture1D, "cdf", counted)
     assert run_battery(seeds=6, n_nodes=61)["all_pass"]
-    assert sum(cells) < 8_000_000
+    assert sum(cells) < 1_000_000
