@@ -31,7 +31,6 @@ folded into the per-node GLS.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -43,9 +42,8 @@ from .errors import (ContractError, DomainError, GridEdgeWarning,
                      IdentifiabilityWarning)
 from .gaussmix import (BLOCK_CELLS, GaussianMixture1D, grid_interval,
                        grid_quantile, grid_tail_prob, mixture_quantiles)
-from .model_core import (CovarianceStructure, MetaDataset, MultiStudyRecord,
-                         cams_covariance, decompose_arrays,
-                         subgroup_arrays)
+from .model_core import (CovarianceStructure, MetaDataset, cams_covariance,
+                         decompose_arrays, subgroup_arrays)
 
 ESTIMATORS = ("BIM", "BMS", "CAMS", "OVERALL", "BIM_K")
 PARAMETRIZATIONS = ("explicit", "implicit")
@@ -335,30 +333,37 @@ def _scalar_stats(y: np.ndarray, x: np.ndarray, var: np.ndarray,
     axis alone, with one leading axis of length G. All three statistics are
     matmuls of W against the per-study outer products of the rows [x | y].
     A DomainError when W or log V is not finite."""
-    v = var + het2[..., None]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        w, log_v = 1.0 / v, np.log(v)
-    if not (np.isfinite(w).all() and np.isfinite(log_v).all()):
-        raise DomainError(
-            "a study covariance overflows or underflows float64 when "
-            "inverted; are the standard errors on an extreme scale?")
     rows = np.concatenate([x, y[..., None]], axis=-1)
     n, q = rows.shape[-2:]
-    if rows.ndim == 2:
-        stats = (w.reshape(-1, n) @ _outer(rows)).reshape(
-            w.shape[:-1] + (q * q,))
-    else:
-        # one (T, n) x (n, q^2) product per tau_gamma node, over as many
-        # nodes at a time as keep the outer products within BLOCK_CELLS
-        stats = np.empty(w.shape[:-1] + (q * q,))
-        step = max(1, BLOCK_CELLS // (n * q * q))
-        for g in range(0, rows.shape[0], step):
-            blk = slice(g, g + step)
-            stats[:, blk] = np.swapaxes(
-                np.swapaxes(w[:, blk], 0, 1) @ _outer(rows[blk]), 0, 1)
-    stats = stats.reshape(stats.shape[:-1] + (q, q))
+    node_free = rows.ndim == 2
+    g_count = het2.shape[1] if node_free else rows.shape[0]
+    var = np.broadcast_to(var, (g_count, n))
+    het2 = np.broadcast_to(het2, (het2.shape[0], g_count))
+    stats = np.empty((g_count, het2.shape[0], q * q))
+    logdet = np.empty((g_count, het2.shape[0]))
+    # node-free rows take one (nodes, n) x (n, q^2) product; rows that vary
+    # along tau_gamma take one (T, n) x (n, q^2) product per node, over as
+    # many nodes at a time as keep their outer products within BLOCK_CELLS.
+    # V, W and log V are formed per chunk, so no (T, G, n) array exists.
+    step = g_count if node_free else max(1, BLOCK_CELLS // (n * q * q))
+    for g in range(0, g_count, step):
+        blk = slice(g, g + step)
+        v = var[blk, None, :] + het2[:, blk].T[..., None]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            w, log_v = 1.0 / v, np.log(v)
+        if not (np.isfinite(w).all() and np.isfinite(log_v).all()):
+            raise DomainError(
+                "a study covariance overflows or underflows float64 when "
+                "inverted; are the standard errors on an extreme scale?")
+        if node_free:
+            stats[blk] = (w.reshape(-1, n) @ _outer(rows)).reshape(
+                w.shape[:-1] + (q * q,))
+        else:
+            stats[blk] = w @ _outer(rows[blk])
+        logdet[blk] = log_v.sum(axis=-1)
+    stats = np.swapaxes(stats, 0, 1).reshape(het2.shape + (q, q))
     return (stats[..., :-1, :-1], stats[..., :-1, -1], stats[..., -1, -1],
-            log_v.sum(axis=-1))
+            logdet.T)
 
 
 def _outer(rows: np.ndarray) -> np.ndarray:
@@ -396,8 +401,9 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
     (``_pair_blocks``), so those at the first node give the rank. One thin
     SVD of the prior-augmented rows gives the identified directions, of any
     rank; each node's system is projected onto them and Cholesky-factored
-    once, which yields the conditional mean, the conditional covariance
-    (zero along flat directions) and the log determinant.
+    once (``_cholesky_rows``), which yields the conditional mean, the
+    conditional covariance (zero along flat directions) and the log
+    determinant.
     """
     a, bvec, quad, logdet_sum = map(sum, zip(*(_scalar_stats(*block)
                                                for block in blocks)))
@@ -432,19 +438,14 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
             f"design is rank deficient ({rank} < {p}); flat directions: "
             f"{pretty}; summaries along them are prior-driven only",
             IdentifiabilityWarning, stacklevel=3)
-    basis = vt[:rank].T
-    try:
-        chol = np.linalg.cholesky(basis.T @ a @ basis)
-    except np.linalg.LinAlgError:
-        raise DomainError(
-            "the per-node GLS system is numerically singular; are the "
-            "estimates and standard errors on an extreme scale?") from None
-    # cond_cov = root root' is the inverse of a on the identified directions
-    root = basis @ np.swapaxes(np.linalg.inv(chol), -1, -2)
-    u = (bvec[..., None, :] @ root)[..., 0, :]
-    theta = (root @ u[..., None])[..., 0]
-    cond_cov = root @ np.swapaxes(root, -1, -2)
-    logdet_a = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    identified = vt[:rank]
+    diag, root_t = _cholesky_rows(identified @ a @ identified.T, identified)
+    # cond_cov = root_t' root_t is the inverse of a on the identified
+    # directions
+    u = (root_t @ bvec[..., None])[..., 0]
+    theta = (u[..., None, :] @ root_t)[..., 0, :]
+    cond_cov = np.swapaxes(root_t, -1, -2) @ root_t
+    logdet_a = 2.0 * np.log(diag).sum(axis=-1)
     log_marginal = (-0.5 * (logdet_sum + quad - np.sum(u * u, axis=-1)
                             + logdet_a)
                     - 0.5 * (stacked.shape[0] - rank) * _LOG_2PI + prior_const)
@@ -458,6 +459,30 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
                               theta, cond_cov, tuple(param_names), scale_names)
     _warn_grid_edge(posterior)
     return posterior
+
+
+def _cholesky_rows(system: np.ndarray, rows: np.ndarray):
+    """Cholesky factor L of every (r, r) matrix in the (..., r, r) stack
+    ``system`` and the forward substitution L^-1 ``rows`` of an (r, p)
+    matrix: returns diag(L) (..., r) and L^-1 rows (..., r, p). One loop over
+    the r columns, each step vectorized over the node axes, for every rank.
+    A DomainError when a pivot is not positive and finite."""
+    r = system.shape[-1]
+    lower = np.zeros(system.shape)
+    solved = np.zeros(system.shape[:-1] + rows.shape[-1:])
+    for j in range(r):
+        pivot = system[..., j, j] - np.sum(lower[..., j, :j] ** 2, axis=-1)
+        if not np.all((pivot > 0.0) & (pivot < np.inf)):
+            raise DomainError(
+                "the per-node GLS system is numerically singular; are the "
+                "estimates and standard errors on an extreme scale?")
+        d = np.sqrt(pivot)[..., None]
+        lower[..., j, j] = d[..., 0]
+        lower[..., j + 1:, j] = (system[..., j + 1:, j] - np.sum(
+            lower[..., j + 1:, :j] * lower[..., j, None, :j], axis=-1)) / d
+        solved[..., j, :] = (rows[j] - np.sum(
+            lower[..., j, :j, None] * solved[..., :j, :], axis=-2)) / d
+    return np.diagonal(lower, axis1=-2, axis2=-1), solved
 
 
 def _normalize_log_weights(log_w: np.ndarray, axis=None) -> np.ndarray:
@@ -481,22 +506,6 @@ def _warn_grid_edge(grid: PosteriorGrid) -> None:
                 GridEdgeWarning, stacklevel=4)
 
 
-def _dataset_sha(data: MetaDataset) -> str:
-    lines = [data.scale_label, str(data.uisd_assumption)]
-    for s in data.studies:
-        if isinstance(s, MultiStudyRecord):
-            parts = [s.study_id]
-            parts += [repr(float(v)) for v in s.estimates]
-            parts += [repr(float(v)) for v in s.cov_diag]
-            parts += [repr(float(v)) for v in s.prevalence]
-        else:
-            parts = [s.study_id,
-                     repr(s.obs_a.estimate), repr(s.obs_a.std_error), repr(s.obs_a.count),
-                     repr(s.obs_b.estimate), repr(s.obs_b.std_error), repr(s.obs_b.count)]
-        lines.append("|".join(parts))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
 def _axis_descriptor(nodes: np.ndarray) -> dict:
     return {"n": int(nodes.size), "lo": float(nodes[0]), "hi": float(nodes[-1])}
 
@@ -514,7 +523,7 @@ def _provenance(data: MetaDataset, priors: PriorSpec, grid: GridSpec,
             "tau_gamma": _axis_descriptor(grid.tau_gamma_nodes),
             "quantile_resolution": grid.quantile_resolution,
         },
-        "dataset_sha256": _dataset_sha(data),
+        "dataset_sha256": data.sha256,
         "n_studies": len(data.studies),
         "scale_label": data.scale_label,
         "seed": None,

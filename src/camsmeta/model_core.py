@@ -17,9 +17,11 @@ concern.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -185,6 +187,25 @@ class MetaDataset:
         if self.is_multi:
             raise ContractError("info_fractions applies to two-subgroup datasets only")
         return np.array([s.info_fraction for s in self.studies])
+
+    @cached_property
+    def sha256(self) -> str:
+        """Hex digest of the scale label, the UISD flag and every study's
+        values, computed once per dataset; fits record it as provenance."""
+        lines = [self.scale_label, str(self.uisd_assumption)]
+        for s in self.studies:
+            if isinstance(s, MultiStudyRecord):
+                parts = [s.study_id]
+                parts += [repr(float(v)) for v in s.estimates]
+                parts += [repr(float(v)) for v in s.cov_diag]
+                parts += [repr(float(v)) for v in s.prevalence]
+            else:
+                parts = [s.study_id,
+                         repr(s.obs_a.estimate), repr(s.obs_a.std_error),
+                         repr(s.obs_a.count), repr(s.obs_b.estimate),
+                         repr(s.obs_b.std_error), repr(s.obs_b.count)]
+            lines.append("|".join(parts))
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln, log_expit, logit, logsumexp
 
 from .errors import (ContractError, DomainError, ExtrapolationWarning,
                      ValidationWarning)
@@ -401,6 +400,24 @@ def beta_moments(a: float, b: float) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
+def _expit(x):
+    """1 / (1 + exp(-x)) without overflow: exp(-|x|) is at most 1."""
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, t) / (1.0 + t)
+
+
+def _log_expit(x):
+    """log(_expit(x)) = -log(1 + exp(-x)), accurate in both tails."""
+    return -np.logaddexp(0.0, -x)
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, shifted by its maximum so that no
+    exp overflows."""
+    top = a.max(axis=-1)
+    return top + np.log(np.exp(a - top[..., None]).sum(axis=-1))
+
+
 def fit_map_prevalence(counts, sd_scale: float = 0.5, phi_points: int = 201,
                        psi_points: int = 61, gh_points: int = 21) -> MapPrevalence:
     """Predictive synthesis of subgroup prevalence from external count data.
@@ -433,7 +450,7 @@ def fit_map_prevalence(counts, sd_scale: float = 0.5, phi_points: int = 201,
 
     # phi grid centered on the pooled logit, wide enough for the prior tail
     p0 = (xs.sum() + 0.5) / (ns.sum() + 1.0)
-    center = logit(p0)
+    center = math.log(p0) - math.log1p(-p0)
     se0 = math.sqrt(1.0 / (xs.sum() + 0.5) + 1.0 / (ns.sum() - xs.sum() + 0.5))
     span = 6.0 * math.sqrt(se0 ** 2 + (2.0 * sd_scale) ** 2)
     phi = center + np.linspace(-span, span, phi_points)
@@ -444,9 +461,10 @@ def fit_map_prevalence(counts, sd_scale: float = 0.5, phi_points: int = 201,
     eta = (phi[:, None, None] + psi[None, :, None] * math.sqrt(2.0) * t)
     loglik = np.zeros((phi_points, psi_points))
     for x, n in clean:
-        terms = x * log_expit(eta) + (n - x) * log_expit(-eta) + log_wgh
-        loglik += logsumexp(terms, axis=-1)
-        loglik += gammaln(n + 1) - gammaln(x + 1) - gammaln(n - x + 1)
+        terms = x * _log_expit(eta) + (n - x) * _log_expit(-eta) + log_wgh
+        loglik += _logsumexp(terms)
+        loglik += (math.lgamma(n + 1) - math.lgamma(x + 1)
+                   - math.lgamma(n - x + 1))
     h = phi[1] - phi[0]
     lp_phi = np.full(phi_points, math.log(h))
     lp_phi[[0, -1]] = math.log(0.5 * h)
@@ -456,8 +474,9 @@ def fit_map_prevalence(counts, sd_scale: float = 0.5, phi_points: int = 201,
 
     # predictive moments of expit(phi + psi Z) node-wise, then mixed
     gh_norm = wgh / math.sqrt(math.pi)
-    e1 = np.einsum("pqh,h->pq", expit(eta), gh_norm)
-    e2 = np.einsum("pqh,h->pq", expit(eta) ** 2, gh_norm)
+    p_eta = _expit(eta)
+    e1 = np.einsum("pqh,h->pq", p_eta, gh_norm)
+    e2 = np.einsum("pqh,h->pq", p_eta ** 2, gh_norm)
     mean = float((w * e1).sum())
     second = float((w * e2).sum())
     var = max(second - mean ** 2, 0.0)
@@ -470,12 +489,12 @@ def fit_map_prevalence(counts, sd_scale: float = 0.5, phi_points: int = 201,
 
     # pooled population prevalence expit(phi): quantiles commute with expit
     w_phi = w.sum(axis=1)
-    pooled = (float(expit(grid_quantile(phi, w_phi, 0.025))),
-              float(expit(grid_quantile(phi, w_phi, 0.975))))
+    pooled = (float(_expit(grid_quantile(phi, w_phi, 0.025))),
+              float(_expit(grid_quantile(phi, w_phi, 0.975))))
 
     # the predictive law is a normal mixture on the logit scale; its
     # quantiles commute with expit
-    predictive = tuple(float(expit(x)) for x in mixture_quantiles(
+    predictive = tuple(float(_expit(x)) for x in mixture_quantiles(
         w.reshape(-1), np.repeat(phi, psi_points)[None, :],
         np.tile(psi, phi_points)[None, :], (0.025, 0.975))[0])
     return MapPrevalence(float(a), float(b), mean, math.sqrt(var),

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -12,9 +13,45 @@ from scipy.special import ndtr
 
 from camsmeta import gaussmix
 from camsmeta.errors import ContractError, DomainError
-from camsmeta.gaussmix import (QUANTILE_TOL, GaussianMixture1D, grid_interval,
-                               grid_quantile, grid_tail_prob,
+from camsmeta.gaussmix import (QUANTILE_TOL, GaussianMixture1D, _normal_cdf,
+                               grid_interval, grid_quantile, grid_tail_prob,
                                mixture_quantiles)
+
+
+def erfc_cdf(z):
+    """Phi(z) from the standard library's erfc, elementwise."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])
+
+
+def test_normal_cdf_kernel_against_erfc_on_a_dense_grid():
+    z = np.concatenate([np.linspace(-40.0, 40.0, 160_001),
+                        [1e300, -1e300, 5e-324]])
+    cdf, e = _normal_cdf(z)
+    assert np.max(np.abs(cdf - erfc_cdf(z))) <= 1e-15
+    # the exp the kernel returns is the pdf's, bit for bit
+    with np.errstate(over="ignore"):
+        np.testing.assert_array_equal(e, np.exp(-0.5 * (z * z)))
+    edges, _ = _normal_cdf(np.array([0.0, -0.0, np.inf, -np.inf]))
+    assert edges.tolist() == [0.5, 0.5, 1.0, 0.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(float, st.integers(1, 50), elements=st.floats(
+    allow_nan=False, allow_infinity=True, allow_subnormal=True)))
+def test_normal_cdf_kernel_against_erfc_anywhere(z):
+    cdf, _ = _normal_cdf(z)
+    assert np.max(np.abs(cdf - erfc_cdf(z))) <= 1e-15
+    assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+
+
+def test_normal_cdf_kernel_on_atoms():
+    # an atom (sd = 0) at, below and above the point is a step: CDF 1, 1, 0
+    mix = GaussianMixture1D(np.array([0.25, 0.25, 0.5]),
+                            np.array([1.0, 0.5, 2.0]), np.zeros(3))
+    assert mix.cdf(1.0) == 0.5
+    assert mix.cdf(np.array([0.0, 0.5, 1.9, 2.0])).tolist() == [
+        0.0, 0.25, 0.5, 1.0]
+    assert mix.tail_prob(1.0) == 0.5
 
 
 def test_single_component_matches_normal():

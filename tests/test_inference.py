@@ -15,8 +15,9 @@ from camsmeta.gaussmix import QUANTILE_TOL, GaussianMixture1D
 from camsmeta import verify
 from camsmeta.inference import (_LOG_2PI, ESTIMATORS, GridSpec, PriorSpec,
                                 _axis_log_prior, _cams_problem,
-                                _functional_moments, _pair_blocks,
-                                _scalar_stats, _solve_grid, _summaries,
+                                _cholesky_rows, _functional_moments,
+                                _pair_blocks, _scalar_stats, _solve_grid,
+                                _summaries,
                                 cross_term_correction, ecological_evidence,
                                 factorization_residual,
                                 factorized_loglikelihood, fit_bim, fit_bim_k,
@@ -427,6 +428,42 @@ def test_cams_working_set_stays_one_dimensional():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_cholesky_rows_match_lapack(r):
+    rng = np.random.default_rng(r)
+    p = r + 1
+    factors = rng.normal(size=(7, 5, r, r + 3))
+    system = factors @ np.swapaxes(factors, -1, -2) + 1e-3 * np.eye(r)
+    rows = rng.normal(size=(r, p))
+    diag, solved = _cholesky_rows(system, rows)
+    chol = np.linalg.cholesky(system)
+    np.testing.assert_allclose(diag, np.diagonal(chol, axis1=-2, axis2=-1),
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(solved, np.linalg.inv(chol) @ rows,
+                               rtol=1e-12, atol=1e-12)
+    # a pivot that is not positive and finite is a clean DomainError
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        broken = system.copy()
+        broken[3, 2, r - 1, r - 1] = bad
+        with pytest.raises(DomainError, match="numerically singular"):
+            _cholesky_rows(broken, rows)
+
+
+def test_bms_lattice_working_set_stays_per_chunk():
+    # with alpha heterogeneity the mean block varies along both axes; a
+    # (T, G, J) covariance build needs about 250 MB at this size
+    data = simulate(SimScenario(n_studies=1000, gamma=0.3, tau=0.1,
+                                tau_gamma=0.1, seed=0))
+    grid = GridSpec.default(PriorSpec(), n_nodes=101)
+    tracemalloc.start()
+    try:
+        fit_bms(data, PriorSpec(), grid, alpha_heterogeneity=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_bms_functionals():

@@ -1,10 +1,15 @@
+import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 
+import camsmeta
 from camsmeta.errors import ContractError, DomainError, ValidationWarning
 from camsmeta.inference import GridSpec, PriorSpec, fit_bms, fit_cams
 from camsmeta.io_cli import (EXIT_ERROR, EXIT_OK, EXIT_VERIFY_FAIL, RunConfig,
@@ -501,3 +506,47 @@ def test_fit_on_large_scale_returns_results(tmp_path, factor):
         blob = json.load(open(tmp_path / f"fit_{estimator}.json"))
         values = [v for s in blob["summaries"].values() for v in s.values()]
         assert values and all(math.isfinite(v) for v in values), estimator
+
+
+def test_fit_hashes_its_dataset_once(tmp_path, monkeypatch):
+    import camsmeta.model_core as model_core
+    calls = []
+
+    def counting_sha256(data):
+        calls.append(len(data))
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(model_core, "hashlib",
+                        types.SimpleNamespace(sha256=counting_sha256))
+    out = str(tmp_path / "q")
+    assert main(["simulate", "--sim-studies", "5", "--output-dir", out]) == EXIT_OK
+    assert main(["fit", "--input", os.path.join(out, "simulated.csv"),
+                 "--grid-nodes", "11", "--output-dir", out]) == EXIT_OK
+    assert len(calls) == 1
+    shas = {json.load(open(os.path.join(out, f"fit_{e}.json")))["provenance"]
+            ["dataset_sha256"] for e in ("cams", "bim", "bms", "overall")}
+    assert len(shas) == 1
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # scipy is a test dependency only: neither the import nor any command
+    # may load it
+    script = f"""
+import os, sys
+import camsmeta
+from camsmeta.io_cli import main
+out = {str(tmp_path)!r}
+data = ["--input", os.path.join(out, "simulated.csv"), "--grid-nodes", "11",
+        "--output-dir", out]
+codes = [main(["simulate", "--sim-studies", "5", "--output-dir", out]),
+         main(["fit"] + data), main(["report"] + data),
+         main(["plotdata", "--svg", "true"] + data),
+         main(["verify", "--verify-seeds", "1", "--output-dir", out])]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(camsmeta.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0] []"

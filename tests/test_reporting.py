@@ -1,14 +1,16 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from camsmeta.errors import (ContractError, DomainError, ExtrapolationWarning,
                              ValidationWarning)
 from camsmeta.inference import GridSpec, PriorSpec, fit_bim, fit_bms, fit_cams
 from camsmeta.model_core import MetaDataset, StudyRecord, SubgroupObservation
-from camsmeta.reporting import (STRATEGY_KINDS, PrevalenceSpec, bayes_risk,
+from camsmeta.reporting import (STRATEGY_KINDS, PrevalenceSpec, _expit,
+                                _log_expit, _logsumexp, bayes_risk,
                                 beta_moments, effects_at, fit_map_prevalence,
                                 marginalize_prevalence, optimal_if,
                                 overall_if, report_effects,
@@ -233,6 +235,31 @@ def test_beta_moments_against_scipy():
         assert sd == pytest.approx(stats.beta.std(a, b), abs=1e-12)
     with pytest.raises(DomainError):
         beta_moments(0.0, 1.0)
+
+
+def test_logistic_helpers_against_scipy():
+    # RuntimeWarnings are errors (pyproject.toml), so no helper may overflow;
+    # the references may, and are silenced
+    x = np.concatenate([-np.logspace(-300, 308, 400), [-0.0, 0.0],
+                        np.logspace(-300, 308, 400),
+                        np.linspace(-800.0, 800.0, 3201)])
+    with np.errstate(all="ignore"):
+        want_expit = special.expit(x)
+        want_log = special.log_expit(x)
+    np.testing.assert_allclose(_expit(x), want_expit, rtol=1e-15, atol=1e-300)
+    np.testing.assert_allclose(_log_expit(x), want_log, rtol=1e-15, atol=0.0)
+    assert _expit(np.array(0.0)) == 0.5
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 1e3, 1e300):
+        terms = rng.normal(0.0, scale, (7, 9, 21))
+        terms[1, 1, :20] = -np.inf
+        np.testing.assert_allclose(_logsumexp(terms),
+                                   special.logsumexp(terms, axis=-1),
+                                   rtol=1e-15, atol=1e-13)
+    counts = np.array([0, 1, 7, 80, 1000, 10 ** 6])
+    np.testing.assert_allclose([math.lgamma(n + 1.0) for n in counts],
+                               special.gammaln(counts + 1.0), rtol=1e-15,
+                               atol=0.0)
 
 
 def test_map_prevalence_moment_match():

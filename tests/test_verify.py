@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from camsmeta import verify
 from camsmeta.errors import (ContractError, DomainError, GridEdgeWarning,
@@ -13,8 +14,8 @@ from camsmeta.gaussmix import GaussianMixture1D
 from camsmeta.inference import (GridSpec, PriorSpec, _functional_moments,
                                 fit_bim)
 from camsmeta.model_core import compute_if
-from camsmeta.verify import (BREAK_MIN, TOL_GRID, SimScenario, _cdf_witness,
-                             _mixture_gap_bound,
+from camsmeta.verify import (BREAK_MIN, TOL_GRID, SimScenario, _beta_cdf,
+                             _beta_median, _cdf_witness, _mixture_gap_bound,
                              _unbalanced_scenario, cams_oracle,
                              check_bayes_optimum, check_equivalence,
                              check_k_sufficiency, check_kronecker,
@@ -135,6 +136,15 @@ def test_check_bayes_optimum():
     assert rep["predicted"] == pytest.approx(0.5)
     rep = check_bayes_optimum((2.0, 8.0), loss="absolute", seed=0)
     assert rep["pass"]
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 8.0), (5.0, 21.0), (2.0, 2.0),
+                                  (0.5, 0.5), (30.0, 3.0)])
+def test_beta_median_against_scipy(a, b):
+    assert abs(_beta_median(a, b) - special.betaincinv(a, b, 0.5)) <= 1e-10
+    x = np.linspace(0.0, 1.0, 201)
+    np.testing.assert_allclose([_beta_cdf(v, a, b) for v in x],
+                               special.betainc(a, b, x), rtol=0.0, atol=1e-13)
 
 
 def test_run_battery_structure():
