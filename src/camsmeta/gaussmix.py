@@ -241,10 +241,12 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
             f"weights, got {mu.shape}, {sd.shape}, {w.shape}")
     if not (np.isfinite(mu).all() and np.isfinite(sd).all()):
         raise DomainError("component means and sds must be finite")
-    if np.any(w < 0) or np.any(sd < 0):
-        raise DomainError("weights and sds must be nonnegative")
-    if np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-8):
+    # written so that a NaN weight fails: it would start the search at a NaN
+    # point whose bracket never closes
+    if not np.all(np.abs(w.sum(axis=-1) - 1.0) <= 1e-8):
         raise ContractError("each weight row must sum to 1")
+    if not (np.all(w >= 0) and np.all(sd >= 0)):
+        raise DomainError("weights and sds must be nonnegative")
     m, n = mu.shape
     levels_z = np.array(list(map(NormalDist().inv_cdf, q.tolist())))
 

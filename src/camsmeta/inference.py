@@ -25,8 +25,10 @@ decouple, so CAMS is a contrast block on the tau_gamma axis plus a mean
 block on the tau axis. ``fit_bim_k`` splits K-level contrasts likewise.
 
 Location priors are flat by default; a flat prior requires at least as many
-studies as fixed effects. Proper normal priors lift that requirement and are
-folded into the per-node GLS.
+studies as fixed effects. A proper normal prior on any functional an
+estimator reports is one more scalar observation, without heterogeneity
+(``_prior_blocks``); priors whose rows span every coordinate lift that
+requirement.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .model_core import (CovarianceStructure, MetaDataset, cams_covariance,
                          decompose_arrays, subgroup_arrays)
 
 ESTIMATORS = ("BIM", "BMS", "CAMS", "OVERALL", "BIM_K")
-PARAMETRIZATIONS = ("explicit", "implicit")
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -62,9 +63,11 @@ EDGE_MASS_TOL = 1e-3
 @dataclass(frozen=True)
 class PriorSpec:
     """Priors: half-normal scales for the heterogeneity SDs, optional normal
-    priors for named location parameters (anything unnamed stays flat).
+    priors on named functionals of the location parameters (any direction
+    they leave unnamed stays flat).
 
-    ``location_prior`` is a tuple of (parameter_name, mean, sd) triples.
+    ``location_prior`` is a tuple of (functional_name, mean, sd) triples; a
+    fit refuses a name it does not report.
     """
 
     tau_scale: float = 1.0
@@ -76,16 +79,16 @@ class PriorSpec:
         if not all(0 < s < math.inf for s in scales):
             raise DomainError(f"prior scales must be positive and finite, got {scales}")
         entries = tuple((str(n), float(m), float(s)) for n, m, s in self.location_prior)
-        for name, _, sd in entries:
-            if not (sd > 0):
-                raise DomainError(f"location prior sd for {name} must be positive")
+        for name, mean, sd in entries:
+            if not (math.isfinite(mean) and sd > 0.0 and 0.0 < sd * sd < math.inf):
+                raise DomainError(
+                    f"location prior for {name} needs a finite mean and a "
+                    f"positive sd with a finite, nonzero square, got "
+                    f"({mean!r}, {sd!r})")
         names = [n for n, _, _ in entries]
         if len(set(names)) != len(names):
             raise ContractError(f"duplicate location priors: {names}")
         object.__setattr__(self, "location_prior", entries)
-
-    def location_map(self) -> dict:
-        return {name: (mean, sd) for name, mean, sd in self.location_prior}
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,6 @@ class GridSpec:
 
     tau_nodes: np.ndarray
     tau_gamma_nodes: np.ndarray
-    quantile_resolution: int = 512
 
     def __post_init__(self) -> None:
         for label in ("tau_nodes", "tau_gamma_nodes"):
@@ -114,8 +116,6 @@ class GridSpec:
                 if not np.isfinite(nodes ** 2).all():
                     raise DomainError(f"{label} must be finite with a finite "
                                       f"square, got {nodes[-1]:g}")
-        if self.quantile_resolution < 16:
-            raise ContractError("quantile_resolution must be at least 16")
 
     @staticmethod
     def axis(prior_scale: float, n_nodes: int = 101, span: float = 5.0,
@@ -132,11 +132,9 @@ class GridSpec:
         return np.concatenate([[0.0], np.geomspace(hi * min_frac, hi, n_nodes - 1)])
 
     @classmethod
-    def default(cls, priors: PriorSpec, n_nodes: int = 101,
-                quantile_resolution: int = 512) -> "GridSpec":
+    def default(cls, priors: PriorSpec, n_nodes: int = 101) -> "GridSpec":
         return cls(cls.axis(priors.tau_scale, n_nodes),
-                   cls.axis(priors.tau_gamma_scale, n_nodes),
-                   quantile_resolution)
+                   cls.axis(priors.tau_gamma_scale, n_nodes))
 
 
 @dataclass(frozen=True)
@@ -165,7 +163,7 @@ class PosteriorGrid:
             raise ContractError("weight lattice shape mismatch")
         if self.cond_mean.shape != (t, g, p) or self.cond_cov.shape != (t, g, p, p):
             raise ContractError("conditional moment shape mismatch")
-        if abs(self.weight.sum() - 1.0) > 1e-10:
+        if not abs(self.weight.sum() - 1.0) <= 1e-10:
             raise ContractError(f"weights must sum to 1, got {self.weight.sum()!r}")
 
     def scale_axis(self, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +205,7 @@ class FitResult:
 
         ``spec`` may be a functional name (e.g. "gamma"), a mapping from
         names to coefficients (e.g. {"alpha": 1, "delta": 0.3}), or a raw
-        coefficient vector over the natural parametrization.
+        coefficient vector over ``grid.param_names``.
 
         The mixture has one component per lattice node, the same components
         ``functional_quantiles`` and ``functional_summaries`` read.
@@ -313,14 +311,31 @@ def _axis_log_prior(nodes: np.ndarray, scale: float, in_use: bool) -> np.ndarray
     return _halfnormal_logpdf(nodes, scale) + _quad_log_weights(nodes)
 
 
-def _check_flat_prior_rule(priors: PriorSpec, param_names: tuple,
-                           n_studies: int, min_studies: int) -> None:
-    proper = set(priors.location_map())
-    if any(name not in proper for name in param_names) and n_studies < min_studies:
+def _prior_blocks(priors: PriorSpec, functionals: dict, n_studies: int,
+                  min_studies: int) -> list:
+    """The location priors as one block of scalar observations: a prior
+    N(c'theta; m, s^2) on the functional with coefficients c is the
+    observation m with design row c, variance s^2 and no heterogeneity, so
+    ``_solve_grid`` takes it like any study; no priors, no block. Fewer
+    than ``min_studies`` studies need prior rows of full rank."""
+    entries = priors.location_prior
+    unknown = [name for name, _, _ in entries if name not in functionals]
+    if unknown:
+        raise ContractError(
+            f"no functional named {unknown} to put a location prior on; "
+            f"this estimator reports {sorted(functionals)}")
+    rows = np.array([functionals[name] for name, _, _ in entries], dtype=float)
+    p = len(next(iter(functionals.values())))
+    if n_studies < min_studies and (
+            not entries or np.linalg.matrix_rank(rows) < p):
         raise ContractError(
             f"flat location priors need at least {min_studies} studies for "
-            f"{len(param_names)} fixed effects (got {n_studies}); supply "
-            f"proper location priors or more data")
+            f"{p} fixed effects (got {n_studies}); supply proper location "
+            f"priors or more data")
+    if not entries:
+        return []
+    _, mean, sd = map(np.array, zip(*entries))
+    return [(mean, rows, sd * sd, np.zeros((1, 1)))]
 
 
 def _scalar_stats(y: np.ndarray, x: np.ndarray, var: np.ndarray,
@@ -395,11 +410,11 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
                 tau_nodes: np.ndarray, tg_nodes: np.ndarray,
                 scale_names: tuple) -> PosteriorGrid:
     """Posterior grid from blocks (y, x, var, het2) of scalar observations
-    (``_scalar_stats``): summed statistics, per-node GLS with optional normal
-    location priors, then half-normal priors on the axes in ``scale_names``.
-    Design rows vary across nodes at most by an invertible row operation
-    (``_pair_blocks``), so those at the first node give the rank. One thin
-    SVD of the prior-augmented rows gives the identified directions, of any
+    (``_scalar_stats``), location priors among them (``_prior_blocks``):
+    summed statistics, per-node GLS, then half-normal priors on the axes in
+    ``scale_names``. Design rows vary across nodes at most by an invertible
+    row operation (``_pair_blocks``), so those at the first node give the
+    rank. One thin SVD of them gives the identified directions, of any
     rank; each node's system is projected onto them and Cholesky-factored
     once (``_cholesky_rows``), which yields the conditional mean, the
     conditional covariance (zero along flat directions) and the log
@@ -409,26 +424,11 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
                                                for block in blocks)))
     p = len(param_names)
     stacked = np.concatenate([x[(0,) * (x.ndim - 2)] for _, x, _, _ in blocks])
-    loc = priors.location_map()
-    prior_prec = np.zeros(p)
-    prior_mean = np.zeros(p)
-    prior_const = 0.0
-    for i, name in enumerate(param_names):
-        if name in loc:
-            mean, sd = loc[name]
-            prior_prec[i] = sd ** -2
-            prior_mean[i] = mean
-            prior_const += -0.5 * math.log(2.0 * math.pi) - math.log(sd)
-    if prior_prec.any():
-        a = a + np.diag(prior_prec)
-        bvec = bvec + prior_prec * prior_mean
-        quad = quad + float(prior_prec @ (prior_mean ** 2))
 
-    # the prior-augmented design's leading right singular vectors span every
-    # identified direction; the per-node system is solved on those alone
-    augmented = np.vstack([stacked, np.diag(np.sqrt(prior_prec))])
-    _, svals, vt = np.linalg.svd(augmented, full_matrices=False)
-    tol = svals.max() * max(augmented.shape) * np.finfo(float).eps
+    # the design's leading right singular vectors span every identified
+    # direction; the per-node system is solved on those alone
+    _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
+    tol = svals.max() * max(stacked.shape) * np.finfo(float).eps
     rank = int((svals > tol).sum())
     if rank < p:
         pretty = ["; ".join(
@@ -448,7 +448,7 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
     logdet_a = 2.0 * np.log(diag).sum(axis=-1)
     log_marginal = (-0.5 * (logdet_sum + quad - np.sum(u * u, axis=-1)
                             + logdet_a)
-                    - 0.5 * (stacked.shape[0] - rank) * _LOG_2PI + prior_const)
+                    - 0.5 * (stacked.shape[0] - rank) * _LOG_2PI)
     log_prior = (_axis_log_prior(tau_nodes, priors.tau_scale,
                                  "tau" in scale_names)[:, None]
                  + _axis_log_prior(tg_nodes, priors.tau_gamma_scale,
@@ -521,7 +521,8 @@ def _provenance(data: MetaDataset, priors: PriorSpec, grid: GridSpec,
         "grid": {
             "tau": _axis_descriptor(grid.tau_nodes),
             "tau_gamma": _axis_descriptor(grid.tau_gamma_nodes),
-            "quantile_resolution": grid.quantile_resolution,
+            # literal kept until a benchmark change regenerates bench/golden/
+            "quantile_resolution": 512,
         },
         "dataset_sha256": data.sha256,
         "n_studies": len(data.studies),
@@ -564,14 +565,13 @@ def fit_bim(data: MetaDataset, priors: PriorSpec | None = None,
     priors = priors if priors is not None else PriorSpec()
     grid = grid if grid is not None else GridSpec.default(priors)
     g, _, var_g, *_ = decompose_arrays(*subgroup_arrays(data))
-    param_names = ("gamma",)
-    _check_flat_prior_rule(priors, param_names, g.size, 1)
+    functionals = {"gamma": np.array([1.0])}
     tg = grid.tau_gamma_nodes
     blocks = [(g, np.ones((g.size, 1)), var_g, (tg ** 2)[None, :])]
-    posterior = _solve_grid(blocks, param_names, priors, np.array([0.0]), tg,
-                            ("tau_gamma",))
-    return _assemble("BIM", data, priors, grid, posterior,
-                     {"gamma": np.array([1.0])}, {})
+    posterior = _solve_grid(
+        blocks + _prior_blocks(priors, functionals, g.size, 1), ("gamma",),
+        priors, np.array([0.0]), tg, ("tau_gamma",))
+    return _assemble("BIM", data, priors, grid, posterior, functionals, {})
 
 
 def fit_overall(data: MetaDataset, priors: PriorSpec | None = None,
@@ -584,14 +584,13 @@ def fit_overall(data: MetaDataset, priors: PriorSpec | None = None,
     priors = priors if priors is not None else PriorSpec()
     grid = grid if grid is not None else GridSpec.default(priors)
     _, m, _, var_m, _ = decompose_arrays(*subgroup_arrays(data))
-    param_names = ("mu",)
-    _check_flat_prior_rule(priors, param_names, m.size, 1)
+    functionals = {"mu": np.array([1.0])}
     taus = grid.tau_nodes
     blocks = [(m, np.ones((m.size, 1)), var_m, (taus ** 2)[:, None])]
-    posterior = _solve_grid(blocks, param_names, priors, taus, np.array([0.0]),
-                            ("tau",))
-    return _assemble("OVERALL", data, priors, grid, posterior,
-                     {"mu": np.array([1.0])}, {})
+    posterior = _solve_grid(
+        blocks + _prior_blocks(priors, functionals, m.size, 1), ("mu",),
+        priors, taus, np.array([0.0]), ("tau",))
+    return _assemble("OVERALL", data, priors, grid, posterior, functionals, {})
 
 
 def fit_bms(data: MetaDataset, priors: PriorSpec | None = None,
@@ -609,75 +608,71 @@ def fit_bms(data: MetaDataset, priors: PriorSpec | None = None,
     grid = grid if grid is not None else GridSpec.default(priors)
     arrays = subgroup_arrays(data, 0.5)
     j = arrays[0].size
-    param_names = ("alpha", "gamma")
-    _check_flat_prior_rule(priors, param_names, j, 2)
-    tg = grid.tau_gamma_nodes
-    taus = grid.tau_nodes if alpha_heterogeneity else np.array([0.0])
-    x = np.broadcast_to(np.array([[1.0, -0.5], [1.0, 0.5]]), (j, 2, 2))
-    scale_names = ("tau", "tau_gamma") if alpha_heterogeneity else ("tau_gamma",)
-    posterior = _solve_grid(_pair_blocks(*arrays, x, taus, tg), param_names,
-                            priors, taus, tg, scale_names)
     functionals = {
         "alpha": np.array([1.0, 0.0]),
         "gamma": np.array([0.0, 1.0]),
         "mu_a": np.array([1.0, -0.5]),
         "mu_b": np.array([1.0, 0.5]),
     }
+    tg = grid.tau_gamma_nodes
+    taus = grid.tau_nodes if alpha_heterogeneity else np.array([0.0])
+    x = np.broadcast_to(np.array([[1.0, -0.5], [1.0, 0.5]]), (j, 2, 2))
+    scale_names = ("tau", "tau_gamma") if alpha_heterogeneity else ("tau_gamma",)
+    blocks = (_pair_blocks(*arrays, x, taus, tg)
+              + _prior_blocks(priors, functionals, j, 2))
+    posterior = _solve_grid(blocks, ("alpha", "gamma"), priors, taus, tg,
+                            scale_names)
     return _assemble("BMS", data, priors, grid, posterior, functionals,
                      {"alpha_heterogeneity": alpha_heterogeneity})
 
 
 def fit_cams(data: MetaDataset, priors: PriorSpec | None = None,
-             grid: GridSpec | None = None,
-             parametrization: str = "explicit") -> FitResult:
+             grid: GridSpec | None = None) -> FitResult:
     """Contribution-adjusted bivariate model on a 2-D heterogeneity grid.
 
-    Explicit parametrization: mean y = alpha + delta * pi + gamma * x with x
-    in {0, 1}; implicit: alpha + beta * pi + gamma * (x - pi), related by
-    beta = delta + gamma. Both carry the marginal covariance of
-    ``model_core.cams_covariance``.
+    The mean is y = alpha + delta * pi + gamma * x with x in {0, 1}, under
+    the marginal covariance of ``model_core.cams_covariance``; the fit also
+    reports the slope beta = delta + gamma of the equivalent form alpha +
+    beta * pi + gamma * (x - pi).
 
     At the information fraction that covariance decouples the contrast g
     from the mean m, so the fit adds the GLS statistics of two blocks:
     g_j ~ N(gamma, var_g + tau_gamma^2) on the tau_gamma axis and the
     meta-regression m_j ~ N(alpha + (delta + gamma) pi_j, var_m + tau^2) on
-    the tau axis. Location priors enter after the sum, so a prior coupling
-    the blocks stays exact. ``verify.cams_oracle`` is the joint 2-D solve.
+    the tau axis. Location priors are a third, node-free block, so a prior
+    coupling the first two stays exact. ``verify.cams_oracle`` is the joint
+    2-D solve.
     """
     priors = priors if priors is not None else PriorSpec()
     grid = grid if grid is not None else GridSpec.default(priors)
-    solve_args, functionals = _cams_problem(data, priors, grid, parametrization)
+    solve_args, functionals = _cams_problem(data, priors, grid)
+    # literal kept until a benchmark change regenerates bench/golden/
     return _assemble("CAMS", data, priors, grid, _solve_grid(*solve_args),
-                     functionals, {"parametrization": parametrization})
+                     functionals, {"parametrization": "explicit"})
 
 
-def _cams_problem(data: MetaDataset, priors: PriorSpec, grid: GridSpec,
-                  parametrization: str = "explicit"):
+# the functionals CAMS reports, over its (alpha, delta, gamma) coordinates
+_CAMS_FUNCTIONALS = {"alpha": (1.0, 0.0, 0.0), "beta": (0.0, 1.0, 1.0),
+                    "delta": (0.0, 1.0, 0.0), "gamma": (0.0, 0.0, 1.0)}
+
+
+def _cams_problem(data: MetaDataset, priors: PriorSpec, grid: GridSpec):
     """(``_solve_grid`` arguments, functionals) of ``fit_cams``: solving
     them gives its lattice without computing any summary. The solve stays in
     the caller so that its warnings point one frame above it."""
-    if parametrization not in PARAMETRIZATIONS:
-        raise ContractError(f"unknown parametrization {parametrization!r}")
     ya, yb, va, vb, pi = subgroup_arrays(data)
     g, m, var_g, var_m, _ = decompose_arrays(ya, yb, va, vb, pi)
     j = g.size
-    if parametrization == "explicit":
-        param_names = ("alpha", "delta", "gamma")
-        beta, delta, gamma_in_mean = [0.0, 1.0, 1.0], [0.0, 1.0, 0.0], pi
-    else:
-        param_names = ("alpha", "beta", "gamma")
-        beta, delta, gamma_in_mean = [0.0, 1.0, 0.0], [0.0, 1.0, -1.0], np.zeros(j)
-    functionals = {"alpha": np.array([1.0, 0.0, 0.0]), "beta": np.array(beta),
-                   "delta": np.array(delta), "gamma": np.array([0.0, 0.0, 1.0])}
-    _check_flat_prior_rule(priors, param_names, j, 3)
+    functionals = {name: np.array(c) for name, c in _CAMS_FUNCTIONALS.items()}
     x_g = np.tile([0.0, 0.0, 1.0], (j, 1))
-    x_m = np.stack([np.ones(j), pi, gamma_in_mean], axis=1)
+    x_m = np.stack([np.ones(j), pi, pi], axis=1)
     taus = grid.tau_nodes
     tg = grid.tau_gamma_nodes
     blocks = [(g, x_g, var_g, (tg ** 2)[None, :]),
               (m, x_m, var_m, (taus ** 2)[:, None])]
-    return ((blocks, param_names, priors, taus, tg, ("tau", "tau_gamma")),
-            functionals)
+    blocks += _prior_blocks(priors, functionals, j, 3)
+    return ((blocks, ("alpha", "delta", "gamma"), priors, taus, tg,
+             ("tau", "tau_gamma")), functionals)
 
 
 def fit_bim_k(data: MetaDataset, basis: ContrastBasis,
@@ -704,8 +699,7 @@ def fit_bim_k(data: MetaDataset, basis: ContrastBasis,
     q = k - 1
     j = len(data.studies)
     param_names = tuple(f"gamma_{i + 1}" for i in range(q))
-    # each study contributes q contrast observations
-    _check_flat_prior_rule(priors, param_names, j * q, q)
+    functionals = {name: np.eye(q)[i] for i, name in enumerate(param_names)}
     lmap = np.linalg.solve(basis.matrix_c @ basis.basis_b, basis.matrix_c)
     var = np.stack([s.cov_diag for s in data.studies])
     lam, u = np.linalg.eigh(np.einsum("ik,jk,lk->jil", lmap, var, lmap))
@@ -713,9 +707,10 @@ def fit_bim_k(data: MetaDataset, basis: ContrastBasis,
     blocks = [(np.einsum("jik,ji->jk", u, h).ravel(),
                u.transpose(0, 2, 1).reshape(j * q, q), lam.ravel(),
                (grid.tau_nodes ** 2)[:, None])]
+    # each study contributes q contrast observations
+    blocks += _prior_blocks(priors, functionals, j * q, q)
     posterior = _solve_grid(blocks, param_names, priors, grid.tau_nodes,
                             np.array([0.0]), ("tau",))
-    functionals = {name: np.eye(q)[i] for i, name in enumerate(param_names)}
     return _assemble("BIM_K", data, priors, grid, posterior, functionals,
                      {"k": k})
 

@@ -30,9 +30,8 @@ import numpy as np
 
 from .errors import (CamsmetaError, ContractError, DomainError,
                      ValidationWarning)
-from .inference import (PARAMETRIZATIONS, FitResult, GridSpec, PriorSpec,
-                        fit_bim, fit_bms, fit_cams, fit_overall,
-                        interaction_trace)
+from .inference import (FitResult, GridSpec, PriorSpec, fit_bim, fit_bms,
+                        fit_cams, fit_overall, interaction_trace)
 from .model_core import (MetaDataset, StudyRecord, SubgroupObservation,
                          decompose_arrays, subgroup_arrays)
 from .reporting import (STRATEGY_KINDS, PrevalenceSpec, ReportedEffects,
@@ -260,7 +259,6 @@ _CONFIG_SCHEMA = {
     "tau_prior": (float, 1.0),
     "tau_gamma_prior": (float, 0.5),
     "grid_nodes": (int, 101),
-    "parametrization": (str, "explicit"),
     "alpha_heterogeneity": (_parse_bool, False),
     "prevalence": (str, "overall_if"),
     "prevalence_value": (_opt_float, None),
@@ -289,9 +287,6 @@ def _check_config(config) -> None:
     # refuse a bad value before any command does work
     _priors(config)  # PriorSpec refuses a bad prior scale up front
     _estimator_names(config)
-    if config.parametrization not in PARAMETRIZATIONS:
-        raise ContractError(
-            f"unknown parametrization {config.parametrization!r}")
 
 
 def _estimator_names(config) -> list:
@@ -446,8 +441,7 @@ def _fit_one(name: str, data: MetaDataset, priors: PriorSpec, grid: GridSpec,
         return fit_bms(data, priors, grid,
                        alpha_heterogeneity=config.alpha_heterogeneity)
     if name == "cams":
-        return fit_cams(data, priors, grid,
-                        parametrization=config.parametrization)
+        return fit_cams(data, priors, grid)
     return fit_overall(data, priors, grid)
 
 
@@ -530,7 +524,7 @@ def _cmd_plotdata(config: RunConfig) -> int:
     data = _load_data(config)
     priors = _priors(config)
     grid = GridSpec.default(priors, n_nodes=config.grid_nodes)
-    cams = fit_cams(data, priors, grid, parametrization=config.parametrization)
+    cams = fit_cams(data, priors, grid)
     bim = fit_bim(data, priors, grid)
     out = config.output_dir
 

@@ -30,9 +30,10 @@ from .contrasts import (contrast_mean_cov, helmert_basis, kronecker_contrast,
                         transform_matrix)
 from .errors import ContractError, DomainError, IdentifiabilityWarning
 from .gaussmix import GaussianMixture1D
-from .inference import (GridSpec, PosteriorGrid, PriorSpec, _cams_problem,
-                        _functional_moments, _pair_blocks, _solve_grid,
-                        fit_bim, fit_cams)
+from .inference import (_CAMS_FUNCTIONALS, GridSpec, PosteriorGrid,
+                        PriorSpec, _cams_problem, _functional_moments,
+                        _pair_blocks, _prior_blocks, _solve_grid, fit_bim,
+                        fit_cams)
 from .model_core import (MetaDataset, MultiStudyRecord, StudyRecord,
                          SubgroupObservation, subgroup_arrays)
 from .reporting import PrevalenceSpec, bayes_risk
@@ -222,8 +223,8 @@ def leverage_scenario(seed: int = 0, n_studies: int = 8) -> SimScenario:
 # checks
 # ----------------------------------------------------------------------
 
-def cams_oracle(data: MetaDataset, pi, priors: PriorSpec, grid: GridSpec,
-                parametrization: str = "explicit") -> PosteriorGrid:
+def cams_oracle(data: MetaDataset, pi, priors: PriorSpec,
+                grid: GridSpec) -> PosteriorGrid:
     """Reference for ``fit_cams``: the joint GLS of the (y_A, y_B) pairs on
     the full (tau, tau_gamma) lattice, Cov(g, m) kept: each pair is two
     scalar observations, its contrast and its mean given it (``_pair_blocks``).
@@ -232,19 +233,13 @@ def cams_oracle(data: MetaDataset, pi, priors: PriorSpec, grid: GridSpec,
     ``fit_cams(...).grid`` to rounding. No summaries are computed.
     """
     ya, yb, va, vb, p = subgroup_arrays(data, pi)
-    ones, zeros = np.ones(p.size), np.zeros(p.size)
-    if parametrization == "explicit":
-        param_names = ("alpha", "delta", "gamma")
-        rows = ((ones, p, zeros), (ones, p, ones))
-    elif parametrization == "implicit":
-        param_names = ("alpha", "beta", "gamma")
-        rows = ((ones, p, -p), (ones, p, 1.0 - p))
-    else:
-        raise ContractError(f"unknown parametrization {parametrization!r}")
-    x = np.stack([np.stack(r, axis=1) for r in rows], axis=1)
+    row_a = np.stack([np.ones(p.size), p, np.zeros(p.size)], axis=1)
+    x = np.stack([row_a, row_a + [0.0, 0.0, 1.0]], axis=1)
     taus, tg = grid.tau_nodes, grid.tau_gamma_nodes
-    return _solve_grid(_pair_blocks(ya, yb, va, vb, p, x, taus, tg),
-                       param_names, priors, taus, tg, ("tau", "tau_gamma"))
+    blocks = (_pair_blocks(ya, yb, va, vb, p, x, taus, tg)
+              + _prior_blocks(priors, _CAMS_FUNCTIONALS, p.size, 3))
+    return _solve_grid(blocks, ("alpha", "delta", "gamma"), priors, taus, tg,
+                       ("tau", "tau_gamma"))
 
 
 def _grid_distance(grid: PosteriorGrid, oracle: PosteriorGrid) -> float:

@@ -297,6 +297,10 @@ def test_engine_rejects_bad_input():
         mixture_quantiles(np.array([0.5, 0.5]), mu, sd, (0.5,))
     with pytest.raises(DomainError):
         mixture_quantiles(w, np.full((1, 1), np.inf), sd, (0.5,))
+    # a NaN weight is refused at once, not searched for forever
+    nan_row = np.array([0.5, np.nan])
+    with pytest.raises(ContractError, match="must sum to 1"):
+        mixture_quantiles(nan_row, np.zeros((1, 2)), np.ones((1, 2)), (0.5,))
 
 
 def test_cdf_working_set_is_blocked():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 import warnings
 
@@ -28,7 +29,8 @@ from camsmeta.contrasts import (ContrastBasis, helmert_basis,
                                 precision_prevalence)
 from camsmeta.model_core import (CovarianceStructure, MetaDataset,
                                  MultiStudyRecord, StudyRecord,
-                                 SubgroupObservation, cams_covariance)
+                                 SubgroupObservation, cams_covariance,
+                                 subgroup_arrays)
 from camsmeta.verify import (BREAK_MIN, TOL_EXACT, SimScenario,
                              _cdf_witness, _gamma_bound, _grid_distance,
                              cams_oracle, simulate)
@@ -87,8 +89,27 @@ def test_prior_spec_validation():
             PriorSpec(tau_gamma_scale=scale)
     with pytest.raises(ContractError):
         PriorSpec(location_prior=(("gamma", 0, 1), ("gamma", 0, 2)))
-    p = PriorSpec(location_prior=(("gamma", 0.0, 1.0),))
-    assert p.location_map() == {"gamma": (0.0, 1.0)}
+    p = PriorSpec(location_prior=(("gamma", 0, 1),))
+    assert p.location_prior == (("gamma", 0.0, 1.0),)
+
+
+@pytest.mark.parametrize("mean, sd", [
+    (0.0, np.inf), (0.0, 1e-300), (0.0, np.nan), (0.0, 0.0), (0.0, -1.0),
+    (0.0, 1e200), (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0)])
+def test_location_prior_values_are_refused_at_construction(mean, sd):
+    # an sd whose square is 0 or not finite, or a mean that is not finite,
+    # would reach the solve as a NaN weight or an overflow
+    with pytest.raises(DomainError, match="location prior for gamma needs"):
+        PriorSpec(location_prior=(("gamma", mean, sd),))
+
+
+def test_a_nan_weight_is_refused_by_the_posterior_grid():
+    fit = fit_bim(make_dataset(seed=1), PriorSpec(),
+                  GridSpec.default(PriorSpec(), n_nodes=11))
+    weight = fit.grid.weight.copy()
+    weight[0, 3] = np.nan
+    with pytest.raises(ContractError, match="weights must sum to 1"):
+        dataclasses.replace(fit.grid, weight=weight)
 
 
 def test_bim_single_node_closed_form():
@@ -176,21 +197,6 @@ def test_overall_conditional_moments_per_node():
         float(w @ m / w.sum()), abs=1e-7)
 
 
-def test_cams_parametrizations_agree():
-    data = make_dataset(seed=4)
-    grid = GridSpec.default(PriorSpec(), n_nodes=41)
-    explicit = fit_cams(data, PriorSpec(), grid, parametrization="explicit")
-    implicit = fit_cams(data, PriorSpec(), grid, parametrization="implicit")
-    # same model in sheared coordinates: every reported functional matches
-    for name in ("alpha", "delta", "gamma"):
-        se, si = explicit.summaries[name], implicit.summaries[name]
-        assert si.median == pytest.approx(se.median, abs=1e-9)
-        assert si.lower == pytest.approx(se.lower, abs=1e-9)
-        assert si.upper == pytest.approx(se.upper, abs=1e-9)
-    with pytest.raises(ContractError):
-        fit_cams(data, PriorSpec(), grid, parametrization="nope")
-
-
 def test_cams_matches_bim_on_gamma():
     data = make_dataset(seed=5)
     grid = GridSpec.default(PriorSpec(), n_nodes=41)
@@ -230,11 +236,10 @@ def test_oracle_forced_half_breaks_equivalence():
         cams_oracle(data, [0.3, 0.4, -0.1, 0.5, 0.5, 0.5], PriorSpec(), grid)
 
 
-@pytest.mark.parametrize("parametrization", ["explicit", "implicit"])
-def test_functional_mixture_is_what_the_batched_readers_read(parametrization):
+def test_functional_mixture_is_what_the_batched_readers_read():
     # one mixture per functional: the full lattice, read bit for bit alike
     fit = fit_cams(make_dataset(seed=4), PriorSpec(),
-                   GridSpec.default(PriorSpec(), n_nodes=41), parametrization)
+                   GridSpec.default(PriorSpec(), n_nodes=41))
     # weights that sum to 1 only to rounding, as a fit's may
     fit = dataclasses.replace(fit, grid=dataclasses.replace(
         fit.grid, weight=fit.grid.weight * (1.0 + 1e-12)))
@@ -249,24 +254,18 @@ def test_functional_mixture_is_what_the_batched_readers_read(parametrization):
 def pinv_reference(blocks, param_names, priors, taus, tg, scale_names):
     """Log weights and conditional moments of a lattice from the normal
     matrix A itself: pinv(A) and the log of its top-rank eigenvalues, with
-    the rank from the singular values of the prior-augmented design rows."""
+    the rank from the singular values of the design rows, prior rows
+    included."""
     a, b, quad, logdet_v = map(sum, zip(*(_scalar_stats(*blk) for blk in blocks)))
     p = len(param_names)
-    loc = priors.location_map()
-    prec = np.array([loc[n][1] ** -2 if n in loc else 0.0 for n in param_names])
-    mean = np.array([loc[n][0] if n in loc else 0.0 for n in param_names])
-    rows = np.vstack([x[(0,) * (x.ndim - 2)] for _, x, _, _ in blocks]
-                     + [np.diag(np.sqrt(prec))])
+    rows = np.vstack([x[(0,) * (x.ndim - 2)] for _, x, _, _ in blocks])
     rank = np.linalg.matrix_rank(rows)
-    a = a + np.diag(prec)
-    b = b + prec * mean
     cov = np.linalg.pinv(a, hermitian=True)
     theta = (cov @ b[..., None])[..., 0]
     logdet_a = np.log(np.linalg.eigvalsh(a)[..., p - rank:]).sum(axis=-1)
-    log_marginal = (-0.5 * (logdet_v + quad + prec @ mean ** 2
-                            - np.sum(b * theta, axis=-1) + logdet_a)
-                    - 0.5 * (rows.shape[0] - p - rank) * _LOG_2PI
-                    - sum(0.5 * _LOG_2PI + np.log(sd) for _, sd in loc.values()))
+    log_marginal = (-0.5 * (logdet_v + quad - np.sum(b * theta, axis=-1)
+                            + logdet_a)
+                    - 0.5 * (rows.shape[0] - rank) * _LOG_2PI)
     log_prior = (_axis_log_prior(taus, priors.tau_scale, "tau" in scale_names)[:, None]
                  + _axis_log_prior(tg, priors.tau_gamma_scale,
                                    "tau_gamma" in scale_names)[None, :])
@@ -356,11 +355,10 @@ location_priors = st.lists(
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_studies=st.integers(3, 40),
-       parametrization=st.sampled_from(("explicit", "implicit")),
        n_nodes=st.integers(11, 41), location=location_priors,
        tau=st.floats(0.0, 0.5), tau_gamma=st.floats(0.0, 0.5))
-def test_cams_matches_joint_oracle(seed, n_studies, parametrization, n_nodes,
-                                   location, tau, tau_gamma):
+def test_cams_matches_joint_oracle(seed, n_studies, n_nodes, location, tau,
+                                   tau_gamma):
     data = simulate(SimScenario(n_studies=n_studies, alpha=0.2, delta=0.8,
                                 gamma=0.3, tau=tau, tau_gamma=tau_gamma,
                                 seed=seed))
@@ -369,9 +367,8 @@ def test_cams_matches_joint_oracle(seed, n_studies, parametrization, n_nodes,
     with warnings.catch_warnings():
         # a tight prior far from the data may push tau_gamma to the grid edge
         warnings.simplefilter("ignore", GridEdgeWarning)
-        fit = fit_cams(data, priors, grid, parametrization)
-        oracle = cams_oracle(data, data.info_fractions, priors, grid,
-                             parametrization)
+        fit = fit_cams(data, priors, grid)
+        oracle = cams_oracle(data, data.info_fractions, priors, grid)
     assert np.max(np.abs(fit.grid.weight - oracle.weight)) < 1e-12
     assert _grid_distance(fit.grid, oracle) < TOL_EXACT
     names = list(fit.functionals)
@@ -414,6 +411,80 @@ def test_pair_stats_match_the_raw_coordinate_solve(seed):
         assert (a + b).shape == c.shape
         np.testing.assert_allclose(a + b, c, rtol=1e-9,
                                    atol=1e-9 * np.abs(c).max())
+
+
+def dense_prior_reference(data, x, pi, taus, tg, prior, scales):
+    """Node weights and conditional moments from every study's 2x2
+    cams_covariance at weighting pi, inverted at every node, plus one
+    normal prior (coefficients c, mean, sd) added to the normal equations
+    by hand; half-normal priors on the scale axes named in ``scales``."""
+    ya, yb, va, vb, _ = subgroup_arrays(data)
+    v = cams_covariance(va, vb, pi, taus[:, None, None], tg[None, :, None])
+    a, b, quad, logdet = block_gls_stats(np.stack([ya, yb], 1), x, v)
+    c, mean, sd = prior
+    a = a + np.outer(c, c) / sd ** 2
+    b = b + c * mean / sd ** 2
+    quad = quad + mean ** 2 / sd ** 2
+    cov = np.linalg.inv(a)
+    theta = np.einsum("tgpq,tgq->tgp", cov, b)
+    log_w = -0.5 * (logdet + quad - np.einsum("tgp,tgp->tg", b, theta)
+                    + np.linalg.slogdet(a)[1])
+    for axis, (nodes, scale) in enumerate(((taus, 1.0), (tg, 0.5))):
+        if ("tau", "tau_gamma")[axis] in scales:
+            padded = np.concatenate([nodes[:1], nodes, nodes[-1:]])
+            log_prior = (stats.halfnorm.logpdf(nodes, scale=scale)
+                         + np.log(0.5 * (padded[2:] - padded[:-2])))
+            log_w = log_w + np.expand_dims(log_prior, 1 - axis)
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum(), theta, cov
+
+
+@pytest.mark.parametrize("case", ["cams_beta", "bms_mu_a"])
+def test_a_prior_on_a_reported_functional_matches_the_dense_solve(case):
+    # a prior on beta = delta + gamma or on mu_a = alpha - gamma / 2, neither
+    # of them a coordinate, is one more row of the normal equations
+    data = make_dataset(seed=12)
+    ya, yb, va, vb, pi = subgroup_arrays(data)
+    ones, zeros = np.ones(pi.size), np.zeros(pi.size)
+    grid = GridSpec.default(PriorSpec(), n_nodes=15)
+    if case == "cams_beta":
+        name, prior = "beta", (np.array([0.0, 1.0, 1.0]), 0.4, 0.05)
+        x = np.stack([np.stack([ones, pi, zeros], 1),
+                      np.stack([ones, pi, ones], 1)], 1)
+        fit = fit_cams(data, PriorSpec(location_prior=((name, 0.4, 0.05),)),
+                       grid)
+        want = dense_prior_reference(data, x, pi, grid.tau_nodes,
+                                     grid.tau_gamma_nodes, prior,
+                                     ("tau", "tau_gamma"))
+    else:
+        name, prior = "mu_a", (np.array([1.0, -0.5]), -0.3, 0.1)
+        x = np.broadcast_to(np.array([[1.0, -0.5], [1.0, 0.5]]),
+                            (pi.size, 2, 2))
+        fit = fit_bms(data, PriorSpec(location_prior=((name, -0.3, 0.1),)),
+                      grid)
+        want = dense_prior_reference(data, x, 0.5, np.array([0.0]),
+                                     grid.tau_gamma_nodes, prior,
+                                     ("tau_gamma",))
+    np.testing.assert_array_equal(fit.functionals[name], prior[0])
+    for got, ref in zip((fit.grid.weight, fit.grid.cond_mean,
+                         fit.grid.cond_cov), want):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+    assert fit.provenance["priors"]["location"] == {name: list(prior[1:])}
+
+
+@pytest.mark.parametrize("fit", [fit_bim, fit_bms, fit_cams, fit_overall,
+                                 fit_bim_k], ids=lambda f: f.__name__)
+def test_a_prior_on_an_unreported_name_is_refused(fit):
+    data = make_dataset(seed=13)
+    if fit is fit_bim_k:
+        data = multi_dataset(3, seed=13)
+        fit = functools.partial(fit_bim_k, basis=helmert_basis(3))
+    reported = sorted(fit(data).functionals)
+    with pytest.raises(ContractError) as info:
+        fit(data, priors=PriorSpec(location_prior=(("gama", 0.3, 1.0),)))
+    assert str(info.value) == (
+        f"no functional named ['gama'] to put a location prior on; this "
+        f"estimator reports {reported}")
 
 
 def test_cams_working_set_stays_one_dimensional():
@@ -488,6 +559,15 @@ def test_flat_prior_rule():
                                        ("gamma", 0.0, 2.0)))
     fit = fit_cams(data, priors, grid)
     assert fit.summaries["gamma"].lower < fit.summaries["gamma"].upper
+    # prior rows of full rank lift it whichever functionals they name; rows
+    # that leave a direction flat do not
+    fit_cams(data, PriorSpec(location_prior=(("alpha", 0.0, 2.0),
+                                             ("beta", 0.0, 2.0),
+                                             ("delta", 0.0, 2.0))), grid)
+    with pytest.raises(ContractError, match="flat location priors"):
+        fit_cams(data, PriorSpec(location_prior=(("beta", 0.0, 2.0),
+                                                 ("delta", 0.0, 2.0),
+                                                 ("gamma", 0.0, 2.0))), grid)
 
 
 def test_rank_deficiency_warns():
@@ -782,9 +862,7 @@ def test_label_swap_and_common_shift(case, arrays, n_nodes, shift):
 EQUIVARIANCE_FITS = {
     "bim": fit_bim,
     "bms": fit_bms,
-    "cams_explicit": fit_cams,
-    "cams_implicit": lambda data, priors, grid: fit_cams(data, priors, grid,
-                                                         "implicit"),
+    "cams": fit_cams,
     "overall": fit_overall,
 }
 

@@ -478,22 +478,35 @@ def test_bad_prior_scale_is_refused_up_front(tmp_path, capsys, command, flag,
         RunConfig.from_sources(None, {flag[2:].replace("-", "_"): value})
 
 
-@pytest.mark.parametrize("flags, why", [
-    (["--estimators", "cams,bim,foo"], "unknown estimator 'foo'"),
-    (["--estimators", "bim,cams", "--parametrization", "foo"],
-     "unknown parametrization 'foo'"),
+@pytest.mark.parametrize("config, why", [
+    ("estimators = cams,bim,foo\n", "unknown estimator 'foo'"),
+    ("estimators = bim,cams\nparametrization = implicit\n",
+     "unknown key 'parametrization'"),
 ], ids=["estimator", "parametrization"])
-def test_fit_refuses_a_bad_config_before_any_fit(tmp_path, capsys, flags, why):
-    # the names are checked with the config, so no fit_*.json is written
-    # before the bad value is reached
+def test_fit_refuses_a_bad_config_before_any_fit(tmp_path, capsys, config,
+                                                 why):
+    # the config is checked whole, so no fit_*.json is written before the
+    # bad value is reached
     path = write_scaled_quickstart(tmp_path, 1.0)
     out = tmp_path / "out"
     out.mkdir()
-    code = main(["fit", "--input", path, "--output-dir", str(out), *flags])
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(config)
+    code = main(["fit", "--config", str(config_path), "--input", path,
+                 "--output-dir", str(out)])
     assert code == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and why in err[0]
     assert not list(out.glob("fit_*.json"))
+
+
+def test_parametrization_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--input", str(tmp_path / "absent.csv"),
+              "--parametrization", "implicit"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --parametrization" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("factor", [1e100, 1e150])
