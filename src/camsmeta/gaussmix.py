@@ -14,7 +14,18 @@ of it. The first guess is the moment-matched normal quantile clipped into
 that bracket. Newton steps on the mixture pdf follow; a step that leaves the
 bracket or fails to halve the previous one is replaced by bisection, and
 mixtures that contain an atom bisect only. A quantile is done when a Newton
-step is below QUANTILE_TOL / 4 or the bracket is narrower than QUANTILE_TOL.
+step is below QUANTILE_TOL / 4 or the bracket is narrower than QUANTILE_TOL,
+or once its error bound is proven:
+
+Certified exit. |f'| <= L = phi(1) sum_k w_k / sd_k^2 everywhere, since
+|d/dx phi(z_k) / sd_k| = |z_k| phi(z_k) / sd_k^2 and |z| phi(z) peaks at
+z = 1. At a point x with Newton step s = (F(x) - q) / f(x), suppose
+4 L |s| <= f(x). Then f >= f(x) / 2 on [x - 2|s|, x + 2|s|], so F - q changes
+sign there and the root x* lies in it. Taylor's theorem about x gives
+0 = s f(x) + f(x) (x* - x) + f'(xi) (x* - x)^2 / 2, so
+|x - s - x*| <= L (2 s)^2 / (2 f(x)) = 2 L s^2 / f(x). When that is at most
+QUANTILE_TOL / 4, x - s, clipped into the bracket, is returned without
+another evaluation. A row with an atom has L = inf and never exits this way.
 
 Every component CDF comes from one numpy kernel, ``_normal_cdf``: with
 e = exp(-z^2 / 2), Phi(-|z|) = e * P(|z|) / Q(|z|) for the degree-6/7 rational
@@ -54,6 +65,8 @@ QUANTILE_TOL = 1e-8
 BLOCK_CELLS = 2 ** 15
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# phi(1), the largest |z| phi(z): with it, sum_k w_k / sd_k^2 bounds |f'|
+_PHI_1 = _INV_SQRT_2PI * math.exp(-0.5)
 
 # Hart #5666: Phi(-a) = exp(-a^2 / 2) * P(a) / Q(a) for a >= 0, coefficients
 # from the highest power down
@@ -217,6 +230,25 @@ def _inverse(sd: np.ndarray) -> np.ndarray:
         return 1.0 / sd
 
 
+def mixture_cdf(weights, means, sds, x) -> np.ndarray:
+    """CDF of each of many Gaussian mixtures at its own point.
+
+    ``weights``, ``means`` and ``sds`` are laid out as in
+    ``mixture_quantiles``; ``x`` is one point or one point per row. Returns
+    the (m,) array whose entry r is P(X_r <= x_r) for mixture r.
+    """
+    mu = np.asarray(means, dtype=float)
+    sd = np.asarray(sds, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    m, n = mu.shape
+    x = np.broadcast_to(np.asarray(x, dtype=float), (m,))
+    out = np.empty(m)
+    for blk in _blocks(m, n):
+        out[blk] = _cdf_pdf(x[blk], mu[blk], _inverse(sd[blk]),
+                            w if w.ndim == 1 else w[blk], False)[0]
+    return out
+
+
 def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
     """Quantiles of many Gaussian mixtures at many levels in one call.
 
@@ -253,6 +285,7 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
     # moment-matched starting point and the exact bracket, per (row, level)
     mean = np.empty(m)
     second = np.empty(m)
+    slope = np.empty(m)
     lo = np.empty((m, q.size))
     hi = np.empty((m, q.size))
     for blk in _blocks(m, n):
@@ -260,6 +293,8 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
         w_b = w if w.ndim == 1 else w[blk]
         mean[blk] = (mu_b * w_b).sum(axis=1)
         second[blk] = ((sd_b * sd_b + mu_b * mu_b) * w_b).sum(axis=1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            slope[blk] = (w_b / (sd_b * sd_b)).sum(axis=1)
         for j, zq in enumerate(levels_z):
             comp = mu_b + sd_b * zq
             lo[blk, j] = comp.min(axis=1)
@@ -270,6 +305,8 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
     target = np.tile(q, m)
     x = np.clip(mean[row] + spread[row] * np.tile(levels_z, m), lo, hi)
     newton_row = ~(sd == 0).any(axis=1)[row]
+    # L bounds |f'| of each (row, level); atoms make it infinite
+    slope = np.where(newton_row, _PHI_1 * slope[row], np.inf)
     last_step = hi - lo
     out = 0.5 * (lo + hi)
     active = np.flatnonzero(hi - lo > QUANTILE_TOL)
@@ -294,9 +331,15 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
                   & (np.abs(step) <= 0.5 * last_step[active]))
         mid = 0.5 * (a + b)
         nxt = np.where(newton, cand, mid)
+        # the root is within 2 L s^2 / f of x - s (see the module docstring)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = slope[active] * np.abs(step)
+            proven = (4.0 * bound <= pdf) & (
+                2.0 * bound * np.abs(step) <= 0.25 * QUANTILE_TOL * pdf)
+        nxt = np.where(proven, np.clip(cand, a, b), nxt)
         # a bracket at the spacing of floats cannot shrink any further
         closed = (b - a <= QUANTILE_TOL) | (mid <= a) | (mid >= b)
-        done = closed | (newton & (np.abs(step) <= 0.25 * QUANTILE_TOL))
+        done = closed | proven | (newton & (np.abs(step) <= 0.25 * QUANTILE_TOL))
         out[active] = nxt
         lo[active], hi[active], x[active] = a, b, nxt
         last_step[active] = np.where(newton, np.abs(step), 0.5 * (b - a))

@@ -43,7 +43,8 @@ from .contrasts import ContrastBasis
 from .errors import (ContractError, DomainError, GridEdgeWarning,
                      IdentifiabilityWarning)
 from .gaussmix import (BLOCK_CELLS, GaussianMixture1D, grid_interval,
-                       grid_quantile, grid_tail_prob, mixture_quantiles)
+                       grid_quantile, grid_tail_prob, mixture_cdf,
+                       mixture_quantiles)
 from .model_core import (CovarianceStructure, MetaDataset, cams_covariance,
                          decompose_arrays, subgroup_arrays)
 
@@ -80,11 +81,13 @@ class PriorSpec:
             raise DomainError(f"prior scales must be positive and finite, got {scales}")
         entries = tuple((str(n), float(m), float(s)) for n, m, s in self.location_prior)
         for name, mean, sd in entries:
-            if not (math.isfinite(mean) and sd > 0.0 and 0.0 < sd * sd < math.inf):
+            # the solve weighs the prior by 1 / sd^2, which must be finite too
+            if not (math.isfinite(mean) and sd > 0.0 and 0.0 < sd * sd < math.inf
+                    and 1.0 / (sd * sd) < math.inf):
                 raise DomainError(
                     f"location prior for {name} needs a finite mean and a "
-                    f"positive sd with a finite, nonzero square, got "
-                    f"({mean!r}, {sd!r})")
+                    f"positive sd whose square and its inverse are finite and "
+                    f"nonzero, got ({mean!r}, {sd!r})")
         names = [n for n, _, _ in entries]
         if len(set(names)) != len(names):
             raise ContractError(f"duplicate location priors: {names}")
@@ -222,6 +225,12 @@ class FitResult:
         mean, sd = _functional_moments(self.grid, self._coef_matrix(specs))
         return mixture_quantiles(_mixture_weights(self.grid), mean, sd, levels)
 
+    def functional_cdf(self, specs, x) -> np.ndarray:
+        """Entry i is the posterior P(specs[i] <= x_i), with ``x`` one point
+        or one per spec; each spec is read as in ``functional_mixture``."""
+        mean, sd = _functional_moments(self.grid, self._coef_matrix(specs))
+        return mixture_cdf(_mixture_weights(self.grid), mean, sd, x)
+
     def functional_summaries(self, specs) -> list:
         """ParameterSummary (median, 95% interval, P(> 0)) of each spec."""
         return _summaries(self.grid, self._coef_matrix(specs))
@@ -347,7 +356,7 @@ def _scalar_stats(y: np.ndarray, x: np.ndarray, var: np.ndarray,
     may be singletons; y and x are node-free or vary along the tau_gamma
     axis alone, with one leading axis of length G. All three statistics are
     matmuls of W against the per-study outer products of the rows [x | y].
-    A DomainError when W or log V is not finite."""
+    A DomainError when W, log V or a statistic is not finite."""
     rows = np.concatenate([x, y[..., None]], axis=-1)
     n, q = rows.shape[-2:]
     node_free = rows.ndim == 2
@@ -370,15 +379,30 @@ def _scalar_stats(y: np.ndarray, x: np.ndarray, var: np.ndarray,
             raise DomainError(
                 "a study covariance overflows or underflows float64 when "
                 "inverted; are the standard errors on an extreme scale?")
-        if node_free:
-            stats[blk] = (w.reshape(-1, n) @ _outer(rows)).reshape(
-                w.shape[:-1] + (q * q,))
-        else:
-            stats[blk] = w @ _outer(rows[blk])
+        # an overflow is refused below, with the scale that caused it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if node_free:
+                stats[blk] = (w.reshape(-1, n) @ _outer(rows)).reshape(
+                    w.shape[:-1] + (q * q,))
+            else:
+                stats[blk] = w @ _outer(rows[blk])
         logdet[blk] = log_v.sum(axis=-1)
+    if not np.isfinite(stats).all():
+        raise _overflow_error("y'Wy", [y], [var])
     stats = np.swapaxes(stats, 0, 1).reshape(het2.shape + (q, q))
     return (stats[..., :-1, :-1], stats[..., :-1, -1], stats[..., -1, -1],
             logdet.T)
+
+
+def _overflow_error(statistic: str, ys, variances) -> DomainError:
+    """The error for a GLS statistic that overflows float64, with the size
+    of the responses ``ys`` and the smallest of their ``variances``."""
+    big = max(float(np.abs(y).max()) for y in ys)
+    small = min(float(np.min(v)) for v in variances)
+    return DomainError(
+        f"{statistic} overflows float64: estimates or location-prior means "
+        f"reach {big:.3g} against sampling variances down to {small:.3g}; "
+        f"rescale the data or the priors")
 
 
 def _outer(rows: np.ndarray) -> np.ndarray:
@@ -420,8 +444,11 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
     conditional covariance (zero along flat directions) and the log
     determinant.
     """
-    a, bvec, quad, logdet_sum = map(sum, zip(*(_scalar_stats(*block)
-                                               for block in blocks)))
+    # each block's statistics are finite; an overflow of their sum is
+    # refused below, with the scale that caused it
+    with np.errstate(over="ignore"):
+        a, bvec, quad, logdet_sum = map(sum, zip(*(_scalar_stats(*block)
+                                                   for block in blocks)))
     p = len(param_names)
     stacked = np.concatenate([x[(0,) * (x.ndim - 2)] for _, x, _, _ in blocks])
 
@@ -441,13 +468,17 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
     identified = vt[:rank]
     diag, root_t = _cholesky_rows(identified @ a @ identified.T, identified)
     # cond_cov = root_t' root_t is the inverse of a on the identified
-    # directions
-    u = (root_t @ bvec[..., None])[..., 0]
+    # directions, and u'u = b'theta
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (root_t @ bvec[..., None])[..., 0]
+        fitted = np.sum(u * u, axis=-1)
+    if not (np.isfinite(quad).all() and np.isfinite(fitted).all()):
+        raise _overflow_error("y'Wy or b'theta", [y for y, _, _, _ in blocks],
+                              [v for _, _, v, _ in blocks])
     theta = (u[..., None, :] @ root_t)[..., 0, :]
     cond_cov = np.swapaxes(root_t, -1, -2) @ root_t
     logdet_a = 2.0 * np.log(diag).sum(axis=-1)
-    log_marginal = (-0.5 * (logdet_sum + quad - np.sum(u * u, axis=-1)
-                            + logdet_a)
+    log_marginal = (-0.5 * (logdet_sum + quad - fitted + logdet_a)
                     - 0.5 * (stacked.shape[0] - rank) * _LOG_2PI)
     log_prior = (_axis_log_prior(tau_nodes, priors.tau_scale,
                                  "tau" in scale_names)[:, None]

@@ -34,6 +34,7 @@ STRATEGY_KINDS = ("average", "trial_weighted", "overall_if", "optimal_if",
                   "closeness_a", "closeness_b", "external")
 
 _SEARCH_TOL = 1e-4
+_ROOT_TOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -254,15 +255,69 @@ def optimal_if(fit: FitResult, search_range=(0.0, 1.0),
     return OptimalIF(pi_opt, float(widths([pi_opt])[0]), curve_pi, curve_width)
 
 
+def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f in [a, b] to within _ROOT_TOL, where fa = f(a) and
+    fb = f(b) differ in sign.
+
+    Illinois false position keeps the root bracketed; a step that leaves
+    the bracket, or one taken after two steps that failed to halve it, is a
+    bisection instead, so the bracket halves at least every third step.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    side = 0
+    older = old = math.inf  # the bracket widths one and two steps back
+    while b - a > _ROOT_TOL:
+        c = b - fb * (b - a) / (fb - fa)
+        if not (a < c < b) or b - a > 0.5 * older:
+            c = 0.5 * (a + b)
+        older, old = old, b - a
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if (fc < 0.0) == (fa < 0.0):
+            a, fa = c, fc
+            if side == -1:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = c, fc
+            if side == 1:
+                fa *= 0.5
+            side = 1
+    return 0.5 * (a + b)
+
+
 def _closeness(fit: FitResult, reference: FitResult, subgroup: str) -> float:
+    """Prevalence at which the subgroup line's posterior median meets the
+    reference median: a root of G(pi) = F_pi(target) - 1/2, F_pi the CDF of
+    the line at pi, found from a 101-point scan of G and refined to
+    _ROOT_TOL. When G never changes sign, the scan point nearest in median,
+    refined by golden section."""
     if reference is None or reference.estimator != "BMS":
         raise ContractError("closeness strategies need a reference BMS fit")
     target = reference.summaries["mu_a" if subgroup == "a" else "mu_b"].median
     gamma = 1.0 if subgroup == "b" else 0.0
 
+    def specs(pis) -> list:
+        return [{"alpha": 1.0, "delta": float(p), "gamma": gamma} for p in pis]
+
+    def excess(pis) -> np.ndarray:
+        return fit.functional_cdf(specs(pis), target) - 0.5
+
+    scan = np.linspace(0.0, 1.0, 101)
+    g = excess(scan)
+    sign = np.sign(g)
+    cross = np.flatnonzero(sign[:-1] * sign[1:] <= 0.0)
+    if cross.size and g.max() > g.min():
+        i = cross[np.argmin(np.minimum(np.abs(g[cross]), np.abs(g[cross + 1])))]
+        return _bracketed_root(lambda p: excess([p])[0], float(scan[i]),
+                               float(scan[i + 1]), g[i], g[i + 1])
+
     def distances(pis) -> np.ndarray:
-        specs = [{"alpha": 1.0, "delta": float(p), "gamma": gamma} for p in pis]
-        return np.abs(fit.functional_quantiles(specs, (0.5,))[:, 0] - target)
+        return np.abs(fit.functional_quantiles(specs(pis), (0.5,))[:, 0] - target)
 
     pi, _, _ = _scan_min(distances, 0.0, 1.0, 101)
     # a subgroup line flat in the prevalence is equally close everywhere

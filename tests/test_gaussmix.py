@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
+from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from camsmeta import gaussmix
@@ -235,6 +237,38 @@ def test_batch_equals_single_mixture(rows, levels):
                                    rtol=0.0, atol=1e-12)
         if len(levels) == 1:
             assert abs(mix.quantile(levels[0]) - xs[0]) <= 1e-12
+
+
+def test_single_normal_quantiles_within_a_quarter_tolerance():
+    # the moment-matched start is exact here, so the certified exit returns
+    # after one evaluation; its bound is QUANTILE_TOL / 4
+    levels = (1e-6, 1e-4, 0.01, 0.025, 0.3, 0.5, 0.7, 0.975, 0.99,
+              1.0 - 1e-4, 1.0 - 1e-6)
+    for mean, sd in ((0.3, 0.7), (-40.0, 1e-3), (1e3, 25.0)):
+        got = mixture_quantiles(np.ones(1), np.array([[mean]]),
+                                np.array([[sd]]), levels)[0]
+        want = [NormalDist(mean, sd).inv_cdf(q) for q in levels]
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=0.25 * QUANTILE_TOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixture_rows(max_rows=1, atoms=False), levels_st)
+def test_quantiles_match_a_brent_root_of_the_ndtr_cdf(rows, levels):
+    mix = rows[1][0]
+    got = mix.quantiles(levels)
+    for q, x in zip(levels, got):
+        z = NormalDist().inv_cdf(q)
+        lo = np.min(mix.means + mix.sds * z) - 1.0
+        hi = np.max(mix.means + mix.sds * z) + 1.0
+        root = brentq(lambda t: dense_cdf(mix.weights, mix.means, mix.sds,
+                                          [t])[0] - q, lo, hi, xtol=1e-14)
+        # the two CDF kernels differ by up to ~5e-16, which moves the root by
+        # 5e-16 / density: below a density of 1e-7 (a level in a gap between
+        # components) no CDF defines the root to QUANTILE_TOL
+        dens = mix.weights @ stats.norm.pdf(root, mix.means, mix.sds)
+        if dens >= 1e-7:
+            assert abs(x - root) <= QUANTILE_TOL, (q, x, root, dens)
 
 
 def test_newton_step_on_a_subnormal_density_is_silent():

@@ -95,12 +95,22 @@ def test_prior_spec_validation():
 
 @pytest.mark.parametrize("mean, sd", [
     (0.0, np.inf), (0.0, 1e-300), (0.0, np.nan), (0.0, 0.0), (0.0, -1.0),
-    (0.0, 1e200), (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0)])
+    (0.0, 1e200), (0.0, 1e-160), (np.nan, 1.0), (np.inf, 1.0),
+    (-np.inf, 1.0)])
 def test_location_prior_values_are_refused_at_construction(mean, sd):
-    # an sd whose square is 0 or not finite, or a mean that is not finite,
-    # would reach the solve as a NaN weight or an overflow
+    # an sd whose square or its inverse is 0 or not finite (1e-160 squares
+    # to a subnormal), or a mean that is not finite, would reach the solve
+    # as a NaN weight or an overflow
     with pytest.raises(DomainError, match="location prior for gamma needs"):
         PriorSpec(location_prior=(("gamma", mean, sd),))
+
+
+def test_smallest_location_prior_sd_still_fits():
+    # 1 / sd^2 = 1e300 is finite, so the prior is taken, and pins gamma
+    fit = fit_bim(make_dataset(seed=1), PriorSpec(
+        location_prior=(("gamma", 0.25, 1e-150),)),
+        GridSpec.default(PriorSpec(), n_nodes=11))
+    assert fit.summaries["gamma"].median == pytest.approx(0.25, abs=1e-12)
 
 
 def test_a_nan_weight_is_refused_by_the_posterior_grid():
@@ -905,6 +915,34 @@ def test_subnormal_variances_are_a_clean_domain_error(fit):
     with pytest.raises(DomainError, match="overflows or underflows") as info:
         fit(pair_dataset(est, se))
     assert info.traceback[-1].name == "_scalar_stats"
+
+
+@pytest.mark.parametrize("fit", [fit_bim, fit_bms, fit_cams, fit_overall],
+                         ids=lambda f: f.__name__)
+def test_huge_estimates_are_a_clean_domain_error(fit):
+    # y'Wy overflows for finite estimates of 1e160 against SEs of 1; the
+    # error names that scale instead of surfacing as NaN weights
+    est = np.array([[1e160 * k, 0.0] for k in range(1, 5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="y'Wy overflows float64") as info:
+            fit(pair_dataset(est, np.ones((4, 2))))
+    assert "e+160" in str(info.value)
+
+
+@pytest.mark.parametrize("contrast, mean, why", [
+    # the prior's own y'Wy overflows
+    (0.0, 1e160, "y'Wy overflows float64: .* reach 1e\\+160"),
+    # the prior's and the studies' y'Wy are finite, their sum is not
+    (1e153, 1.3e154, "y'Wy or b'theta overflows float64: .* reach 1.3e\\+154"),
+])
+def test_huge_location_prior_mean_is_a_clean_domain_error(contrast, mean, why):
+    est = np.array([[0.0, contrast * k] for k in range(1, 5)])
+    priors = PriorSpec(location_prior=(("gamma", mean, 1.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match=why):
+            fit_bim(pair_dataset(est, np.ones((4, 2))), priors)
 
 
 def fuzz_datasets(n=80, seed=2):

@@ -461,6 +461,19 @@ def test_fit_on_extreme_prior_scale_is_clean_error(tmp_path, capsys, flag,
     assert len(err) == 1 and err[0].startswith("error:") and why in err[0]
 
 
+def test_fit_on_huge_estimates_is_clean_error(tmp_path, capsys):
+    # finite estimates of 1e160 against SEs of 1 overflow y'Wy: one error
+    # line that names the scale, no NaN weights and no numpy warning
+    path = str(tmp_path / "huge.csv")
+    write_csv(path, [row for k in range(1, 5) for row in two_row_study(
+        f"S{k}", 1e160 * k, 0.0, 1.0, 1.0)])
+    code = main(["fit", "--input", path, "--output-dir", str(tmp_path)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: y'Wy overflows float64")
+    assert "e+160" in err[0]
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
 @pytest.mark.parametrize("flag", ["--tau-prior", "--tau-gamma-prior"])
 @pytest.mark.parametrize("command", ["fit", "verify"])

@@ -1,15 +1,20 @@
+import contextlib
+import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
+from camsmeta import gaussmix, inference
 from camsmeta.errors import (ContractError, DomainError, ExtrapolationWarning,
                              ValidationWarning)
 from camsmeta.inference import GridSpec, PriorSpec, fit_bim, fit_bms, fit_cams
 from camsmeta.model_core import MetaDataset, StudyRecord, SubgroupObservation
-from camsmeta.reporting import (STRATEGY_KINDS, PrevalenceSpec, _expit,
+from camsmeta.reporting import (STRATEGY_KINDS, PrevalenceSpec,
+                                _bracketed_root, _expit,
                                 _log_expit, _logsumexp, bayes_risk,
                                 beta_moments, effects_at, fit_map_prevalence,
                                 marginalize_prevalence, optimal_if,
@@ -170,9 +175,91 @@ def test_strategy_closeness(fitted):
         pi = strategy_prevalence(data, cams, kind, reference=bms)
         got = getattr(effects_at(cams, pi), name).median
         want = bms.summaries[name].median
-        assert got == pytest.approx(want, abs=5e-4)
+        assert got == pytest.approx(want, abs=1e-7)
     with pytest.raises(ContractError):
         strategy_prevalence(data, cams, "closeness_a")  # reference required
+
+
+@pytest.mark.parametrize("f, root", [
+    (lambda x: x - 0.3, 0.3),
+    (lambda x: (x - 0.3) ** 3, 0.3),
+    (lambda x: math.expm1(60.0 * (x - 0.9)), 0.9),   # false position stalls
+    (lambda x: math.atan(1e6 * (x - 0.55)), 0.55),   # near a step
+])
+def test_bracketed_root_is_safeguarded(f, root):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    got = _bracketed_root(counted, 0.0, 1.0, f(0.0), f(1.0))
+    assert abs(got - root) <= 1e-10
+    # the bracket halves at least every third step: 1 -> 1e-10 in 3 * 34
+    assert len(calls) <= 3 * 34
+
+
+def test_closeness_without_a_crossing_is_the_nearest_approach(fitted):
+    # a reference median above the subgroup line at every prevalence has no
+    # root; the strategy still returns the prevalence of least distance
+    data, cams, bms = fitted
+    line = [effects_at(cams, p).mu_a.median for p in (0.0, 1.0)]
+    far = dataclasses.replace(bms.summaries["mu_a"], median=max(line) + 1.0,
+                              upper=max(line) + 2.0)
+    reference = dataclasses.replace(
+        bms, summaries={**bms.summaries, "mu_a": far})
+    pi = strategy_prevalence(data, cams, "closeness_a", reference=reference)
+    dense = np.linspace(0.0, 1.0, 1001)
+    medians = cams.functional_quantiles(
+        [{"alpha": 1.0, "delta": float(p)} for p in dense], (0.5,))[:, 0]
+    assert np.all(medians < far.median)
+    assert pi == pytest.approx(dense[np.argmin(far.median - medians)], abs=1e-4)
+
+
+@contextlib.contextmanager
+def counted_cdf_rows():
+    """The number of points each ``gaussmix._cdf_pdf`` call evaluates, one
+    lattice CDF row per point, in call order."""
+    rows = []
+    cdf_pdf = gaussmix._cdf_pdf
+
+    def counting(x, *args):
+        rows.append(len(x))
+        return cdf_pdf(x, *args)
+
+    with mock.patch.object(gaussmix, "_cdf_pdf", counting):
+        yield rows
+
+
+def test_closeness_solves_no_quantiles_and_few_cdf_rows(fitted):
+    # the search reads CDF values only: a 101-point scan plus a short
+    # bracketed refinement
+    data, cams, bms = fitted
+    for kind in ("closeness_a", "closeness_b"):
+        with mock.patch.object(inference, "mixture_quantiles",
+                               side_effect=AssertionError("quantile solve")), \
+                counted_cdf_rows() as rows:
+            strategy_prevalence(data, cams, kind, reference=bms)
+        assert 101 < sum(rows) <= 130, kind
+
+
+def test_optimal_if_scan_needs_few_cdf_rows_per_quantile():
+    # work-count guard on the quick-start data (J=8, N=101, data seeds 0-7):
+    # the certified Newton exit keeps the 41-point width scan of optimal_if
+    # at no more than 3.2 lattice CDF rows per quantile (about 3.9 without it)
+    priors = PriorSpec()
+    grid = GridSpec.default(priors, n_nodes=101)
+    specs = [{"alpha": 1.0, "delta": float(p), "gamma": g}
+             for g in (0.0, 1.0) for p in np.linspace(0.0, 1.0, 41)]
+    per_quantile = []
+    for seed in range(8):
+        data = simulate(SimScenario(n_studies=8, gamma=0.3, tau=0.1,
+                                    tau_gamma=0.1, uisd=1.0, seed=seed))
+        cams = fit_cams(data, priors, grid)
+        with counted_cdf_rows() as rows:
+            cams.functional_quantiles(specs, (0.025, 0.975))
+        per_quantile.append(sum(rows) / (2 * len(specs)))
+    assert np.mean(per_quantile) <= 3.2, per_quantile
 
 
 def test_strategy_unknown(fitted):
