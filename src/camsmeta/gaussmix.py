@@ -11,11 +11,15 @@ single call. The q-quantile of a mixture lies in the exact bracket
 [min_i(mu_i + sd_i z_q), max_i(mu_i + sd_i z_q)], z_q the standard normal
 quantile, because every component CDF is below q left of it and above q right
 of it. The first guess is the moment-matched normal quantile clipped into
-that bracket. Newton steps on the mixture pdf follow; a step that leaves the
-bracket or fails to halve the previous one is replaced by bisection, and
-mixtures that contain an atom bisect only. A quantile is done when a Newton
-step is below QUANTILE_TOL / 4 or the bracket is narrower than QUANTILE_TOL,
-or once its error bound is proven:
+that bracket. Halley steps on the mixture pdf f and its slope f' follow:
+with the Newton step s = (F(x) - q) / f(x), the move is s / (1 - s f' / (2 f))
+when that divisor exceeds 1/2, else s. A move that leaves the bracket, or a
+Newton step s that fails to halve the previous one, is replaced by
+bisection, and mixtures that contain an atom bisect only. A quantile is done
+when its Newton step is below QUANTILE_TOL / 4 or the bracket is narrower
+than QUANTILE_TOL, or once its error bound is proven. The bracket comes
+from the sign of F(x) - q alone, and the halving rule and the certified
+exit read the Newton step s, never the Halley move:
 
 Certified exit. |f'| <= L = phi(1) sum_k w_k / sd_k^2 everywhere, since
 |d/dx phi(z_k) / sd_k| = |z_k| phi(z_k) / sd_k^2 and |z| phi(z) peaks at
@@ -172,7 +176,9 @@ def _blocks(rows: int, width: int):
 
 
 def _cdf_pdf(x, mu, inv_sd, w, want_pdf: bool):
-    """Mixture CDF (and pdf) at x[k] for component rows mu[k], 1/sd[k].
+    """Mixture CDF at x[k] for component rows mu[k], 1/sd[k], and with
+    ``want_pdf`` its pdf f and slope f' = -sum w phi(z) z / sd^2 (else
+    None for both).
 
     ``mu`` and ``inv_sd`` are (k, n) or a broadcast (1, n) row; ``w`` is a
     shared (n,) weight vector or per-row (k, n) weights. Atoms (1/sd = inf)
@@ -188,11 +194,14 @@ def _cdf_pdf(x, mu, inv_sd, w, want_pdf: bool):
     cdf, dens = _normal_cdf(z)
     cdf *= w
     if not want_pdf:
-        return cdf.sum(axis=1), None
-    with np.errstate(invalid="ignore"):
+        return cdf.sum(axis=1), None, None
+    with np.errstate(over="ignore", invalid="ignore"):
         dens *= inv_sd
-    dens *= w
-    return cdf.sum(axis=1), dens.sum(axis=1) * _INV_SQRT_2PI
+        dens *= w
+        z *= dens
+        z *= inv_sd
+    return (cdf.sum(axis=1), dens.sum(axis=1) * _INV_SQRT_2PI,
+            z.sum(axis=1) * -_INV_SQRT_2PI)
 
 
 def _normal_cdf(z: np.ndarray):
@@ -316,9 +325,10 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
         xa = x[active]
         cdf = np.empty(active.size)
         pdf = np.empty(active.size)
+        dpdf = np.empty(active.size)
         for blk in _blocks(active.size, n):
             rb = r[blk]
-            cdf[blk], pdf[blk] = _cdf_pdf(
+            cdf[blk], pdf[blk], dpdf[blk] = _cdf_pdf(
                 xa[blk], mu[rb], _inverse(sd[rb]),
                 w if w.ndim == 1 else w[rb], True)
         below = cdf < target[active]
@@ -326,7 +336,10 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
         b = np.where(below, hi[active], xa)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             step = (cdf - target[active]) / pdf
-        cand = xa - step
+            # Halley: the Newton step over 1 - s f' / (2 f), when that
+            # divisor is above 1/2 (so the move stays within 2 |s|)
+            halley = 1.0 - step * dpdf / (2.0 * pdf)
+            cand = xa - np.where(halley > 0.5, step / halley, step)
         newton = (newton_row[active] & (cand >= a) & (cand <= b)
                   & (np.abs(step) <= 0.5 * last_step[active]))
         mid = 0.5 * (a + b)
@@ -336,7 +349,7 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
             bound = slope[active] * np.abs(step)
             proven = (4.0 * bound <= pdf) & (
                 2.0 * bound * np.abs(step) <= 0.25 * QUANTILE_TOL * pdf)
-        nxt = np.where(proven, np.clip(cand, a, b), nxt)
+        nxt = np.where(proven, np.clip(xa - step, a, b), nxt)
         # a bracket at the spacing of floats cannot shrink any further
         closed = (b - a <= QUANTILE_TOL) | (mid <= a) | (mid >= b)
         done = closed | proven | (newton & (np.abs(step) <= 0.25 * QUANTILE_TOL))

@@ -349,30 +349,34 @@ def _prior_blocks(priors: PriorSpec, functionals: dict, n_studies: int,
 
 def _scalar_stats(y: np.ndarray, x: np.ndarray, var: np.ndarray,
                   het2: np.ndarray):
-    """(X'WX, X'Wy, y'Wy, sum log V) per node of one block of independent
-    scalar observations: y (..., n), design rows x (..., n, p), sampling
-    variance var (..., n) plus the heterogeneity het2 (T, G), so V = var +
-    het2 and W = 1/V. Leading axes broadcast against the (T, G) lattice and
-    may be singletons; y and x are node-free or vary along the tau_gamma
-    axis alone, with one leading axis of length G. All three statistics are
-    matmuls of W against the per-study outer products of the rows [x | y].
-    A DomainError when W, log V or a statistic is not finite."""
+    """(X'WX, X'Wy, y'Wy, sum log V) of one block of independent scalar
+    observations at every node, node axes last: shapes (p, p, T, G), (p, T,
+    G), (T, G) and (T, G). y is (..., n), design rows x (..., n, p),
+    sampling variance var (..., n) plus the heterogeneity het2 (T, G), so
+    V = var + het2 and W = 1/V. Leading axes broadcast against the (T, G)
+    lattice and may be singletons; y and x are node-free or vary along the
+    tau_gamma axis alone, with one leading axis of length G. All three
+    statistics are matmuls of W against the per-study outer products of the
+    rows [x | y]. A DomainError when W, log V or a statistic is not
+    finite."""
     rows = np.concatenate([x, y[..., None]], axis=-1)
     n, q = rows.shape[-2:]
     node_free = rows.ndim == 2
     g_count = het2.shape[1] if node_free else rows.shape[0]
     var = np.broadcast_to(var, (g_count, n))
     het2 = np.broadcast_to(het2, (het2.shape[0], g_count))
-    stats = np.empty((g_count, het2.shape[0], q * q))
-    logdet = np.empty((g_count, het2.shape[0]))
-    # node-free rows take one (nodes, n) x (n, q^2) product; rows that vary
-    # along tau_gamma take one (T, n) x (n, q^2) product per node, over as
-    # many nodes at a time as keep their outer products within BLOCK_CELLS.
-    # V, W and log V are formed per chunk, so no (T, G, n) array exists.
+    stats = np.empty((q * q,) + het2.shape)
+    logdet = np.empty(het2.shape)
+    # node-free rows take one (q^2, n) x (n, nodes) product; rows that vary
+    # along tau_gamma take one (T, n) x (n, q^2) product per node, written
+    # transposed (as a batch it runs faster than the transposed product),
+    # over as many nodes at a time as keep their outer products within
+    # BLOCK_CELLS. V, W and log V are formed per chunk, so no (T, G, n)
+    # array exists.
     step = g_count if node_free else max(1, BLOCK_CELLS // (n * q * q))
     for g in range(0, g_count, step):
         blk = slice(g, g + step)
-        v = var[blk, None, :] + het2[:, blk].T[..., None]
+        v = var[None, blk, :] + het2[:, blk, None]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             w, log_v = 1.0 / v, np.log(v)
         if not (np.isfinite(w).all() and np.isfinite(log_v).all()):
@@ -382,16 +386,16 @@ def _scalar_stats(y: np.ndarray, x: np.ndarray, var: np.ndarray,
         # an overflow is refused below, with the scale that caused it
         with np.errstate(over="ignore", invalid="ignore"):
             if node_free:
-                stats[blk] = (w.reshape(-1, n) @ _outer(rows)).reshape(
-                    w.shape[:-1] + (q * q,))
+                stats[:, :, blk] = (_outer(rows).T
+                                    @ w.reshape(-1, n).T).reshape(stats.shape)
             else:
-                stats[blk] = w @ _outer(rows[blk])
-        logdet[blk] = log_v.sum(axis=-1)
+                stats[:, :, blk] = (np.swapaxes(w, 0, 1)
+                                    @ _outer(rows[blk])).transpose(2, 1, 0)
+        logdet[:, blk] = log_v.sum(axis=-1)
     if not np.isfinite(stats).all():
         raise _overflow_error("y'Wy", [y], [var])
-    stats = np.swapaxes(stats, 0, 1).reshape(het2.shape + (q, q))
-    return (stats[..., :-1, :-1], stats[..., :-1, -1], stats[..., -1, -1],
-            logdet.T)
+    stats = stats.reshape((q, q) + het2.shape)
+    return stats[:-1, :-1], stats[:-1, -1], stats[-1, -1], logdet
 
 
 def _overflow_error(statistic: str, ys, variances) -> DomainError:
@@ -438,11 +442,14 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
     summed statistics, per-node GLS, then half-normal priors on the axes in
     ``scale_names``. Design rows vary across nodes at most by an invertible
     row operation (``_pair_blocks``), so those at the first node give the
-    rank. One thin SVD of them gives the identified directions, of any
-    rank; each node's system is projected onto them and Cholesky-factored
-    once (``_cholesky_rows``), which yields the conditional mean, the
-    conditional covariance (zero along flat directions) and the log
-    determinant.
+    rank. One thin SVD of them gives the identified directions V_r, of any
+    rank; every node's system is projected onto them by one (r^2, p^2) x
+    (p^2, nodes) product and Cholesky-factored once (``_cholesky_rows``),
+    which yields the conditional mean, the conditional covariance (zero
+    along flat directions) and the log determinant. The per-node algebra
+    runs node-last: every entry of the small systems is one contiguous
+    vector over the lattice, and only the conditional moments are written
+    node-first.
     """
     # each block's statistics are finite; an overflow of their sum is
     # refused below, with the scale that caused it
@@ -466,18 +473,27 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
             f"{pretty}; summaries along them are prior-driven only",
             IdentifiabilityWarning, stacklevel=3)
     identified = vt[:rank]
-    diag, root_t = _cholesky_rows(identified @ a @ identified.T, identified)
+    nodes = quad.shape
+    system = (np.kron(identified, identified) @ a.reshape(p * p, -1)).reshape(
+        (rank, rank) + nodes)
+    diag, root_t = _cholesky_rows(system, identified, tau_nodes, tg_nodes)
     # cond_cov = root_t' root_t is the inverse of a on the identified
     # directions, and u'u = b'theta
     with np.errstate(over="ignore", invalid="ignore"):
-        u = (root_t @ bvec[..., None])[..., 0]
-        fitted = np.sum(u * u, axis=-1)
+        u = [sum(root_t[i, k] * bvec[k] for k in range(p))
+             for i in range(rank)]
+        fitted = sum(ui * ui for ui in u)
     if not (np.isfinite(quad).all() and np.isfinite(fitted).all()):
         raise _overflow_error("y'Wy or b'theta", [y for y, _, _, _ in blocks],
                               [v for _, _, v, _ in blocks])
-    theta = (u[..., None, :] @ root_t)[..., 0, :]
-    cond_cov = np.swapaxes(root_t, -1, -2) @ root_t
-    logdet_a = 2.0 * np.log(diag).sum(axis=-1)
+    theta = np.empty(nodes + (p,))
+    cond_cov = np.empty(nodes + (p, p))
+    for k in range(p):
+        theta[..., k] = sum(u[i] * root_t[i, k] for i in range(rank))
+        for m in range(k + 1):
+            cond_cov[..., k, m] = cond_cov[..., m, k] = sum(
+                root_t[i, k] * root_t[i, m] for i in range(rank))
+    logdet_a = 2.0 * np.log(diag).sum(axis=0)
     log_marginal = (-0.5 * (logdet_sum + quad - fitted + logdet_a)
                     - 0.5 * (stacked.shape[0] - rank) * _LOG_2PI)
     log_prior = (_axis_log_prior(tau_nodes, priors.tau_scale,
@@ -492,28 +508,37 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
     return posterior
 
 
-def _cholesky_rows(system: np.ndarray, rows: np.ndarray):
-    """Cholesky factor L of every (r, r) matrix in the (..., r, r) stack
-    ``system`` and the forward substitution L^-1 ``rows`` of an (r, p)
-    matrix: returns diag(L) (..., r) and L^-1 rows (..., r, p). One loop over
-    the r columns, each step vectorized over the node axes, for every rank.
-    A DomainError when a pivot is not positive and finite."""
-    r = system.shape[-1]
-    lower = np.zeros(system.shape)
-    solved = np.zeros(system.shape[:-1] + rows.shape[-1:])
+def _cholesky_rows(system: np.ndarray, rows: np.ndarray,
+                   tau_nodes: np.ndarray, tg_nodes: np.ndarray):
+    """Cholesky factor L of the (r, r) matrix at every node of the (r, r, T,
+    G) stack ``system``, node axes last, and the forward substitution L^-1
+    ``rows`` of an (r, p) matrix: returns diag(L) (r, T, G) and L^-1 rows
+    (r, p, T, G). One step per column of L, each a few products of
+    contiguous (T, G) vectors. A DomainError naming the first node, on the
+    (``tau_nodes``, ``tg_nodes``) lattice, whose pivot is not positive and
+    finite."""
+    r, p = rows.shape
+    lower = [[None] * r for _ in range(r)]
+    solved = np.empty((r, p) + system.shape[2:])
     for j in range(r):
-        pivot = system[..., j, j] - np.sum(lower[..., j, :j] ** 2, axis=-1)
-        if not np.all((pivot > 0.0) & (pivot < np.inf)):
+        pivot = system[j, j] - sum(lower[j][k] ** 2 for k in range(j))
+        ok = (pivot > 0.0) & (pivot < np.inf)
+        if not ok.all():
+            t, g = np.unravel_index(np.argmin(ok), ok.shape)
             raise DomainError(
-                "the per-node GLS system is numerically singular; are the "
-                "estimates and standard errors on an extreme scale?")
-        d = np.sqrt(pivot)[..., None]
-        lower[..., j, j] = d[..., 0]
-        lower[..., j + 1:, j] = (system[..., j + 1:, j] - np.sum(
-            lower[..., j + 1:, :j] * lower[..., j, None, :j], axis=-1)) / d
-        solved[..., j, :] = (rows[j] - np.sum(
-            lower[..., j, :j, None] * solved[..., :j, :], axis=-2)) / d
-    return np.diagonal(lower, axis1=-2, axis2=-1), solved
+                f"the per-node GLS system is numerically singular at tau = "
+                f"{tau_nodes[t]:.3g}, tau_gamma = {tg_nodes[g]:.3g}: the "
+                f"precision of the data does not match the tau_prior and "
+                f"tau_gamma_prior scales; rescale the data or the priors")
+        d = np.sqrt(pivot)
+        lower[j][j] = d
+        for i in range(j + 1, r):
+            lower[i][j] = (system[i, j] - sum(
+                lower[i][k] * lower[j][k] for k in range(j))) / d
+        for c in range(p):
+            solved[j, c] = (rows[j, c] - sum(
+                lower[j][k] * solved[k, c] for k in range(j))) / d
+    return np.array([lower[j][j] for j in range(r)]), solved
 
 
 def _normalize_log_weights(log_w: np.ndarray, axis=None) -> np.ndarray:

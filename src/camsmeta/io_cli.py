@@ -53,27 +53,33 @@ EXIT_VERIFY_FAIL = 3
 # CSV schema
 # ----------------------------------------------------------------------
 
-def _parse_float(row_num: int, name: str, text) -> float:
-    try:
-        value = float(text)
-    except (TypeError, ValueError):
-        raise ContractError(f"row {row_num}: bad {name} value {text!r}") from None
-    if not math.isfinite(value):
-        raise ContractError(f"row {row_num}: {name} must be finite, got {text!r}")
-    return value
+def _parse_column(cells, parse, optional: bool):
+    """(values, refused) of one column: each cell through ``parse``. A cell
+    that ``parse`` refuses is None in ``values`` and True in ``refused``;
+    with ``optional`` an empty or absent cell is None and not refused."""
+    values = [None] * len(cells)
+    refused = np.zeros(len(cells), dtype=bool)
+    for i, text in enumerate(cells):
+        if not (optional and (text is None or text == "")):
+            try:
+                values[i] = parse(text)
+            except (TypeError, ValueError):
+                refused[i] = True
+    return values, refused
 
 
-def _parse_optional(row_num: int, name: str, text, parse):
-    if text is None or text == "":
-        return None
-    return parse(row_num, name, text)
-
-
-def _parse_count(row_num: int, name: str, text) -> int:
-    try:
-        return int(text)
-    except (TypeError, ValueError):
-        raise ContractError(f"row {row_num}: bad {name} value {text!r}") from None
+def _float_column(cells, optional: bool = False):
+    """``_parse_column`` with ``float``, None as nan; a single ``map`` call
+    when every cell parses."""
+    if not (optional and ("" in cells or None in cells)):
+        try:
+            return (np.array(list(map(float, cells)), dtype=float),
+                    np.zeros(len(cells), dtype=bool))
+        except (TypeError, ValueError):
+            pass
+    values, refused = _parse_column(cells, float, optional)
+    return (np.array([math.nan if v is None else v for v in values],
+                     dtype=float), refused)
 
 
 def load_csv(path: str, exponentiated_input: bool = False,
@@ -84,69 +90,108 @@ def load_csv(path: str, exponentiated_input: bool = False,
     subgroup12 = -0.5 row, B the +0.5 row; est/se are subgroup estimates on
     the log scale unless ``exponentiated_input`` asks for a log transform of
     the point estimates (standard errors are taken as already log-scale).
+
+    Each column is parsed once with ``float`` and checked as a whole. An
+    error names the first row that fails a check, and that row's first
+    failing check in the order a row is read.
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ContractError(f"{path}: empty file, header row required")
-        missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise ContractError(f"{path}: missing columns {missing}")
-        has_counts = "n_a" in reader.fieldnames and "n_b" in reader.fieldnames
-        rows = list(reader)
+        has_counts = "n_a" in header and "n_b" in header
+        rows = [row for row in reader if row]
+    # a later column of a repeated name wins, and a cell past the end of its
+    # row is absent (None), as csv.DictReader reads them
+    width = len(header)
+    rows = [row if len(row) >= width else row + [None] * (width - len(row))
+            for row in rows]
+    by_column = list(zip(*rows)) or [()] * width
+    index = {name: i for i, name in enumerate(header)}
+    texts = {name: by_column[index[name]] if name in index else
+             (None,) * len(rows)
+             for name in ("study.name", "est", "se", "ifrac", "subgroup12",
+                          "ifrac2", "contrast.esti", "contrast.se", "n_a",
+                          "n_b")}
+    names = [(text or "").strip() for text in texts["study.name"]]
+    columns = {name: _float_column(texts[name], name.startswith("contrast."))
+               for name in ("est", "se", "ifrac", "subgroup12", "ifrac2",
+                            "contrast.esti", "contrast.se")}
+    est, se, ifrac, sg, ifrac2, contrast_est, contrast_se = (
+        values for values, _ in columns.values())
+    side_b = (sg > 0).tolist()
+    count_texts = [b if is_b else a
+                   for a, b, is_b in zip(texts["n_a"], texts["n_b"], side_b)]
+    counts, count_refused = (_parse_column(count_texts, int, True)
+                             if has_counts else
+                             ([None] * len(rows), np.zeros(len(rows), bool)))
+    seen: dict = {}
+    duplicate = np.array([seen.setdefault(key, i) != i
+                          for i, key in enumerate(zip(names, side_b))], bool)
 
+    def parse_checks(name):
+        values, refused = columns[name]
+        cells = texts[name]
+        present = np.array([text is not None and text != "" for text in cells],
+                           bool) if name.startswith("contrast.") else True
+        return [(refused, ContractError,
+                 lambda i: f"bad {name} value {cells[i]!r}"),
+                (~np.isfinite(values) & ~refused & present, ContractError,
+                 lambda i: f"{name} must be finite, got {cells[i]!r}")]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        implied = sg + 0.5 - ifrac
+        square_ok = (se * se > 0.0) & (se * se < math.inf)
+        # (mask, error, message) of every check, in the order a row is
+        # read; a refused cell is nan, which fails no later check of its row
+        checks = [
+            (np.array([not n for n in names], bool), ContractError,
+             lambda i: "empty study.name"),
+            *parse_checks("est"), *parse_checks("se"),
+            (se <= 0, ContractError,
+             lambda i: f"se must be positive, got {float(se[i])}"),
+            (~square_ok, DomainError,
+             lambda i: f"se {float(se[i])} is out of range, its square is "
+                       f"not a positive finite float"),
+            *parse_checks("ifrac"), *parse_checks("subgroup12"),
+            *parse_checks("ifrac2"),
+            ((np.abs(sg - 0.5) > 1e-9) & (np.abs(sg + 0.5) > 1e-9),
+             ContractError,
+             lambda i: f"subgroup12 must be -0.5 or 0.5, got {float(sg[i])}"),
+            (np.abs(ifrac2 - implied) > 1e-9, ContractError,
+             lambda i: f"ifrac2 {float(ifrac2[i])} inconsistent with "
+                       f"subgroup12 + 0.5 - ifrac = {float(implied[i])}"),
+            ((est <= 0) & exponentiated_input, ContractError,
+             lambda i: f"exponentiated est must be positive, got "
+                       f"{float(est[i])}"),
+            *parse_checks("contrast.esti"), *parse_checks("contrast.se"),
+            (count_refused, ContractError,
+             lambda i: f"bad n_{'b' if side_b[i] else 'a'} value "
+                       f"{count_texts[i]!r}"),
+            ((contrast_est <= 0) & exponentiated_input, ContractError,
+             lambda i: "exponentiated contrast.esti must be positive"),
+            (duplicate, ContractError,
+             lambda i: f"duplicate subgroup12 {float(sg[i])} for study "
+                       f"{names[i]!r}"),
+        ]
+    first = [np.argmax(mask) for mask, _, _ in checks if mask.any()]
+    if first:
+        i = int(min(first))
+        error, message = next((e, m) for mask, e, m in checks if mask[i])
+        raise error(f"row {i + 2}: {message(i)}")
+
+    est, se, ifrac, contrast_est, contrast_se = (
+        v.tolist() for v in (est, se, ifrac, contrast_est, contrast_se))
+    if exponentiated_input:
+        est = list(map(math.log, est))
+        contrast_est = [math.log(c) if c == c else c for c in contrast_est]
     per_study: dict = {}
-    for row_num, row in enumerate(rows, start=2):
-        name = (row.get("study.name") or "").strip()
-        if not name:
-            raise ContractError(f"row {row_num}: empty study.name")
-        est = _parse_float(row_num, "est", row.get("est"))
-        se = _parse_float(row_num, "se", row.get("se"))
-        if se <= 0:
-            raise ContractError(f"row {row_num}: se must be positive, got {se}")
-        if not 0.0 < se * se < math.inf:
-            raise DomainError(
-                f"row {row_num}: se {se} is out of range, its square is not "
-                f"a positive finite float")
-        ifrac = _parse_float(row_num, "ifrac", row.get("ifrac"))
-        sg = _parse_float(row_num, "subgroup12", row.get("subgroup12"))
-        ifrac2 = _parse_float(row_num, "ifrac2", row.get("ifrac2"))
-        if abs(sg - 0.5) > 1e-9 and abs(sg + 0.5) > 1e-9:
-            raise ContractError(
-                f"row {row_num}: subgroup12 must be -0.5 or 0.5, got {sg}")
-        side = "b" if sg > 0 else "a"
-        if abs(ifrac2 - (sg + 0.5 - ifrac)) > 1e-9:
-            raise ContractError(
-                f"row {row_num}: ifrac2 {ifrac2} inconsistent with "
-                f"subgroup12 + 0.5 - ifrac = {sg + 0.5 - ifrac}")
-        if exponentiated_input:
-            if est <= 0:
-                raise ContractError(
-                    f"row {row_num}: exponentiated est must be positive, got {est}")
-            est = math.log(est)
-        parsed = {
-            "row": row_num,
-            "est": est,
-            "se": se,
-            "ifrac": ifrac,
-            "contrast_est": _parse_optional(row_num, "contrast.esti",
-                                            row.get("contrast.esti"), _parse_float),
-            "contrast_se": _parse_optional(row_num, "contrast.se",
-                                           row.get("contrast.se"), _parse_float),
-            "count": _parse_optional(
-                row_num, f"n_{side}", row.get(f"n_{side}"), _parse_count)
-            if has_counts else None,
-        }
-        if exponentiated_input and parsed["contrast_est"] is not None:
-            if parsed["contrast_est"] <= 0:
-                raise ContractError(
-                    f"row {row_num}: exponentiated contrast.esti must be positive")
-            parsed["contrast_est"] = math.log(parsed["contrast_est"])
-        sides = per_study.setdefault(name, {})
-        if side in sides:
-            raise ContractError(
-                f"row {row_num}: duplicate subgroup12 {sg} for study {name!r}")
-        sides[side] = parsed
+    for i, (name, is_b) in enumerate(zip(names, side_b)):
+        per_study.setdefault(name, {})["b" if is_b else "a"] = i
 
     studies = []
     for name, sides in per_study.items():
@@ -156,29 +201,28 @@ def load_csv(path: str, exponentiated_input: bool = False,
                 raise ContractError(
                     f"study {name!r} has no subgroup12 = {label} row")
         a, b = sides["a"], sides["b"]
-        if abs(a["ifrac"] - b["ifrac"]) > 1e-9:
+        if abs(ifrac[a] - ifrac[b]) > 1e-9:
             raise ContractError(
                 f"study {name!r}: ifrac differs between rows "
-                f"({a['ifrac']} vs {b['ifrac']})")
-        obs_a = SubgroupObservation("A", a["est"], a["se"], a["count"])
-        obs_b = SubgroupObservation("B", b["est"], b["se"], b["count"])
+                f"({ifrac[a]} vs {ifrac[b]})")
+        obs_a = SubgroupObservation("A", est[a], se[a], counts[a])
+        obs_b = SubgroupObservation("B", est[b], se[b], counts[b])
         record = StudyRecord.from_observations(name, obs_a, obs_b,
-                                               reported_ifrac=a["ifrac"])
-        g = b["est"] - a["est"]
-        se_g = math.sqrt(a["se"] ** 2 + b["se"] ** 2)
-        for parsed in (a, b):
-            if parsed["contrast_est"] is not None and \
-                    abs(parsed["contrast_est"] - g) > 1e-6:
+                                               reported_ifrac=ifrac[a])
+        g = est[b] - est[a]
+        se_g = math.sqrt(se[a] ** 2 + se[b] ** 2)
+        # an absent contrast cell is nan, which differs from nothing
+        for i in (a, b):
+            if abs(contrast_est[i] - g) > 1e-6:
                 warnings.warn(
-                    f"study {name!r}: contrast.esti {parsed['contrast_est']} "
+                    f"study {name!r}: contrast.esti {contrast_est[i]} "
                     f"differs from est difference {g}",
                     ValidationWarning, stacklevel=2)
                 break
-        for parsed in (a, b):
-            if parsed["contrast_se"] is not None and \
-                    abs(parsed["contrast_se"] - se_g) > 1e-6:
+        for i in (a, b):
+            if abs(contrast_se[i] - se_g) > 1e-6:
                 warnings.warn(
-                    f"study {name!r}: contrast.se {parsed['contrast_se']} "
+                    f"study {name!r}: contrast.se {contrast_se[i]} "
                     f"differs from combined se {se_g}",
                     ValidationWarning, stacklevel=2)
                 break

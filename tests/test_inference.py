@@ -13,7 +13,7 @@ from camsmeta.errors import (CamsmetaError, CamsmetaWarning, ContractError,
                              DomainError, GridEdgeWarning,
                              IdentifiabilityWarning)
 from camsmeta.gaussmix import QUANTILE_TOL, GaussianMixture1D
-from camsmeta import verify
+from camsmeta import inference, verify
 from camsmeta.inference import (_LOG_2PI, ESTIMATORS, GridSpec, PriorSpec,
                                 _axis_log_prior, _cams_problem,
                                 _cholesky_rows, _functional_moments,
@@ -261,12 +261,18 @@ def test_functional_mixture_is_what_the_batched_readers_read():
             mix.quantiles(levels), fit.functional_quantiles([spec], levels)[0])
 
 
+def node_first_stats(blocks):
+    """The summed ``_scalar_stats`` of ``blocks``, node axes moved first."""
+    a, b, quad, logdet = map(sum, zip(*(_scalar_stats(*blk) for blk in blocks)))
+    return np.moveaxis(a, (0, 1), (-2, -1)), np.moveaxis(b, 0, -1), quad, logdet
+
+
 def pinv_reference(blocks, param_names, priors, taus, tg, scale_names):
     """Log weights and conditional moments of a lattice from the normal
     matrix A itself: pinv(A) and the log of its top-rank eigenvalues, with
     the rank from the singular values of the design rows, prior rows
     included."""
-    a, b, quad, logdet_v = map(sum, zip(*(_scalar_stats(*blk) for blk in blocks)))
+    a, b, quad, logdet_v = node_first_stats(blocks)
     p = len(param_names)
     rows = np.vstack([x[(0,) * (x.ndim - 2)] for _, x, _, _ in blocks])
     rank = np.linalg.matrix_rank(rows)
@@ -296,15 +302,30 @@ def rank_deficient_data():
     return MetaDataset(tuple(studies))
 
 
-def force_half_args(monkeypatch):
-    """The solve arguments of the battery's first force-half oracle."""
-    data = simulate(verify._unbalanced_scenario(21240))
+def captured_solve(monkeypatch, module, run):
+    """The arguments of the first ``_solve_grid`` call that ``run()`` makes
+    through ``module``."""
     calls = []
-    monkeypatch.setattr(verify, "_solve_grid",
+    monkeypatch.setattr(module, "_solve_grid",
                         lambda *args: calls.append(args) or _solve_grid(*args))
-    verify.cams_oracle(data, 0.5, PriorSpec(),
-                       GridSpec.default(PriorSpec(), n_nodes=61))
+    run()
     return calls[0]
+
+
+def oracle_args(monkeypatch, scenario, force_half):
+    """The solve arguments of a battery oracle: force-half or honest (at
+    the information fractions), on the battery's 61-node grid."""
+    data = simulate(scenario)
+    return captured_solve(monkeypatch, verify, lambda: verify.cams_oracle(
+        data, 0.5 if force_half else data.info_fractions, PriorSpec(),
+        GridSpec.default(PriorSpec(), n_nodes=61)))
+
+
+def bim_args(monkeypatch):
+    data = simulate(SimScenario(n_studies=8, gamma=0.3, tau=0.1,
+                                tau_gamma=0.1, uisd=1.0, seed=1))
+    return captured_solve(monkeypatch, inference, lambda: fit_bim(
+        data, PriorSpec(), GridSpec.default(PriorSpec(), n_nodes=61)))
 
 
 def cams_args(data, priors):
@@ -312,13 +333,20 @@ def cams_args(data, priors):
 
 
 @pytest.mark.parametrize("case, want_rank", [
-    ("force_half", 2), ("equal_fractions", 2), ("delta_prior", 3)])
+    ("force_half", 2), ("equal_fractions", 2), ("delta_prior", 3),
+    ("honest_oracle", 3), ("bim", 1)])
 def test_one_path_solve_matches_a_pinv_reference(monkeypatch, case, want_rank):
-    # flat designs and a design made full rank only by a proper delta prior
+    # flat designs, a design made full rank only by a proper delta prior,
+    # the battery's largest honest oracle (J=15) and a one-parameter solve
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IdentifiabilityWarning)
         args = {
-            "force_half": lambda: force_half_args(monkeypatch),
+            "force_half": lambda: oracle_args(
+                monkeypatch, verify._unbalanced_scenario(21240), True),
+            "honest_oracle": lambda: oracle_args(monkeypatch, SimScenario(
+                n_studies=15, alpha=0.2, delta=0.8, gamma=0.3, tau=0.15,
+                tau_gamma=0.12, seed=2), False),
+            "bim": lambda: bim_args(monkeypatch),
             "equal_fractions": lambda: cams_args(rank_deficient_data(), PriorSpec()),
             "delta_prior": lambda: cams_args(rank_deficient_data(), PriorSpec(
                 location_prior=(("delta", 0.2, 0.5),))),
@@ -326,7 +354,7 @@ def test_one_path_solve_matches_a_pinv_reference(monkeypatch, case, want_rank):
     log_weight, theta, cov, rank = pinv_reference(*args)
     assert rank == want_rank
     with warnings.catch_warnings():
-        warnings.simplefilter("error" if rank == 3 else "ignore",
+        warnings.simplefilter("error" if rank == len(args[1]) else "ignore",
                               IdentifiabilityWarning)
         grid = _solve_grid(*args)
     np.testing.assert_allclose(grid.log_weight, log_weight, rtol=0, atol=1e-10)
@@ -412,15 +440,13 @@ def test_pair_stats_match_the_raw_coordinate_solve(seed):
     x = rng.normal(0.0, 1.0, (j, 2, 3))
     taus = np.array([0.0, 0.05, 0.3, 1.5])
     tg = np.array([0.0, 0.02, 0.4])
-    contrast, mean = (_scalar_stats(*block)
-                      for block in _pair_blocks(ya, yb, va, vb, pi, x, taus, tg))
+    got = node_first_stats(_pair_blocks(ya, yb, va, vb, pi, x, taus, tg))
     want = block_gls_stats(np.stack([ya, yb], 1), x,
                            cams_covariance(va, vb, pi, taus[:, None, None],
                                            tg[None, :, None]))
-    for a, b, c in zip(contrast, mean, want):
-        assert (a + b).shape == c.shape
-        np.testing.assert_allclose(a + b, c, rtol=1e-9,
-                                   atol=1e-9 * np.abs(c).max())
+    for a, c in zip(got, want):
+        assert a.shape == c.shape
+        np.testing.assert_allclose(a, c, rtol=1e-9, atol=1e-9 * np.abs(c).max())
 
 
 def dense_prior_reference(data, x, pi, taus, tg, prior, scales):
@@ -513,23 +539,30 @@ def test_cams_working_set_stays_one_dimensional():
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_cholesky_rows_match_lapack(r):
+    # node-last stacks (r, r, T, G) against LAPACK on the node-first copy
     rng = np.random.default_rng(r)
     p = r + 1
     factors = rng.normal(size=(7, 5, r, r + 3))
     system = factors @ np.swapaxes(factors, -1, -2) + 1e-3 * np.eye(r)
     rows = rng.normal(size=(r, p))
-    diag, solved = _cholesky_rows(system, rows)
+    taus, tg = np.linspace(0.0, 0.6, 7), np.linspace(0.0, 0.4, 5)
+    node_last = np.moveaxis(system, (-2, -1), (0, 1)).copy()
+    diag, solved = _cholesky_rows(node_last, rows, taus, tg)
     chol = np.linalg.cholesky(system)
-    np.testing.assert_allclose(diag, np.diagonal(chol, axis1=-2, axis2=-1),
+    np.testing.assert_allclose(np.moveaxis(diag, 0, -1),
+                               np.diagonal(chol, axis1=-2, axis2=-1),
                                rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(solved, np.linalg.inv(chol) @ rows,
+    np.testing.assert_allclose(np.moveaxis(solved, (0, 1), (-2, -1)),
+                               np.linalg.inv(chol) @ rows,
                                rtol=1e-12, atol=1e-12)
-    # a pivot that is not positive and finite is a clean DomainError
+    # a pivot that is not positive and finite is a clean DomainError that
+    # names its node
     for bad in (-1.0, 0.0, np.nan, np.inf):
-        broken = system.copy()
-        broken[3, 2, r - 1, r - 1] = bad
-        with pytest.raises(DomainError, match="numerically singular"):
-            _cholesky_rows(broken, rows)
+        broken = node_last.copy()
+        broken[r - 1, r - 1, 3, 2] = bad
+        with pytest.raises(DomainError, match=r"numerically singular at "
+                           r"tau = 0\.3, tau_gamma = 0\.2:.*tau_prior"):
+            _cholesky_rows(broken, rows, taus, tg)
 
 
 def test_bms_lattice_working_set_stays_per_chunk():

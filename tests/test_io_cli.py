@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -56,6 +57,33 @@ def test_load_reports_row_numbers(tmp_path):
     rows[1] = rows[1].replace("0.4", "not_a_number", 1)
     write_csv(path, rows)
     with pytest.raises(ContractError, match="row 3"):
+        load_csv(path)
+
+
+def set_cell(rows, row, column, text):
+    parts = rows[row].split(",")
+    parts[column] = text
+    rows[row] = ",".join(parts)
+
+
+@pytest.mark.parametrize("edits, want", [
+    # a bad est in a later row does not hide an earlier broken ifrac2
+    ([(0, 7, "0.9"), (2, 3, "abc")], r"^row 2: ifrac2 0\.9 inconsistent"),
+    # a duplicate row is reported before a later unparsable se
+    ([(2, 0, "S1"), (3, 4, "abc")], r"^row 4: duplicate subgroup12 -0\.5 "
+                                    r"for study 'S1'$"),
+    # within one row, est is read before se
+    ([(1, 4, "x"), (1, 3, "inf")], r"^row 3: est must be finite, got 'inf'$"),
+])
+def test_load_names_the_first_bad_row(tmp_path, edits, want):
+    # columns are checked as a whole, but the error is the one a row-by-row
+    # read meets first
+    path = str(tmp_path / "d.csv")
+    rows = two_row_study() + two_row_study("S2", 0.0, 0.2, 0.3, 0.1)
+    for row, column, text in edits:
+        set_cell(rows, row, column, text)
+    write_csv(path, rows)
+    with pytest.raises(ContractError, match=want):
         load_csv(path)
 
 
@@ -440,6 +468,21 @@ def test_fit_on_extreme_scale_is_clean_error(tmp_path, capsys, factor, why):
     assert code == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and why in err[0]
+
+
+@pytest.mark.parametrize("factor", [1e-100, 1e-150])
+def test_singular_node_names_the_node_and_both_prior_scales(tmp_path, capsys,
+                                                           factor):
+    # tiny standard errors against the default prior scales: the error names
+    # the lattice node whose system failed and the two scales to match
+    path = write_scaled_quickstart(tmp_path, factor)
+    code = main(["fit", "--input", path, "--output-dir", str(tmp_path)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert re.search(r"singular at tau = \S+, tau_gamma = \S+:", err[0])
+    assert "tau_prior" in err[0] and "tau_gamma_prior" in err[0]
+    assert not list(tmp_path.glob("fit_*.json"))
 
 
 @pytest.mark.parametrize("flag, value, why", [
