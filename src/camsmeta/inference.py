@@ -56,6 +56,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # that the grid truncates that heterogeneity.
 EDGE_MASS_TOL = 1e-3
 
+# GridSpec.axis: top node in prior scales; lowest positive node / top node
+GRID_SPAN, GRID_MIN_FRAC = 5.0, 1e-3
+
 
 # ----------------------------------------------------------------------
 # specification types
@@ -98,10 +101,10 @@ class PriorSpec:
 class GridSpec:
     """Heterogeneity grids: a zero node plus geometric spacing.
 
-    Defaults put 101 nodes per axis on [0, 5 * prior scale], with the smallest
-    positive node at 1e-3 of the upper end. Custom node vectors are accepted
-    as long as they start at 0 and increase strictly; a single-node axis [0]
-    pins that heterogeneity to zero.
+    Defaults put 101 nodes per axis on [0, GRID_SPAN * prior scale], the
+    smallest positive one at GRID_MIN_FRAC of the top. Custom node vectors
+    are accepted as long as they start at 0 and increase strictly; a
+    single-node axis [0] pins that heterogeneity to zero.
     """
 
     tau_nodes: np.ndarray
@@ -121,18 +124,16 @@ class GridSpec:
                                       f"square, got {nodes[-1]:g}")
 
     @staticmethod
-    def axis(prior_scale: float, n_nodes: int = 101, span: float = 5.0,
-             min_frac: float = 1e-3) -> np.ndarray:
+    def axis(prior_scale: float, n_nodes: int = 101) -> np.ndarray:
         if n_nodes < 1:
             raise ContractError("need at least one node")
-        if not (0 < prior_scale < math.inf) or not (0 < span < math.inf):
-            raise DomainError(
-                f"grid prior scale and span must be positive and finite, got "
-                f"({prior_scale}, {span})")
-        hi = span * prior_scale
-        if n_nodes == 1:
-            return np.array([0.0])
-        return np.concatenate([[0.0], np.geomspace(hi * min_frac, hi, n_nodes - 1)])
+        if not 0 < prior_scale < math.inf:
+            raise DomainError(f"grid prior scale must be positive and finite, "
+                              f"got {prior_scale}")
+        hi = GRID_SPAN * prior_scale
+        # geomspace(a, b, 1) is [a]: a lone positive node goes at the top
+        low = hi * GRID_MIN_FRAC if n_nodes > 2 else hi
+        return np.concatenate([[0.0], np.geomspace(low, hi, n_nodes - 1)])
 
     @classmethod
     def default(cls, priors: PriorSpec, n_nodes: int = 101) -> "GridSpec":

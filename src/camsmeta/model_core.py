@@ -68,20 +68,17 @@ def missing_observation(subgroup_label: str,
 
 @dataclass(frozen=True)
 class StudyRecord:
-    """A two-subgroup trial with its derived information fraction."""
+    """A two-subgroup trial with the IF implied by its standard errors."""
 
     study_id: str
     obs_a: SubgroupObservation
     obs_b: SubgroupObservation
-    info_fraction: float
     prevalence_proxy: float | None = None
+    info_fraction: float = field(init=False)
 
     def __post_init__(self) -> None:
-        recomputed = _record_if(self.study_id, self.obs_a, self.obs_b)
-        if abs(self.info_fraction - recomputed) > 1e-12:
-            raise ContractError(
-                f"study {self.study_id}: info_fraction {self.info_fraction!r} "
-                f"is not the value {recomputed!r} implied by the standard errors")
+        object.__setattr__(self, "info_fraction",
+                           _record_if(self.study_id, self.obs_a, self.obs_b))
 
     @classmethod
     def from_observations(cls, study_id: str,
@@ -94,18 +91,18 @@ class StudyRecord:
         1e-6, warning on mismatch), never adopted: the recomputed IF is what
         carries the orthogonality guarantee.
         """
-        pi = _record_if(study_id, obs_a, obs_b)
+        counts = (obs_a.count, obs_b.count)
+        proxy = (prevalence_from_counts(*counts)
+                 if None not in counts and sum(counts) > 0 else None)
+        record = cls(study_id, obs_a, obs_b, proxy)
+        pi = record.info_fraction
         if reported_ifrac is not None and abs(reported_ifrac - pi) > IFRAC_MATCH_TOL:
             warnings.warn(
                 f"study {study_id}: reported ifrac {reported_ifrac} differs from "
                 f"the value {pi} recomputed from standard errors; using the "
                 f"recomputed value",
                 ValidationWarning, stacklevel=2)
-        proxy = None
-        if obs_a.count is not None and obs_b.count is not None:
-            if obs_a.count + obs_b.count > 0:
-                proxy = prevalence_from_counts(obs_a.count, obs_b.count)
-        return cls(study_id, obs_a, obs_b, pi, proxy)
+        return record
 
 
 def _record_if(study_id: str, obs_a: SubgroupObservation,

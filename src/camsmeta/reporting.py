@@ -33,9 +33,10 @@ from .model_core import (MetaDataset, _check_unit_interval, decompose_arrays,
 STRATEGY_KINDS = ("average", "trial_weighted", "overall_if", "optimal_if",
                   "closeness_a", "closeness_b", "external")
 
-_SEARCH_TOL = 1e-4
 _ROOT_TOL = 1e-10
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# fit_map_prevalence's (phi, psi) grid sizes and Gauss-Hermite order
+_MAP_PHI_POINTS, _MAP_PSI_POINTS, _MAP_GH_POINTS = 201, 61, 21
 
 
 @dataclass(frozen=True)
@@ -188,44 +189,45 @@ def overall_if(fit: FitResult, data: MetaDataset) -> float:
     return float(wt @ pstar)
 
 
+def _vertex(x: np.ndarray, f: np.ndarray) -> float:
+    """Vertex of the parabola through three equally spaced points (x, f), or
+    the smallest of them when the parabola does not bend upward."""
+    bend = f[0] - 2.0 * f[1] + f[2]
+    if not bend > 0.0:
+        return float(x[np.argmin(f)])
+    return float(x[1] + 0.5 * (x[1] - x[0]) * (f[0] - f[2]) / bend)
+
+
 def _scan_min(values, lo: float, hi: float,
               points: int) -> tuple[float | None, np.ndarray, np.ndarray]:
     """Minimize ``values`` (vectorized over prevalences) on [lo, hi].
 
-    Scans ``points`` evenly spaced prevalences, then refines by golden
-    section to 1e-4 between the neighbours of the best one. Returns (argmin,
-    scan, curve); the argmin is None when the curve varies by less than
-    1e-10, since a flat objective has no minimizer to refine.
+    Scans ``points`` evenly spaced prevalences, then takes two parabolic
+    steps between the neighbours of the best one: the vertex through it and
+    its neighbours (at an end, the three points next to it), then the vertex
+    through three points an eighth of the scan step apart around that.
+    Returns (argmin, scan, curve); the argmin is None for a flat curve.
     """
     scan = np.linspace(lo, hi, points)
     curve = values(scan)
     if curve.max() - curve.min() < 1e-10:
         return None, scan, curve
     best = int(np.argmin(curve))
-    lo, hi = float(scan[max(best - 1, 0)]), float(scan[min(best + 1, points - 1)])
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = values([c])[0], values([d])[0]
-    while hi - lo > _SEARCH_TOL:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = values([c])[0]
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = values([d])[0]
-    return 0.5 * (lo + hi), scan, curve
+    a, b = float(scan[max(best - 1, 0)]), float(scan[min(best + 1, points - 1)])
+    i = min(max(best, 1), points - 2)
+    h = 0.125 * (scan[1] - scan[0])
+    x = min(max(_vertex(scan[i - 1:i + 2], curve[i - 1:i + 2]), a + h), b - h)
+    near = np.clip(x + h * np.array([-1.0, 0.0, 1.0]), a, b)
+    return min(max(_vertex(near, values(near)), a), b), scan, curve
 
 
-def optimal_if(fit: FitResult, search_range=(0.0, 1.0),
-               curve_points: int = 41) -> OptimalIF:
+def optimal_if(fit: FitResult, search_range=(0.0, 1.0)) -> OptimalIF:
     """Prevalence minimizing the combined width of the two subgroup 95%
     intervals, with the width curve over the search range.
 
-    Golden-section refinement to 1e-4 around the best curve point. Warns when
-    the minimizer lies outside the observed information fractions, since the
-    subgroup lines are extrapolated there.
+    A 41-point width scan refined by two parabolic steps (see _scan_min).
+    Warns when the minimizer lies outside the observed information
+    fractions, since the subgroup lines are extrapolated there.
     """
     _require_cams(fit)
     lo, hi = float(search_range[0]), float(search_range[1])
@@ -241,7 +243,7 @@ def optimal_if(fit: FitResult, search_range=(0.0, 1.0),
         span = (qs[:, 1] - qs[:, 0]).reshape(2, len(pis))
         return span[0] + span[1]
 
-    pi_opt, curve_pi, curve_width = _scan_min(widths, lo, hi, curve_points)
+    pi_opt, curve_pi, curve_width = _scan_min(widths, lo, hi, 41)
     if pi_opt is None:
         return OptimalIF(0.5 * (lo + hi), float(curve_width[0]),
                          curve_pi, curve_width, flat_range=(lo, hi))
@@ -294,8 +296,8 @@ def _closeness(fit: FitResult, reference: FitResult, subgroup: str) -> float:
     """Prevalence at which the subgroup line's posterior median meets the
     reference median: a root of G(pi) = F_pi(target) - 1/2, F_pi the CDF of
     the line at pi, found from a 101-point scan of G and refined to
-    _ROOT_TOL. When G never changes sign, the scan point nearest in median,
-    refined by golden section."""
+    _ROOT_TOL. When G never changes sign, the prevalence nearest in median,
+    from the same scan refined by two parabolic steps (see _scan_min)."""
     if reference is None or reference.estimator != "BMS":
         raise ContractError("closeness strategies need a reference BMS fit")
     target = reference.summaries["mu_a" if subgroup == "a" else "mu_b"].median
@@ -473,8 +475,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return top + np.log(np.exp(a - top[..., None]).sum(axis=-1))
 
 
-def fit_map_prevalence(counts, sd_scale: float = 0.5, phi_points: int = 201,
-                       psi_points: int = 61, gh_points: int = 21) -> MapPrevalence:
+def fit_map_prevalence(counts, sd_scale: float = 0.5) -> MapPrevalence:
     """Predictive synthesis of subgroup prevalence from external count data.
 
     Per study, the subgroup count is binomial with a logit-normal random
@@ -508,20 +509,20 @@ def fit_map_prevalence(counts, sd_scale: float = 0.5, phi_points: int = 201,
     center = math.log(p0) - math.log1p(-p0)
     se0 = math.sqrt(1.0 / (xs.sum() + 0.5) + 1.0 / (ns.sum() - xs.sum() + 0.5))
     span = 6.0 * math.sqrt(se0 ** 2 + (2.0 * sd_scale) ** 2)
-    phi = center + np.linspace(-span, span, phi_points)
-    psi = GridSpec.axis(sd_scale, psi_points)
+    phi = center + np.linspace(-span, span, _MAP_PHI_POINTS)
+    psi = GridSpec.axis(sd_scale, _MAP_PSI_POINTS)
 
-    t, wgh = np.polynomial.hermite.hermgauss(gh_points)
+    t, wgh = np.polynomial.hermite.hermgauss(_MAP_GH_POINTS)
     log_wgh = np.log(wgh) - 0.5 * math.log(math.pi)
     eta = (phi[:, None, None] + psi[None, :, None] * math.sqrt(2.0) * t)
-    loglik = np.zeros((phi_points, psi_points))
+    loglik = np.zeros((phi.size, psi.size))
     for x, n in clean:
         terms = x * _log_expit(eta) + (n - x) * _log_expit(-eta) + log_wgh
         loglik += _logsumexp(terms)
         loglik += (math.lgamma(n + 1) - math.lgamma(x + 1)
                    - math.lgamma(n - x + 1))
     h = phi[1] - phi[0]
-    lp_phi = np.full(phi_points, math.log(h))
+    lp_phi = np.full(phi.size, math.log(h))
     lp_phi[[0, -1]] = math.log(0.5 * h)
     lp_psi = _halfnormal_logpdf(psi, sd_scale) + _quad_log_weights(psi)
     logw = loglik + lp_phi[:, None] + lp_psi[None, :]
@@ -550,8 +551,8 @@ def fit_map_prevalence(counts, sd_scale: float = 0.5, phi_points: int = 201,
     # the predictive law is a normal mixture on the logit scale; its
     # quantiles commute with expit
     predictive = tuple(float(_expit(x)) for x in mixture_quantiles(
-        w.reshape(-1), np.repeat(phi, psi_points)[None, :],
-        np.tile(psi, phi_points)[None, :], (0.025, 0.975))[0])
+        w.reshape(-1), np.repeat(phi, psi.size)[None, :],
+        np.tile(psi, phi.size)[None, :], (0.025, 0.975))[0])
     return MapPrevalence(float(a), float(b), mean, math.sqrt(var),
                          pooled, predictive, len(clean))
 

@@ -64,7 +64,7 @@ def test_estimators_tuple():
 
 
 def test_grid_axis_shape():
-    nodes = GridSpec.axis(0.5, n_nodes=41, span=5.0)
+    nodes = GridSpec.axis(0.5, n_nodes=41)
     assert nodes.shape == (41,)
     assert nodes[0] == 0.0
     assert np.all(np.diff(nodes) > 0)
@@ -73,6 +73,24 @@ def test_grid_axis_shape():
         GridSpec.axis(-1.0)
     with pytest.raises(DomainError):
         GridSpec.axis(np.inf)
+
+
+def test_two_node_axis_puts_its_positive_node_at_the_top():
+    # np.geomspace(a, b, 1) is [a]: the lone positive node must sit at five
+    # prior scales, not at 1e-3 of that, where it would hold about half the
+    # posterior and the fit would blame the prior scale for it
+    assert GridSpec.axis(0.5, 2).tolist() == [0.0, 2.5]
+    priors = PriorSpec()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GridEdgeWarning)
+        fit_cams(make_dataset(), priors, GridSpec.default(priors, 2))
+
+
+@pytest.mark.parametrize("n", [3, 4, 41, 101])
+def test_axes_of_three_or_more_nodes_are_zero_then_geometric(n):
+    hi = 5.0 * 0.37
+    want = np.concatenate([[0.0], np.geomspace(hi * 1e-3, hi, n - 1)])
+    assert np.array_equal(GridSpec.axis(0.37, n), want)
 
 
 @pytest.mark.parametrize("top", [np.inf, np.nan, 1e200])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from camsmeta import model_core
 from camsmeta.errors import DomainError, ValidationWarning
 from camsmeta.model_core import (CovarianceStructure, MetaDataset,
                                  MultiStudyRecord, StudyRecord,
@@ -138,6 +139,22 @@ def test_from_observations_recomputes_if():
     assert s.info_fraction == pytest.approx(compute_if(0.2, 0.3), abs=1e-15)
 
 
+def test_from_observations_derives_the_if_once(monkeypatch):
+    calls = []
+    record_if = model_core._record_if
+
+    def counted(*args):
+        calls.append(args)
+        return record_if(*args)
+
+    monkeypatch.setattr(model_core, "_record_if", counted)
+    s = StudyRecord.from_observations("S1", SubgroupObservation("A", 0.0, 0.2),
+                                      SubgroupObservation("B", 0.0, 0.3),
+                                      reported_ifrac=compute_if(0.2, 0.3))
+    assert len(calls) == 1
+    assert s.info_fraction == compute_if(0.2, 0.3)
+
+
 def test_from_observations_warns_on_discrepant_ifrac():
     with pytest.warns(ValidationWarning):
         StudyRecord.from_observations(
@@ -154,7 +171,7 @@ def test_from_observations_rejects_variances_outside_float64(se):
                                       SubgroupObservation("B", 0.0, se))
     with pytest.raises(DomainError, match="study S7: subgroup A"):
         StudyRecord("S7", SubgroupObservation("A", 0.0, se),
-                    SubgroupObservation("B", 0.0, 0.2), 0.5)
+                    SubgroupObservation("B", 0.0, 0.2))
     # a subnormal square is a positive float: the record builds, and the
     # fits refuse it when they invert it
     tiny = StudyRecord.from_observations(

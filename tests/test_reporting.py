@@ -128,6 +128,98 @@ def test_optimal_if_properties(fitted):
         optimal_if(cams, search_range=(0.8, 0.2))
 
 
+def golden_argmin(f, a, b, tol=1e-9):
+    """Golden-section minimum of a unimodal scalar f on [a, b], to tol."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+@contextlib.contextmanager
+def recorded_quantile_reads():
+    """The prevalences (delta coefficients) read by each
+    ``FitResult.functional_quantiles`` call, in call order."""
+    reads = []
+    quantiles = inference.FitResult.functional_quantiles
+
+    def recording(self, specs, levels):
+        reads.append([spec["delta"] for spec in specs])
+        return quantiles(self, specs, levels)
+
+    with mock.patch.object(inference.FitResult, "functional_quantiles",
+                           recording):
+        yield reads
+
+
+@pytest.mark.parametrize("n_studies, uisd, seed, nodes", [
+    (8, 1.0, 1, 101),   # the quick-start data, data seed 1
+    (8, None, 4, 61),
+    (3, None, 4, 61),   # one parabolic step alone is 2.4e-4 off here
+])
+def test_optimal_if_matches_a_tight_golden_section(n_studies, uisd, seed,
+                                                   nodes):
+    priors = PriorSpec()
+    data = simulate(SimScenario(n_studies=n_studies, gamma=0.3, tau=0.1,
+                                tau_gamma=0.1, uisd=uisd, seed=seed))
+    cams = fit_cams(data, priors, GridSpec.default(priors, nodes))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        opt = optimal_if(cams)
+
+    def width(p):
+        qs = cams.functional_quantiles(
+            [{"alpha": 1.0, "delta": p}, {"alpha": 1.0, "delta": p, "gamma": 1.0}],
+            (0.025, 0.975))
+        return float((qs[:, 1] - qs[:, 0]).sum())
+
+    best = int(np.argmin(opt.curve_width))
+    want = golden_argmin(width, opt.curve_pi[max(best - 1, 0)],
+                         opt.curve_pi[min(best + 1, 40)])
+    assert abs(opt.pi_opt - want) <= 1e-5
+
+
+def test_prevalence_searches_read_few_quantile_batches(fitted):
+    # the 41-point width scan, one refining triple and the optimum's width;
+    # the closeness fallback is a 101-point scan and one refining triple
+    data, cams, bms = fitted
+    with recorded_quantile_reads() as reads:
+        optimal_if(cams)
+    assert len(reads) <= 3
+    top = max(effects_at(cams, p).mu_a.median for p in (0.0, 1.0))
+    far = dataclasses.replace(bms.summaries["mu_a"], median=top + 1.0,
+                              upper=top + 2.0)
+    reference = dataclasses.replace(
+        bms, summaries={**bms.summaries, "mu_a": far})
+    with recorded_quantile_reads() as reads:
+        strategy_prevalence(data, cams, "closeness_a", reference=reference)
+    assert len(reads) <= 2
+
+
+@pytest.mark.parametrize("search_range, end", [((0.9, 1.0), 0.9),
+                                                ((0.0, 0.1), 0.1)])
+def test_optimal_if_at_an_end_reads_only_inside_its_range(fitted,
+                                                          search_range, end):
+    # the widths rise away from the observed fractions, so the optimum is
+    # the end of the range nearest them
+    _, cams, _ = fitted
+    with recorded_quantile_reads() as reads, \
+            pytest.warns(ExtrapolationWarning):
+        opt = optimal_if(cams, search_range=search_range)
+    read = np.concatenate(reads)
+    assert search_range[0] <= read.min() and read.max() <= search_range[1]
+    assert opt.pi_opt == end
+
+
 def test_optimal_if_warns_outside_observed(fitted):
     # confining the search far above every observed fraction forces an
     # extrapolated optimum, which must be flagged
