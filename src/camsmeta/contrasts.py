@@ -77,44 +77,48 @@ def helmert_basis(k: int) -> ContrastBasis:
 def precision_prevalence(cov_diag: np.ndarray) -> np.ndarray:
     """Prevalences proportional to the subgroup precisions.
 
-    Returns pi with pi_s = (1/var_s) / sum_t (1/var_t). The defining property
-    is S pi = kappa 1 with kappa = 1 / sum_t (1/var_t): every subgroup then
-    contributes the same amount of information-weighted mass, and contrasts of
-    S pi vanish.
+    Returns pi with pi_s = (1/var_s) / sum_t (1/var_t) (along the last axis
+    of a stack). The defining property is S pi = kappa 1 with kappa = 1 /
+    sum_t (1/var_t): every subgroup then contributes the same amount of
+    information-weighted mass, and contrasts of S pi vanish.
     """
     var = np.asarray(cov_diag, dtype=float)
-    if var.ndim != 1 or var.size == 0:
+    if var.ndim == 0 or var.shape[-1] == 0:
         raise ContractError(f"cov_diag must be a nonempty vector, got shape {var.shape}")
     if not np.all(var > 0):
         raise DomainError("all variances must be positive")
     prec = 1.0 / var
-    return prec / prec.sum()
+    return prec / prec.sum(axis=-1, keepdims=True)
 
 
 def contrast_mean_cov(basis: ContrastBasis, cov_diag: np.ndarray,
                       pi: np.ndarray) -> np.ndarray:
-    """Covariance vector Cov(C y, pi' y) = C S pi for diagonal S."""
+    """Covariance vector Cov(C y, pi' y) = C S pi for diagonal S (per row
+    of equal-shape stacks)."""
     var = np.asarray(cov_diag, dtype=float)
     pvec = np.asarray(pi, dtype=float)
-    if var.shape != (basis.k,) or pvec.shape != (basis.k,):
+    if var.shape[-1:] != (basis.k,) or pvec.shape != var.shape:
         raise ContractError(
             f"cov_diag and pi must have length K={basis.k}, "
             f"got {var.shape} and {pvec.shape}")
-    return basis.matrix_c @ (var * pvec)
+    return (var * pvec) @ basis.matrix_c.T
 
 
 def transform_matrix(basis: ContrastBasis, pi: np.ndarray) -> np.ndarray:
-    """The K x K transform stacking C over pi', certified invertible.
+    """The K x K transform stacking C over pi' (one per row of a stack),
+    certified invertible.
 
     Nonsingularity is certified by the exact 1-norm condition number,
-    infinite at an exactly zero LU pivot; above 1e8 it emits a warning since
-    the split into (g, m) then amplifies noise.
+    infinite at an exactly zero LU pivot, in one call for a whole stack;
+    above 1e8 in any row it emits one warning since the split into (g, m)
+    then amplifies noise.
     """
     pvec = np.asarray(pi, dtype=float)
-    if pvec.shape != (basis.k,):
+    if pvec.shape[-1:] != (basis.k,):
         raise ContractError(f"pi must have length K={basis.k}, got {pvec.shape}")
-    rows = np.vstack([basis.matrix_c, pvec])
-    cond = np.linalg.cond(rows, 1)
+    c = np.broadcast_to(basis.matrix_c, pvec.shape[:-1] + basis.matrix_c.shape)
+    rows = np.concatenate([c, pvec[..., None, :]], axis=-2)
+    cond = np.max(np.linalg.cond(rows, 1))
     if not np.isfinite(cond):
         raise ContractError("transform is singular for this prevalence vector")
     if cond > CONDITION_WARN_THRESHOLD:
@@ -137,7 +141,8 @@ def kronecker_contrast(treat_basis: ContrastBasis,
 
 
 def per_arm_prevalence(arm_cov_diags: np.ndarray) -> np.ndarray:
-    """Stack per-arm precision prevalences for a T x K variance table.
+    """Stack per-arm precision prevalences for a T x K variance table (or for
+    each table of a stack).
 
     Within each treatment arm the prevalences are precision-proportional; the
     arms are then weighted uniformly so the stacked vector sums to 1. Any
@@ -146,6 +151,5 @@ def per_arm_prevalence(arm_cov_diags: np.ndarray) -> np.ndarray:
     weighted when their sizes differ is left open here.
     """
     table = np.atleast_2d(np.asarray(arm_cov_diags, dtype=float))
-    t = table.shape[0]
-    per_arm = [precision_prevalence(row) / t for row in table]
-    return np.concatenate(per_arm)
+    t, k = table.shape[-2:]
+    return (precision_prevalence(table) / t).reshape(table.shape[:-2] + (t * k,))

@@ -16,10 +16,10 @@ with the Newton step s = (F(x) - q) / f(x), the move is s / (1 - s f' / (2 f))
 when that divisor exceeds 1/2, else s. A move that leaves the bracket, or a
 Newton step s that fails to halve the previous one, is replaced by
 bisection, and mixtures that contain an atom bisect only. A quantile is done
-when its Newton step is below QUANTILE_TOL / 4 or the bracket is narrower
-than QUANTILE_TOL, or once its error bound is proven. The bracket comes
-from the sign of F(x) - q alone, and the halving rule and the certified
-exit read the Newton step s, never the Halley move:
+once its error bound is proven or its bracket is closed (narrower than
+QUANTILE_TOL, or at the spacing of floats), never on a small step alone.
+The bracket comes from the sign of F(x) - q alone, and the halving rule and
+the certified exit read the Newton step s, never the Halley move:
 
 Certified exit. |f'| <= L = phi(1) sum_k w_k / sd_k^2 everywhere, since
 |d/dx phi(z_k) / sd_k| = |z_k| phi(z_k) / sd_k^2 and |z| phi(z) peaks at
@@ -352,7 +352,7 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
         nxt = np.where(proven, np.clip(xa - step, a, b), nxt)
         # a bracket at the spacing of floats cannot shrink any further
         closed = (b - a <= QUANTILE_TOL) | (mid <= a) | (mid >= b)
-        done = closed | proven | (newton & (np.abs(step) <= 0.25 * QUANTILE_TOL))
+        done = closed | proven
         out[active] = nxt
         lo[active], hi[active], x[active] = a, b, nxt
         last_step[active] = np.where(newton, np.abs(step), 0.5 * (b - a))

@@ -829,7 +829,37 @@ def interaction_trace(fit: FitResult, tau_gamma_values) -> list:
 # The decomposition has unit Jacobian, so when the weighting prevalence used
 # on both sides agrees with the covariance structure, the joint equals the
 # sum of the two blocks; any gap is exactly the covariance-induced cross
-# term, which vanishes at the information fraction.
+# term, which vanishes at the information fraction. The three density
+# helpers work elementwise over leading axes and take residuals (value minus
+# mean); ``verify``'s K-subgroup checks use them too.
+
+def _normal_logpdf(r, var):
+    """log N(r; 0, var), elementwise."""
+    return -0.5 * (_LOG_2PI + np.log(var) + r * r / var)
+
+
+def _mvn_logpdf(r: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """log N(r; 0, cov) for residual rows r (..., q) and covariances
+    (..., q, q); NaN throughout if any determinant is not positive."""
+    sign, logdet = np.linalg.slogdet(cov)
+    if not np.all(sign > 0):  # solve would raise on a singular block
+        return np.full(sign.shape, math.nan)
+    z = np.linalg.solve(cov, r[..., None])[..., 0]
+    return -0.5 * (r.shape[-1] * _LOG_2PI + logdet + np.sum(r * z, axis=-1))
+
+
+def _block_cross_term(r1: np.ndarray, cov11: np.ndarray, r2, var2,
+                      cross: np.ndarray) -> np.ndarray:
+    """log p(r1, r2) - log p(r1) - log p(r2) of a zero-mean Gaussian with
+    blocks r1 (..., q) and scalar r2, Cov(r1) = cov11, Var(r2) = var2 and
+    Cov(r1, r2) = cross (..., q), from the law of r2 given r1: mean r1' w,
+    variance var2 - cross' w, w = cov11^-1 cross."""
+    w = np.linalg.solve(cov11, cross[..., None])[..., 0]
+    var_cond = var2 - np.sum(cross * w, axis=-1)
+    mean_cond = np.sum(r1 * w, axis=-1)
+    return -0.5 * (np.log(var_cond / var2) + (r2 - mean_cond) ** 2 / var_cond
+                   - r2 * r2 / var2)
+
 
 def joint_loglikelihood(data: MetaDataset, alpha: float, delta: float,
                         gamma: float, het: CovarianceStructure,
@@ -840,38 +870,29 @@ def joint_loglikelihood(data: MetaDataset, alpha: float, delta: float,
     resid = np.stack([ya - mean_a, yb - mean_a - gamma], axis=1)
     v = cams_covariance(va, vb, p, het.tau, het.tau_gamma)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sign, logdet = np.linalg.slogdet(v)
-        total = math.nan  # solve would raise on a singular (sign 0) block
-        if np.all(sign > 0):
-            z = np.linalg.solve(v, resid[..., None])[..., 0]
-            total = -0.5 * float(2.0 * _LOG_2PI * p.size + logdet.sum()
-                                 + np.sum(resid * z))
+        total = float(_mvn_logpdf(resid, v).sum())
     if not math.isfinite(total):
         raise DomainError("the joint log likelihood is not finite in float64; "
                           "are the standard errors on an extreme scale?")
     return total
 
 
-def _block_z(data: MetaDataset, alpha: float, delta: float, gamma: float,
-             het: CovarianceStructure, pi):
-    """Standardized block residuals, their variances and Cov(g, m)."""
+def _block_residuals(data: MetaDataset, alpha: float, delta: float,
+                     gamma: float, het: CovarianceStructure, pi):
+    """Contrast and mean residuals, their variances and Cov(g, m)."""
     arrays = subgroup_arrays(data, pi)
     g, m, var_g, var_m, c = decompose_arrays(*arrays)
-    vg = var_g + het.tau_gamma ** 2
-    vm = var_m + het.tau ** 2
-    zg = (g - gamma) / np.sqrt(vg)
-    zm = (m - (alpha + (delta + gamma) * arrays[4])) / np.sqrt(vm)
-    return zg, zm, vg, vm, c
+    return (g - gamma, m - (alpha + (delta + gamma) * arrays[4]),
+            var_g + het.tau_gamma ** 2, var_m + het.tau ** 2, c)
 
 
 def factorized_loglikelihood(data: MetaDataset, alpha: float, delta: float,
                              gamma: float, het: CovarianceStructure,
                              pi=None) -> tuple[float, float]:
     """(contrast-block, mean-block) log likelihoods of the decomposed data."""
-    zg, zm, vg, vm, _ = _block_z(data, alpha, delta, gamma, het, pi)
-    lg = -0.5 * np.sum(_LOG_2PI + np.log(vg) + zg ** 2)
-    lm = -0.5 * np.sum(_LOG_2PI + np.log(vm) + zm ** 2)
-    return float(lg), float(lm)
+    rg, rm, vg, vm, _ = _block_residuals(data, alpha, delta, gamma, het, pi)
+    return (float(np.sum(_normal_logpdf(rg, vg))),
+            float(np.sum(_normal_logpdf(rm, vm))))
 
 
 def factorization_residual(data: MetaDataset, alpha: float, delta: float,
@@ -885,19 +906,10 @@ def factorization_residual(data: MetaDataset, alpha: float, delta: float,
 def cross_term_correction(data: MetaDataset, alpha: float, delta: float,
                           gamma: float, het: CovarianceStructure,
                           pi=None) -> float:
-    """Analytic value of the factorization residual for arbitrary prevalence.
-
-    Per study, with c = Cov(g, m) = pi sigma_B^2 - (1 - pi) sigma_A^2 and
-    correlation rho = c / sqrt(Var g * Var m), the residual of a bivariate
-    normal against the product of its marginals is
-
-        -log(1 - rho^2)/2 - [ (z_g^2 - 2 rho z_g z_m + z_m^2)/(1 - rho^2)
-                              - z_g^2 - z_m^2 ] / 2.
-    """
-    zg, zm, vg, vm, c = _block_z(data, alpha, delta, gamma, het, pi)
-    rho = c / np.sqrt(vg * vm)
-    one = 1.0 - rho ** 2
-    corr = (-0.5 * np.log(one)
-            - 0.5 * ((zg ** 2 - 2.0 * rho * zg * zm + zm ** 2) / one
-                     - zg ** 2 - zm ** 2))
-    return float(corr.sum())
+    """Analytic value of the factorization residual for arbitrary prevalence:
+    the sum over studies of ``_block_cross_term`` of (g, m), whose
+    covariance c = Cov(g, m) = pi sigma_B^2 - (1 - pi) sigma_A^2 vanishes at
+    the information fraction."""
+    rg, rm, vg, vm, c = _block_residuals(data, alpha, delta, gamma, het, pi)
+    return float(np.sum(_block_cross_term(rg[:, None], vg[:, None, None], rm,
+                                          vm, c[:, None])))

@@ -161,7 +161,6 @@ class MetaDataset:
 
     studies: tuple
     scale_label: str = "log-RR"
-    uisd_assumption: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "studies", tuple(self.studies))
@@ -187,9 +186,10 @@ class MetaDataset:
 
     @cached_property
     def sha256(self) -> str:
-        """Hex digest of the scale label, the UISD flag and every study's
-        values, computed once per dataset; fits record it as provenance."""
-        lines = [self.scale_label, str(self.uisd_assumption)]
+        """Hex digest of the scale label and every study's values, computed
+        once per dataset; fits record it as provenance. The second line is
+        always "True", so digests match those of earlier releases."""
+        lines = [self.scale_label, "True"]
         for s in self.studies:
             if isinstance(s, MultiStudyRecord):
                 parts = [s.study_id]

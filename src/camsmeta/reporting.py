@@ -35,6 +35,9 @@ STRATEGY_KINDS = ("average", "trial_weighted", "overall_if", "optimal_if",
 
 _ROOT_TOL = 1e-10
 
+# the reporting prevalences at which bayes_risk reads the risk
+RISK_GRID = np.linspace(0.0, 1.0, 101)
+
 # fit_map_prevalence's (phi, psi) grid sizes and Gauss-Hermite order
 _MAP_PHI_POINTS, _MAP_PSI_POINTS, _MAP_GH_POINTS = 201, 61, 21
 
@@ -561,8 +564,8 @@ def fit_map_prevalence(counts, sd_scale: float = 0.5) -> MapPrevalence:
 # reporting-prevalence risk
 # ----------------------------------------------------------------------
 
-def bayes_risk(fit: FitResult, spec: PrevalenceSpec, loss: str = "squared",
-               pi_grid=None) -> tuple[np.ndarray, float]:
+def bayes_risk(fit: FitResult, spec: PrevalenceSpec,
+               loss: str = "squared") -> tuple[np.ndarray, float]:
     """Risk of reporting subgroup effects at a fixed prevalence when the
     next trial's prevalence follows ``spec``.
 
@@ -570,15 +573,14 @@ def bayes_risk(fit: FitResult, spec: PrevalenceSpec, loss: str = "squared",
     squared risk is E[delta^2 (pi - pi_j)^2] and the absolute risk is
     E[|delta| |pi - pi_j|]. Monte Carlo over the joint posterior and
     ``spec`` (assumed independent of the effect parameters), with
-    ``spec.draws`` draws from ``spec.seed``. Returns the
-    risk on ``pi_grid`` and the empirical argmin: the delta^2-weighted mean
-    of pi_j under squared loss, the |delta|-weighted median under absolute.
+    ``spec.draws`` draws from ``spec.seed``. Returns the risk at each
+    prevalence of RISK_GRID and the empirical argmin: the delta^2-weighted
+    mean of pi_j under squared loss, the |delta|-weighted median under
+    absolute.
     """
     _require_cams(fit)
     if loss not in ("squared", "absolute"):
         raise ContractError(f"unknown loss {loss!r}")
-    grid = (np.linspace(0.0, 1.0, 101) if pi_grid is None
-            else np.asarray(pi_grid, dtype=float))
     theta, pis = _joint_draws(fit, spec)
     delta = theta @ fit.functionals["delta"]
     if loss == "squared":
@@ -586,11 +588,11 @@ def bayes_risk(fit: FitResult, spec: PrevalenceSpec, loss: str = "squared",
         s0 = d2.mean()
         s1 = (d2 * pis).mean()
         s2 = (d2 * pis ** 2).mean()
-        curve = s0 * grid ** 2 - 2.0 * s1 * grid + s2
+        curve = s0 * RISK_GRID ** 2 - 2.0 * s1 * RISK_GRID + s2
         argmin = float(np.clip(s1 / s0, 0.0, 1.0))
     else:
         ad = np.abs(delta)
-        curve = np.array([(ad * np.abs(p - pis)).mean() for p in grid])
+        curve = np.array([(ad * np.abs(p - pis)).mean() for p in RISK_GRID])
         order = np.argsort(pis)
         cum = np.cumsum(ad[order])
         argmin = float(pis[order][np.searchsorted(cum, 0.5 * cum[-1])])

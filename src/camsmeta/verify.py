@@ -31,7 +31,8 @@ from .contrasts import (contrast_mean_cov, helmert_basis, kronecker_contrast,
 from .errors import ContractError, DomainError, IdentifiabilityWarning
 from .gaussmix import GaussianMixture1D
 from .inference import (_CAMS_FUNCTIONALS, GridSpec, PosteriorGrid,
-                        PriorSpec, _cams_problem, _functional_moments,
+                        PriorSpec, _block_cross_term, _cams_problem,
+                        _functional_moments, _mvn_logpdf, _normal_logpdf,
                         _pair_blocks, _prior_blocks, _solve_grid, fit_bim,
                         fit_cams)
 from .model_core import (MetaDataset, MultiStudyRecord, StudyRecord,
@@ -41,6 +42,7 @@ from .reporting import PrevalenceSpec, bayes_risk
 TOL_EXACT = 1e-10
 TOL_GRID = 1e-4
 BREAK_MIN = 1e-3  # a broken factorization must move the posterior this much
+N_DRAWS = 100  # random covariances per algebraic (K-subgroup, Kronecker) check
 # The force-half gamma_distance is the largest |F_a - F_b| at these quantile
 # levels of either mixture (``_cdf_witness``).
 WITNESS_LEVELS = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
@@ -373,77 +375,53 @@ def check_equivalence(scenario: SimScenario, force_half: bool = False,
     }
 
 
-def _mvn_logpdf(y: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    _, logdet = np.linalg.slogdet(cov)
-    r = y - mean
-    return float(-0.5 * (y.size * math.log(2.0 * math.pi) + logdet
-                         + r @ np.linalg.solve(cov, r)))
-
-
-def _block_cross_term(z2: float, mean2: float, var2: float,
-                      z1: np.ndarray, mean1: np.ndarray, cov11: np.ndarray,
-                      cross: np.ndarray) -> float:
-    """log p(z1, z2) - log p(z1) - log p(z2) for a partitioned Gaussian with
-    scalar second block, from the conditional decomposition."""
-    w = np.linalg.solve(cov11, cross)
-    var_cond = var2 - cross @ w
-    mean_cond = mean2 + (z1 - mean1) @ w
-    return float(-0.5 * (math.log(var_cond / var2)
-                         + (z2 - mean_cond) ** 2 / var_cond
-                         - (z2 - mean2) ** 2 / var2))
-
-
-def check_k_sufficiency(k: int, seed: int = 0, n_draws: int = 100) -> dict:
+def check_k_sufficiency(k: int, seed: int = 0) -> dict:
     """Orthogonality and exact factorization for K subgroup levels.
 
-    Per draw: random diagonal sampling covariance S, precision prevalences
-    pi, Helmert contrast rows C. Asserts C S pi = 0, and that the joint
-    log-density of y equals the contrast-block plus mean-block log-densities
-    (plus the constant Jacobian of the non-orthonormal change of variables).
-    A perturbed prevalence must leave a residual equal to the analytic
-    cross term of the induced Cov(g, m).
+    Over N_DRAWS random diagonal sampling covariances S, with precision
+    prevalences pi and Helmert contrast rows C, in one batched pass: asserts
+    C S pi = 0, and that the joint log-density of y equals the
+    contrast-block plus mean-block log-densities plus the constant Jacobian
+    log|det T| of the non-orthonormal change of variables. Every density
+    depends on y only through r = y - theta, so only r is drawn. A perturbed
+    prevalence must leave a residual equal to the analytic cross term of the
+    induced Cov(g, m).
     """
     if k < 2:
         raise ContractError("need at least two subgroups")
     rng = np.random.default_rng(seed)
     basis = helmert_basis(k)
     c = basis.matrix_c
-    max_orth = 0.0
-    max_resid = 0.0
-    max_pert_gap = 0.0
-    for _ in range(n_draws):
-        variances = rng.uniform(0.05, 2.0, size=k)
-        s = np.diag(variances)
-        pi = precision_prevalence(variances)
-        max_orth = max(max_orth, float(np.max(np.abs(
-            contrast_mean_cov(basis, variances, pi)))))
+    var = rng.uniform(0.05, 2.0, size=(N_DRAWS, k))
+    r = rng.normal(0.0, np.sqrt(var))
+    pi = precision_prevalence(var)
+    joint = _normal_logpdf(r, var).sum(axis=1)
+    r_g = r @ c.T
+    cov_g = np.einsum("ik,nk,jk->nij", c, var, c)
+    l_g = _mvn_logpdf(r_g, cov_g)
 
-        theta = rng.normal(0.0, 1.0, size=k)
-        y = theta + rng.normal(0.0, np.sqrt(variances))
-        _, logdet_t = np.linalg.slogdet(transform_matrix(basis, pi))
-        joint = _mvn_logpdf(y, theta, s)
-        lg = _mvn_logpdf(c @ y, c @ theta, c @ s @ c.T)
-        lm = float(-0.5 * (math.log(2.0 * math.pi) + math.log(pi @ s @ pi)
-                           + (pi @ y - pi @ theta) ** 2 / (pi @ s @ pi)))
-        max_resid = max(max_resid, abs(joint - (lg + lm + logdet_t)))
+    def split_residual(p):
+        """The joint minus the two blocks and the Jacobian at prevalences p,
+        with the mean block's residual and variance."""
+        _, logdet = np.linalg.slogdet(transform_matrix(basis, p))
+        r_m, var_m = (p * r).sum(axis=1), (p * p * var).sum(axis=1)
+        return joint - (l_g + _normal_logpdf(r_m, var_m) + logdet), r_m, var_m
 
-        # a perturbed prevalence reintroduces exactly the analytic cross term
-        pert = pi.copy()
-        pert[0] += 0.05
-        _, logdet_tp = np.linalg.slogdet(transform_matrix(basis, pert))
-        lmp = float(-0.5 * (math.log(2.0 * math.pi) + math.log(pert @ s @ pert)
-                            + (pert @ y - pert @ theta) ** 2 / (pert @ s @ pert)))
-        resid = joint - (lg + lmp + logdet_tp)
-        analytic = _block_cross_term(
-            float(pert @ y), float(pert @ theta), float(pert @ s @ pert),
-            c @ y, c @ theta, c @ s @ c.T,
-            contrast_mean_cov(basis, variances, pert))
-        max_pert_gap = max(max_pert_gap, abs(resid - analytic))
+    resid, _, _ = split_residual(pi)
+    # a perturbed prevalence reintroduces exactly the analytic cross term
+    pert = pi.copy()
+    pert[:, 0] += 0.05
+    resid_p, r_m, var_m = split_residual(pert)
+    analytic = _block_cross_term(r_g, cov_g, r_m, var_m,
+                                 contrast_mean_cov(basis, var, pert))
+    max_orth = float(np.max(np.abs(contrast_mean_cov(basis, var, pi))))
+    max_resid = float(np.max(np.abs(resid)))
+    max_pert_gap = float(np.max(np.abs(resid_p - analytic)))
     return {
         "check": "k_sufficiency",
         "k": k,
         "seed": seed,
-        "n_draws": n_draws,
+        "n_draws": N_DRAWS,
         "max_orthogonality": max_orth,
         "max_residual": max_resid,
         "max_perturbed_gap": max_pert_gap,
@@ -453,26 +431,24 @@ def check_k_sufficiency(k: int, seed: int = 0, n_draws: int = 100) -> dict:
     }
 
 
-def check_kronecker(seed: int = 0, n_arms: int = 2, k: int = 2,
-                    n_draws: int = 100) -> dict:
+def check_kronecker(seed: int = 0, n_arms: int = 2, k: int = 2) -> dict:
     """Orthogonality for crossed treatment-by-subgroup layouts.
 
     With per-arm precision prevalences (each arm's shares divided by the
-    number of arms), the Kronecker contrast (C_T (x) C_K) annihilates S pi.
+    number of arms), the Kronecker contrast (C_T (x) C_K) annihilates S pi,
+    over N_DRAWS random diagonal S in one batched pass.
     """
     rng = np.random.default_rng(seed)
     kron = kronecker_contrast(helmert_basis(n_arms), helmert_basis(k))
-    max_orth = 0.0
-    for _ in range(n_draws):
-        variances = rng.uniform(0.05, 2.0, size=n_arms * k)
-        pi = per_arm_prevalence(variances.reshape(n_arms, k))
-        max_orth = max(max_orth, float(np.max(np.abs(kron @ np.diag(variances) @ pi))))
+    var = rng.uniform(0.05, 2.0, size=(N_DRAWS, n_arms * k))
+    pi = per_arm_prevalence(var.reshape(N_DRAWS, n_arms, k))
+    max_orth = float(np.max(np.abs((var * pi) @ kron.T)))
     return {
         "check": "kronecker",
         "seed": seed,
         "n_arms": n_arms,
         "k": k,
-        "n_draws": n_draws,
+        "n_draws": N_DRAWS,
         "max_orthogonality": max_orth,
         "tolerance": TOL_EXACT,
         "tier": "exact",

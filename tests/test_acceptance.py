@@ -128,7 +128,7 @@ def test_criterion_04_overall_collapse(announce):
 def test_criterion_05_k_subgroup_sufficiency(announce):
     worst_orth = worst_resid = 0.0
     for k in (2, 3, 5):
-        rep = cm.check_k_sufficiency(k, seed=k, n_draws=100)
+        rep = cm.check_k_sufficiency(k, seed=k)
         worst_orth = max(worst_orth, rep["max_orthogonality"])
         worst_resid = max(worst_resid, rep["max_residual"],
                           rep["max_perturbed_gap"])

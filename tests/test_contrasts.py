@@ -113,3 +113,47 @@ def test_per_arm_prevalence():
     # each arm contributes half its mass
     assert w[0] + w[1] == pytest.approx(0.5, abs=1e-14)
     assert np.allclose(w[:2], [0.1, 0.4])
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_stacks_equal_row_by_row(k):
+    rng = np.random.default_rng(11 + k)
+    basis = helmert_basis(k)
+    var = rng.uniform(0.05, 2.0, size=(4, 3, k))
+    pi = rng.dirichlet(np.ones(k), size=(4, 3))
+    stacks = (precision_prevalence(var), contrast_mean_cov(basis, var, pi),
+              transform_matrix(basis, pi))
+    for i in np.ndindex(4, 3):
+        rows = (precision_prevalence(var[i]),
+                contrast_mean_cov(basis, var[i], pi[i]),
+                transform_matrix(basis, pi[i]))
+        for stack, row in zip(stacks, rows):
+            assert stack[i].shape == row.shape
+            assert np.max(np.abs(stack[i] - row)) <= 1e-15
+    tables = var[:, :2]  # four 2-arm variance tables
+    stacked = per_arm_prevalence(tables)
+    assert stacked.shape == (4, 2 * k)
+    for i in range(4):
+        assert np.max(np.abs(stacked[i] - per_arm_prevalence(tables[i]))) <= 1e-15
+
+
+@pytest.mark.parametrize("where", [0, 3, -1])
+def test_singular_row_anywhere_in_a_stack_is_rejected(where):
+    basis = helmert_basis(3)
+    pi = precision_prevalence(np.random.default_rng(5).uniform(0.1, 1.0, (6, 3)))
+    pi[where] = [0.5, -0.5, 0.0]
+    with pytest.raises(ContractError, match="singular"):
+        transform_matrix(basis, pi)
+    with pytest.raises(ContractError, match="singular"):
+        transform_matrix(basis, pi.reshape(2, 3, 3))
+
+
+def test_ill_conditioned_row_in_a_stack_warns_once():
+    basis = helmert_basis(3)
+    pi = precision_prevalence(np.random.default_rng(6).uniform(0.1, 1.0, (6, 3)))
+    pi[2] = pi[4] = [0.5, -0.5 + 1e-10, 0.0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        transform_matrix(basis, pi)
+    assert [w.category for w in caught] == [IdentifiabilityWarning]
+    assert "ill-conditioned" in str(caught[0].message)

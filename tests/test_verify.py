@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from camsmeta import verify
+from camsmeta import contrasts, verify
 from camsmeta.errors import (ContractError, DomainError, GridEdgeWarning,
                              IdentifiabilityWarning)
 from camsmeta.gaussmix import GaussianMixture1D
-from camsmeta.inference import (GridSpec, PriorSpec, _functional_moments,
-                                fit_bim)
+from camsmeta.inference import (GridSpec, PriorSpec, _block_cross_term,
+                                _functional_moments, fit_bim)
 from camsmeta.model_core import compute_if
 from camsmeta.verify import (BREAK_MIN, TOL_GRID, SimScenario, _beta_cdf,
                              _beta_median, _cdf_witness, _mixture_gap_bound,
@@ -117,7 +117,7 @@ def test_check_equivalence_detects_forced_break():
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_check_k_sufficiency(k):
-    rep = check_k_sufficiency(k, seed=0, n_draws=30)
+    rep = check_k_sufficiency(k, seed=0)
     assert rep["pass"]
     assert rep["max_orthogonality"] < 1e-12
     assert rep["max_residual"] < 1e-10
@@ -125,9 +125,47 @@ def test_check_k_sufficiency(k):
 
 
 def test_check_kronecker():
-    rep = check_kronecker(seed=0, n_arms=2, k=3, n_draws=30)
+    rep = check_kronecker(seed=0, n_arms=2, k=3)
     assert rep["pass"]
     assert rep["max_orthogonality"] < 1e-12
+
+
+def test_algebraic_checks_fail_at_uniform_prevalences(monkeypatch):
+    def uniform(cov_diag):
+        var = np.asarray(cov_diag, dtype=float)
+        return np.full(var.shape, 1.0 / var.shape[-1])
+
+    # check_kronecker reads its prevalences through per_arm_prevalence
+    monkeypatch.setattr(verify, "precision_prevalence", uniform)
+    monkeypatch.setattr(contrasts, "precision_prevalence", uniform)
+    for k in (2, 3, 5):
+        rep = check_k_sufficiency(k, seed=0)
+        assert not rep["pass"]
+        assert rep["max_orthogonality"] > verify.TOL_EXACT
+    rep = check_kronecker(seed=0, n_arms=2, k=3)
+    assert not rep["pass"]
+    assert rep["max_orthogonality"] > verify.TOL_EXACT
+
+
+def test_perturbed_gap_sees_a_wrong_cross_term(monkeypatch):
+    monkeypatch.setattr(verify, "_block_cross_term",
+                        lambda *args: -_block_cross_term(*args))
+    rep = check_k_sufficiency(3, seed=0)
+    assert rep["max_perturbed_gap"] > verify.TOL_EXACT
+    assert not rep["pass"]
+
+
+def test_k_sufficiency_takes_two_condition_numbers(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cond(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    check_k_sufficiency(5, seed=0)
+    assert len(calls) == 2
 
 
 def test_check_bayes_optimum():
