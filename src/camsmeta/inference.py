@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -196,13 +197,26 @@ class ParameterSummary:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Posterior summaries plus the full grid they came from."""
+    """A posterior grid, the functionals it reports, and provenance."""
 
     estimator: str
-    summaries: dict
     grid: PosteriorGrid
     provenance: dict
-    functionals: dict = field(default_factory=dict)
+    functionals: dict
+
+    @cached_property
+    def summaries(self) -> dict:
+        """ParameterSummary of each functional and of each heterogeneity SD
+        in use, read off the grid on first access."""
+        summaries = dict(zip(self.functionals, _summaries(
+            self.grid, np.array(list(self.functionals.values()), dtype=float))))
+        for name in self.grid.scale_names:
+            nodes, w = self.grid.scale_axis(name)
+            lo, hi = grid_interval(nodes, w, 0.95)
+            summaries[name] = ParameterSummary(
+                grid_quantile(nodes, w, 0.5), lo, hi,
+                grid_tail_prob(nodes, w, 0.0))
+        return summaries
 
     def functional_mixture(self, spec) -> GaussianMixture1D:
         """Posterior of a linear functional of the location parameters.
@@ -592,21 +606,6 @@ def _provenance(data: MetaDataset, priors: PriorSpec, grid: GridSpec,
     return prov
 
 
-def _assemble(estimator: str, data: MetaDataset, priors: PriorSpec,
-              grid_spec: GridSpec, grid: PosteriorGrid, functionals,
-              options) -> FitResult:
-    summaries = dict(zip(functionals, _summaries(
-        grid, np.array(list(functionals.values()), dtype=float))))
-    for name in grid.scale_names:
-        nodes, w = grid.scale_axis(name)
-        lo, hi = grid_interval(nodes, w, 0.95)
-        summaries[name] = ParameterSummary(grid_quantile(nodes, w, 0.5), lo, hi,
-                                           grid_tail_prob(nodes, w, 0.0))
-    return FitResult(estimator, summaries, grid,
-                     _provenance(data, priors, grid_spec, options),
-                     dict(functionals))
-
-
 # ----------------------------------------------------------------------
 # estimators
 # ----------------------------------------------------------------------
@@ -628,7 +627,8 @@ def fit_bim(data: MetaDataset, priors: PriorSpec | None = None,
     posterior = _solve_grid(
         blocks + _prior_blocks(priors, functionals, g.size, 1), ("gamma",),
         priors, np.array([0.0]), tg, ("tau_gamma",))
-    return _assemble("BIM", data, priors, grid, posterior, functionals, {})
+    return FitResult("BIM", posterior, _provenance(data, priors, grid, {}),
+                     functionals)
 
 
 def fit_overall(data: MetaDataset, priors: PriorSpec | None = None,
@@ -647,7 +647,8 @@ def fit_overall(data: MetaDataset, priors: PriorSpec | None = None,
     posterior = _solve_grid(
         blocks + _prior_blocks(priors, functionals, m.size, 1), ("mu",),
         priors, taus, np.array([0.0]), ("tau",))
-    return _assemble("OVERALL", data, priors, grid, posterior, functionals, {})
+    return FitResult("OVERALL", posterior, _provenance(data, priors, grid, {}),
+                     functionals)
 
 
 def fit_bms(data: MetaDataset, priors: PriorSpec | None = None,
@@ -679,8 +680,14 @@ def fit_bms(data: MetaDataset, priors: PriorSpec | None = None,
               + _prior_blocks(priors, functionals, j, 2))
     posterior = _solve_grid(blocks, ("alpha", "gamma"), priors, taus, tg,
                             scale_names)
-    return _assemble("BMS", data, priors, grid, posterior, functionals,
-                     {"alpha_heterogeneity": alpha_heterogeneity})
+    return FitResult("BMS", posterior, _provenance(
+        data, priors, grid, {"alpha_heterogeneity": alpha_heterogeneity}),
+        functionals)
+
+
+# the functionals CAMS reports, over its (alpha, delta, gamma) coordinates
+_CAMS_FUNCTIONALS = {"alpha": (1.0, 0.0, 0.0), "beta": (0.0, 1.0, 1.0),
+                    "delta": (0.0, 1.0, 0.0), "gamma": (0.0, 0.0, 1.0)}
 
 
 def fit_cams(data: MetaDataset, priors: PriorSpec | None = None,
@@ -702,34 +709,20 @@ def fit_cams(data: MetaDataset, priors: PriorSpec | None = None,
     """
     priors = priors if priors is not None else PriorSpec()
     grid = grid if grid is not None else GridSpec.default(priors)
-    solve_args, functionals = _cams_problem(data, priors, grid)
-    # literal kept until a benchmark change regenerates bench/golden/
-    return _assemble("CAMS", data, priors, grid, _solve_grid(*solve_args),
-                     functionals, {"parametrization": "explicit"})
-
-
-# the functionals CAMS reports, over its (alpha, delta, gamma) coordinates
-_CAMS_FUNCTIONALS = {"alpha": (1.0, 0.0, 0.0), "beta": (0.0, 1.0, 1.0),
-                    "delta": (0.0, 1.0, 0.0), "gamma": (0.0, 0.0, 1.0)}
-
-
-def _cams_problem(data: MetaDataset, priors: PriorSpec, grid: GridSpec):
-    """(``_solve_grid`` arguments, functionals) of ``fit_cams``: solving
-    them gives its lattice without computing any summary. The solve stays in
-    the caller so that its warnings point one frame above it."""
     ya, yb, va, vb, pi = subgroup_arrays(data)
     g, m, var_g, var_m, _ = decompose_arrays(ya, yb, va, vb, pi)
     j = g.size
     functionals = {name: np.array(c) for name, c in _CAMS_FUNCTIONALS.items()}
-    x_g = np.tile([0.0, 0.0, 1.0], (j, 1))
-    x_m = np.stack([np.ones(j), pi, pi], axis=1)
-    taus = grid.tau_nodes
-    tg = grid.tau_gamma_nodes
-    blocks = [(g, x_g, var_g, (tg ** 2)[None, :]),
-              (m, x_m, var_m, (taus ** 2)[:, None])]
-    blocks += _prior_blocks(priors, functionals, j, 3)
-    return ((blocks, ("alpha", "delta", "gamma"), priors, taus, tg,
-             ("tau", "tau_gamma")), functionals)
+    taus, tg = grid.tau_nodes, grid.tau_gamma_nodes
+    blocks = [(g, np.tile([0.0, 0.0, 1.0], (j, 1)), var_g, (tg ** 2)[None, :]),
+              (m, np.stack([np.ones(j), pi, pi], axis=1), var_m,
+               (taus ** 2)[:, None])]
+    posterior = _solve_grid(blocks + _prior_blocks(priors, functionals, j, 3),
+                            ("alpha", "delta", "gamma"), priors, taus, tg,
+                            ("tau", "tau_gamma"))
+    # literal kept until a benchmark change regenerates bench/golden/
+    return FitResult("CAMS", posterior, _provenance(
+        data, priors, grid, {"parametrization": "explicit"}), functionals)
 
 
 def fit_bim_k(data: MetaDataset, basis: ContrastBasis,
@@ -768,8 +761,8 @@ def fit_bim_k(data: MetaDataset, basis: ContrastBasis,
     blocks += _prior_blocks(priors, functionals, j * q, q)
     posterior = _solve_grid(blocks, param_names, priors, grid.tau_nodes,
                             np.array([0.0]), ("tau",))
-    return _assemble("BIM_K", data, priors, grid, posterior, functionals,
-                     {"k": k})
+    return FitResult("BIM_K", posterior,
+                     _provenance(data, priors, grid, {"k": k}), functionals)
 
 
 # ----------------------------------------------------------------------

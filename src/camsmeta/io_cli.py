@@ -331,6 +331,10 @@ def _check_config(config) -> None:
     # refuse a bad value before any command does work
     _priors(config)  # PriorSpec refuses a bad prior scale up front
     _estimator_names(config)
+    # a one-node axis pins its heterogeneity at 0, with no edge warning
+    if config.grid_nodes < 2:
+        raise ContractError(f"grid_nodes must be at least 2, got "
+                            f"{config.grid_nodes}")
 
 
 def _estimator_names(config) -> list:

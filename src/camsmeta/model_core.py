@@ -73,7 +73,6 @@ class StudyRecord:
     study_id: str
     obs_a: SubgroupObservation
     obs_b: SubgroupObservation
-    prevalence_proxy: float | None = None
     info_fraction: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -91,10 +90,7 @@ class StudyRecord:
         1e-6, warning on mismatch), never adopted: the recomputed IF is what
         carries the orthogonality guarantee.
         """
-        counts = (obs_a.count, obs_b.count)
-        proxy = (prevalence_from_counts(*counts)
-                 if None not in counts and sum(counts) > 0 else None)
-        record = cls(study_id, obs_a, obs_b, proxy)
+        record = cls(study_id, obs_a, obs_b)
         pi = record.info_fraction
         if reported_ifrac is not None and abs(reported_ifrac - pi) > IFRAC_MATCH_TOL:
             warnings.warn(

@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import (ContractError, DomainError, ExtrapolationWarning,
                      ValidationWarning)
-from .gaussmix import grid_quantile, mixture_quantiles
+from .gaussmix import _normal_cdf, grid_quantile, mixture_quantiles
 from .inference import (FitResult, GridSpec, ParameterSummary,
-                        _halfnormal_logpdf, _normalize_log_weights,
-                        _quad_log_weights)
+                        _functional_moments, _halfnormal_logpdf,
+                        _normalize_log_weights, _quad_log_weights)
 from .model_core import (MetaDataset, _check_unit_interval, decompose_arrays,
                          subgroup_arrays)
 
@@ -373,27 +373,42 @@ def strategy_prevalence(data: MetaDataset, fit: FitResult, kind: str,
 
 def report_effects(data: MetaDataset, fit: FitResult, spec: PrevalenceSpec,
                    reference: FitResult | None = None) -> ReportedEffects:
-    """Resolve a prevalence policy and report effects under it."""
-    if spec.kind == "beta":
+    """Resolve a prevalence policy and report effects under it: a law
+    (point, external or beta) through ``marginalize_prevalence``, a named
+    strategy at the prevalence it resolves to."""
+    if spec.kind in ("point", "external", "beta"):
         return marginalize_prevalence(fit, spec)
-    if spec.kind == "point":
-        pi = float(spec.value)
-    else:
-        pi = strategy_prevalence(data, fit, spec.kind, reference, spec.value)
-    eff = effects_at(fit, pi)
+    pi = strategy_prevalence(data, fit, spec.kind, reference)
     return dataclasses.replace(
-        eff, prevalence_used={"kind": spec.kind, "value": pi})
+        effects_at(fit, pi), prevalence_used={"kind": spec.kind, "value": pi})
 
 
 # ----------------------------------------------------------------------
 # distributional prevalences
 # ----------------------------------------------------------------------
 
-def _joint_draws(fit: FitResult, spec: PrevalenceSpec):
-    """``spec.draws`` joint draws of the location parameters from the grid
-    mixture and as many independent prevalences from ``spec``, both from
-    one generator seeded with ``spec.seed``."""
-    if spec.kind not in ("point", "external", "beta"):
+def _mc_summary(x: np.ndarray) -> ParameterSummary:
+    med, lo, hi = np.quantile(x, [0.5, 0.025, 0.975])
+    return ParameterSummary(float(med), float(lo), float(hi),
+                            float(np.mean(x > 0.0)))
+
+
+def marginalize_prevalence(fit: FitResult,
+                           spec: PrevalenceSpec) -> ReportedEffects:
+    """Report effects averaged over a prevalence distribution.
+
+    A point or external law is exact: ``effects_at`` its value. A beta law
+    is joint Monte Carlo over (alpha, delta, gamma) from the posterior
+    mixture and pi from ``spec``, ``spec.draws`` draws from one generator
+    seeded with ``spec.seed``; mu_B is mu_A + gamma draw for draw, and the
+    interaction summary is the exact grid functional.
+    """
+    _require_cams(fit)
+    if spec.kind in ("point", "external"):
+        return dataclasses.replace(
+            effects_at(fit, spec.value),
+            prevalence_used={"kind": spec.kind, "value": float(spec.value)})
+    if spec.kind != "beta":
         raise ContractError(f"cannot draw prevalences from kind {spec.kind!r}")
     rng = np.random.default_rng(spec.seed)
     grid = fit.grid
@@ -407,46 +422,20 @@ def _joint_draws(fit: FitResult, spec: PrevalenceSpec):
     idx = rng.choice(w.size, size=spec.draws, p=w)
     z = rng.standard_normal((spec.draws, p))
     theta = mean[idx] + np.einsum("npq,nq->np", root[idx], z)
-    if spec.kind != "beta":
-        return theta, np.full(spec.draws, float(spec.value))
     wts, aa, bb = np.array(spec.components).T
     if wts.size == 1:
-        return theta, rng.beta(aa[0], bb[0], size=spec.draws)
-    ci = rng.choice(wts.size, size=spec.draws, p=wts)
-    return theta, rng.beta(aa[ci], bb[ci])
-
-
-def _mc_summary(x: np.ndarray) -> ParameterSummary:
-    med, lo, hi = np.quantile(x, [0.5, 0.025, 0.975])
-    return ParameterSummary(float(med), float(lo), float(hi),
-                            float(np.mean(x > 0.0)))
-
-
-def marginalize_prevalence(fit: FitResult,
-                           spec: PrevalenceSpec) -> ReportedEffects:
-    """Report effects averaged over a prevalence distribution.
-
-    Joint Monte Carlo over (alpha, delta, gamma) from the posterior mixture
-    and pi from ``spec`` (beta, point or external kind), with ``spec.draws``
-    draws from ``spec.seed``. mu_B is mu_A + gamma draw for draw; the
-    interaction summary itself is the exact grid functional, not a Monte
-    Carlo estimate.
-    """
-    _require_cams(fit)
-    theta, pis = _joint_draws(fit, spec)
+        pis = rng.beta(aa[0], bb[0], size=spec.draws)
+    else:
+        ci = rng.choice(wts.size, size=spec.draws, p=wts)
+        pis = rng.beta(aa[ci], bb[ci])
     alpha = theta @ fit.functionals["alpha"]
     delta = theta @ fit.functionals["delta"]
     gamma = theta @ fit.functionals["gamma"]
     mu_a = alpha + delta * pis
     mu_b = mu_a + gamma
     overall = alpha + (delta + gamma) * pis
-    if spec.kind == "beta":
-        used = {"kind": "beta",
-                "components": [list(c) for c in spec.components],
-                "mean": spec.mean()}
-    else:
-        used = {"kind": spec.kind, "value": float(spec.value)}
-    used.update(draws=spec.draws, seed=spec.seed)
+    used = {"kind": "beta", "components": [list(c) for c in spec.components],
+            "mean": spec.mean(), "draws": spec.draws, "seed": spec.seed}
     return ReportedEffects(_mc_summary(mu_a), _mc_summary(mu_b),
                            _mc_summary(overall), fit.summaries["gamma"], used)
 
@@ -564,36 +553,91 @@ def fit_map_prevalence(counts, sd_scale: float = 0.5) -> MapPrevalence:
 # reporting-prevalence risk
 # ----------------------------------------------------------------------
 
+def _prevalence_risk(spec: PrevalenceSpec, loss: str):
+    """pi0 -> E[(pi0 - pi)^2] or E|pi0 - pi| for pi following ``spec``,
+    vectorized over an array of reporting prevalences pi0. A Beta(a, b)
+    component of mean mu adds (pi0 - mu)^2 plus its variance, or, since
+    E[pi; pi <= pi0] = mu I_pi0(a + 1, b), pi0 (2 I_pi0(a, b) - 1) +
+    mu (1 - 2 I_pi0(a + 1, b))."""
+    if spec.kind in ("point", "external"):
+        power = 2 if loss == "squared" else 1
+        return lambda pis: np.abs(pis - float(spec.value)) ** power
+    if spec.kind != "beta":
+        raise ContractError(f"no risk for prevalence kind {spec.kind!r}")
+    comps = [(w, a, b) + beta_moments(a, b) for w, a, b in spec.components]
+    if loss == "squared":
+        return lambda pis: sum(w * ((pis - mu) ** 2 + sd * sd)
+                               for w, _, _, mu, sd in comps)
+    return lambda pis: np.array([sum(
+        w * (p * (2.0 * _beta_cdf(p, a, b) - 1.0)
+             + mu * (1.0 - 2.0 * _beta_cdf(p, a + 1.0, b)))
+        for w, a, b, mu, _ in comps) for p in pis.tolist()])
+
+
 def bayes_risk(fit: FitResult, spec: PrevalenceSpec,
                loss: str = "squared") -> tuple[np.ndarray, float]:
-    """Risk of reporting subgroup effects at a fixed prevalence when the
-    next trial's prevalence follows ``spec``.
+    """Risk of reporting subgroup effects at a fixed prevalence pi0 when the
+    next trial's prevalence pi follows ``spec``, independent of the effects.
 
-    The reported-vs-realized gap for subgroup A is delta (pi - pi_j), so the
-    squared risk is E[delta^2 (pi - pi_j)^2] and the absolute risk is
-    E[|delta| |pi - pi_j|]. Monte Carlo over the joint posterior and
-    ``spec`` (assumed independent of the effect parameters), with
-    ``spec.draws`` draws from ``spec.seed``. Returns the risk at each
-    prevalence of RISK_GRID and the empirical argmin: the delta^2-weighted
-    mean of pi_j under squared loss, the |delta|-weighted median under
-    absolute.
+    The subgroup-A gap delta (pi0 - pi) gives the squared risk E[delta^2]
+    E[(pi0 - pi)^2] and the absolute risk E|delta| E|pi0 - pi|, in closed
+    form: over the lattice components N(m, s^2) of delta, E[delta^2] =
+    sum w (s^2 + m^2), E|delta| = sum w [s sqrt(2/pi) exp(-m^2 / 2 s^2) +
+    m (1 - 2 Phi(-m/s))] (|m| for an atom), and ``_prevalence_risk``.
+    Returns the risk on RISK_GRID and the argmin of the prevalence factor
+    by ``_scan_min`` on that grid.
     """
     _require_cams(fit)
     if loss not in ("squared", "absolute"):
         raise ContractError(f"unknown loss {loss!r}")
-    theta, pis = _joint_draws(fit, spec)
-    delta = theta @ fit.functionals["delta"]
+    factor = _prevalence_risk(spec, loss)
+    w = fit.grid.weight.ravel()
+    (m,), (s,) = _functional_moments(fit.grid,
+                                     fit.functionals["delta"][None, :])
     if loss == "squared":
-        d2 = delta ** 2
-        s0 = d2.mean()
-        s1 = (d2 * pis).mean()
-        s2 = (d2 * pis ** 2).mean()
-        curve = s0 * RISK_GRID ** 2 - 2.0 * s1 * RISK_GRID + s2
-        argmin = float(np.clip(s1 / s0, 0.0, 1.0))
+        scale = float(w @ (s * s + m * m))
     else:
-        ad = np.abs(delta)
-        curve = np.array([(ad * np.abs(p - pis)).mean() for p in RISK_GRID])
-        order = np.argsort(pis)
-        cum = np.cumsum(ad[order])
-        argmin = float(pis[order][np.searchsorted(cum, 0.5 * cum[-1])])
-    return curve, argmin
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(s > 0.0, -m / s, -np.copysign(np.inf, m))
+        lower, dens = _normal_cdf(z)
+        scale = float(w @ (s * math.sqrt(2.0 / math.pi) * dens
+                           + m * (1.0 - 2.0 * lower)))
+    argmin, _, curve = _scan_min(factor, 0.0, 1.0, RISK_GRID.size)
+    # only an absolute-loss factor of a law with half its mass at each of 0
+    # and 1 is flat; every reporting prevalence is then equally risky
+    return scale * curve, 0.5 if argmin is None else argmin
+
+
+def _beta_cdf(x: float, a: float, b: float) -> float:
+    """Regularized incomplete beta function I_x(a, b).
+
+    The continued fraction of Numerical Recipes (3rd ed., section 6.4),
+    evaluated by the modified Lentz method, converges quickly for x below the
+    mean-like point (a + 1) / (a + b + 2); the symmetry I_x(a, b) =
+    1 - I_{1-x}(b, a) covers the rest."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _beta_cdf(1.0 - x, b, a)
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    frac = d
+    for m in range(1, 10_001):
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        for coef in (even, odd):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + coef / c
+            c = c if abs(c) > tiny else tiny
+            frac *= d * c
+        if abs(d * c - 1.0) <= 1e-15:
+            log_front = (a * math.log(x) + b * math.log1p(-x) - math.log(a)
+                         + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+            return math.exp(log_front) * frac
+    raise DomainError(f"incomplete beta fraction did not converge at "
+                      f"x={x}, a={a}, b={b}")

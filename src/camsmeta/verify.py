@@ -6,8 +6,7 @@ model reproduces the univariate contrast model's interaction posterior, and
 both facts generalize to K subgroups under precision prevalences. This
 module generates synthetic portfolios from the assumed normal-normal
 hierarchy and asserts those identities numerically, with tolerances tagged
-by tier: "exact" (1e-10, pure algebra), "grid" (1e-4, discretization), and
-"mc" (3 standard errors, Monte Carlo).
+by tier: "exact" (1e-10, pure algebra) and "grid" (1e-4, discretization).
 
 Where a check compares two posteriors, its reading can err only toward
 failing: an honest check that must show agreement reports an upper bound on
@@ -31,13 +30,12 @@ from .contrasts import (contrast_mean_cov, helmert_basis, kronecker_contrast,
 from .errors import ContractError, DomainError, IdentifiabilityWarning
 from .gaussmix import GaussianMixture1D
 from .inference import (_CAMS_FUNCTIONALS, GridSpec, PosteriorGrid,
-                        PriorSpec, _block_cross_term, _cams_problem,
-                        _functional_moments, _mvn_logpdf, _normal_logpdf,
-                        _pair_blocks, _prior_blocks, _solve_grid, fit_bim,
-                        fit_cams)
+                        PriorSpec, _block_cross_term, _functional_moments,
+                        _mvn_logpdf, _normal_logpdf, _pair_blocks,
+                        _prior_blocks, _solve_grid, fit_bim, fit_cams)
 from .model_core import (MetaDataset, MultiStudyRecord, StudyRecord,
                          SubgroupObservation, subgroup_arrays)
-from .reporting import PrevalenceSpec, bayes_risk
+from .reporting import PrevalenceSpec, _beta_cdf, bayes_risk
 
 TOL_EXACT = 1e-10
 TOL_GRID = 1e-4
@@ -324,8 +322,8 @@ def check_equivalence(scenario: SimScenario, force_half: bool = False,
     PASS means the joint ``cams_oracle`` at the information fractions
     agrees with the contrast fit on the gamma CDF and the tau_gamma weights
     within the grid tolerance, and the production CAMS lattice (the solve
-    ``fit_cams`` makes, without its summaries) matches the oracle within
-    the exact one (``oracle_distance``). The honest ``gamma_distance`` is
+    ``fit_cams`` makes; no summary is read) matches the oracle within the
+    exact one (``oracle_distance``). The honest ``gamma_distance`` is
     ``_gamma_bound``, an upper bound on the sup distance of the two gamma
     CDFs, so a pass is a proof. ``force_half`` runs the oracle at
     prevalence 0.5 instead, which on unbalanced data must break the
@@ -356,8 +354,7 @@ def check_equivalence(scenario: SimScenario, force_half: bool = False,
         d_gamma = _cdf_witness(bim.functional_mixture("gamma"), oracle_gamma)
         passed = d_gamma > BREAK_MIN
     else:
-        production = _solve_grid(*_cams_problem(data, priors, grid)[0])
-        d_oracle = _grid_distance(production, oracle)
+        d_oracle = _grid_distance(fit_cams(data, priors, grid).grid, oracle)
         d_gamma = _gamma_bound(bim.grid, oracle, gamma)
         passed = max(d_gamma, d_tg) < TOL_GRID and d_oracle < TOL_EXACT
     return {
@@ -456,41 +453,6 @@ def check_kronecker(seed: int = 0, n_arms: int = 2, k: int = 2) -> dict:
     }
 
 
-def _beta_cdf(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
-
-    The continued fraction of Numerical Recipes (3rd ed., section 6.4),
-    evaluated by the modified Lentz method, converges quickly for x below the
-    mean-like point (a + 1) / (a + b + 2); the symmetry I_x(a, b) =
-    1 - I_{1-x}(b, a) covers the rest."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    if x > (a + 1.0) / (a + b + 2.0):
-        return 1.0 - _beta_cdf(1.0 - x, b, a)
-    tiny = 1e-300
-    c = 1.0
-    d = 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > tiny else tiny)
-    frac = d
-    for m in range(1, 10_001):
-        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
-        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
-        for coef in (even, odd):
-            d = 1.0 + coef * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
-            c = 1.0 + coef / c
-            c = c if abs(c) > tiny else tiny
-            frac *= d * c
-        if abs(d * c - 1.0) <= 1e-15:
-            log_front = (a * math.log(x) + b * math.log1p(-x) - math.log(a)
-                         + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
-            return math.exp(log_front) * frac
-    raise DomainError(f"incomplete beta fraction did not converge at "
-                      f"x={x}, a={a}, b={b}")
-
-
 def _beta_median(a: float, b: float) -> float:
     """Median of Beta(a, b): bisection of _beta_cdf down to float spacing."""
     lo, hi = 0.0, 1.0
@@ -504,23 +466,20 @@ def _beta_median(a: float, b: float) -> float:
             hi = mid
 
 
-def check_bayes_optimum(dist, loss: str = "squared", seed: int = 0,
-                        draws: int = 20000) -> dict:
-    """Empirical reporting-prevalence optimum against the predicted one.
+def check_bayes_optimum(dist, loss: str = "squared", seed: int = 0) -> dict:
+    """Reporting-prevalence optimum against the predicted one.
 
     ``dist`` is the (a, b) pair of a Beta prevalence law. Squared loss
-    predicts its mean, absolute loss its median; the empirical argmin comes
-    from reporting.bayes_risk on a small synthetic fit whose effect
-    parameters are independent of the prevalence draws.
+    predicts its mean, absolute loss its median (``_beta_median``); the
+    argmin is that of the closed-form risk curve of reporting.bayes_risk,
+    found by scanning and refining the curve, on a small synthetic fit.
     """
     a, b = float(dist[0]), float(dist[1])
     scenario = SimScenario(n_studies=7, alpha=0.1, delta=0.5, gamma=0.25,
                            tau=0.05, tau_gamma=0.1,
-                           sigma_law=("lognormal", -1.6, 0.3),
-                           prevalence_law=("beta", 2.0, 2.0), seed=seed)
+                           sigma_law=("lognormal", -1.6, 0.3), seed=seed)
     fit = fit_cams(simulate(scenario), grid=GridSpec.default(PriorSpec(), 41))
-    spec = PrevalenceSpec.beta(a, b, draws=draws, seed=seed)
-    _, argmin = bayes_risk(fit, spec, loss=loss)
+    _, argmin = bayes_risk(fit, PrevalenceSpec.beta(a, b), loss=loss)
     predicted = a / (a + b) if loss == "squared" else _beta_median(a, b)
     gap = abs(argmin - predicted)
     return {
@@ -528,13 +487,12 @@ def check_bayes_optimum(dist, loss: str = "squared", seed: int = 0,
         "loss": loss,
         "beta": [a, b],
         "seed": seed,
-        "draws": draws,
         "argmin": argmin,
         "predicted": predicted,
         "gap": gap,
-        "tolerance": 0.01,
-        "tier": "mc",
-        "pass": bool(gap < 0.01),
+        "tolerance": TOL_GRID,
+        "tier": "grid",
+        "pass": bool(gap < TOL_GRID),
     }
 
 
@@ -552,8 +510,12 @@ def run_battery(seeds: int = 50, base_seed: int = 20240, n_nodes: int = 61) -> d
     Equivalence across ``seeds`` scenarios with study counts cycling through
     3, 7, 15; forced-0.5 breakage on strongly unbalanced portfolios;
     K-subgroup sufficiency for K in {2, 3, 5}; the Kronecker layout; and the
-    three Bayes-optimum cases.
+    three Bayes-optimum cases. Fewer than one seed is refused: the battery
+    would then check no equivalence at all.
     """
+    if seeds < 1:
+        raise ContractError(f"the battery needs at least 1 equivalence seed, "
+                            f"got {seeds}")
     checks = []
     sizes = (3, 7, 15)
     for i in range(seeds):

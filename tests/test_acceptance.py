@@ -145,13 +145,13 @@ def test_criterion_06_bayes_risk_optima(announce):
     start = time.perf_counter()
     worst = 0.0
     for loss, ab in cases:
-        rep = cm.check_bayes_optimum(ab, loss=loss, seed=6, draws=20_000)
+        rep = cm.check_bayes_optimum(ab, loss=loss, seed=6)
         worst = max(worst, rep["gap"])
-        assert rep["pass"]
+        assert rep["pass"] and rep["gap"] <= 1e-4
     elapsed = time.perf_counter() - start
-    ok = worst < 0.01 and elapsed < 10.0
+    ok = worst <= 1e-4 and elapsed < 10.0
     announce(6, "risk-optimal reporting prevalence", ok,
-             f" (max gap {worst:.4f}, 20000 draws, {elapsed:.1f}s)")
+             f" (max gap {worst:.1e}, closed-form risk, {elapsed:.1f}s)")
 
 
 def test_criterion_07_beta_moments(announce):

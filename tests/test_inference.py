@@ -12,13 +12,14 @@ from scipy import stats
 from camsmeta.errors import (CamsmetaError, CamsmetaWarning, ContractError,
                              DomainError, GridEdgeWarning,
                              IdentifiabilityWarning)
-from camsmeta.gaussmix import QUANTILE_TOL, GaussianMixture1D
+from camsmeta.gaussmix import (QUANTILE_TOL, GaussianMixture1D,
+                               grid_interval, grid_quantile, grid_tail_prob)
 from camsmeta import inference, verify
-from camsmeta.inference import (_LOG_2PI, ESTIMATORS, GridSpec, PriorSpec,
-                                _axis_log_prior, _cams_problem,
-                                _cholesky_rows, _functional_moments,
-                                _pair_blocks, _scalar_stats, _solve_grid,
-                                _summaries,
+from camsmeta.inference import (_LOG_2PI, ESTIMATORS, GridSpec,
+                                ParameterSummary, PriorSpec,
+                                _axis_log_prior, _cholesky_rows,
+                                _functional_moments, _pair_blocks,
+                                _scalar_stats, _solve_grid, _summaries,
                                 cross_term_correction, ecological_evidence,
                                 factorization_residual,
                                 factorized_loglikelihood, fit_bim, fit_bim_k,
@@ -346,8 +347,9 @@ def bim_args(monkeypatch):
         data, PriorSpec(), GridSpec.default(PriorSpec(), n_nodes=61)))
 
 
-def cams_args(data, priors):
-    return _cams_problem(data, priors, GridSpec.default(priors, n_nodes=11))[0]
+def cams_args(monkeypatch, data, priors):
+    return captured_solve(monkeypatch, inference, lambda: fit_cams(
+        data, priors, GridSpec.default(priors, n_nodes=11)))
 
 
 @pytest.mark.parametrize("case, want_rank", [
@@ -365,9 +367,11 @@ def test_one_path_solve_matches_a_pinv_reference(monkeypatch, case, want_rank):
                 n_studies=15, alpha=0.2, delta=0.8, gamma=0.3, tau=0.15,
                 tau_gamma=0.12, seed=2), False),
             "bim": lambda: bim_args(monkeypatch),
-            "equal_fractions": lambda: cams_args(rank_deficient_data(), PriorSpec()),
-            "delta_prior": lambda: cams_args(rank_deficient_data(), PriorSpec(
-                location_prior=(("delta", 0.2, 0.5),))),
+            "equal_fractions": lambda: cams_args(
+                monkeypatch, rank_deficient_data(), PriorSpec()),
+            "delta_prior": lambda: cams_args(
+                monkeypatch, rank_deficient_data(),
+                PriorSpec(location_prior=(("delta", 0.2, 0.5),))),
         }[case]()
     log_weight, theta, cov, rank = pinv_reference(*args)
     assert rank == want_rank
@@ -704,6 +708,34 @@ def test_tail_probability_matches_summary():
     assert 0.0 <= pt <= 1.0
     with pytest.raises(ContractError):
         tail_probability(fit, "nonexistent", 0.0)
+
+
+def test_summaries_are_read_off_the_grid_on_first_access(monkeypatch):
+    # a fit holds no summaries until they are read: then the batched
+    # functional summaries and the scale marginals' grid readers, once; a
+    # fit given another grid reads them off that grid
+    assert [f.name for f in dataclasses.fields(inference.FitResult)] == [
+        "estimator", "grid", "provenance", "functionals"]
+    calls = []
+    monkeypatch.setattr(inference, "_summaries",
+                        lambda *args: calls.append(1) or _summaries(*args))
+    priors = PriorSpec()
+    grid = GridSpec.default(priors, n_nodes=31)
+    fit = fit_cams(make_dataset(seed=3), priors, grid)
+    assert not calls
+    names = list(fit.functionals)
+    want = dict(zip(names, _summaries(
+        fit.grid, np.array([fit.functionals[n] for n in names]))))
+    for name in ("tau", "tau_gamma"):
+        nodes, w = fit.grid.scale_axis(name)
+        lo, hi = grid_interval(nodes, w, 0.95)
+        want[name] = ParameterSummary(grid_quantile(nodes, w, 0.5), lo, hi,
+                                      grid_tail_prob(nodes, w, 0.0))
+    assert fit.summaries == want
+    assert fit.summaries is fit.summaries and len(calls) == 1
+    other = fit_cams(make_dataset(seed=4), priors, grid)
+    moved = dataclasses.replace(fit, grid=other.grid)
+    assert moved.summaries == other.summaries != fit.summaries
 
 
 def test_ecological_evidence_range():

@@ -556,6 +556,33 @@ def test_fit_refuses_a_bad_config_before_any_fit(tmp_path, capsys, config,
     assert not list(out.glob("fit_*.json"))
 
 
+def test_fit_refuses_a_one_node_grid(tmp_path, capsys):
+    # one node per axis would pin both heterogeneities at 0 without a word
+    path = write_scaled_quickstart(tmp_path, 1.0)
+    out = tmp_path / "out"
+    code = main(["fit", "--input", path, "--output-dir", str(out),
+                 "--grid-nodes", "1"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "grid_nodes" in err[0]
+    assert not list(out.glob("fit_*.json"))
+    assert main(["fit", "--input", path, "--output-dir", str(out),
+                 "--grid-nodes", "2"]) == EXIT_OK
+    assert len(list(out.glob("fit_*.json"))) == 4
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_verify_refuses_a_battery_without_equivalence_checks(tmp_path, capsys,
+                                                             seeds):
+    out = tmp_path / "out"
+    code = main(["verify", "--output-dir", str(out), "--verify-seeds", seeds])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (out / "verify.json").exists()
+
+
 def test_parametrization_flag_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--input", str(tmp_path / "absent.csv"),

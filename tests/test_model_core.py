@@ -12,11 +12,11 @@ from camsmeta.model_core import (CovarianceStructure, MetaDataset,
                                  missing_observation, prevalence_from_counts)
 
 
-def make_study(ya=0.1, yb=0.4, sa=0.2, sb=0.3, study_id="S1", na=None, nb=None):
+def make_study(ya=0.1, yb=0.4, sa=0.2, sb=0.3, study_id="S1"):
     return StudyRecord.from_observations(
         study_id,
-        SubgroupObservation("A", ya, sa, na),
-        SubgroupObservation("B", yb, sb, nb))
+        SubgroupObservation("A", ya, sa),
+        SubgroupObservation("B", yb, sb))
 
 
 def test_compute_if_hand_values():
@@ -178,12 +178,6 @@ def test_from_observations_rejects_variances_outside_float64(se):
         "S7", SubgroupObservation("A", 0.0, 1e-160),
         SubgroupObservation("B", 0.0, 1e-160))
     assert tiny.info_fraction == 0.5
-
-
-def test_from_observations_counts_proxy():
-    s = make_study(na=30, nb=70)
-    assert s.prevalence_proxy == pytest.approx(0.7)
-    assert make_study().prevalence_proxy is None
 
 
 def test_multi_study_record():

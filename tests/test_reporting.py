@@ -6,14 +6,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import integrate, special, stats
 
 from camsmeta import gaussmix, inference
 from camsmeta.errors import (ContractError, DomainError, ExtrapolationWarning,
-                             ValidationWarning)
+                             GridEdgeWarning, ValidationWarning)
 from camsmeta.inference import GridSpec, PriorSpec, fit_bim, fit_bms, fit_cams
 from camsmeta.model_core import MetaDataset, StudyRecord, SubgroupObservation
-from camsmeta.reporting import (STRATEGY_KINDS, PrevalenceSpec,
+from camsmeta.reporting import (RISK_GRID, STRATEGY_KINDS, PrevalenceSpec,
                                 _bracketed_root, _expit,
                                 _log_expit, _logsumexp, bayes_risk,
                                 beta_moments, effects_at, fit_map_prevalence,
@@ -27,6 +27,23 @@ def sim_data(seed=11, n=7, gamma=0.3, tau_gamma=0.12, uisd=1.0):
     return simulate(SimScenario(n_studies=n, alpha=0.2, delta=0.8,
                                 gamma=gamma, tau=0.15, tau_gamma=tau_gamma,
                                 seed=seed, uisd=uisd))
+
+
+def refuse_draws(*args, **kwargs):
+    """Stands in for ``np.random.default_rng`` where nothing may draw."""
+    raise AssertionError("random numbers drawn")
+
+
+def far_reference(data, cams):
+    """A BMS fit whose subgroup-A median lies about 1 above the CAMS
+    subgroup-A line's median at either end, pinned there by a tight
+    location prior."""
+    top = max(effects_at(cams, p).mu_a.median for p in (0.0, 1.0))
+    priors = PriorSpec(location_prior=(("mu_a", top + 1.0, 1e-3),))
+    with warnings.catch_warnings():
+        # a prior that far from the data pushes tau_gamma to the grid edge
+        warnings.simplefilter("ignore", GridEdgeWarning)
+        return fit_bms(data, priors, GridSpec.default(priors, n_nodes=41))
 
 
 @pytest.fixture(scope="module")
@@ -195,11 +212,7 @@ def test_prevalence_searches_read_few_quantile_batches(fitted):
     with recorded_quantile_reads() as reads:
         optimal_if(cams)
     assert len(reads) <= 3
-    top = max(effects_at(cams, p).mu_a.median for p in (0.0, 1.0))
-    far = dataclasses.replace(bms.summaries["mu_a"], median=top + 1.0,
-                              upper=top + 2.0)
-    reference = dataclasses.replace(
-        bms, summaries={**bms.summaries, "mu_a": far})
+    reference = far_reference(data, cams)
     with recorded_quantile_reads() as reads:
         strategy_prevalence(data, cams, "closeness_a", reference=reference)
     assert len(reads) <= 2
@@ -294,12 +307,9 @@ def test_bracketed_root_is_safeguarded(f, root):
 def test_closeness_without_a_crossing_is_the_nearest_approach(fitted):
     # a reference median above the subgroup line at every prevalence has no
     # root; the strategy still returns the prevalence of least distance
-    data, cams, bms = fitted
-    line = [effects_at(cams, p).mu_a.median for p in (0.0, 1.0)]
-    far = dataclasses.replace(bms.summaries["mu_a"], median=max(line) + 1.0,
-                              upper=max(line) + 2.0)
-    reference = dataclasses.replace(
-        bms, summaries={**bms.summaries, "mu_a": far})
+    data, cams, _ = fitted
+    reference = far_reference(data, cams)
+    far = reference.summaries["mu_a"]
     pi = strategy_prevalence(data, cams, "closeness_a", reference=reference)
     dense = np.linspace(0.0, 1.0, 1001)
     medians = cams.functional_quantiles(
@@ -408,6 +418,21 @@ def test_spec_alone_sets_draws_and_seed(fitted):
     assert other.overall != eff.overall
 
 
+def test_marginalizing_a_point_law_is_exact(fitted, monkeypatch):
+    # a point or external law needs no draws: it is effects_at its value,
+    # and report_effects gives the same entry
+    data, cams, _ = fitted
+    exact = effects_at(cams, 0.3)
+    monkeypatch.setattr(np.random, "default_rng", refuse_draws)
+    for kind in ("point", "external"):
+        spec = PrevalenceSpec(kind, value=0.3)
+        eff = marginalize_prevalence(cams, spec)
+        assert (eff.mu_a, eff.mu_b, eff.overall, eff.interaction) == (
+            exact.mu_a, exact.mu_b, exact.overall, exact.interaction)
+        assert eff.prevalence_used == {"kind": kind, "value": 0.3}
+        assert report_effects(data, cams, spec) == eff
+
+
 def test_beta_moments_against_scipy():
     for a, b in ((2.0, 2.0), (5.0, 21.0), (2.0, 8.0), (0.7, 3.1)):
         mean, sd = beta_moments(a, b)
@@ -478,17 +503,26 @@ def test_bayes_risk_point_mass(fitted):
     _, cams, _ = fitted
     # under a point prevalence the optimum is that point, for either loss
     for loss in ("squared", "absolute"):
-        spec = PrevalenceSpec("point", value=0.3, draws=2000, seed=1)
-        curve, argmin = bayes_risk(cams, spec, loss=loss)
+        curve, argmin = bayes_risk(cams, PrevalenceSpec.point(0.3), loss=loss)
         assert curve.shape == (101,)
-        assert argmin == pytest.approx(0.3, abs=0.01)
+        assert argmin == pytest.approx(0.3, abs=1e-4)
+
+
+def test_bayes_risk_of_a_flat_law_is_the_midpoint(fitted):
+    # half the mass at each end: E|pi0 - pi| is 1/2 at every pi0, so every
+    # reporting prevalence is equally risky
+    _, cams, _ = fitted
+    spec = PrevalenceSpec("beta", components=((0.5, 1e-12, 1.0),
+                                              (0.5, 1.0, 1e-12)))
+    curve, argmin = bayes_risk(cams, spec, loss="absolute")
+    assert np.ptp(curve) < 1e-10 and argmin == 0.5
 
 
 def test_bayes_risk_squared_matches_beta_mean(fitted):
     _, cams, _ = fitted
-    curve, argmin = bayes_risk(cams, PrevalenceSpec.beta(2.0, 6.0, seed=2),
+    curve, argmin = bayes_risk(cams, PrevalenceSpec.beta(2.0, 6.0),
                                loss="squared")
-    assert argmin == pytest.approx(0.25, abs=0.01)
+    assert argmin == pytest.approx(0.25, abs=1e-4)
     # the curve is a parabola in the reporting prevalence: second
     # differences are constant
     d2 = np.diff(curve, 2)
@@ -497,9 +531,82 @@ def test_bayes_risk_squared_matches_beta_mean(fitted):
 
 def test_bayes_risk_absolute_matches_beta_median(fitted):
     _, cams, _ = fitted
-    curve, argmin = bayes_risk(cams, PrevalenceSpec.beta(2.0, 8.0, seed=3),
+    curve, argmin = bayes_risk(cams, PrevalenceSpec.beta(2.0, 8.0),
                                loss="absolute")
     want = stats.beta.ppf(0.5, 2.0, 8.0)
-    assert argmin == pytest.approx(want, abs=0.01)
+    assert argmin == pytest.approx(want, abs=1e-4)
     with pytest.raises(ContractError):
         bayes_risk(cams, PrevalenceSpec.point(0.3), loss="hinge")
+
+
+def beta_quad(f, a, b, lo, hi):
+    """The integral of f times the Beta(a, b) density over [lo, hi] by
+    ``integrate.quad``; the density's singular factor at 0 or 1, where that
+    is an end of [lo, hi], is quad's algebraic weight."""
+    at_0, at_1 = lo == 0.0, hi == 1.0
+
+    def rest(x):
+        return (f(x) * (1.0 if at_0 else x ** (a - 1.0))
+                * (1.0 if at_1 else (1.0 - x) ** (b - 1.0)))
+
+    wvar = (a - 1.0 if at_0 else 0.0, b - 1.0 if at_1 else 0.0)
+    return integrate.quad(rest, lo, hi, weight="alg", wvar=wvar, epsabs=0.0,
+                          epsrel=1e-13)[0] / special.beta(a, b)
+
+
+def scipy_risk(cams, spec, loss):
+    """The Bayes-risk curve on RISK_GRID from scipy: E[delta^2] or E|delta|
+    from ``stats.foldnorm`` per lattice component (|delta| = s |Z + m/s|),
+    times E[(pi0 - pi)^2] or E|pi0 - pi| by ``beta_quad``, split at pi0."""
+    m, s = (v[0] for v in inference._functional_moments(
+        cams.grid, cams.functionals["delta"][None, :]))
+    assert np.all(s > 0.0)
+    folded = stats.foldnorm(np.abs(m) / s, scale=s)
+    w = cams.grid.weight.ravel()
+    scale = w @ (folded.mean() if loss == "absolute"
+                 else folded.var() + folded.mean() ** 2)
+    power = 2 if loss == "squared" else 1
+
+    def law_risk(p0):
+        if spec.kind == "point":
+            return abs(p0 - spec.value) ** power
+        return sum(c * sum(
+            beta_quad(lambda x: abs(p0 - x) ** power, a, b, lo, hi)
+            for lo, hi in ((0.0, p0), (p0, 1.0)) if hi > lo)
+            for c, a, b in spec.components)
+
+    return scale * np.array([law_risk(p0) for p0 in RISK_GRID.tolist()])
+
+
+@pytest.mark.parametrize("loss", ["squared", "absolute"])
+@pytest.mark.parametrize("spec", [
+    PrevalenceSpec.beta(2.0, 8.0), PrevalenceSpec.beta(0.5, 0.5),
+    PrevalenceSpec("beta", components=((0.6, 2.0, 8.0), (0.4, 0.5, 0.5))),
+    PrevalenceSpec.point(0.3)], ids=["beta28", "arcsine", "mixture", "point"])
+def test_bayes_risk_curve_matches_scipy(fitted, spec, loss):
+    _, cams, _ = fitted
+    curve, _ = bayes_risk(cams, spec, loss=loss)
+    np.testing.assert_allclose(curve, scipy_risk(cams, spec, loss),
+                               rtol=1e-10, atol=0.0)
+
+
+def test_bayes_risk_draws_nothing(fitted, monkeypatch):
+    _, cams, _ = fitted
+    monkeypatch.setattr(np.random, "default_rng", refuse_draws)
+    for loss in ("squared", "absolute"):
+        for spec in (PrevalenceSpec.beta(2.0, 8.0), PrevalenceSpec.point(0.3)):
+            bayes_risk(cams, spec, loss=loss)
+
+
+def test_bayes_risk_of_atoms_is_their_absolute_mean(fitted):
+    # components of zero sd: E[delta^2] = sum w m^2 and E|delta| = sum w |m|
+    _, cams, _ = fitted
+    atoms = dataclasses.replace(cams.grid,
+                                cond_cov=np.zeros_like(cams.grid.cond_cov))
+    fit = dataclasses.replace(cams, grid=atoms)
+    m = atoms.cond_mean.reshape(-1, 3) @ cams.functionals["delta"]
+    w = atoms.weight.ravel()
+    spec = PrevalenceSpec.point(0.0)
+    for loss, scale in (("squared", w @ (m * m)), ("absolute", w @ np.abs(m))):
+        curve, _ = bayes_risk(fit, spec, loss=loss)
+        np.testing.assert_allclose(curve[-1], scale, rtol=1e-14, atol=0.0)

@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from camsmeta import contrasts, verify
+from camsmeta import contrasts, inference, reporting, verify
 from camsmeta.errors import (ContractError, DomainError, GridEdgeWarning,
                              IdentifiabilityWarning)
 from camsmeta.gaussmix import GaussianMixture1D
 from camsmeta.inference import (GridSpec, PriorSpec, _block_cross_term,
                                 _functional_moments, fit_bim)
 from camsmeta.model_core import compute_if
-from camsmeta.verify import (BREAK_MIN, TOL_GRID, SimScenario, _beta_cdf,
+from camsmeta.reporting import _beta_cdf
+from camsmeta.verify import (BREAK_MIN, TOL_GRID, SimScenario,
                              _beta_median, _cdf_witness, _mixture_gap_bound,
                              _unbalanced_scenario, cams_oracle,
                              check_bayes_optimum, check_equivalence,
@@ -174,6 +175,63 @@ def test_check_bayes_optimum():
     assert rep["predicted"] == pytest.approx(0.5)
     rep = check_bayes_optimum((2.0, 8.0), loss="absolute", seed=0)
     assert rep["pass"]
+    assert rep["tier"] == "grid" and rep["tolerance"] == TOL_GRID
+    assert "draws" not in rep
+
+
+def test_check_bayes_optimum_fails_on_a_wrong_law(monkeypatch):
+    # the check minimizes the computed curve, so a wrong ingredient of the
+    # curve moves its argmin off the prediction: the CDF of Beta(a, b + 1)
+    # in the absolute factor, the mean a / (a + b + 1) in the squared one
+    beta_cdf, beta_moments = reporting._beta_cdf, reporting.beta_moments
+    monkeypatch.setattr(reporting, "_beta_cdf",
+                        lambda x, a, b: beta_cdf(x, a, b + 1.0))
+    assert not check_bayes_optimum((2.0, 8.0), loss="absolute")["pass"]
+    assert check_bayes_optimum((2.0, 8.0), loss="squared")["pass"]
+    monkeypatch.setattr(reporting, "_beta_cdf", beta_cdf)
+    monkeypatch.setattr(reporting, "beta_moments", lambda a, b: (
+        a / (a + b + 1.0), beta_moments(a, b)[1]))
+    assert not check_bayes_optimum((2.0, 2.0), loss="squared")["pass"]
+
+
+def test_check_bayes_optimum_draws_nothing_but_its_portfolio(monkeypatch):
+    # the synthetic portfolio is the check's only seeded draw; with it
+    # simulated up front, no random number is drawn
+    data = simulate(SimScenario(n_studies=7, gamma=0.25, tau=0.05,
+                                tau_gamma=0.1, seed=3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("random numbers drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(AssertionError, match="random numbers drawn"):
+        simulate(SimScenario(n_studies=7))
+    monkeypatch.setattr(verify, "simulate", lambda scenario: data)
+    for dist, loss in (((2.0, 2.0), "squared"), ((2.0, 8.0), "absolute")):
+        assert check_bayes_optimum(dist, loss=loss)["pass"]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bayes_optima_at_the_grid_tier(seed):
+    # the battery's three laws; the gap is that of the scan-and-refine
+    # argmin on the closed-form curve
+    for dist, loss in (((2.0, 2.0), "squared"), ((5.0, 21.0), "squared"),
+                       ((2.0, 8.0), "absolute")):
+        rep = check_bayes_optimum(dist, loss=loss, seed=seed)
+        assert rep["tier"] == "grid" and rep["gap"] <= 1e-5, rep
+
+
+def test_check_equivalence_reads_no_summary(monkeypatch):
+    calls = []
+    summaries = inference._summaries
+    monkeypatch.setattr(inference, "_summaries",
+                        lambda *args: calls.append(1) or summaries(*args))
+    scenario = SimScenario(n_studies=7, alpha=0.2, delta=0.8, gamma=0.3,
+                           tau=0.15, tau_gamma=0.12, seed=5)
+    assert check_equivalence(scenario, n_nodes=31)["pass"]
+    assert check_equivalence(_unbalanced_scenario(5), force_half=True,
+                             n_nodes=31)["pass"]
+    assert not calls
 
 
 @pytest.mark.parametrize("a, b", [(2.0, 8.0), (5.0, 21.0), (2.0, 2.0),
@@ -196,6 +254,13 @@ def test_run_battery_structure():
     kinds = {c["check"] for c in out["checks"]}
     assert kinds == {"equivalence", "k_sufficiency", "kronecker",
                      "bayes_optimum"}
+    assert {c["tier"] for c in out["checks"]} == {"exact", "grid"}
+
+
+@pytest.mark.parametrize("seeds", [0, -1])
+def test_run_battery_refuses_no_equivalence_seed(seeds):
+    with pytest.raises(ContractError, match="at least 1 equivalence seed"):
+        run_battery(seeds=seeds)
 
 
 def test_default_battery_passes_inside_the_grid():
