@@ -35,7 +35,7 @@ from .inference import (FitResult, GridSpec, PriorSpec, fit_bim, fit_bms,
 from .model_core import (MetaDataset, StudyRecord, SubgroupObservation,
                          decompose_arrays, subgroup_arrays)
 from .reporting import (STRATEGY_KINDS, PrevalenceSpec, ReportedEffects,
-                        optimal_if, report_effects)
+                        optimal_if, report_policies)
 from .verify import SimScenario, run_battery, simulate
 
 # the estimators ``fit`` can write, one fit_<name>.json each
@@ -534,15 +534,16 @@ def _cmd_report(config: RunConfig) -> int:
     if config.beta_a is not None and config.beta_b is not None:
         kinds.append("beta")
     strategies = {kind: {"skipped": why} for kind, why in skipped.items()}
-    for kind in kinds:
-        strategies[kind] = _effects_dict(report_effects(
-            data, cams, _prevalence_spec(config, kind), reference))
     # the configured policy reuses its table entry; a point policy has none,
     # and a skipped kind is run anyway so that its error surfaces
-    if configured.kind in kinds:
-        entry = strategies[configured.kind]
-    else:
-        entry = _effects_dict(report_effects(data, cams, configured, reference))
+    specs = [_prevalence_spec(config, kind) for kind in kinds]
+    if configured.kind not in kinds:
+        specs.append(configured)
+    effects = [_effects_dict(eff) for eff
+               in report_policies(data, cams, specs, reference)]
+    strategies.update(zip(kinds, effects))
+    entry = effects[kinds.index(configured.kind)
+                    if configured.kind in kinds else -1]
 
     _write_json(os.path.join(config.output_dir, "report.json"),
                 {"configured": entry, "strategies": strategies})
@@ -600,19 +601,22 @@ def _cmd_plotdata(config: RunConfig) -> int:
                            1.0 / obs.std_error ** 2])
     _write_rows(os.path.join(out, "bubble.csv"), bubble)
 
-    lines = [["pi", "mu_a_median", "mu_b_median"]]
+    # the subgroup lines' medians and the combined 95% interval width at the
+    # same 41 prevalences, from one quantile batch
     line_pi = np.linspace(0.0, 1.0, 41)
-    medians = cams.functional_quantiles(
+    qs = cams.functional_quantiles(
         [{"alpha": 1.0, "delta": float(p), "gamma": g}
-         for g in (0.0, 1.0) for p in line_pi], (0.5,)).reshape(2, -1)
+         for g in (0.0, 1.0) for p in line_pi], (0.5, 0.025, 0.975))
+    medians = qs[:, 0].reshape(2, -1)
+    span = (qs[:, 2] - qs[:, 1]).reshape(2, -1)
+    width = span[0] + span[1]
+    lines = [["pi", "mu_a_median", "mu_b_median"]]
     for p, ma, mb in zip(line_pi.tolist(), *medians.tolist()):
         lines.append([p, ma, mb])
     _write_rows(os.path.join(out, "bubble_lines.csv"), lines)
-
-    opt = optimal_if(cams)
     width_rows = [["pi", "width"]]
-    for p, w in zip(opt.curve_pi, opt.curve_width):
-        width_rows.append([float(p), float(w)])
+    for p, w in zip(line_pi.tolist(), width.tolist()):
+        width_rows.append([p, w])
     _write_rows(os.path.join(out, "width_curve.csv"), width_rows)
 
     nodes = cams.grid.tau_gamma_nodes
@@ -628,7 +632,8 @@ def _cmd_plotdata(config: RunConfig) -> int:
     if config.svg:
         _svg_forest(os.path.join(out, "forest.svg"), forest[1:])
         _svg_bubble(os.path.join(out, "bubble.svg"), bubble[1:], lines[1:])
-        _svg_width(os.path.join(out, "width_curve.svg"), opt)
+        _svg_width(os.path.join(out, "width_curve.svg"), line_pi, width,
+                   optimal_if(cams).pi_opt)
         _svg_trace(os.path.join(out, "trace.svg"), trace_rows[1:])
     return EXIT_OK
 
@@ -737,13 +742,13 @@ def _svg_bubble(path: str, rows, line_rows) -> None:
     _svg_close(path, el)
 
 
-def _svg_width(path: str, opt) -> None:
-    frame = _Frame((float(opt.curve_pi[0]), float(opt.curve_pi[-1])),
-                   (float(opt.curve_width.min()), float(opt.curve_width.max())))
+def _svg_width(path: str, pis, width, pi_opt: float) -> None:
+    frame = _Frame((float(pis[0]), float(pis[-1])),
+                   (float(width.min()), float(width.max())))
     el = _svg_open("Combined interval width by prevalence")
     _svg_axes(frame, el)
-    el.append(_polyline(frame, opt.curve_pi, opt.curve_width, _BLUE))
-    px = frame.x(opt.pi_opt)
+    el.append(_polyline(frame, pis, width, _BLUE))
+    px = frame.x(pi_opt)
     el.append(f'<line x1="{px:.2f}" y1="{_M}" x2="{px:.2f}" y2="{_H - _M}" '
               f'stroke="{_RED}" stroke-dasharray="4,3"/>')
     _svg_close(path, el)

@@ -26,7 +26,8 @@ from .errors import (ContractError, DomainError, ExtrapolationWarning,
 from .gaussmix import _normal_cdf, grid_quantile, mixture_quantiles
 from .inference import (FitResult, GridSpec, ParameterSummary,
                         _functional_moments, _halfnormal_logpdf,
-                        _normalize_log_weights, _quad_log_weights)
+                        _mixture_weights, _normalize_log_weights,
+                        _quad_log_weights)
 from .model_core import (MetaDataset, _check_unit_interval, decompose_arrays,
                          subgroup_arrays)
 
@@ -37,6 +38,13 @@ _ROOT_TOL = 1e-10
 
 # the reporting prevalences at which bayes_risk reads the risk
 RISK_GRID = np.linspace(0.0, 1.0, 101)
+
+# optimal_if: scan points, exact widths read on each side of the sd sum's
+# argmin (and per step further out), and the range of the sd sum below
+# which every scan point is read (100x the width's own flatness test)
+_OPT_POINTS = 41
+_WALK_REACH = 2
+_FLAT_SD = 1e-8
 
 # fit_map_prevalence's (phi, psi) grid sizes and Gauss-Hermite order
 _MAP_PHI_POINTS, _MAP_PSI_POINTS, _MAP_GH_POINTS = 201, 61, 21
@@ -57,13 +65,15 @@ class PrevalenceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.draws < 1000:
-            raise ContractError("distributional reporting needs >= 1000 draws")
         if self.kind in ("point", "external"):
             if self.value is None:
                 raise ContractError(f"{self.kind} prevalence needs a value")
             _check_unit_interval(float(self.value), "prevalence")
         elif self.kind == "beta":
+            # only a beta law draws; the other kinds ignore draws and seed
+            if self.draws < 1000:
+                raise ContractError(
+                    "distributional reporting needs >= 1000 draws")
             comps = tuple((float(w), float(a), float(b))
                           for w, a, b in self.components)
             if not comps:
@@ -128,14 +138,13 @@ class ReportedEffects:
 
 @dataclass(frozen=True)
 class OptimalIF:
-    """Argmin of the combined subgroup interval width, with the scanned
-    curve. ``flat_range`` is set instead when the width does not depend on
-    the prevalence at all."""
+    """Argmin of the combined subgroup interval width and the width there.
+    ``flat_range`` is set when the width does not depend on the prevalence
+    at all; ``pi_opt`` is then the middle of the range. The width curve
+    itself is ``plotdata``'s to read (width_curve.csv)."""
 
     pi_opt: float
     width: float
-    curve_pi: np.ndarray
-    curve_width: np.ndarray
     flat_range: tuple | None = None
 
 
@@ -165,15 +174,24 @@ def effects_at(fit: FitResult, pi: float) -> ReportedEffects:
     (delta + gamma) pi. The interaction entry is the fit's own gamma summary
     and does not depend on pi.
     """
+    return _effects_batch(fit, [pi])[0]
+
+
+def _effects_batch(fit: FitResult, pis) -> list:
+    """``effects_at`` each prevalence in ``pis``, every summary read in one
+    ``functional_summaries`` batch."""
     _require_cams(fit)
-    pi = float(pi)
-    _check_unit_interval(pi, "prevalence")
-    mu_a, mu_b, overall = fit.functional_summaries(
-        [{"alpha": 1.0, "delta": pi},
-         {"alpha": 1.0, "delta": pi, "gamma": 1.0},
-         {"alpha": 1.0, "delta": pi, "gamma": pi}])
-    return ReportedEffects(mu_a, mu_b, overall, fit.summaries["gamma"],
-                           {"kind": "point", "value": pi})
+    pis = [float(p) for p in pis]
+    for pi in pis:
+        _check_unit_interval(pi, "prevalence")
+    rows = fit.functional_summaries(
+        [spec for pi in pis for spec in (
+            {"alpha": 1.0, "delta": pi},
+            {"alpha": 1.0, "delta": pi, "gamma": 1.0},
+            {"alpha": 1.0, "delta": pi, "gamma": pi})])
+    return [ReportedEffects(*rows[3 * k:3 * k + 3], fit.summaries["gamma"],
+                            {"kind": "point", "value": pi})
+            for k, pi in enumerate(pis)]
 
 
 def overall_if(fit: FitResult, data: MetaDataset) -> float:
@@ -205,30 +223,88 @@ def _scan_min(values, lo: float, hi: float,
               points: int) -> tuple[float | None, np.ndarray, np.ndarray]:
     """Minimize ``values`` (vectorized over prevalences) on [lo, hi].
 
-    Scans ``points`` evenly spaced prevalences, then takes two parabolic
-    steps between the neighbours of the best one: the vertex through it and
-    its neighbours (at an end, the three points next to it), then the vertex
-    through three points an eighth of the scan step apart around that.
-    Returns (argmin, scan, curve); the argmin is None for a flat curve.
+    Scans ``points`` evenly spaced prevalences and refines the best one by
+    ``_refine``. Returns (argmin, scan, curve); the argmin is None for a
+    flat curve.
     """
     scan = np.linspace(lo, hi, points)
     curve = values(scan)
     if curve.max() - curve.min() < 1e-10:
         return None, scan, curve
-    best = int(np.argmin(curve))
+    return _refine(values, scan, curve, int(np.argmin(curve))), scan, curve
+
+
+def _refine(values, scan: np.ndarray, curve: np.ndarray, best: int) -> float:
+    """Two parabolic steps between the neighbours of the scan point
+    ``best``: the vertex through it and its neighbours (at an end, the three
+    points next to it), then the vertex through three points an eighth of
+    the scan step apart around that. ``curve`` needs the values at those
+    three scan points only."""
+    points = scan.size
     a, b = float(scan[max(best - 1, 0)]), float(scan[min(best + 1, points - 1)])
     i = min(max(best, 1), points - 2)
     h = 0.125 * (scan[1] - scan[0])
     x = min(max(_vertex(scan[i - 1:i + 2], curve[i - 1:i + 2]), a + h), b - h)
     near = np.clip(x + h * np.array([-1.0, 0.0, 1.0]), a, b)
-    return min(max(_vertex(near, values(near)), a), b), scan, curve
+    return min(max(_vertex(near, values(near)), a), b)
+
+
+def _walk_min(values, scan: np.ndarray, start: int) -> tuple[np.ndarray, int]:
+    """A local minimum of ``values`` on ``scan``, read outward from the
+    index ``start``: the values there and at _WALK_REACH neighbours on each
+    side in one batch, then _WALK_REACH more beyond whichever edge of the
+    read window holds the smallest value, until it lies inside the window
+    or at an end of the scan. Returns (curve, best), with NaN in the curve
+    where nothing was read."""
+    curve = np.full(scan.size, np.nan)
+    left = max(start - _WALK_REACH, 0)
+    right = min(start + _WALK_REACH, scan.size - 1)
+    curve[left:right + 1] = values(scan[left:right + 1])
+    while True:
+        best = left + int(np.argmin(curve[left:right + 1]))
+        if 0 < best == left:
+            new = slice(max(left - _WALK_REACH, 0), left)
+            left = new.start
+        elif best == right < scan.size - 1:
+            new = slice(right + 1, min(right + _WALK_REACH, scan.size - 1) + 1)
+            right = new.stop - 1
+        else:
+            return curve, best
+        curve[new] = values(scan[new])
+
+
+def _line_sd_sum(fit: FitResult, pis: np.ndarray) -> np.ndarray:
+    """sd(mu_A) + sd(mu_B) at each prevalence, in closed form: with C the
+    posterior covariance of the location parameters, sum_k w_k (Sigma_k +
+    (mu_k - m)(mu_k - m)') over the lattice, a line with coefficients v has
+    sd sqrt(v' C v)."""
+    grid = fit.grid
+    p = len(grid.param_names)
+    w = _mixture_weights(grid)
+    mean = grid.cond_mean.reshape(-1, p)
+    centred = mean - w @ mean
+    cov = ((w @ grid.cond_cov.reshape(-1, p * p)).reshape(p, p)
+           + centred.T @ (w[:, None] * centred))
+    f = fit.functionals
+    total = np.zeros(pis.size)
+    for g in (0.0, 1.0):
+        v = f["alpha"] + np.multiply.outer(pis, f["delta"]) + g * f["gamma"]
+        total += np.sqrt(np.clip(np.einsum("ij,jk,ik->i", v, cov, v), 0.0,
+                                 None))
+    return total
 
 
 def optimal_if(fit: FitResult, search_range=(0.0, 1.0)) -> OptimalIF:
     """Prevalence minimizing the combined width of the two subgroup 95%
-    intervals, with the width curve over the search range.
+    intervals, and that width.
 
-    A 41-point width scan refined by two parabolic steps (see _scan_min).
+    The argmin is that of the exact widths at _OPT_POINTS evenly spaced
+    prevalences, refined by two parabolic steps (``_refine``). The closed-form
+    sd sum of the two lines (``_line_sd_sum``) locates it: the exact widths
+    are read at the sd sum's argmin and two neighbours on each side, and
+    further out only while the smallest lies at an edge of what was read
+    (``_walk_min``). An sd sum flat to _FLAT_SD reads all _OPT_POINTS
+    widths, so that a flat width curve is told apart (``flat_range``).
     Warns when the minimizer lies outside the observed information
     fractions, since the subgroup lines are extrapolated there.
     """
@@ -246,10 +322,16 @@ def optimal_if(fit: FitResult, search_range=(0.0, 1.0)) -> OptimalIF:
         span = (qs[:, 1] - qs[:, 0]).reshape(2, len(pis))
         return span[0] + span[1]
 
-    pi_opt, curve_pi, curve_width = _scan_min(widths, lo, hi, 41)
-    if pi_opt is None:
-        return OptimalIF(0.5 * (lo + hi), float(curve_width[0]),
-                         curve_pi, curve_width, flat_range=(lo, hi))
+    scan = np.linspace(lo, hi, _OPT_POINTS)
+    sd_sum = _line_sd_sum(fit, scan)
+    if sd_sum.max() - sd_sum.min() < _FLAT_SD:
+        pi_opt, _, curve = _scan_min(widths, lo, hi, _OPT_POINTS)
+        if pi_opt is None:
+            return OptimalIF(0.5 * (lo + hi), float(curve[0]),
+                             flat_range=(lo, hi))
+    else:
+        pi_opt = _refine(widths, scan,
+                         *_walk_min(widths, scan, int(np.argmin(sd_sum))))
     pifs = fit.provenance.get("info_fractions")
     if pifs and not (min(pifs) <= pi_opt <= max(pifs)):
         warnings.warn(
@@ -257,7 +339,7 @@ def optimal_if(fit: FitResult, search_range=(0.0, 1.0)) -> OptimalIF:
             f"information fractions [{min(pifs):.4f}, {max(pifs):.4f}]; "
             f"the subgroup lines are extrapolated there",
             ExtrapolationWarning, stacklevel=2)
-    return OptimalIF(pi_opt, float(widths([pi_opt])[0]), curve_pi, curve_width)
+    return OptimalIF(pi_opt, float(widths([pi_opt])[0]))
 
 
 def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -373,14 +455,30 @@ def strategy_prevalence(data: MetaDataset, fit: FitResult, kind: str,
 
 def report_effects(data: MetaDataset, fit: FitResult, spec: PrevalenceSpec,
                    reference: FitResult | None = None) -> ReportedEffects:
-    """Resolve a prevalence policy and report effects under it: a law
-    (point, external or beta) through ``marginalize_prevalence``, a named
-    strategy at the prevalence it resolves to."""
-    if spec.kind in ("point", "external", "beta"):
-        return marginalize_prevalence(fit, spec)
-    pi = strategy_prevalence(data, fit, spec.kind, reference)
-    return dataclasses.replace(
-        effects_at(fit, pi), prevalence_used={"kind": spec.kind, "value": pi})
+    """Resolve a prevalence policy and report effects under it: a beta law
+    through ``marginalize_prevalence``, a point or external value or a named
+    strategy by ``effects_at`` the prevalence it resolves to."""
+    return report_policies(data, fit, [spec], reference)[0]
+
+
+def report_policies(data: MetaDataset, fit: FitResult, specs,
+                    reference: FitResult | None = None) -> list:
+    """``report_effects`` of each policy in ``specs``. Every point-valued
+    policy is resolved first, in order, and all their summaries are then
+    read in one batch."""
+    _require_cams(fit)
+    points = {}
+    for i, spec in enumerate(specs):
+        if spec.kind in ("point", "external"):
+            points[i] = float(spec.value)
+        elif spec.kind != "beta":
+            points[i] = strategy_prevalence(data, fit, spec.kind, reference)
+    read = dict(zip(points, _effects_batch(fit, points.values()))) \
+        if points else {}
+    return [dataclasses.replace(read[i], prevalence_used={
+                "kind": spec.kind, "value": points[i]})
+            if i in read else marginalize_prevalence(fit, spec)
+            for i, spec in enumerate(specs)]
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,8 @@ from .inference import (_CAMS_FUNCTIONALS, GridSpec, PosteriorGrid,
                         _prior_blocks, _solve_grid, fit_bim, fit_cams)
 from .model_core import (MetaDataset, MultiStudyRecord, StudyRecord,
                          SubgroupObservation, subgroup_arrays)
-from .reporting import PrevalenceSpec, _beta_cdf, bayes_risk
+from .reporting import (RISK_GRID, PrevalenceSpec, _beta_cdf,
+                        _prevalence_risk, bayes_risk)
 
 TOL_EXACT = 1e-10
 TOL_GRID = 1e-4
@@ -466,20 +467,49 @@ def _beta_median(a: float, b: float) -> float:
             hi = mid
 
 
-def check_bayes_optimum(dist, loss: str = "squared", seed: int = 0) -> dict:
-    """Reporting-prevalence optimum against the predicted one.
+def _delta_risk_scale(grid: PosteriorGrid, loss: str) -> float:
+    """E[delta^2] (squared loss) or E|delta| (absolute loss) over the
+    lattice components N(m, s^2) of delta: sum w (s^2 + m^2), or sum w
+    [s sqrt(2/pi) exp(-m^2 / 2 s^2) + m erf(m / (s sqrt 2))] with
+    ``math.erf`` per component (|m| for an atom)."""
+    w = grid.weight.ravel()
+    (m,), (s,) = _functional_moments(grid,
+                                     np.array([_CAMS_FUNCTIONALS["delta"]]))
+    if loss == "squared":
+        return float(w @ (s * s + m * m))
+    return float(w @ np.array([
+        sd * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * (mu / sd) ** 2)
+        + mu * math.erf(mu / (sd * math.sqrt(2.0))) if sd > 0.0 else abs(mu)
+        for mu, sd in zip(m.tolist(), s.tolist())]))
 
-    ``dist`` is the (a, b) pair of a Beta prevalence law. Squared loss
-    predicts its mean, absolute loss its median (``_beta_median``); the
-    argmin is that of the closed-form risk curve of reporting.bayes_risk,
-    found by scanning and refining the curve, on a small synthetic fit.
+
+def check_bayes_optimum(dist, loss: str = "squared", seed: int = 0) -> dict:
+    """Reporting-prevalence risk curve and optimum against their
+    predictions, on a small synthetic CAMS fit.
+
+    ``dist`` is the (a, b) pair of a Beta prevalence law. The risk curve of
+    reporting.bayes_risk must equal E[delta^2] (squared loss) or E|delta|
+    (absolute loss) times ``_prevalence_risk`` on RISK_GRID to the exact
+    tier, relative to its largest value (``curve_gap``); the delta moment
+    is recomputed from the independent ``cams_oracle`` lattice at the
+    information fractions (``_delta_risk_scale``). Its argmin must lie
+    within the grid tier of the law's mean (squared loss) or median
+    (absolute loss, ``_beta_median``).
     """
     a, b = float(dist[0]), float(dist[1])
     scenario = SimScenario(n_studies=7, alpha=0.1, delta=0.5, gamma=0.25,
                            tau=0.05, tau_gamma=0.1,
                            sigma_law=("lognormal", -1.6, 0.3), seed=seed)
-    fit = fit_cams(simulate(scenario), grid=GridSpec.default(PriorSpec(), 41))
-    _, argmin = bayes_risk(fit, PrevalenceSpec.beta(a, b), loss=loss)
+    data = simulate(scenario)
+    priors = PriorSpec()
+    grid = GridSpec.default(priors, 41)
+    spec = PrevalenceSpec.beta(a, b)
+    curve, argmin = bayes_risk(fit_cams(data, priors, grid), spec, loss=loss)
+    oracle = cams_oracle(data, data.info_fractions, priors, grid)
+    expected = (_delta_risk_scale(oracle, loss)
+                * _prevalence_risk(spec, loss)(RISK_GRID))
+    curve_gap = float(np.max(np.abs(curve - expected))
+                      / np.max(np.abs(expected)))
     predicted = a / (a + b) if loss == "squared" else _beta_median(a, b)
     gap = abs(argmin - predicted)
     return {
@@ -492,7 +522,9 @@ def check_bayes_optimum(dist, loss: str = "squared", seed: int = 0) -> dict:
         "gap": gap,
         "tolerance": TOL_GRID,
         "tier": "grid",
-        "pass": bool(gap < TOL_GRID),
+        "curve_gap": curve_gap,
+        "curve_tolerance": TOL_EXACT,
+        "pass": bool(gap < TOL_GRID and curve_gap < TOL_EXACT),
     }
 
 

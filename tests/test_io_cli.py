@@ -331,6 +331,47 @@ def test_report_configured_point_and_skipped_kinds(tmp_path):
             "input": path, "output_dir": out, "prevalence": "beta"}))
 
 
+def test_report_reads_every_point_policy_in_one_summaries_batch(
+        tmp_path, monkeypatch):
+    # the seven point-valued strategies and a configured point value are
+    # resolved first; their mu_A, mu_B and overall summaries are then one
+    # functional_summaries call of 3 rows each
+    calls = []
+    summaries = camsmeta.FitResult.functional_summaries
+    monkeypatch.setattr(camsmeta.FitResult, "functional_summaries",
+                        lambda self, specs: calls.append(len(specs))
+                        or summaries(self, specs))
+    cfg = RunConfig.from_sources(None, {
+        "input": make_input(tmp_path), "output_dir": str(tmp_path / "rep"),
+        "grid_nodes": "21", "prevalence": "point", "prevalence_value": "0.3",
+        "beta_a": "2", "beta_b": "5", "draws": "2000"})
+    assert run("report", cfg) == EXIT_OK
+    assert calls == [3 * (len(STRATEGY_KINDS) + 1)]
+
+
+@pytest.mark.parametrize("svg", ["false", "true"])
+def test_plotdata_reads_lines_and_width_curve_in_one_batch(tmp_path,
+                                                           monkeypatch, svg):
+    # the bubble-line medians and the width curve share one quantile batch
+    # of 41 prevalences x 2 lines; only the SVG marker runs optimal_if
+    calls = []
+    quantiles = camsmeta.FitResult.functional_quantiles
+    monkeypatch.setattr(camsmeta.FitResult, "functional_quantiles",
+                        lambda self, specs, levels: calls.append(
+                            (len(specs), tuple(levels)))
+                        or quantiles(self, specs, levels))
+    cfg = RunConfig.from_sources(None, {
+        "input": make_input(tmp_path), "output_dir": str(tmp_path / "plots"),
+        "grid_nodes": "21", "svg": svg})
+    assert run("plotdata", cfg) == EXIT_OK
+    assert calls[0] == (2 * 41, (0.5, 0.025, 0.975))
+    marker = calls[1:]
+    assert not marker if svg == "false" else 1 <= len(marker) <= 3
+    rows = open(os.path.join(str(tmp_path / "plots"),
+                             "width_curve.csv")).read().splitlines()
+    assert len(rows) == 42
+
+
 def test_report_reference_bms_honours_alpha_heterogeneity(tmp_path):
     path = make_input(tmp_path)
     out = str(tmp_path / "rep")

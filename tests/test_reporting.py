@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from camsmeta import gaussmix, inference
-from camsmeta.errors import (ContractError, DomainError, ExtrapolationWarning,
-                             GridEdgeWarning, ValidationWarning)
+from camsmeta import gaussmix, inference, reporting
+from camsmeta.errors import (CamsmetaWarning, ContractError, DomainError,
+                             ExtrapolationWarning, GridEdgeWarning,
+                             ValidationWarning)
 from camsmeta.inference import GridSpec, PriorSpec, fit_bim, fit_bms, fit_cams
 from camsmeta.model_core import MetaDataset, StudyRecord, SubgroupObservation
 from camsmeta.reporting import (RISK_GRID, STRATEGY_KINDS, PrevalenceSpec,
@@ -20,7 +21,7 @@ from camsmeta.reporting import (RISK_GRID, STRATEGY_KINDS, PrevalenceSpec,
                                 marginalize_prevalence, optimal_if,
                                 overall_if, report_effects,
                                 strategy_prevalence)
-from camsmeta.verify import SimScenario, simulate
+from camsmeta.verify import SimScenario, leverage_scenario, simulate
 
 
 def sim_data(seed=11, n=7, gamma=0.3, tau_gamma=0.12, uisd=1.0):
@@ -66,8 +67,8 @@ def test_prevalence_spec_validation():
         PrevalenceSpec("point")  # needs a value
     with pytest.raises(ContractError):
         PrevalenceSpec.beta(2, 5, draws=10)  # too few draws
-    with pytest.raises(ContractError):
-        PrevalenceSpec("point", value=0.3, draws=10)
+    # only a beta law draws, so only it needs enough draws
+    assert PrevalenceSpec("point", value=0.3, draws=10).mean() == 0.3
     spec = PrevalenceSpec.beta(2.0, 5.0)
     assert spec.mean() == pytest.approx(2.0 / 7.0)
 
@@ -132,15 +133,36 @@ def test_overall_if_within_range(fitted):
     assert data.info_fractions.min() <= pi_star <= data.info_fractions.max()
 
 
+def exact_widths(fit, pis) -> np.ndarray:
+    """The combined width of the two subgroup 95% intervals at each
+    prevalence, from one quantile batch."""
+    specs = [{"alpha": 1.0, "delta": float(p), "gamma": g}
+             for g in (0.0, 1.0) for p in pis]
+    qs = fit.functional_quantiles(specs, (0.025, 0.975))
+    span = (qs[:, 1] - qs[:, 0]).reshape(2, len(pis))
+    return span[0] + span[1]
+
+
+SCAN_PI = np.linspace(0.0, 1.0, 41)
+
+
+def scan_reference(fit):
+    """The optimal prevalence and its width found without any locator: the
+    exact widths at all 41 scan points, refined by ``_scan_min``."""
+    pi, _, _ = reporting._scan_min(lambda pis: exact_widths(fit, pis),
+                                   0.0, 1.0, 41)
+    return pi, float(exact_widths(fit, [pi])[0])
+
+
 def test_optimal_if_properties(fitted):
     _, cams, _ = fitted
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtrapolationWarning)
         opt = optimal_if(cams)
     assert 0.0 <= opt.pi_opt <= 1.0
-    assert opt.curve_pi.shape == opt.curve_width.shape == (41,)
-    # the refined optimum cannot be worse than any curve sample
-    assert opt.width <= opt.curve_width.min() + 1e-12
+    assert opt.flat_range is None
+    # the refined optimum cannot be worse than any sample of the exact scan
+    assert opt.width <= exact_widths(cams, SCAN_PI).min() + 1e-12
     with pytest.raises(ContractError):
         optimal_if(cams, search_range=(0.8, 0.2))
 
@@ -194,20 +216,90 @@ def test_optimal_if_matches_a_tight_golden_section(n_studies, uisd, seed,
         opt = optimal_if(cams)
 
     def width(p):
-        qs = cams.functional_quantiles(
-            [{"alpha": 1.0, "delta": p}, {"alpha": 1.0, "delta": p, "gamma": 1.0}],
-            (0.025, 0.975))
-        return float((qs[:, 1] - qs[:, 0]).sum())
+        return float(exact_widths(cams, [p])[0])
 
-    best = int(np.argmin(opt.curve_width))
-    want = golden_argmin(width, opt.curve_pi[max(best - 1, 0)],
-                         opt.curve_pi[min(best + 1, 40)])
+    # the bracket of the best point of the exact 41-point scan
+    best = int(np.argmin(exact_widths(cams, SCAN_PI)))
+    want = golden_argmin(width, SCAN_PI[max(best - 1, 0)],
+                         SCAN_PI[min(best + 1, 40)])
     assert abs(opt.pi_opt - want) <= 1e-5
 
 
+@pytest.mark.parametrize("scenario, nodes", [
+    *[(SimScenario(n_studies=j, gamma=0.3, tau=0.1, tau_gamma=0.1, seed=seed),
+       61) for j in (3, 8, 15) for seed in range(5)],
+    *[(leverage_scenario(seed), 61) for seed in range(3)],
+], ids=lambda v: (f"J{v.n_studies}-seed{v.seed}"
+                  if isinstance(v, SimScenario) else str(v)))
+def test_optimal_if_locator_matches_the_full_scan(scenario, nodes):
+    # the closed-form locator reads 9 prevalences instead of the scan's 41,
+    # and changes neither the optimum nor its width by a bit
+    priors = PriorSpec()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CamsmetaWarning)
+        cams = fit_cams(simulate(scenario), priors,
+                        GridSpec.default(priors, nodes))
+        with recorded_quantile_reads() as reads:
+            opt = optimal_if(cams)
+    assert (opt.pi_opt, opt.width) == scan_reference(cams)
+    assert sum(map(len, reads)) <= 2 * 9
+
+
+def test_optimal_if_walks_from_a_wrong_start(fitted):
+    # a locator that starts at the far end of the scan from the optimum
+    # still reaches it, reading outward batch by batch
+    _, cams, _ = fitted
+    want = scan_reference(cams)
+    far_end = -SCAN_PI if want[0] < 0.5 else SCAN_PI
+    with mock.patch.object(reporting, "_line_sd_sum",
+                           lambda fit, pis: far_end.copy()), \
+            recorded_quantile_reads() as reads:
+        opt = optimal_if(cams)
+    assert (opt.pi_opt, opt.width) == want
+    assert len(reads) > 3
+
+
+def test_optimal_if_flat_width_reads_the_whole_scan(fitted):
+    # delta an atom at 0 at every lattice node makes both subgroup lines
+    # the same mixture at every prevalence: no optimum, the whole range is
+    # reported. (A location prior on delta tight enough for this, sd 1e-9
+    # or less, makes the per-node GLS system numerically singular.)
+    _, cams, _ = fitted
+    grid = cams.grid
+    mean, cov = grid.cond_mean.copy(), grid.cond_cov.copy()
+    k = grid.param_names.index("delta")
+    mean[..., k] = 0.0
+    cov[..., k, :] = cov[..., :, k] = 0.0
+    pinned = dataclasses.replace(cams, grid=dataclasses.replace(
+        grid, cond_mean=mean, cond_cov=cov))
+    with recorded_quantile_reads() as reads:
+        opt = optimal_if(pinned, search_range=(0.2, 0.6))
+    assert opt.flat_range == (0.2, 0.6) and opt.pi_opt == 0.4
+    assert opt.width == exact_widths(pinned, [0.2])[0]
+    assert [len(r) for r in reads] == [2 * 41]
+
+
+def test_optimal_if_reads_few_prevalences(fitted):
+    # the locator's five scan points, the refining triple and the optimum:
+    # 9 prevalences (each two lines) in 3 batches, instead of 45
+    _, cams, _ = fitted
+    priors = PriorSpec()
+    grid = GridSpec.default(priors, n_nodes=101)
+    fits = [cams] + [fit_cams(simulate(SimScenario(
+        n_studies=8, gamma=0.3, tau=0.1, tau_gamma=0.1, uisd=1.0,
+        seed=seed)), priors, grid) for seed in range(8)]
+    for fit in fits:
+        with warnings.catch_warnings(), recorded_quantile_reads() as reads:
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            optimal_if(fit)
+        assert len(reads) <= 3
+        assert len(set(np.concatenate(reads).tolist())) <= 9
+
+
 def test_prevalence_searches_read_few_quantile_batches(fitted):
-    # the 41-point width scan, one refining triple and the optimum's width;
-    # the closeness fallback is a 101-point scan and one refining triple
+    # the located width window, one refining triple and the optimum's
+    # width; the closeness fallback is a 101-point scan and one refining
+    # triple
     data, cams, bms = fitted
     with recorded_quantile_reads() as reads:
         optimal_if(cams)

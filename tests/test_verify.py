@@ -177,6 +177,25 @@ def test_check_bayes_optimum():
     assert rep["pass"]
     assert rep["tier"] == "grid" and rep["tolerance"] == TOL_GRID
     assert "draws" not in rep
+    assert rep["curve_gap"] <= 1e-13 and rep["curve_tolerance"] == verify.TOL_EXACT
+
+
+@pytest.mark.parametrize("loss", ["squared", "absolute"])
+def test_check_bayes_optimum_fails_on_a_wrong_delta_moment(monkeypatch,
+                                                           loss):
+    # the risk curve is checked against the delta moment of the independent
+    # oracle lattice, so a delta posterior read 1e-8 off fails the check
+    # while its argmin, which the prevalence factor alone sets, stays put
+    moments = reporting._functional_moments
+
+    def shifted(grid, vecs):
+        mean, sd = moments(grid, vecs)
+        return mean * (1.0 + 1e-8), sd
+
+    monkeypatch.setattr(reporting, "_functional_moments", shifted)
+    rep = check_bayes_optimum((2.0, 8.0), loss=loss)
+    assert not rep["pass"]
+    assert rep["curve_gap"] > verify.TOL_EXACT and rep["gap"] < TOL_GRID
 
 
 def test_check_bayes_optimum_fails_on_a_wrong_law(monkeypatch):
