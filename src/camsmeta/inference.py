@@ -363,17 +363,19 @@ def _prior_blocks(priors: PriorSpec, functionals: dict, n_studies: int,
 
 
 def _scalar_stats(y: np.ndarray, x: np.ndarray, var: np.ndarray,
-                  het2: np.ndarray):
-    """(X'WX, X'Wy, y'Wy, sum log V) of one block of independent scalar
+                  het2: np.ndarray, theta0: np.ndarray):
+    """(X'WX, X'Wr, r'Wr, sum log V) of one block of independent scalar
     observations at every node, node axes last: shapes (p, p, T, G), (p, T,
-    G), (T, G) and (T, G). y is (..., n), design rows x (..., n, p),
+    G), (T, G) and (T, G), for the residuals r = y - x theta0 from a
+    centre theta0 (p,). y is (..., n), design rows x (..., n, p),
     sampling variance var (..., n) plus the heterogeneity het2 (T, G), so
     V = var + het2 and W = 1/V. Leading axes broadcast against the (T, G)
     lattice and may be singletons; y and x are node-free or vary along the
     tau_gamma axis alone, with one leading axis of length G. All three
     statistics are matmuls of W against the per-study outer products of the
-    rows [x | y]. A DomainError when W, log V or a statistic is not
-    finite."""
+    rows [x | r], r formed per chunk too. A DomainError when W or log V is
+    not finite; a statistic that overflows is left for the caller to
+    refuse."""
     rows = np.concatenate([x, y[..., None]], axis=-1)
     n, q = rows.shape[-2:]
     node_free = rows.ndim == 2
@@ -398,26 +400,27 @@ def _scalar_stats(y: np.ndarray, x: np.ndarray, var: np.ndarray,
             raise DomainError(
                 "a study covariance overflows or underflows float64 when "
                 "inverted; are the standard errors on an extreme scale?")
-        # an overflow is refused below, with the scale that caused it
+        # rows is this function's own copy, centred in place; node-free
+        # rows take this loop once
         with np.errstate(over="ignore", invalid="ignore"):
+            chunk = rows if node_free else rows[blk]
+            chunk[..., -1] -= chunk[..., :-1] @ theta0
             if node_free:
-                stats[:, :, blk] = (_outer(rows).T
+                stats[:, :, blk] = (_outer(chunk).T
                                     @ w.reshape(-1, n).T).reshape(stats.shape)
             else:
                 stats[:, :, blk] = (np.swapaxes(w, 0, 1)
-                                    @ _outer(rows[blk])).transpose(2, 1, 0)
+                                    @ _outer(chunk)).transpose(2, 1, 0)
         logdet[:, blk] = log_v.sum(axis=-1)
-    if not np.isfinite(stats).all():
-        raise _overflow_error("y'Wy", [y], [var])
     stats = stats.reshape((q, q) + het2.shape)
     return stats[:-1, :-1], stats[:-1, -1], stats[-1, -1], logdet
 
 
-def _overflow_error(statistic: str, ys, variances) -> DomainError:
+def _overflow_error(statistic: str, blocks) -> DomainError:
     """The error for a GLS statistic that overflows float64, with the size
-    of the responses ``ys`` and the smallest of their ``variances``."""
-    big = max(float(np.abs(y).max()) for y in ys)
-    small = min(float(np.min(v)) for v in variances)
+    of the blocks' responses and the smallest of their variances."""
+    big = max(float(np.abs(y).max()) for y, _, _, _ in blocks)
+    small = min(float(np.min(v)) for _, _, v, _ in blocks)
     return DomainError(
         f"{statistic} overflows float64: estimates or location-prior means "
         f"reach {big:.3g} against sampling variances down to {small:.3g}; "
@@ -461,16 +464,13 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
     rank; every node's system is projected onto them by one (r^2, p^2) x
     (p^2, nodes) product and Cholesky-factored once (``_cholesky_rows``),
     which yields the conditional mean, the conditional covariance (zero
-    along flat directions) and the log determinant. The per-node algebra
-    runs node-last: every entry of the small systems is one contiguous
-    vector over the lattice, and only the conditional moments are written
-    node-first.
+    along flat directions) and the log determinant. Every response is
+    first centred on a pilot solution (``_pilot``), so that y'Wy and
+    b'theta are residual-sized and their difference in the log marginal
+    does not cancel. The per-node algebra runs node-last: every entry of
+    the small systems is one contiguous vector over the lattice, and only
+    the conditional moments are written node-first.
     """
-    # each block's statistics are finite; an overflow of their sum is
-    # refused below, with the scale that caused it
-    with np.errstate(over="ignore"):
-        a, bvec, quad, logdet_sum = map(sum, zip(*(_scalar_stats(*block)
-                                                   for block in blocks)))
     p = len(param_names)
     stacked = np.concatenate([x[(0,) * (x.ndim - 2)] for _, x, _, _ in blocks])
 
@@ -479,6 +479,16 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
     _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
     tol = svals.max() * max(stacked.shape) * np.finfo(float).eps
     rank = int((svals > tol).sum())
+    identified = vt[:rank]
+
+    theta0 = _pilot(blocks, identified)
+    # an overflow is refused with the scale of the raw responses: of the
+    # centred statistics here, of the uncentred y'Wy below
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, bvec, quad, logdet_sum = map(sum, zip(*(
+            _scalar_stats(*block, theta0) for block in blocks)))
+    if not all(np.isfinite(v).all() for v in (a, bvec, quad)):
+        raise _overflow_error("y'Wy", blocks)
     if rank < p:
         pretty = ["; ".join(
             f"{c:+.3f}*{n}" for c, n in zip(d, param_names) if abs(c) > 1e-9)
@@ -487,24 +497,36 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
             f"design is rank deficient ({rank} < {p}); flat directions: "
             f"{pretty}; summaries along them are prior-driven only",
             IdentifiabilityWarning, stacklevel=3)
-    identified = vt[:rank]
     nodes = quad.shape
     system = (np.kron(identified, identified) @ a.reshape(p * p, -1)).reshape(
         (rank, rank) + nodes)
-    diag, root_t = _cholesky_rows(system, identified, tau_nodes, tg_nodes)
+    try:
+        diag, root_t = _cholesky_rows(system, identified, tau_nodes, tg_nodes)
+    except DomainError as exc:
+        if not priors.location_prior:
+            raise
+        named = ", ".join(f"{name} (sd {sd:g})"
+                          for name, _, sd in priors.location_prior)
+        raise DomainError(f"{exc}, or loosen a location prior that is too "
+                          f"tight for the data: {named}") from None
     # cond_cov = root_t' root_t is the inverse of a on the identified
     # directions, and u'u = b'theta
     with np.errstate(over="ignore", invalid="ignore"):
         u = [sum(root_t[i, k] * bvec[k] for k in range(p))
              for i in range(rank)]
         fitted = sum(ui * ui for ui in u)
-    if not (np.isfinite(quad).all() and np.isfinite(fitted).all()):
-        raise _overflow_error("y'Wy or b'theta", [y for y, _, _, _ in blocks],
-                              [v for _, _, v, _ in blocks])
+        # the fit needs only the centred sums, but data whose own y'Wy,
+        # y_c'Wy_c + theta0'(2 b_c + A theta0), overflows are refused too
+        a_theta0 = (theta0 @ a.reshape(p, -1)).reshape(bvec.shape)
+        raw_quad = quad.ravel() + theta0 @ (2.0 * bvec
+                                            + a_theta0).reshape(p, -1)
+    if not all(np.isfinite(v).all() for v in (fitted, raw_quad)):
+        raise _overflow_error("y'Wy or b'theta", blocks)
     theta = np.empty(nodes + (p,))
     cond_cov = np.empty(nodes + (p, p))
     for k in range(p):
-        theta[..., k] = sum(u[i] * root_t[i, k] for i in range(rank))
+        theta[..., k] = theta0[k] + sum(u[i] * root_t[i, k]
+                                        for i in range(rank))
         for m in range(k + 1):
             cond_cov[..., k, m] = cond_cov[..., m, k] = sum(
                 root_t[i, k] * root_t[i, m] for i in range(rank))
@@ -521,6 +543,32 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
                               theta, cond_cov, tuple(param_names), scale_names)
     _warn_grid_edge(posterior)
     return posterior
+
+
+def _pilot(blocks, identified: np.ndarray) -> np.ndarray:
+    """The GLS solution at the first lattice node (tau = tau_gamma = 0),
+    solved on the ``identified`` directions V (r, p) alone by
+    ``_cholesky_rows``, so that centring on it leaves the flat ones at 0;
+    0 where that fails. Only its closeness to the solution matters, not its
+    accuracy: any theta0 leaves the log marginal unchanged."""
+    p = identified.shape[1]
+    a0, b0 = np.zeros((p, p)), np.zeros(p)
+    with np.errstate(all="ignore"):
+        for y, x, var, het2 in blocks:
+            x0 = x[(0,) * (x.ndim - 2)]
+            w0 = 1.0 / (var[(0,) * (var.ndim - 1)] + het2[0, 0])
+            a0 += x0.T @ (w0[:, None] * x0)
+            b0 += x0.T @ (w0 * y[(0,) * (y.ndim - 1)])
+        system = (identified @ a0 @ identified.T)[:, :, None, None]
+        try:
+            _, root_t = _cholesky_rows(system, identified, np.zeros(1),
+                                       np.zeros(1))
+        except DomainError:
+            return np.zeros(p)
+        # V'(V A V')^-1 V b = (L^-1 V)'(L^-1 V) b
+        root_t = root_t[:, :, 0, 0]
+        theta0 = root_t.T @ (root_t @ b0)
+    return theta0 if np.isfinite(theta0).all() else np.zeros(p)
 
 
 def _cholesky_rows(system: np.ndarray, rows: np.ndarray,

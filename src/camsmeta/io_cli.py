@@ -308,7 +308,6 @@ _CONFIG_SCHEMA = {
     "prevalence_value": (_opt_float, None),
     "beta_a": (_opt_float, None),
     "beta_b": (_opt_float, None),
-    "draws": (int, 20000),
     "seed": (int, 0),
     "scale_label": (str, "log-RR"),
     "exponentiated_input": (_parse_bool, False),
@@ -512,7 +511,7 @@ def _prevalence_spec(config: RunConfig, kind: str) -> PrevalenceSpec:
         if config.beta_a is None or config.beta_b is None:
             raise ContractError("prevalence=beta needs beta_a and beta_b")
         return PrevalenceSpec.beta(config.beta_a, config.beta_b,
-                                   draws=config.draws, seed=config.seed)
+                                   seed=config.seed)
     return PrevalenceSpec(kind, value=config.prevalence_value)
 
 
@@ -790,10 +789,8 @@ def run(command: str, config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="camsmeta",
-        description="Contribution-adjusted Bayesian subgroup meta-analysis")
-    sub = parser.add_subparsers(dest="command", required=True)
+    """The command and every config key as one flag each; every command
+    takes every flag and reads the keys it needs."""
     helps = {
         "fit": "fit the configured estimators and write one JSON each",
         "report": "report effects under the configured prevalence policy",
@@ -801,12 +798,18 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate": "write a synthetic dataset CSV",
         "plotdata": "write forest/bubble/width/trace plot data",
     }
-    for name, help_text in helps.items():
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", default=None, metavar="PATH",
+    parser = argparse.ArgumentParser(
+        prog="camsmeta",
+        description="Contribution-adjusted Bayesian subgroup meta-analysis",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<10}{text}" for name, text in helps.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS,
+                        help="the command to run (listed below)")
+    parser.add_argument("--config", default=None, metavar="PATH",
                         help="key = value configuration file")
-        for key in _CONFIG_SCHEMA:
-            sp.add_argument(f"--{key.replace('_', '-')}", dest=key,
+    for key in _CONFIG_SCHEMA:
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
                             default=None, metavar="V",
                             help=f"override config key {key}")
     return parser

@@ -36,12 +36,15 @@ STRATEGY_KINDS = ("average", "trial_weighted", "overall_if", "optimal_if",
 
 _ROOT_TOL = 1e-10
 
+# joint Monte Carlo draws of a Beta-marginalized report
+BETA_DRAWS = 20000
+
 # the reporting prevalences at which bayes_risk reads the risk
 RISK_GRID = np.linspace(0.0, 1.0, 101)
 
 # optimal_if: scan points, exact widths read on each side of the sd sum's
 # argmin (and per step further out), and the range of the sd sum below
-# which every scan point is read (100x the width's own flatness test)
+# which the width is flat in the prevalence
 _OPT_POINTS = 41
 _WALK_REACH = 2
 _FLAT_SD = 1e-8
@@ -56,12 +59,12 @@ class PrevalenceSpec:
     (mixture) distribution to marginalize over.
 
     ``components`` holds (weight, a, b) triples; weights are normalized.
+    ``seed`` seeds a beta law's BETA_DRAWS draws; the other kinds ignore it.
     """
 
     kind: str
     value: float | None = None
     components: tuple = ()
-    draws: int = 20000
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -70,10 +73,6 @@ class PrevalenceSpec:
                 raise ContractError(f"{self.kind} prevalence needs a value")
             _check_unit_interval(float(self.value), "prevalence")
         elif self.kind == "beta":
-            # only a beta law draws; the other kinds ignore draws and seed
-            if self.draws < 1000:
-                raise ContractError(
-                    "distributional reporting needs >= 1000 draws")
             comps = tuple((float(w), float(a), float(b))
                           for w, a, b in self.components)
             if not comps:
@@ -92,9 +91,8 @@ class PrevalenceSpec:
         return cls("point", value=value)
 
     @classmethod
-    def beta(cls, a: float, b: float, draws: int = 20000,
-             seed: int = 0) -> "PrevalenceSpec":
-        return cls("beta", components=((1.0, a, b),), draws=draws, seed=seed)
+    def beta(cls, a: float, b: float, seed: int = 0) -> "PrevalenceSpec":
+        return cls("beta", components=((1.0, a, b),), seed=seed)
 
     def mean(self) -> float:
         if self.kind in ("point", "external"):
@@ -139,9 +137,9 @@ class ReportedEffects:
 @dataclass(frozen=True)
 class OptimalIF:
     """Argmin of the combined subgroup interval width and the width there.
-    ``flat_range`` is set when the width does not depend on the prevalence
-    at all; ``pi_opt`` is then the middle of the range. The width curve
-    itself is ``plotdata``'s to read (width_curve.csv)."""
+    ``flat_range`` is (0, 1) when the width does not depend on the
+    prevalence; ``pi_opt`` is then 0.5. The width curve itself is
+    ``plotdata``'s to read (width_curve.csv)."""
 
     pi_opt: float
     width: float
@@ -219,15 +217,15 @@ def _vertex(x: np.ndarray, f: np.ndarray) -> float:
     return float(x[1] + 0.5 * (x[1] - x[0]) * (f[0] - f[2]) / bend)
 
 
-def _scan_min(values, lo: float, hi: float,
+def _scan_min(values,
               points: int) -> tuple[float | None, np.ndarray, np.ndarray]:
-    """Minimize ``values`` (vectorized over prevalences) on [lo, hi].
+    """Minimize ``values`` (vectorized over prevalences) on [0, 1].
 
     Scans ``points`` evenly spaced prevalences and refines the best one by
     ``_refine``. Returns (argmin, scan, curve); the argmin is None for a
     flat curve.
     """
-    scan = np.linspace(lo, hi, points)
+    scan = np.linspace(0.0, 1.0, points)
     curve = values(scan)
     if curve.max() - curve.min() < 1e-10:
         return None, scan, curve
@@ -294,26 +292,22 @@ def _line_sd_sum(fit: FitResult, pis: np.ndarray) -> np.ndarray:
     return total
 
 
-def optimal_if(fit: FitResult, search_range=(0.0, 1.0)) -> OptimalIF:
-    """Prevalence minimizing the combined width of the two subgroup 95%
-    intervals, and that width.
+def optimal_if(fit: FitResult) -> OptimalIF:
+    """Prevalence in [0, 1] minimizing the combined width of the two
+    subgroup 95% intervals, and that width.
 
     The argmin is that of the exact widths at _OPT_POINTS evenly spaced
     prevalences, refined by two parabolic steps (``_refine``). The closed-form
     sd sum of the two lines (``_line_sd_sum``) locates it: the exact widths
     are read at the sd sum's argmin and two neighbours on each side, and
     further out only while the smallest lies at an edge of what was read
-    (``_walk_min``). An sd sum flat to _FLAT_SD reads all _OPT_POINTS
-    widths, so that a flat width curve is told apart (``flat_range``).
+    (``_walk_min``). An sd sum flat to _FLAT_SD means a flat width
+    (``flat_range``): a line's sd stays put in pi only if delta is an atom
+    uncorrelated with alpha, and then every line is a translate of one law.
     Warns when the minimizer lies outside the observed information
     fractions, since the subgroup lines are extrapolated there.
     """
     _require_cams(fit)
-    lo, hi = float(search_range[0]), float(search_range[1])
-    if lo >= hi:
-        raise ContractError(f"empty search range [{lo}, {hi}]")
-    _check_unit_interval(lo, "search range low")
-    _check_unit_interval(hi, "search range high")
 
     def widths(pis) -> np.ndarray:
         specs = [{"alpha": 1.0, "delta": float(p), "gamma": g}
@@ -322,16 +316,12 @@ def optimal_if(fit: FitResult, search_range=(0.0, 1.0)) -> OptimalIF:
         span = (qs[:, 1] - qs[:, 0]).reshape(2, len(pis))
         return span[0] + span[1]
 
-    scan = np.linspace(lo, hi, _OPT_POINTS)
+    scan = np.linspace(0.0, 1.0, _OPT_POINTS)
     sd_sum = _line_sd_sum(fit, scan)
     if sd_sum.max() - sd_sum.min() < _FLAT_SD:
-        pi_opt, _, curve = _scan_min(widths, lo, hi, _OPT_POINTS)
-        if pi_opt is None:
-            return OptimalIF(0.5 * (lo + hi), float(curve[0]),
-                             flat_range=(lo, hi))
-    else:
-        pi_opt = _refine(widths, scan,
-                         *_walk_min(widths, scan, int(np.argmin(sd_sum))))
+        return OptimalIF(0.5, float(widths([0.5])[0]), flat_range=(0.0, 1.0))
+    pi_opt = _refine(widths, scan,
+                     *_walk_min(widths, scan, int(np.argmin(sd_sum))))
     pifs = fit.provenance.get("info_fractions")
     if pifs and not (min(pifs) <= pi_opt <= max(pifs)):
         warnings.warn(
@@ -406,7 +396,7 @@ def _closeness(fit: FitResult, reference: FitResult, subgroup: str) -> float:
     def distances(pis) -> np.ndarray:
         return np.abs(fit.functional_quantiles(specs(pis), (0.5,))[:, 0] - target)
 
-    pi, _, _ = _scan_min(distances, 0.0, 1.0, 101)
+    pi, _, _ = _scan_min(distances, 101)
     # a subgroup line flat in the prevalence is equally close everywhere
     return 0.5 if pi is None else pi
 
@@ -497,7 +487,7 @@ def marginalize_prevalence(fit: FitResult,
 
     A point or external law is exact: ``effects_at`` its value. A beta law
     is joint Monte Carlo over (alpha, delta, gamma) from the posterior
-    mixture and pi from ``spec``, ``spec.draws`` draws from one generator
+    mixture and pi from ``spec``, BETA_DRAWS draws from one generator
     seeded with ``spec.seed``; mu_B is mu_A + gamma draw for draw, and the
     interaction summary is the exact grid functional.
     """
@@ -517,14 +507,14 @@ def marginalize_prevalence(fit: FitResult,
     vals, vecs = np.linalg.eigh(cov)
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) \
         @ vecs.swapaxes(-1, -2)
-    idx = rng.choice(w.size, size=spec.draws, p=w)
-    z = rng.standard_normal((spec.draws, p))
+    idx = rng.choice(w.size, size=BETA_DRAWS, p=w)
+    z = rng.standard_normal((BETA_DRAWS, p))
     theta = mean[idx] + np.einsum("npq,nq->np", root[idx], z)
     wts, aa, bb = np.array(spec.components).T
     if wts.size == 1:
-        pis = rng.beta(aa[0], bb[0], size=spec.draws)
+        pis = rng.beta(aa[0], bb[0], size=BETA_DRAWS)
     else:
-        ci = rng.choice(wts.size, size=spec.draws, p=wts)
+        ci = rng.choice(wts.size, size=BETA_DRAWS, p=wts)
         pis = rng.beta(aa[ci], bb[ci])
     alpha = theta @ fit.functionals["alpha"]
     delta = theta @ fit.functionals["delta"]
@@ -533,7 +523,7 @@ def marginalize_prevalence(fit: FitResult,
     mu_b = mu_a + gamma
     overall = alpha + (delta + gamma) * pis
     used = {"kind": "beta", "components": [list(c) for c in spec.components],
-            "mean": spec.mean(), "draws": spec.draws, "seed": spec.seed}
+            "mean": spec.mean(), "draws": BETA_DRAWS, "seed": spec.seed}
     return ReportedEffects(_mc_summary(mu_a), _mc_summary(mu_b),
                            _mc_summary(overall), fit.summaries["gamma"], used)
 
@@ -700,7 +690,7 @@ def bayes_risk(fit: FitResult, spec: PrevalenceSpec,
         lower, dens = _normal_cdf(z)
         scale = float(w @ (s * math.sqrt(2.0 / math.pi) * dens
                            + m * (1.0 - 2.0 * lower)))
-    argmin, _, curve = _scan_min(factor, 0.0, 1.0, RISK_GRID.size)
+    argmin, _, curve = _scan_min(factor, RISK_GRID.size)
     # only an absolute-loss factor of a law with half its mass at each of 0
     # and 1 is flat; every reporting prevalence is then equally risky
     return scale * curve, 0.5 if argmin is None else argmin

@@ -209,8 +209,7 @@ def test_criterion_09_leverage_protection(announce):
 
 def _pipeline(workdir):
     os.makedirs(workdir, exist_ok=True)
-    base = ["--output-dir", workdir, "--grid-nodes", "31",
-            "--draws", "2000", "--seed", "0"]
+    base = ["--output-dir", workdir, "--grid-nodes", "31", "--seed", "0"]
     assert cm.main(["simulate", *base, "--sim-studies", "6",
                     "--sim-uisd", "1.0"]) == 0
     inp = os.path.join(workdir, "simulated.csv")

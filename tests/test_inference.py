@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -281,8 +281,10 @@ def test_functional_mixture_is_what_the_batched_readers_read():
 
 
 def node_first_stats(blocks):
-    """The summed ``_scalar_stats`` of ``blocks``, node axes moved first."""
-    a, b, quad, logdet = map(sum, zip(*(_scalar_stats(*blk) for blk in blocks)))
+    """The summed ``_scalar_stats`` of ``blocks``, uncentred, node axes moved
+    first."""
+    a, b, quad, logdet = map(sum, zip(*(
+        _scalar_stats(*blk, np.zeros(blk[1].shape[-1])) for blk in blocks)))
     return np.moveaxis(a, (0, 1), (-2, -1)), np.moveaxis(b, 0, -1), quad, logdet
 
 
@@ -964,6 +966,11 @@ EQUIVARIANCE_FITS = {
 @settings(max_examples=200, deadline=None)
 @given(arrays=pair_arrays(), n_nodes=st.integers(1, 21),
        power=st.integers(-8, 8))
+# uncentred, y'Wy - b'theta cancels here and moves the CAMS weights 1.5e-12
+@example(arrays=(np.array([[-1.0, -3.0], [1.0, -3.0], [1.0, 2.0]]),
+                 np.array([[0.1218, 0.177], [0.1063, 0.1444],
+                           [0.0901, 0.1102]])),
+         n_nodes=11, power=6)
 def test_scale_equivariance(case, arrays, n_nodes, power):
     # estimates, SEs and both prior scales (hence the grid nodes) times c:
     # every location and scale summary scales by c, the weights stay put

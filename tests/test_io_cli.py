@@ -13,7 +13,8 @@ import pytest
 import camsmeta
 from camsmeta.errors import ContractError, DomainError, ValidationWarning
 from camsmeta.inference import GridSpec, PriorSpec, fit_bms, fit_cams
-from camsmeta.io_cli import (EXIT_ERROR, EXIT_OK, EXIT_VERIFY_FAIL, RunConfig,
+from camsmeta.io_cli import (_COMMANDS, _CONFIG_SCHEMA, EXIT_ERROR, EXIT_OK,
+                             EXIT_VERIFY_FAIL, RunConfig, build_parser,
                              load_csv, main, run, save_csv)
 from camsmeta.reporting import STRATEGY_KINDS, strategy_prevalence
 from camsmeta.verify import SimScenario, simulate
@@ -227,7 +228,7 @@ def test_config_rejects_unknown_and_bad_values(tmp_path):
     with pytest.raises(ContractError, match="unknown key"):
         RunConfig.from_sources(path, {})
     with pytest.raises(ContractError, match="bad value"):
-        RunConfig.from_sources(None, {"draws": "many"})
+        RunConfig.from_sources(None, {"sim_studies": "many"})
     with pytest.raises(ContractError, match="key = value"):
         path2 = str(tmp_path / "run2.cfg")
         with open(path2, "w") as fh:
@@ -265,8 +266,7 @@ def test_run_report_covers_strategies(tmp_path):
     out = str(tmp_path / "rep")
     cfg = RunConfig.from_sources(None, {
         "input": path, "output_dir": out, "grid_nodes": "21",
-        "prevalence_value": "0.3", "beta_a": "2", "beta_b": "5",
-        "draws": "2000"})
+        "prevalence_value": "0.3", "beta_a": "2", "beta_b": "5"})
     assert run("report", cfg) == EXIT_OK
     blob = json.load(open(os.path.join(out, "report.json")))
     strat = blob["strategies"]
@@ -301,7 +301,7 @@ def test_report_configured_is_its_table_entry(tmp_path, kind):
     cfg = RunConfig.from_sources(None, {
         "input": path, "output_dir": out, "grid_nodes": "21",
         "prevalence": kind, "prevalence_value": "0.3", "beta_a": "2",
-        "beta_b": "5", "draws": "2000", "seed": "3"})
+        "beta_b": "5", "seed": "3"})
     assert run("report", cfg) == EXIT_OK
     blob = json.load(open(os.path.join(out, "report.json")))
     assert blob["configured"] == blob["strategies"][kind]
@@ -344,7 +344,7 @@ def test_report_reads_every_point_policy_in_one_summaries_batch(
     cfg = RunConfig.from_sources(None, {
         "input": make_input(tmp_path), "output_dir": str(tmp_path / "rep"),
         "grid_nodes": "21", "prevalence": "point", "prevalence_value": "0.3",
-        "beta_a": "2", "beta_b": "5", "draws": "2000"})
+        "beta_a": "2", "beta_b": "5"})
     assert run("report", cfg) == EXIT_OK
     assert calls == [3 * (len(STRATEGY_KINDS) + 1)]
 
@@ -579,7 +579,8 @@ def test_bad_prior_scale_is_refused_up_front(tmp_path, capsys, command, flag,
     ("estimators = cams,bim,foo\n", "unknown estimator 'foo'"),
     ("estimators = bim,cams\nparametrization = implicit\n",
      "unknown key 'parametrization'"),
-], ids=["estimator", "parametrization"])
+    ("draws = 5\n", "unknown key 'draws'"),
+], ids=["estimator", "parametrization", "draws"])
 def test_fit_refuses_a_bad_config_before_any_fit(tmp_path, capsys, config,
                                                  why):
     # the config is checked whole, so no fit_*.json is written before the
@@ -631,6 +632,31 @@ def test_parametrization_flag_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --parametrization" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_draws_flag_is_a_usage_error(tmp_path, capsys):
+    # a Beta report always takes reporting.BETA_DRAWS draws
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--input", str(tmp_path / "absent.csv"),
+              "--beta-a", "2", "--beta-b", "3", "--draws", "2000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --draws" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_parser_declares_each_flag_once():
+    # one parser: the command, --config and one flag per config key
+    parser = build_parser()
+    declared = [a for a in parser._actions if a.dest != "help"]
+    assert len(declared) == 2 + len(_CONFIG_SCHEMA) == 28
+    flags = [s for a in declared for s in a.option_strings]
+    assert len(flags) == len(set(flags)) == 1 + len(_CONFIG_SCHEMA)
+    for command in _COMMANDS:
+        args = parser.parse_args([command, "--seed", "3"])
+        assert (args.command, args.seed, args.config) == (command, "3", None)
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["transmogrify"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("factor", [1e100, 1e150])

@@ -14,8 +14,8 @@ from camsmeta.errors import (CamsmetaWarning, ContractError, DomainError,
                              ValidationWarning)
 from camsmeta.inference import GridSpec, PriorSpec, fit_bim, fit_bms, fit_cams
 from camsmeta.model_core import MetaDataset, StudyRecord, SubgroupObservation
-from camsmeta.reporting import (RISK_GRID, STRATEGY_KINDS, PrevalenceSpec,
-                                _bracketed_root, _expit,
+from camsmeta.reporting import (BETA_DRAWS, RISK_GRID, STRATEGY_KINDS,
+                                PrevalenceSpec, _bracketed_root, _expit,
                                 _log_expit, _logsumexp, bayes_risk,
                                 beta_moments, effects_at, fit_map_prevalence,
                                 marginalize_prevalence, optimal_if,
@@ -65,10 +65,6 @@ def test_prevalence_spec_validation():
         PrevalenceSpec("nonsense")
     with pytest.raises(ContractError):
         PrevalenceSpec("point")  # needs a value
-    with pytest.raises(ContractError):
-        PrevalenceSpec.beta(2, 5, draws=10)  # too few draws
-    # only a beta law draws, so only it needs enough draws
-    assert PrevalenceSpec("point", value=0.3, draws=10).mean() == 0.3
     spec = PrevalenceSpec.beta(2.0, 5.0)
     assert spec.mean() == pytest.approx(2.0 / 7.0)
 
@@ -149,8 +145,7 @@ SCAN_PI = np.linspace(0.0, 1.0, 41)
 def scan_reference(fit):
     """The optimal prevalence and its width found without any locator: the
     exact widths at all 41 scan points, refined by ``_scan_min``."""
-    pi, _, _ = reporting._scan_min(lambda pis: exact_widths(fit, pis),
-                                   0.0, 1.0, 41)
+    pi, _, _ = reporting._scan_min(lambda pis: exact_widths(fit, pis), 41)
     return pi, float(exact_widths(fit, [pi])[0])
 
 
@@ -163,8 +158,6 @@ def test_optimal_if_properties(fitted):
     assert opt.flat_range is None
     # the refined optimum cannot be worse than any sample of the exact scan
     assert opt.width <= exact_widths(cams, SCAN_PI).min() + 1e-12
-    with pytest.raises(ContractError):
-        optimal_if(cams, search_range=(0.8, 0.2))
 
 
 def golden_argmin(f, a, b, tol=1e-9):
@@ -259,24 +252,44 @@ def test_optimal_if_walks_from_a_wrong_start(fitted):
     assert len(reads) > 3
 
 
-def test_optimal_if_flat_width_reads_the_whole_scan(fitted):
-    # delta an atom at 0 at every lattice node makes both subgroup lines
-    # the same mixture at every prevalence: no optimum, the whole range is
-    # reported. (A location prior on delta tight enough for this, sd 1e-9
-    # or less, makes the per-node GLS system numerically singular.)
-    _, cams, _ = fitted
-    grid = cams.grid
-    mean, cov = grid.cond_mean.copy(), grid.cond_cov.copy()
+def with_delta(fit, mean, cov):
+    """``fit`` with delta's conditional mean set to ``mean`` and its
+    conditional variance to ``cov`` at every lattice node, uncorrelated with
+    alpha and gamma."""
+    grid = fit.grid
+    cond_mean, cond_cov = grid.cond_mean.copy(), grid.cond_cov.copy()
     k = grid.param_names.index("delta")
-    mean[..., k] = 0.0
-    cov[..., k, :] = cov[..., :, k] = 0.0
-    pinned = dataclasses.replace(cams, grid=dataclasses.replace(
-        grid, cond_mean=mean, cond_cov=cov))
+    cond_mean[..., k] = mean
+    cond_cov[..., k, :] = cond_cov[..., :, k] = 0.0
+    cond_cov[..., k, k] = cov
+    return dataclasses.replace(fit, grid=dataclasses.replace(
+        grid, cond_mean=cond_mean, cond_cov=cond_cov))
+
+
+def test_optimal_if_flat_width_reads_one_prevalence(fitted):
+    # delta an atom at 0 at every lattice node makes both subgroup lines
+    # the same mixture at every prevalence: the sd sum is flat, so the
+    # whole range is reported after one width read. (A location prior on
+    # delta tight enough for this, sd 1e-8 or less, makes the per-node GLS
+    # system numerically singular.)
+    _, cams, _ = fitted
+    pinned = with_delta(cams, 0.0, 0.0)
     with recorded_quantile_reads() as reads:
-        opt = optimal_if(pinned, search_range=(0.2, 0.6))
-    assert opt.flat_range == (0.2, 0.6) and opt.pi_opt == 0.4
+        opt = optimal_if(pinned)
+    assert opt.flat_range == (0.0, 1.0) and opt.pi_opt == 0.5
     assert opt.width == exact_widths(pinned, [0.2])[0]
-    assert [len(r) for r in reads] == [2 * 41]
+    assert reads == [[0.5, 0.5]]
+
+
+@pytest.mark.parametrize("sd", [1e-12, 1e-8])
+def test_singular_node_names_a_tight_location_prior(sd):
+    priors = PriorSpec(location_prior=(("delta", 0.5, sd),))
+    with pytest.raises(DomainError) as info:
+        fit_cams(sim_data(), priors, GridSpec.default(priors, n_nodes=41))
+    message = str(info.value)
+    assert "numerically singular" in message and "tau_prior" in message
+    assert ("location prior that is too tight for the data: "
+            f"delta (sd {sd:g})") in message
 
 
 def test_optimal_if_reads_few_prevalences(fitted):
@@ -310,27 +323,32 @@ def test_prevalence_searches_read_few_quantile_batches(fitted):
     assert len(reads) <= 2
 
 
-@pytest.mark.parametrize("search_range, end", [((0.9, 1.0), 0.9),
-                                                ((0.0, 0.1), 0.1)])
-def test_optimal_if_at_an_end_reads_only_inside_its_range(fitted,
-                                                          search_range, end):
-    # the widths rise away from the observed fractions, so the optimum is
-    # the end of the range nearest them
+def test_optimal_if_at_the_low_end(fitted):
+    # delta with a constant mean and its own variance: both lines' sds grow
+    # with the prevalence, so the widths rise from pi = 0. The walk stops
+    # at the scan's end and the refinement is clamped to it.
     _, cams, _ = fitted
+    k = cams.grid.param_names.index("delta")
+    rising = with_delta(cams, 0.5, cams.grid.cond_cov[..., k, k])
     with recorded_quantile_reads() as reads, \
             pytest.warns(ExtrapolationWarning):
-        opt = optimal_if(cams, search_range=search_range)
-    read = np.concatenate(reads)
-    assert search_range[0] <= read.min() and read.max() <= search_range[1]
-    assert opt.pi_opt == end
+        opt = optimal_if(rising)
+    assert opt.pi_opt == 0.0
+    assert opt.width == exact_widths(rising, [0.0])[0]
+    assert reads[0] == 2 * SCAN_PI[:3].tolist()
 
 
 def test_optimal_if_warns_outside_observed(fitted):
-    # confining the search far above every observed fraction forces an
-    # extrapolated optimum, which must be flagged
+    # observed fractions that all lie above the optimum: it is an
+    # extrapolation, which must be flagged
     _, cams, _ = fitted
-    with pytest.warns(ExtrapolationWarning):
-        optimal_if(cams, search_range=(0.9, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ExtrapolationWarning)
+        pi_opt = optimal_if(cams).pi_opt
+    above = dataclasses.replace(cams, provenance={
+        **cams.provenance, "info_fractions": [pi_opt + 0.1, pi_opt + 0.2]})
+    with pytest.warns(ExtrapolationWarning, match="outside the observed"):
+        optimal_if(above)
 
 
 def test_strategy_average(fitted):
@@ -485,7 +503,7 @@ def test_report_effects_strategies_share_interaction(fitted):
 
 def test_marginalize_prevalence(fitted):
     data, cams, _ = fitted
-    spec = PrevalenceSpec.beta(2.0, 5.0, draws=4000, seed=0)
+    spec = PrevalenceSpec.beta(2.0, 5.0, seed=0)
     eff = marginalize_prevalence(cams, spec)
     # the interaction is exact, not Monte Carlo
     assert eff.interaction == cams.summaries["gamma"]
@@ -500,13 +518,12 @@ def test_marginalize_prevalence(fitted):
 
 def test_spec_alone_sets_draws_and_seed(fitted):
     data, cams, _ = fitted
-    spec = PrevalenceSpec.beta(2.0, 3.0, draws=4000, seed=7)
+    spec = PrevalenceSpec.beta(2.0, 3.0, seed=7)
     eff = marginalize_prevalence(cams, spec)
     assert eff == report_effects(data, cams, spec)
-    assert eff.prevalence_used["draws"] == spec.draws
+    assert eff.prevalence_used["draws"] == BETA_DRAWS == 20000
     assert eff.prevalence_used["seed"] == spec.seed
-    other = marginalize_prevalence(
-        cams, PrevalenceSpec.beta(2.0, 3.0, draws=4000, seed=8))
+    other = marginalize_prevalence(cams, PrevalenceSpec.beta(2.0, 3.0, seed=8))
     assert other.overall != eff.overall
 
 
