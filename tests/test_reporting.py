@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -323,19 +324,49 @@ def test_prevalence_searches_read_few_quantile_batches(fitted):
     assert len(reads) <= 2
 
 
-def test_optimal_if_at_the_low_end(fitted):
-    # delta with a constant mean and its own variance: both lines' sds grow
-    # with the prevalence, so the widths rise from pi = 0. The walk stops
-    # at the scan's end and the refinement is clamped to it.
+def falling(fit):
+    """``fit`` with delta = -alpha at every lattice node: subgroup line A is
+    (1 - pi) alpha, an atom at pi = 1, and both lines' sds fall with pi."""
+    grid = fit.grid
+    k, a = (grid.param_names.index(n) for n in ("delta", "alpha"))
+    cond_mean, cond_cov = grid.cond_mean.copy(), grid.cond_cov.copy()
+    cond_mean[..., k] = -cond_mean[..., a]
+    cond_cov[..., k, :] = -cond_cov[..., a, :]
+    cond_cov[..., :, k] = -cond_cov[..., :, a]
+    cond_cov[..., k, k] = cond_cov[..., a, a]
+    return dataclasses.replace(fit, grid=dataclasses.replace(
+        grid, cond_mean=cond_mean, cond_cov=cond_cov))
+
+
+@pytest.mark.parametrize("search_range, observed", [((0.9, 1.0), 0.9),
+                                                     ((0.0, 0.1), 0.1)])
+def test_optimal_if_at_an_end_reads_only_inside_its_range(fitted,
+                                                          search_range,
+                                                          observed):
+    # delta = -alpha makes the widths fall towards pi = 1; delta with a
+    # constant mean and its own variance, uncorrelated, makes both lines'
+    # sds grow with pi, so the widths rise from pi = 0. The walk stops at
+    # that end of the scan, the refinement is clamped to it, and the search
+    # reads only prevalences within search_range. An optimum off the one
+    # observed fraction is an extrapolation, which must be flagged.
     _, cams, _ = fitted
     k = cams.grid.param_names.index("delta")
-    rising = with_delta(cams, 0.5, cams.grid.cond_cov[..., k, k])
+    if search_range[1] == 1.0:
+        end, fit, first = 1.0, falling(cams), SCAN_PI[-3:]
+    else:
+        end, first = 0.0, SCAN_PI[:3]
+        fit = with_delta(cams, 0.5, cams.grid.cond_cov[..., k, k])
+    fit = dataclasses.replace(fit, provenance={
+        **fit.provenance, "info_fractions": [observed]})
+    named = re.escape(f"[{observed:.4f}, {observed:.4f}]")
     with recorded_quantile_reads() as reads, \
-            pytest.warns(ExtrapolationWarning):
-        opt = optimal_if(rising)
-    assert opt.pi_opt == 0.0
-    assert opt.width == exact_widths(rising, [0.0])[0]
-    assert reads[0] == 2 * SCAN_PI[:3].tolist()
+            pytest.warns(ExtrapolationWarning, match=named):
+        opt = optimal_if(fit)
+    assert opt.pi_opt == end
+    assert opt.width == exact_widths(fit, [end])[0]
+    assert reads[0] == 2 * first.tolist()
+    read = np.concatenate(reads)
+    assert search_range[0] <= read.min() and read.max() <= search_range[1]
 
 
 def test_optimal_if_warns_outside_observed(fitted):
