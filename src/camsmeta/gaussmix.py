@@ -17,7 +17,9 @@ when that divisor exceeds 1/2, else s. A move that leaves the bracket, or a
 Newton step s that fails to halve the previous one, is replaced by
 bisection, and mixtures that contain an atom bisect only. A quantile is done
 once its error bound is proven or its bracket is closed (narrower than
-QUANTILE_TOL, or at the spacing of floats), never on a small step alone.
+tol = QUANTILE_TOL * min(w0, 1), w0 the width of its exact bracket, which
+scales with the data, or at the spacing of floats), never on a small step
+alone.
 The bracket comes from the sign of F(x) - q alone, and the halving rule and
 the certified exit read the Newton step s, never the Halley move:
 
@@ -28,7 +30,7 @@ z = 1. At a point x with Newton step s = (F(x) - q) / f(x), suppose
 sign there and the root x* lies in it. Taylor's theorem about x gives
 0 = s f(x) + f(x) (x* - x) + f'(xi) (x* - x)^2 / 2, so
 |x - s - x*| <= L (2 s)^2 / (2 f(x)) = 2 L s^2 / f(x). When that is at most
-QUANTILE_TOL / 4, x - s, clipped into the bracket, is returned without
+tol / 4, x - s, clipped into the bracket, is returned without
 another evaluation. A row with an atom has L = inf and never exits this way.
 
 Every component CDF comes from one numpy kernel, ``_normal_cdf``: with
@@ -58,7 +60,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 
-# Absolute tolerance of every mixture quantile.
+# Relative tolerance of every mixture quantile (see the module docstring).
 QUANTILE_TOL = 1e-8
 
 # Points x components evaluated at once by the CDF and pdf sums. The CDF
@@ -115,11 +117,9 @@ class GaussianMixture1D:
     def cdf(self, x):
         """P(X <= x), vectorized over x."""
         xa = np.asarray(x, dtype=float)
-        flat = xa.ravel()
-        out = np.empty(flat.size)
-        mu, inv_sd = self.means[None, :], _inverse(self.sds)[None, :]
-        for blk in _blocks(flat.size, self.weights.size):
-            out[blk] = _cdf_pdf(flat[blk], mu, inv_sd, self.weights, False)[0]
+        rows = (xa.size, self.weights.size)
+        out = mixture_cdf(self.weights, np.broadcast_to(self.means, rows),
+                          np.broadcast_to(self.sds, rows), xa.ravel())
         return out.reshape(xa.shape) if xa.shape else float(out[0])
 
     def tail_prob(self, threshold: float) -> float:
@@ -145,7 +145,7 @@ class GaussianMixture1D:
     # ------------------------------------------------------------------
 
     def quantiles(self, levels) -> np.ndarray:
-        """Inverse CDF at each level, to absolute tolerance QUANTILE_TOL."""
+        """Inverse CDF at each level, to within QUANTILE_TOL."""
         return mixture_quantiles(self.weights, self.means[None, :],
                                  self.sds[None, :], levels)[0]
 
@@ -265,9 +265,9 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
     mixture r; ``weights`` is one (n,) vector shared by all rows or an (m, n)
     array with one weight row per mixture, each summing to 1. Returns the
     (m, L) array whose entry [r, l] is the levels[l]-quantile of mixture r,
-    within QUANTILE_TOL (see the module docstring for the method). Each row
+    within its tolerance (see the module docstring for the method). Each row
     is made nondecreasing in the level, which keeps every entry within the
-    tolerance.
+    largest tolerance of its row.
     """
     q = np.asarray(levels, dtype=float).ravel()
     if q.size == 0 or not np.all((q > 0.0) & (q < 1.0)):
@@ -317,8 +317,9 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
     # L bounds |f'| of each (row, level); atoms make it infinite
     slope = np.where(newton_row, _PHI_1 * slope[row], np.inf)
     last_step = hi - lo
+    tol = QUANTILE_TOL * np.minimum(hi - lo, 1.0)
     out = 0.5 * (lo + hi)
-    active = np.flatnonzero(hi - lo > QUANTILE_TOL)
+    active = np.flatnonzero(hi - lo > tol)
 
     while active.size:
         r = row[active]
@@ -348,10 +349,10 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             bound = slope[active] * np.abs(step)
             proven = (4.0 * bound <= pdf) & (
-                2.0 * bound * np.abs(step) <= 0.25 * QUANTILE_TOL * pdf)
+                2.0 * bound * np.abs(step) <= 0.25 * tol[active] * pdf)
         nxt = np.where(proven, np.clip(xa - step, a, b), nxt)
         # a bracket at the spacing of floats cannot shrink any further
-        closed = (b - a <= QUANTILE_TOL) | (mid <= a) | (mid >= b)
+        closed = (b - a <= tol[active]) | (mid <= a) | (mid >= b)
         done = closed | proven
         out[active] = nxt
         lo[active], hi[active], x[active] = a, b, nxt

@@ -481,7 +481,7 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
     rank = int((svals > tol).sum())
     identified = vt[:rank]
 
-    theta0 = _pilot(blocks, identified)
+    theta0 = _pilot(blocks, p)
     # an overflow is refused with the scale of the raw responses: of the
     # centred statistics here, of the uncentred y'Wy below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -545,13 +545,12 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
     return posterior
 
 
-def _pilot(blocks, identified: np.ndarray) -> np.ndarray:
-    """The GLS solution at the first lattice node (tau = tau_gamma = 0),
-    solved on the ``identified`` directions V (r, p) alone by
-    ``_cholesky_rows``, so that centring on it leaves the flat ones at 0;
-    0 where that fails. Only its closeness to the solution matters, not its
-    accuracy: any theta0 leaves the log marginal unchanged."""
-    p = identified.shape[1]
+def _pilot(blocks, p: int) -> np.ndarray:
+    """The GLS solution at the first lattice node (tau = tau_gamma = 0), by
+    the pseudo-inverse of its X'WX, whose range is the design's row space,
+    so that centring on it leaves the flat directions at 0; 0 where that
+    fails. Only its closeness to the solution matters, not its accuracy:
+    any theta0 leaves the log marginal unchanged."""
     a0, b0 = np.zeros((p, p)), np.zeros(p)
     with np.errstate(all="ignore"):
         for y, x, var, het2 in blocks:
@@ -559,15 +558,10 @@ def _pilot(blocks, identified: np.ndarray) -> np.ndarray:
             w0 = 1.0 / (var[(0,) * (var.ndim - 1)] + het2[0, 0])
             a0 += x0.T @ (w0[:, None] * x0)
             b0 += x0.T @ (w0 * y[(0,) * (y.ndim - 1)])
-        system = (identified @ a0 @ identified.T)[:, :, None, None]
         try:
-            _, root_t = _cholesky_rows(system, identified, np.zeros(1),
-                                       np.zeros(1))
-        except DomainError:
+            theta0 = np.linalg.pinv(a0) @ b0
+        except np.linalg.LinAlgError:
             return np.zeros(p)
-        # V'(V A V')^-1 V b = (L^-1 V)'(L^-1 V) b
-        root_t = root_t[:, :, 0, 0]
-        theta0 = root_t.T @ (root_t @ b0)
     return theta0 if np.isfinite(theta0).all() else np.zeros(p)
 
 

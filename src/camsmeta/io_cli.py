@@ -35,7 +35,7 @@ from .inference import (FitResult, GridSpec, PriorSpec, fit_bim, fit_bms,
 from .model_core import (MetaDataset, StudyRecord, SubgroupObservation,
                          decompose_arrays, subgroup_arrays)
 from .reporting import (STRATEGY_KINDS, PrevalenceSpec, ReportedEffects,
-                        optimal_if, report_policies)
+                        line_rows, optimal_if, report_policies)
 from .verify import SimScenario, run_battery, simulate
 
 # the estimators ``fit`` can write, one fit_<name>.json each
@@ -603,9 +603,9 @@ def _cmd_plotdata(config: RunConfig) -> int:
     # the subgroup lines' medians and the combined 95% interval width at the
     # same 41 prevalences, from one quantile batch
     line_pi = np.linspace(0.0, 1.0, 41)
-    qs = cams.functional_quantiles(
-        [{"alpha": 1.0, "delta": float(p), "gamma": g}
-         for g in (0.0, 1.0) for p in line_pi], (0.5, 0.025, 0.975))
+    qs = cams.functional_quantiles(np.concatenate(
+        [line_rows(cams, line_pi, g) for g in (0.0, 1.0)]),
+        (0.5, 0.025, 0.975))
     medians = qs[:, 0].reshape(2, -1)
     span = (qs[:, 2] - qs[:, 1]).reshape(2, -1)
     width = span[0] + span[1]

@@ -43,7 +43,7 @@ BETA_DRAWS = 20000
 RISK_GRID = np.linspace(0.0, 1.0, 101)
 
 # optimal_if: scan points, exact widths read on each side of the sd sum's
-# argmin (and per step further out), and the range of the sd sum below
+# argmin, and the range of the sd sum, relative to its largest value, below
 # which the width is flat in the prevalence
 _OPT_POINTS = 41
 _WALK_REACH = 2
@@ -182,14 +182,23 @@ def _effects_batch(fit: FitResult, pis) -> list:
     pis = [float(p) for p in pis]
     for pi in pis:
         _check_unit_interval(pi, "prevalence")
-    rows = fit.functional_summaries(
-        [spec for pi in pis for spec in (
-            {"alpha": 1.0, "delta": pi},
-            {"alpha": 1.0, "delta": pi, "gamma": 1.0},
-            {"alpha": 1.0, "delta": pi, "gamma": pi})])
+    mu_a = line_rows(fit, pis)
+    overall = mu_a + np.multiply.outer(pis, fit.functionals["gamma"])
+    rows = fit.functional_summaries(np.stack(
+        [mu_a, line_rows(fit, pis, 1.0), overall], axis=1).reshape(
+            -1, mu_a.shape[1]))
     return [ReportedEffects(*rows[3 * k:3 * k + 3], fit.summaries["gamma"],
                             {"kind": "point", "value": pi})
             for k, pi in enumerate(pis)]
+
+
+def line_rows(fit: FitResult, pis, g: float = 0.0) -> np.ndarray:
+    """Coefficient rows over ``fit.grid.param_names`` of the line alpha +
+    delta pi + g gamma, one per prevalence pi in ``pis``: subgroup A's line
+    at g = 0, subgroup B's at g = 1."""
+    f = fit.functionals
+    return (f["alpha"] + np.multiply.outer(np.asarray(pis, dtype=float),
+                                           f["delta"]) + g * f["gamma"])
 
 
 def overall_if(fit: FitResult, data: MetaDataset) -> float:
@@ -217,18 +226,18 @@ def _vertex(x: np.ndarray, f: np.ndarray) -> float:
     return float(x[1] + 0.5 * (x[1] - x[0]) * (f[0] - f[2]) / bend)
 
 
-def _scan_min(values,
-              points: int) -> tuple[float | None, np.ndarray, np.ndarray]:
+def _scan_min(values, points: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Minimize ``values`` (vectorized over prevalences) on [0, 1].
 
     Scans ``points`` evenly spaced prevalences and refines the best one by
-    ``_refine``. Returns (argmin, scan, curve); the argmin is None for a
-    flat curve.
+    ``_refine``. Returns (argmin, scan, curve); the argmin is 0.5 for a
+    curve whose range is within 1e-10 of its largest magnitude (an all-zero
+    curve included), where every prevalence is equally good.
     """
     scan = np.linspace(0.0, 1.0, points)
     curve = values(scan)
-    if curve.max() - curve.min() < 1e-10:
-        return None, scan, curve
+    if np.ptp(curve) <= 1e-10 * np.abs(curve).max():
+        return 0.5, scan, curve
     return _refine(values, scan, curve, int(np.argmin(curve))), scan, curve
 
 
@@ -247,30 +256,6 @@ def _refine(values, scan: np.ndarray, curve: np.ndarray, best: int) -> float:
     return min(max(_vertex(near, values(near)), a), b)
 
 
-def _walk_min(values, scan: np.ndarray, start: int) -> tuple[np.ndarray, int]:
-    """A local minimum of ``values`` on ``scan``, read outward from the
-    index ``start``: the values there and at _WALK_REACH neighbours on each
-    side in one batch, then _WALK_REACH more beyond whichever edge of the
-    read window holds the smallest value, until it lies inside the window
-    or at an end of the scan. Returns (curve, best), with NaN in the curve
-    where nothing was read."""
-    curve = np.full(scan.size, np.nan)
-    left = max(start - _WALK_REACH, 0)
-    right = min(start + _WALK_REACH, scan.size - 1)
-    curve[left:right + 1] = values(scan[left:right + 1])
-    while True:
-        best = left + int(np.argmin(curve[left:right + 1]))
-        if 0 < best == left:
-            new = slice(max(left - _WALK_REACH, 0), left)
-            left = new.start
-        elif best == right < scan.size - 1:
-            new = slice(right + 1, min(right + _WALK_REACH, scan.size - 1) + 1)
-            right = new.stop - 1
-        else:
-            return curve, best
-        curve[new] = values(scan[new])
-
-
 def _line_sd_sum(fit: FitResult, pis: np.ndarray) -> np.ndarray:
     """sd(mu_A) + sd(mu_B) at each prevalence, in closed form: with C the
     posterior covariance of the location parameters, sum_k w_k (Sigma_k +
@@ -283,10 +268,9 @@ def _line_sd_sum(fit: FitResult, pis: np.ndarray) -> np.ndarray:
     centred = mean - w @ mean
     cov = ((w @ grid.cond_cov.reshape(-1, p * p)).reshape(p, p)
            + centred.T @ (w[:, None] * centred))
-    f = fit.functionals
     total = np.zeros(pis.size)
     for g in (0.0, 1.0):
-        v = f["alpha"] + np.multiply.outer(pis, f["delta"]) + g * f["gamma"]
+        v = line_rows(fit, pis, g)
         total += np.sqrt(np.clip(np.einsum("ij,jk,ik->i", v, cov, v), 0.0,
                                  None))
     return total
@@ -299,29 +283,37 @@ def optimal_if(fit: FitResult) -> OptimalIF:
     The argmin is that of the exact widths at _OPT_POINTS evenly spaced
     prevalences, refined by two parabolic steps (``_refine``). The closed-form
     sd sum of the two lines (``_line_sd_sum``) locates it: the exact widths
-    are read at the sd sum's argmin and two neighbours on each side, and
-    further out only while the smallest lies at an edge of what was read
-    (``_walk_min``). An sd sum flat to _FLAT_SD means a flat width
-    (``flat_range``): a line's sd stays put in pi only if delta is an atom
-    uncorrelated with alpha, and then every line is a translate of one law.
-    Warns when the minimizer lies outside the observed information
+    are read at the sd sum's argmin and _WALK_REACH neighbours on each side,
+    in one batch. When the smallest of them lies at an inner edge of that
+    window, the locator has missed, and the full scan (``_scan_min``)
+    decides. An sd sum flat to _FLAT_SD of its largest value means a flat
+    width (``flat_range``): a line's sd stays put in pi only if delta is an
+    atom uncorrelated with alpha, and then every line is a translate of one
+    law. Warns when the minimizer lies outside the observed information
     fractions, since the subgroup lines are extrapolated there.
     """
     _require_cams(fit)
 
     def widths(pis) -> np.ndarray:
-        specs = [{"alpha": 1.0, "delta": float(p), "gamma": g}
-                 for g in (0.0, 1.0) for p in pis]
-        qs = fit.functional_quantiles(specs, (0.025, 0.975))
+        qs = fit.functional_quantiles(np.concatenate(
+            [line_rows(fit, pis, g) for g in (0.0, 1.0)]), (0.025, 0.975))
         span = (qs[:, 1] - qs[:, 0]).reshape(2, len(pis))
         return span[0] + span[1]
 
     scan = np.linspace(0.0, 1.0, _OPT_POINTS)
     sd_sum = _line_sd_sum(fit, scan)
-    if sd_sum.max() - sd_sum.min() < _FLAT_SD:
+    if np.ptp(sd_sum) <= _FLAT_SD * sd_sum.max():
         return OptimalIF(0.5, float(widths([0.5])[0]), flat_range=(0.0, 1.0))
-    pi_opt = _refine(widths, scan,
-                     *_walk_min(widths, scan, int(np.argmin(sd_sum))))
+    start = int(np.argmin(sd_sum))
+    left = max(start - _WALK_REACH, 0)
+    right = min(start + _WALK_REACH, _OPT_POINTS - 1)
+    curve = np.full(_OPT_POINTS, np.nan)
+    curve[left:right + 1] = widths(scan[left:right + 1])
+    best = left + int(np.argmin(curve[left:right + 1]))
+    if 0 < best == left or best == right < _OPT_POINTS - 1:
+        pi_opt = _scan_min(widths, _OPT_POINTS)[0]
+    else:
+        pi_opt = _refine(widths, scan, curve, best)
     pifs = fit.provenance.get("info_fractions")
     if pifs and not (min(pifs) <= pi_opt <= max(pifs)):
         warnings.warn(
@@ -378,11 +370,8 @@ def _closeness(fit: FitResult, reference: FitResult, subgroup: str) -> float:
     target = reference.summaries["mu_a" if subgroup == "a" else "mu_b"].median
     gamma = 1.0 if subgroup == "b" else 0.0
 
-    def specs(pis) -> list:
-        return [{"alpha": 1.0, "delta": float(p), "gamma": gamma} for p in pis]
-
     def excess(pis) -> np.ndarray:
-        return fit.functional_cdf(specs(pis), target) - 0.5
+        return fit.functional_cdf(line_rows(fit, pis, gamma), target) - 0.5
 
     scan = np.linspace(0.0, 1.0, 101)
     g = excess(scan)
@@ -394,11 +383,10 @@ def _closeness(fit: FitResult, reference: FitResult, subgroup: str) -> float:
                                float(scan[i + 1]), g[i], g[i + 1])
 
     def distances(pis) -> np.ndarray:
-        return np.abs(fit.functional_quantiles(specs(pis), (0.5,))[:, 0] - target)
+        return np.abs(fit.functional_quantiles(
+            line_rows(fit, pis, gamma), (0.5,))[:, 0] - target)
 
-    pi, _, _ = _scan_min(distances, 101)
-    # a subgroup line flat in the prevalence is equally close everywhere
-    return 0.5 if pi is None else pi
+    return _scan_min(distances, 101)[0]
 
 
 def strategy_prevalence(data: MetaDataset, fit: FitResult, kind: str,
@@ -599,8 +587,6 @@ def fit_map_prevalence(counts, sd_scale: float = 0.5) -> MapPrevalence:
     for x, n in clean:
         terms = x * _log_expit(eta) + (n - x) * _log_expit(-eta) + log_wgh
         loglik += _logsumexp(terms)
-        loglik += (math.lgamma(n + 1) - math.lgamma(x + 1)
-                   - math.lgamma(n - x + 1))
     h = phi[1] - phi[0]
     lp_phi = np.full(phi.size, math.log(h))
     lp_phi[[0, -1]] = math.log(0.5 * h)
@@ -691,9 +677,7 @@ def bayes_risk(fit: FitResult, spec: PrevalenceSpec,
         scale = float(w @ (s * math.sqrt(2.0 / math.pi) * dens
                            + m * (1.0 - 2.0 * lower)))
     argmin, _, curve = _scan_min(factor, RISK_GRID.size)
-    # only an absolute-loss factor of a law with half its mass at each of 0
-    # and 1 is flat; every reporting prevalence is then equally risky
-    return scale * curve, 0.5 if argmin is None else argmin
+    return scale * curve, argmin
 
 
 def _beta_cdf(x: float, a: float, b: float) -> float:

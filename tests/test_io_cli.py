@@ -3,9 +3,11 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -713,3 +715,122 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+
+FUZZ_CELLS = ("", "x", "nan", "inf", "1e400", "-1", "0")
+FUZZ_SCALED = ("contrast.esti", "contrast.se", "est", "se")
+FUZZ_PREVALENCE = (
+    (), ("--prevalence", "optimal_if"), ("--prevalence", "closeness_b"),
+    ("--prevalence", "trial_weighted"), ("--prevalence", "point"),
+    ("--prevalence", "external", "--prevalence-value", "0.4"),
+    ("--prevalence", "point", "--prevalence-value", "1.5"),
+    ("--prevalence-value", "nan"), ("--prevalence", "no_such_kind"),
+    ("--prevalence", "beta", "--beta-a", "2", "--beta-b", "3"),
+    ("--prevalence", "beta", "--beta-a", "0", "--beta-b", "3"),
+    ("--beta-a", "inf", "--beta-b", "1"),
+)
+
+
+def fuzz_table(rng, header, rows):
+    """The CSV table (header, rows) under one random mutation."""
+    header, rows = list(header), [list(r) for r in rows]
+    i = int(rng.integers(len(rows)))
+    kind = int(rng.integers(8))
+    if kind == 0:    # a bad cell
+        col = int(rng.integers(len(header)))
+        rows[i][col:col + 1] = [str(rng.choice(FUZZ_CELLS))]
+    elif kind == 1:  # a short or a long row
+        rows[i] = (rows[i][:rng.integers(len(header))] if rng.random() < 0.5
+                   else rows[i] + ["1"] * int(rng.integers(1, 3)))
+    elif kind == 2:  # a blank line
+        rows.insert(i, [])
+    elif kind == 3:  # a duplicated row
+        rows.insert(i, list(rows[rng.integers(len(rows))]))
+    elif kind == 4:  # a duplicated header
+        rows.insert(i, list(header))
+    elif kind in (5, 6):  # a dropped or a renamed column
+        col = int(rng.integers(len(header)))
+        if kind == 5:
+            header.pop(col)
+            for row in rows:
+                del row[col:col + 1]
+        else:
+            header[col] += "_renamed"
+    else:            # estimates and standard errors times 10^k
+        factor = 10.0 ** int(rng.integers(-300, 301))
+        for col in [header.index(n) for n in FUZZ_SCALED if n in header]:
+            for row in rows:
+                try:
+                    row[col] = repr(float(row[col]) * factor)
+                except (IndexError, ValueError):
+                    pass  # a cell an earlier mutation removed or broke
+    return header, rows
+
+
+def fuzz_json_leaves(blob):
+    """Every number in a parsed JSON value, and every summary dict."""
+    if isinstance(blob, dict):
+        if {"median", "lower", "upper"} <= blob.keys():
+            yield "summary", blob
+        for value in blob.values():
+            yield from fuzz_json_leaves(value)
+    elif isinstance(blob, list):
+        for value in blob:
+            yield from fuzz_json_leaves(value)
+    elif isinstance(blob, float):
+        yield "number", blob
+
+
+def test_cli_contract_under_fuzzed_input(tmp_path, capsys):
+    # every run on a mutated quick-start CSV either writes finite, ordered
+    # results (exit 0), prints exactly one error line (exit 1), or is an
+    # argument error (exit 2); anything else escapes as an exception
+    data = simulate(SimScenario(n_studies=3, gamma=0.3, tau=0.1,
+                                tau_gamma=0.1, uisd=1.0, seed=1))
+    base = str(tmp_path / "base.csv")
+    save_csv(data, base)
+    with open(base) as fh:
+        header, *rows = [line.rstrip("\n").split(",") for line in fh]
+    rng = np.random.default_rng(20240)
+    path, out = str(tmp_path / "fuzz.csv"), str(tmp_path / "out")
+    codes = {}
+    for case in range(300):
+        table = (header, rows)
+        for _ in range(int(rng.integers(1, 3))):
+            table = fuzz_table(rng, *table)
+        with open(path, "w") as fh:
+            fh.write("".join(",".join(r) + "\n" for r in [table[0], *table[1]]))
+        flags = ("--input", path, "--output-dir", out, "--grid-nodes",
+                 str(rng.choice((2, 3, 11)))) + FUZZ_PREVALENCE[
+                     rng.integers(len(FUZZ_PREVALENCE))]
+        for command in ("fit", "report", "plotdata"):
+            shutil.rmtree(out, ignore_errors=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    code = main([command, *flags])
+                except SystemExit as exc:
+                    code = exc.code
+            err = capsys.readouterr().err
+            where = (case, command, flags, table)
+            codes[code] = codes.get(code, 0) + 1
+            if code == EXIT_ERROR:
+                lines = err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), where
+                continue
+            assert code in (EXIT_OK, 2), where
+            if code == 2:
+                continue
+            for name in os.listdir(out):
+                if not name.endswith(".json"):
+                    continue
+                with open(os.path.join(out, name)) as fh:
+                    blob = json.load(fh)
+                for kind, leaf in fuzz_json_leaves(blob):
+                    if kind == "number":
+                        assert math.isfinite(leaf), (where, name)
+                    else:
+                        assert (leaf["lower"] <= leaf["median"]
+                                <= leaf["upper"]), (where, name, leaf)
+    # the fuzz reaches both outcomes
+    assert codes.get(EXIT_OK) and codes.get(EXIT_ERROR), codes

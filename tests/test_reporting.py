@@ -20,7 +20,7 @@ from camsmeta.reporting import (BETA_DRAWS, RISK_GRID, STRATEGY_KINDS,
                                 _log_expit, _logsumexp, bayes_risk,
                                 beta_moments, effects_at, fit_map_prevalence,
                                 marginalize_prevalence, optimal_if,
-                                overall_if, report_effects,
+                                overall_if, report_effects, report_policies,
                                 strategy_prevalence)
 from camsmeta.verify import SimScenario, leverage_scenario, simulate
 
@@ -180,13 +180,14 @@ def golden_argmin(f, a, b, tol=1e-9):
 
 @contextlib.contextmanager
 def recorded_quantile_reads():
-    """The prevalences (delta coefficients) read by each
-    ``FitResult.functional_quantiles`` call, in call order."""
+    """The prevalences (delta coefficients of the coefficient rows) read by
+    each ``FitResult.functional_quantiles`` call, in call order."""
     reads = []
     quantiles = inference.FitResult.functional_quantiles
 
     def recording(self, specs, levels):
-        reads.append([spec["delta"] for spec in specs])
+        reads.append((self._coef_matrix(specs)
+                       @ self.functionals["delta"]).tolist())
         return quantiles(self, specs, levels)
 
     with mock.patch.object(inference.FitResult, "functional_quantiles",
@@ -239,9 +240,10 @@ def test_optimal_if_locator_matches_the_full_scan(scenario, nodes):
     assert sum(map(len, reads)) <= 2 * 9
 
 
-def test_optimal_if_walks_from_a_wrong_start(fitted):
+def test_optimal_if_falls_back_to_the_full_scan_from_a_wrong_start(fitted):
     # a locator that starts at the far end of the scan from the optimum
-    # still reaches it, reading outward batch by batch
+    # misses it: the smallest of the three widths read there lies at the
+    # window's inner edge, so all 41 widths are read and refined instead
     _, cams, _ = fitted
     want = scan_reference(cams)
     far_end = -SCAN_PI if want[0] < 0.5 else SCAN_PI
@@ -250,7 +252,53 @@ def test_optimal_if_walks_from_a_wrong_start(fitted):
             recorded_quantile_reads() as reads:
         opt = optimal_if(cams)
     assert (opt.pi_opt, opt.width) == want
-    assert len(reads) > 3
+    window = SCAN_PI[-3:] if want[0] < 0.5 else SCAN_PI[:3]
+    assert [len(r) for r in reads] == [2 * 3, 2 * 41, 2 * 3, 2 * 1]
+    assert reads[0] == 2 * window.tolist()
+    assert reads[1] == 2 * SCAN_PI.tolist()
+    assert reads[3] == [want[0]] * 2
+
+
+def quickstart_report(c):
+    """Every point-valued policy and a Beta law reported on the quick-start
+    data (data seed 1, 61 nodes) with estimates, SEs and both prior scales
+    times c."""
+    data = simulate(SimScenario(n_studies=8, gamma=0.3, tau=0.1, tau_gamma=0.1,
+                                uisd=1.0, seed=1))
+    data = MetaDataset(tuple(StudyRecord.from_observations(s.study_id, *(
+        dataclasses.replace(o, estimate=c * o.estimate,
+                            std_error=c * o.std_error)
+        for o in (s.obs_a, s.obs_b))) for s in data.studies))
+    priors = PriorSpec(c * PriorSpec().tau_scale, c * PriorSpec().tau_gamma_scale)
+    grid = GridSpec.default(priors, n_nodes=61)
+    specs = [PrevalenceSpec(kind, value=0.4) for kind in STRATEGY_KINDS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CamsmetaWarning)
+        cams, bms = fit_cams(data, priors, grid), fit_bms(data, priors, grid)
+        return report_policies(data, cams, specs + [PrevalenceSpec.beta(2, 3)],
+                               bms)
+
+
+@pytest.fixture(scope="module")
+def unscaled_report():
+    return quickstart_report(1.0)
+
+
+@pytest.mark.parametrize("power", [-300, -100, -40, 40, 300])
+def test_report_policies_scale_equivariance(unscaled_report, power):
+    # every prevalence strategy is scale free, and every effect scales by c
+    # to within the quantile tolerance relative to c
+    c = 2.0 ** power
+    for want, got in zip(unscaled_report, quickstart_report(c)):
+        if want.prevalence_used["kind"] != "beta":
+            assert abs(got.prevalence_used["value"]
+                       - want.prevalence_used["value"]) <= 1e-9, want
+        for name in ("mu_a", "mu_b", "overall", "interaction"):
+            for part in ("median", "lower", "upper"):
+                assert abs(getattr(getattr(got, name), part) / c
+                           - getattr(getattr(want, name), part)) \
+                    <= 2.0 * gaussmix.QUANTILE_TOL, (want.prevalence_used,
+                                                     name, part)
 
 
 def with_delta(fit, mean, cov):
