@@ -53,33 +53,18 @@ EXIT_VERIFY_FAIL = 3
 # CSV schema
 # ----------------------------------------------------------------------
 
-def _parse_column(cells, parse, optional: bool):
-    """(values, refused) of one column: each cell through ``parse``. A cell
-    that ``parse`` refuses is None in ``values`` and True in ``refused``;
-    with ``optional`` an empty or absent cell is None and not refused."""
-    values = [None] * len(cells)
-    refused = np.zeros(len(cells), dtype=bool)
-    for i, text in enumerate(cells):
-        if not (optional and (text is None or text == "")):
-            try:
-                values[i] = parse(text)
-            except (TypeError, ValueError):
-                refused[i] = True
-    return values, refused
-
-
-def _float_column(cells, optional: bool = False):
-    """``_parse_column`` with ``float``, None as nan; a single ``map`` call
-    when every cell parses."""
-    if not (optional and ("" in cells or None in cells)):
-        try:
-            return (np.array(list(map(float, cells)), dtype=float),
-                    np.zeros(len(cells), dtype=bool))
-        except (TypeError, ValueError):
-            pass
-    values, refused = _parse_column(cells, float, optional)
-    return (np.array([math.nan if v is None else v for v in values],
-                     dtype=float), refused)
+def _number(text, name: str, row: int, optional: bool = False) -> float:
+    """One numeric cell of ``row`` as a finite float; an empty or absent
+    ``optional`` cell is nan."""
+    if optional and not text:
+        return math.nan
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        raise ContractError(f"row {row}: bad {name} value {text!r}") from None
+    if not math.isfinite(value):
+        raise ContractError(f"row {row}: {name} must be finite, got {text!r}")
+    return value
 
 
 def load_csv(path: str, exponentiated_input: bool = False,
@@ -91,9 +76,9 @@ def load_csv(path: str, exponentiated_input: bool = False,
     the log scale unless ``exponentiated_input`` asks for a log transform of
     the point estimates (standard errors are taken as already log-scale).
 
-    Each column is parsed once with ``float`` and checked as a whole. An
-    error names the first row that fails a check, and that row's first
-    failing check in the order a row is read.
+    Rows are read in order and each cell is checked as it is read, so an
+    error names the first failing row and that row's first failing check.
+    Blank lines are skipped and not counted in row numbers.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -106,92 +91,74 @@ def load_csv(path: str, exponentiated_input: bool = False,
         has_counts = "n_a" in header and "n_b" in header
         rows = [row for row in reader if row]
     # a later column of a repeated name wins, and a cell past the end of its
-    # row is absent (None), as csv.DictReader reads them
-    width = len(header)
-    rows = [row if len(row) >= width else row + [None] * (width - len(row))
-            for row in rows]
-    by_column = list(zip(*rows)) or [()] * width
+    # row or of an absent column is None, as csv.DictReader reads them
     index = {name: i for i, name in enumerate(header)}
-    texts = {name: by_column[index[name]] if name in index else
-             (None,) * len(rows)
-             for name in ("study.name", "est", "se", "ifrac", "subgroup12",
-                          "ifrac2", "contrast.esti", "contrast.se", "n_a",
-                          "n_b")}
-    names = [(text or "").strip() for text in texts["study.name"]]
-    columns = {name: _float_column(texts[name], name.startswith("contrast."))
-               for name in ("est", "se", "ifrac", "subgroup12", "ifrac2",
-                            "contrast.esti", "contrast.se")}
-    est, se, ifrac, sg, ifrac2, contrast_est, contrast_se = (
-        values for values, _ in columns.values())
-    side_b = (sg > 0).tolist()
-    count_texts = [b if is_b else a
-                   for a, b, is_b in zip(texts["n_a"], texts["n_b"], side_b)]
-    counts, count_refused = (_parse_column(count_texts, int, True)
-                             if has_counts else
-                             ([None] * len(rows), np.zeros(len(rows), bool)))
-    seen: dict = {}
-    duplicate = np.array([seen.setdefault(key, i) != i
-                          for i, key in enumerate(zip(names, side_b))], bool)
-
-    def parse_checks(name):
-        values, refused = columns[name]
-        cells = texts[name]
-        present = np.array([text is not None and text != "" for text in cells],
-                           bool) if name.startswith("contrast.") else True
-        return [(refused, ContractError,
-                 lambda i: f"bad {name} value {cells[i]!r}"),
-                (~np.isfinite(values) & ~refused & present, ContractError,
-                 lambda i: f"{name} must be finite, got {cells[i]!r}")]
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        implied = sg + 0.5 - ifrac
-        square_ok = (se * se > 0.0) & (se * se < math.inf)
-        # (mask, error, message) of every check, in the order a row is
-        # read; a refused cell is nan, which fails no later check of its row
-        checks = [
-            (np.array([not n for n in names], bool), ContractError,
-             lambda i: "empty study.name"),
-            *parse_checks("est"), *parse_checks("se"),
-            (se <= 0, ContractError,
-             lambda i: f"se must be positive, got {float(se[i])}"),
-            (~square_ok, DomainError,
-             lambda i: f"se {float(se[i])} is out of range, its square is "
-                       f"not a positive finite float"),
-            *parse_checks("ifrac"), *parse_checks("subgroup12"),
-            *parse_checks("ifrac2"),
-            ((np.abs(sg - 0.5) > 1e-9) & (np.abs(sg + 0.5) > 1e-9),
-             ContractError,
-             lambda i: f"subgroup12 must be -0.5 or 0.5, got {float(sg[i])}"),
-            (np.abs(ifrac2 - implied) > 1e-9, ContractError,
-             lambda i: f"ifrac2 {float(ifrac2[i])} inconsistent with "
-                       f"subgroup12 + 0.5 - ifrac = {float(implied[i])}"),
-            ((est <= 0) & exponentiated_input, ContractError,
-             lambda i: f"exponentiated est must be positive, got "
-                       f"{float(est[i])}"),
-            *parse_checks("contrast.esti"), *parse_checks("contrast.se"),
-            (count_refused, ContractError,
-             lambda i: f"bad n_{'b' if side_b[i] else 'a'} value "
-                       f"{count_texts[i]!r}"),
-            ((contrast_est <= 0) & exponentiated_input, ContractError,
-             lambda i: "exponentiated contrast.esti must be positive"),
-            (duplicate, ContractError,
-             lambda i: f"duplicate subgroup12 {float(sg[i])} for study "
-                       f"{names[i]!r}"),
-        ]
-    first = [np.argmax(mask) for mask, _, _ in checks if mask.any()]
-    if first:
-        i = int(min(first))
-        error, message = next((e, m) for mask, e, m in checks if mask[i])
-        raise error(f"row {i + 2}: {message(i)}")
-
-    est, se, ifrac, contrast_est, contrast_se = (
-        v.tolist() for v in (est, se, ifrac, contrast_est, contrast_se))
-    if exponentiated_input:
-        est = list(map(math.log, est))
-        contrast_est = [math.log(c) if c == c else c for c in contrast_est]
+    at = [index.get(name, -1) for name in (
+        "study.name", "est", "se", "ifrac", "subgroup12", "ifrac2",
+        "contrast.esti", "contrast.se", "n_a", "n_b")]
     per_study: dict = {}
-    for i, (name, is_b) in enumerate(zip(names, side_b)):
-        per_study.setdefault(name, {})["b" if is_b else "a"] = i
+    parsed = []
+    for n, row in enumerate(rows, start=2):
+        (name, est, se, ifrac, sg, ifrac2, contrast_est, contrast_se, n_a,
+         n_b) = [row[k] if 0 <= k < len(row) else None for k in at]
+        name = (name or "").strip()
+        if not name:
+            raise ContractError(f"row {n}: empty study.name")
+        est = _number(est, "est", n)
+        se = _number(se, "se", n)
+        if se <= 0:
+            raise ContractError(f"row {n}: se must be positive, got {se}")
+        if not 0.0 < se * se < math.inf:
+            raise DomainError(f"row {n}: se {se} is out of range, its square "
+                              f"is not a positive finite float")
+        ifrac = _number(ifrac, "ifrac", n)
+        sg = _number(sg, "subgroup12", n)
+        ifrac2 = _number(ifrac2, "ifrac2", n)
+        if abs(sg - 0.5) > 1e-9 and abs(sg + 0.5) > 1e-9:
+            raise ContractError(
+                f"row {n}: subgroup12 must be -0.5 or 0.5, got {sg}")
+        implied = sg + 0.5 - ifrac
+        if abs(ifrac2 - implied) > 1e-9:
+            raise ContractError(
+                f"row {n}: ifrac2 {ifrac2} inconsistent with subgroup12 + "
+                f"0.5 - ifrac = {implied}")
+        if exponentiated_input:
+            if est <= 0:
+                raise ContractError(f"row {n}: exponentiated est must be "
+                                    f"positive, got {est}")
+            est = math.log(est)
+        contrast_est = _number(contrast_est, "contrast.esti", n, True)
+        contrast_se = _number(contrast_se, "contrast.se", n, True)
+        side = "b" if sg > 0 else "a"
+        text = n_b if side == "b" else n_a
+        count = None
+        if has_counts and text:
+            try:
+                count = int(text)
+            except ValueError:
+                raise ContractError(
+                    f"row {n}: bad n_{side} value {text!r}") from None
+            if count < 0:
+                raise ContractError(
+                    f"row {n}: n_{side} must be nonnegative, got {count}")
+            if count > sys.float_info.max:
+                raise ContractError(
+                    f"row {n}: n_{side} is too large for a float")
+        if exponentiated_input:
+            # an absent contrast cell is nan: it passes and stays nan
+            if contrast_est <= 0:
+                raise ContractError(
+                    f"row {n}: exponentiated contrast.esti must be positive")
+            contrast_est = math.log(contrast_est)
+        sides = per_study.setdefault(name, {})
+        if side in sides:
+            raise ContractError(f"row {n}: duplicate subgroup12 {sg} for "
+                                f"study {name!r}")
+        sides[side] = len(parsed) // 6
+        # flat: 2 000 freed row tuples would stay on the tuple free list
+        parsed += est, se, ifrac, count, contrast_est, contrast_se
+    est, se, ifrac, counts, contrast_est, contrast_se = (
+        parsed[k::6] for k in range(6))
 
     studies = []
     for name, sides in per_study.items():
@@ -524,9 +491,11 @@ def _cmd_report(config: RunConfig) -> int:
     reference = _fit_one("bms", data, priors, grid, config)
 
     skipped = {}
-    if not all(s.obs_a.count is not None and s.obs_b.count is not None
-               for s in data.studies):
+    counts = {c for s in data.studies for c in (s.obs_a.count, s.obs_b.count)}
+    if None in counts:
         skipped["trial_weighted"] = "needs n_a and n_b counts"
+    elif 0 in counts:
+        skipped["trial_weighted"] = "needs positive n_a and n_b counts"
     if config.prevalence_value is None:
         skipped["external"] = "needs prevalence_value"
     kinds = [kind for kind in STRATEGY_KINDS if kind not in skipped]

@@ -395,7 +395,8 @@ def strategy_prevalence(data: MetaDataset, fit: FitResult, kind: str,
     """Resolve a named prevalence strategy to a number.
 
     average          plain mean of the study information fractions
-    trial_weighted   mean weighted by 1 / (1/n_A + 1/n_B); needs counts
+    trial_weighted   mean weighted by 1 / (1/n_A + 1/n_B); needs positive
+                     counts
     overall_if       see overall_if
     optimal_if       see optimal_if
     closeness_a/_b   prevalence at which the subgroup line's posterior median
@@ -411,6 +412,10 @@ def strategy_prevalence(data: MetaDataset, fit: FitResult, kind: str,
                 raise ContractError(
                     f"study {s.study_id} has no counts; trial_weighted "
                     f"prevalence needs n_a and n_b")
+            if s.obs_a.count == 0 or s.obs_b.count == 0:
+                raise ContractError(
+                    f"study {s.study_id} has a zero count; trial_weighted "
+                    f"prevalence needs positive n_a and n_b")
             weights.append(1.0 / (1.0 / s.obs_a.count + 1.0 / s.obs_b.count))
         w = np.array(weights)
         return float(w @ data.info_fractions / w.sum())
@@ -587,11 +592,8 @@ def fit_map_prevalence(counts, sd_scale: float = 0.5) -> MapPrevalence:
     for x, n in clean:
         terms = x * _log_expit(eta) + (n - x) * _log_expit(-eta) + log_wgh
         loglik += _logsumexp(terms)
-    h = phi[1] - phi[0]
-    lp_phi = np.full(phi.size, math.log(h))
-    lp_phi[[0, -1]] = math.log(0.5 * h)
     lp_psi = _halfnormal_logpdf(psi, sd_scale) + _quad_log_weights(psi)
-    logw = loglik + lp_phi[:, None] + lp_psi[None, :]
+    logw = loglik + _quad_log_weights(phi)[:, None] + lp_psi[None, :]
     w = _normalize_log_weights(logw)
 
     # predictive moments of expit(phi + psi Z) node-wise, then mixed

@@ -35,8 +35,7 @@ from .inference import (_CAMS_FUNCTIONALS, GridSpec, PosteriorGrid,
                         _prior_blocks, _solve_grid, fit_bim, fit_cams)
 from .model_core import (MetaDataset, MultiStudyRecord, StudyRecord,
                          SubgroupObservation, subgroup_arrays)
-from .reporting import (RISK_GRID, PrevalenceSpec, _beta_cdf,
-                        _prevalence_risk, bayes_risk)
+from .reporting import RISK_GRID, PrevalenceSpec, _beta_cdf, bayes_risk
 
 TOL_EXACT = 1e-10
 TOL_GRID = 1e-4
@@ -483,20 +482,50 @@ def _delta_risk_scale(grid: PosteriorGrid, loss: str) -> float:
         for mu, sd in zip(m.tolist(), s.tolist())]))
 
 
+def _beta_risk_quadrature(a: float, b: float, loss: str) -> np.ndarray:
+    """E[(pi0 - pi)^2] or E|pi0 - pi| for pi ~ Beta(a, b) at each pi0 of
+    RISK_GRID: Gauss-Legendre quadrature, nodes and weights by Golub-Welsch,
+    of the loss times the Beta density on [0, pi0] and on [pi0, 1]. For
+    integer a, b >= 1 the integrands are polynomials of degree at most
+    a + b, which max(40, (a + b) // 2 + 1) nodes integrate exactly. Other
+    laws are refused: the rule misses them by far more than the exact tier
+    (2.5e-5 at Beta(1.5, 3.7)), and below a, b = 1 the density is
+    unbounded. So are laws with a + b > 1000, where the Beta normalizer
+    overflows a float near a = b and the rule's dense eigenproblem grows as
+    the cube of its node count."""
+    if not (a >= 1.0 and b >= 1.0 and a.is_integer() and b.is_integer()
+            and a + b <= 1000.0):
+        raise ContractError(f"the risk quadrature needs integer a, b >= 1 "
+                            f"with a + b <= 1000, got Beta({a}, {b})")
+    k = np.arange(1.0, max(40, int(a + b) // 2 + 1))
+    t, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    u, w = 0.5 * (t + 1.0), v[0] ** 2
+    p = RISK_GRID[:, None]
+    x = np.hstack([p * u, p + (1.0 - p) * u])
+    dx = np.hstack([p * w, (1.0 - p) * w])
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    density = x ** (a - 1.0) * (1.0 - x) ** (b - 1.0) * math.exp(log_norm)
+    power = 2 if loss == "squared" else 1
+    return (dx * np.abs(p - x) ** power * density).sum(axis=1)
+
+
 def check_bayes_optimum(dist, loss: str = "squared", seed: int = 0) -> dict:
     """Reporting-prevalence risk curve and optimum against their
     predictions, on a small synthetic CAMS fit.
 
-    ``dist`` is the (a, b) pair of a Beta prevalence law. The risk curve of
-    reporting.bayes_risk must equal E[delta^2] (squared loss) or E|delta|
-    (absolute loss) times ``_prevalence_risk`` on RISK_GRID to the exact
-    tier, relative to its largest value (``curve_gap``); the delta moment
-    is recomputed from the independent ``cams_oracle`` lattice at the
-    information fractions (``_delta_risk_scale``). Its argmin must lie
-    within the grid tier of the law's mean (squared loss) or median
-    (absolute loss, ``_beta_median``).
+    ``dist`` is the (a, b) pair of a Beta prevalence law with integer a,
+    b >= 1 and a + b <= 1000. The risk curve of reporting.bayes_risk must
+    equal E[delta^2] (squared loss) or E|delta| (absolute loss) times
+    E[(pi0 - pi)^2] or E|pi0 - pi| on RISK_GRID to the exact tier, relative
+    to its largest value (``curve_gap``). Both factors are recomputed
+    independently: the delta moment from the ``cams_oracle`` lattice at the
+    information fractions (``_delta_risk_scale``), the prevalence factor by
+    quadrature over the Beta density (``_beta_risk_quadrature``). Its argmin
+    must lie within the grid tier of the law's mean (squared loss) or
+    median (absolute loss, ``_beta_median``).
     """
     a, b = float(dist[0]), float(dist[1])
+    factor = _beta_risk_quadrature(a, b, loss)
     scenario = SimScenario(n_studies=7, alpha=0.1, delta=0.5, gamma=0.25,
                            tau=0.05, tau_gamma=0.1,
                            sigma_law=("lognormal", -1.6, 0.3), seed=seed)
@@ -506,8 +535,7 @@ def check_bayes_optimum(dist, loss: str = "squared", seed: int = 0) -> dict:
     spec = PrevalenceSpec.beta(a, b)
     curve, argmin = bayes_risk(fit_cams(data, priors, grid), spec, loss=loss)
     oracle = cams_oracle(data, data.info_fractions, priors, grid)
-    expected = (_delta_risk_scale(oracle, loss)
-                * _prevalence_risk(spec, loss)(RISK_GRID))
+    expected = _delta_risk_scale(oracle, loss) * factor
     curve_gap = float(np.max(np.abs(curve - expected))
                       / np.max(np.abs(expected)))
     predicted = a / (a + b) if loss == "squared" else _beta_median(a, b)

@@ -77,17 +77,78 @@ def set_cell(rows, row, column, text):
                                     r"for study 'S1'$"),
     # within one row, est is read before se
     ([(1, 4, "x"), (1, 3, "inf")], r"^row 3: est must be finite, got 'inf'$"),
+    # a later row's first check does not hide an earlier row's last one
+    ([(1, 1, "-1"), (2, 0, "")],
+     r"^row 3: exponentiated contrast\.esti must be positive$"),
+    # one row that fails two checks adjacent in the order a row is read
+    # reports the earlier; where both are checks of one cell, the cell's
+    # first check is paired with the next cell's
+    ([(1, 0, ""), (1, 3, "x")], r"^row 3: empty study\.name$"),
+    ([(1, 3, "x"), (1, 4, "y")], r"^row 3: bad est value 'x'$"),
+    ([(1, 4, "x"), (1, 5, "y")], r"^row 3: bad se value 'x'$"),
+    ([(1, 4, "-inf")], r"^row 3: se must be finite, got '-inf'$"),
+    ([(1, 4, "-1e200")], r"^row 3: se must be positive, got -1e\+200$"),
+    ([(1, 5, "x"), (1, 6, "y")], r"^row 3: bad ifrac value 'x'$"),
+    ([(1, 5, "inf"), (1, 6, "y")], r"^row 3: ifrac must be finite"),
+    ([(1, 6, "x"), (1, 7, "y")], r"^row 3: bad subgroup12 value 'x'$"),
+    ([(1, 6, "nan"), (1, 7, "y")], r"^row 3: subgroup12 must be finite"),
+    ([(1, 7, "x"), (1, 6, "0.4")], r"^row 3: bad ifrac2 value 'x'$"),
+    ([(1, 7, "inf"), (1, 6, "0.4")], r"^row 3: ifrac2 must be finite"),
+    ([(1, 6, "0.4")], r"^row 3: subgroup12 must be -0\.5 or 0\.5, got 0\.4$"),
+    ([(1, 7, "0.9"), (1, 3, "-1")], r"^row 3: ifrac2 0\.9 inconsistent"),
+    ([(1, 3, "-1"), (1, 1, "x")],
+     r"^row 3: exponentiated est must be positive, got -1\.0$"),
+    ([(1, 1, "x"), (1, 2, "y")], r"^row 3: bad contrast\.esti value 'x'$"),
+    ([(1, 1, "inf"), (1, 2, "y")], r"^row 3: contrast\.esti must be finite"),
+    ([(1, 2, "x"), (1, 9, "y")], r"^row 3: bad contrast\.se value 'x'$"),
+    ([(1, 2, "nan"), (1, 9, "y")], r"^row 3: contrast\.se must be finite"),
+    ([(1, 9, "y"), (1, 1, "-1")], r"^row 3: bad n_b value 'y'$"),
+    ([(2, 0, "S1"), (2, 1, "-1")],
+     r"^row 4: exponentiated contrast\.esti must be positive$"),
 ])
 def test_load_names_the_first_bad_row(tmp_path, edits, want):
-    # columns are checked as a whole, but the error is the one a row-by-row
-    # read meets first
+    # the error is the first failing check of the first failing row; the
+    # estimates and contrasts are positive, so an exponentiated read adds
+    # only the checks of edited cells, and a plain read that lacks them
+    # names the same check unless it is one of them
+    path = counted_table(tmp_path, edits)
+    with pytest.raises(ContractError, match=want):
+        load_csv(path, exponentiated_input=True)
+    if "exponentiated" not in want:
+        with pytest.raises(ContractError, match=want):
+            load_csv(path)
+
+
+def counted_table(tmp_path, edits):
+    """Path of two studies with n_a, n_b columns, ``edits`` applied."""
     path = str(tmp_path / "d.csv")
-    rows = two_row_study() + two_row_study("S2", 0.0, 0.2, 0.3, 0.1)
+    rows = [row + ",12,34" for row in
+            two_row_study() + two_row_study("S2", 0.05, 0.2, 0.3, 0.1)]
     for row, column, text in edits:
         set_cell(rows, row, column, text)
-    write_csv(path, rows)
+    write_csv(path, rows, header=HEADER + ",n_a,n_b")
+    return path
+
+
+def test_load_checks_the_range_of_se_before_ifrac(tmp_path):
+    # the one check of the row order whose error is a DomainError
+    path = counted_table(tmp_path, [(1, 4, "1e200"), (1, 5, "x")])
+    for exponentiated in (False, True):
+        with pytest.raises(DomainError,
+                           match=r"^row 3: se 1e\+200 is out of range"):
+            load_csv(path, exponentiated_input=exponentiated)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("-4", r"^row 3: n_b must be nonnegative, got -4$"),
+    ("1" + "0" * 400, r"^row 3: n_b is too large for a float$"),
+], ids=["negative", "too_large"])
+def test_load_names_the_row_of_a_bad_count(tmp_path, text, want):
+    # a count is checked as its cell is read, before a later check of its
+    # row; one that no float holds would break trial_weighted prevalence
+    path = counted_table(tmp_path, [(1, 9, text), (1, 1, "-1")])
     with pytest.raises(ContractError, match=want):
-        load_csv(path)
+        load_csv(path, exponentiated_input=True)
 
 
 def test_load_rejects_bad_subgroup_code(tmp_path):
@@ -294,6 +355,24 @@ def test_run_report_skips_unavailable(tmp_path):
     assert "skipped" in strat["trial_weighted"]
     assert "skipped" in strat["external"]
     assert "beta" not in strat
+
+
+def test_run_report_skips_trial_weighted_on_a_zero_count(tmp_path):
+    path = make_input(tmp_path)
+    with open(path) as fh:
+        header, *rows = [line.rstrip("\n").split(",") for line in fh]
+    rows[0][header.index("n_a")] = "0"
+    with open(path, "w") as fh:
+        fh.write("".join(",".join(r) + "\n" for r in [header, *rows]))
+    out = str(tmp_path / "rep")
+    settings = {"input": path, "output_dir": out, "grid_nodes": "21"}
+    assert run("report", RunConfig.from_sources(None, settings)) == EXIT_OK
+    strat = json.load(open(os.path.join(out, "report.json")))["strategies"]
+    assert strat["trial_weighted"] == {
+        "skipped": "needs positive n_a and n_b counts"}
+    with pytest.raises(ContractError, match="has a zero count"):
+        run("report", RunConfig.from_sources(None, {
+            **settings, "prevalence": "trial_weighted"}))
 
 
 @pytest.mark.parametrize("kind", STRATEGY_KINDS + ("beta",))

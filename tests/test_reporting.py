@@ -450,6 +450,14 @@ def test_strategy_trial_weighted_needs_counts():
     fit = fit_cams(data, priors, GridSpec.default(priors, 21))
     with pytest.raises(ContractError):
         strategy_prevalence(data, fit, "trial_weighted")
+    # a zero count is refused by study, not divided by
+    counted = sim_data()
+    s = counted.studies[2]
+    zero = dataclasses.replace(s, obs_b=dataclasses.replace(s.obs_b, count=0))
+    counted = MetaDataset(counted.studies[:2] + (zero,) + counted.studies[3:])
+    with pytest.raises(ContractError,
+                       match=f"study {s.study_id} has a zero count"):
+        strategy_prevalence(counted, fit, "trial_weighted")
 
 
 def test_strategy_external_passthrough(fitted):

@@ -213,6 +213,44 @@ def test_check_bayes_optimum_fails_on_a_wrong_law(monkeypatch):
     assert not check_bayes_optimum((2.0, 2.0), loss="squared")["pass"]
 
 
+def test_check_bayes_optimum_fails_on_a_wrong_prevalence_factor(monkeypatch):
+    # the prevalence factor is recomputed by quadrature, so a closed form
+    # doubled and shifted, which keeps its argmin, fails the curve check
+    # wherever the check might read that closed form
+    risk = reporting._prevalence_risk
+
+    def wrong(spec, loss):
+        return lambda pis: 2.0 * risk(spec, loss)(pis) + 0.1
+
+    monkeypatch.setattr(reporting, "_prevalence_risk", wrong)
+    monkeypatch.setattr(verify, "_prevalence_risk", wrong, raising=False)
+    for dist, loss in (((2.0, 3.0), "squared"), ((2.0, 8.0), "absolute")):
+        rep = check_bayes_optimum(dist, loss=loss)
+        assert not rep["pass"]
+        assert rep["curve_gap"] > verify.TOL_EXACT and rep["gap"] < TOL_GRID
+
+
+@pytest.mark.parametrize("dist", [(0.5, 0.5), (1.5, 3.7), (2.0, 0.9),
+                                  (1.0, 1000.0)])
+def test_check_bayes_optimum_refuses_laws_its_quadrature_misses(dist):
+    with pytest.raises(ContractError, match="risk quadrature"):
+        check_bayes_optimum(dist)
+
+
+@pytest.mark.parametrize("dist", [(1.0, 1.0), (40.0, 40.0), (1.0, 79.0),
+                                  (3.0, 300.0), (1.0, 999.0),
+                                  (500.0, 500.0)])
+def test_beta_risk_quadrature_matches_the_closed_form(dist):
+    # the rule's node count grows with a + b, so it stays exact for laws
+    # far past what 40 nodes integrate
+    spec = reporting.PrevalenceSpec.beta(*dist)
+    for loss in ("squared", "absolute"):
+        got = verify._beta_risk_quadrature(*dist, loss)
+        want = reporting._prevalence_risk(spec, loss)(reporting.RISK_GRID)
+        assert (np.max(np.abs(got - want))
+                <= 0.1 * verify.TOL_EXACT * np.max(np.abs(want)))
+
+
 def test_check_bayes_optimum_draws_nothing_but_its_portfolio(monkeypatch):
     # the synthetic portfolio is the check's only seeded draw; with it
     # simulated up front, no random number is drawn
