@@ -34,8 +34,9 @@ from .inference import (FitResult, GridSpec, PriorSpec, fit_bim, fit_bms,
                         fit_cams, fit_overall, interaction_trace)
 from .model_core import (MetaDataset, StudyRecord, SubgroupObservation,
                          decompose_arrays, subgroup_arrays)
-from .reporting import (STRATEGY_KINDS, PrevalenceSpec, ReportedEffects,
-                        line_rows, optimal_if, report_policies)
+from .reporting import (_OPT_POINTS, STRATEGY_KINDS, PrevalenceSpec,
+                        ReportedEffects, _optimal_pi, line_rows,
+                        report_policies)
 from .verify import SimScenario, run_battery, simulate
 
 # the estimators ``fit`` can write, one fit_<name>.json each
@@ -78,7 +79,8 @@ def load_csv(path: str, exponentiated_input: bool = False,
 
     Rows are read in order and each cell is checked as it is read, so an
     error names the first failing row and that row's first failing check.
-    Blank lines are skipped and not counted in row numbers.
+    A row is named by its line in the file (the last line of a row whose
+    quoted cell spans lines); blank lines are skipped.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -89,74 +91,76 @@ def load_csv(path: str, exponentiated_input: bool = False,
         if missing:
             raise ContractError(f"{path}: missing columns {missing}")
         has_counts = "n_a" in header and "n_b" in header
-        rows = [row for row in reader if row]
-    # a later column of a repeated name wins, and a cell past the end of its
-    # row or of an absent column is None, as csv.DictReader reads them
-    index = {name: i for i, name in enumerate(header)}
-    at = [index.get(name, -1) for name in (
-        "study.name", "est", "se", "ifrac", "subgroup12", "ifrac2",
-        "contrast.esti", "contrast.se", "n_a", "n_b")]
-    per_study: dict = {}
-    parsed = []
-    for n, row in enumerate(rows, start=2):
-        (name, est, se, ifrac, sg, ifrac2, contrast_est, contrast_se, n_a,
-         n_b) = [row[k] if 0 <= k < len(row) else None for k in at]
-        name = (name or "").strip()
-        if not name:
-            raise ContractError(f"row {n}: empty study.name")
-        est = _number(est, "est", n)
-        se = _number(se, "se", n)
-        if se <= 0:
-            raise ContractError(f"row {n}: se must be positive, got {se}")
-        if not 0.0 < se * se < math.inf:
-            raise DomainError(f"row {n}: se {se} is out of range, its square "
-                              f"is not a positive finite float")
-        ifrac = _number(ifrac, "ifrac", n)
-        sg = _number(sg, "subgroup12", n)
-        ifrac2 = _number(ifrac2, "ifrac2", n)
-        if abs(sg - 0.5) > 1e-9 and abs(sg + 0.5) > 1e-9:
-            raise ContractError(
-                f"row {n}: subgroup12 must be -0.5 or 0.5, got {sg}")
-        implied = sg + 0.5 - ifrac
-        if abs(ifrac2 - implied) > 1e-9:
-            raise ContractError(
-                f"row {n}: ifrac2 {ifrac2} inconsistent with subgroup12 + "
-                f"0.5 - ifrac = {implied}")
-        if exponentiated_input:
-            if est <= 0:
-                raise ContractError(f"row {n}: exponentiated est must be "
-                                    f"positive, got {est}")
-            est = math.log(est)
-        contrast_est = _number(contrast_est, "contrast.esti", n, True)
-        contrast_se = _number(contrast_se, "contrast.se", n, True)
-        side = "b" if sg > 0 else "a"
-        text = n_b if side == "b" else n_a
-        count = None
-        if has_counts and text:
-            try:
-                count = int(text)
-            except ValueError:
+        # a later column of a repeated name wins, and a cell past the end of
+        # its row or of an absent column is None, as csv.DictReader reads them
+        index = {name: i for i, name in enumerate(header)}
+        at = [index.get(name, -1) for name in (
+            "study.name", "est", "se", "ifrac", "subgroup12", "ifrac2",
+            "contrast.esti", "contrast.se", "n_a", "n_b")]
+        per_study: dict = {}
+        parsed = []
+        for row in reader:
+            if not row:
+                continue
+            n = reader.line_num
+            (name, est, se, ifrac, sg, ifrac2, contrast_est, contrast_se, n_a,
+             n_b) = [row[k] if 0 <= k < len(row) else None for k in at]
+            name = (name or "").strip()
+            if not name:
+                raise ContractError(f"row {n}: empty study.name")
+            est = _number(est, "est", n)
+            se = _number(se, "se", n)
+            if se <= 0:
+                raise ContractError(f"row {n}: se must be positive, got {se}")
+            if not 0.0 < se * se < math.inf:
+                raise DomainError(f"row {n}: se {se} is out of range, its "
+                                  f"square is not a positive finite float")
+            ifrac = _number(ifrac, "ifrac", n)
+            sg = _number(sg, "subgroup12", n)
+            ifrac2 = _number(ifrac2, "ifrac2", n)
+            if abs(sg - 0.5) > 1e-9 and abs(sg + 0.5) > 1e-9:
                 raise ContractError(
-                    f"row {n}: bad n_{side} value {text!r}") from None
-            if count < 0:
+                    f"row {n}: subgroup12 must be -0.5 or 0.5, got {sg}")
+            implied = sg + 0.5 - ifrac
+            if abs(ifrac2 - implied) > 1e-9:
                 raise ContractError(
-                    f"row {n}: n_{side} must be nonnegative, got {count}")
-            if count > sys.float_info.max:
-                raise ContractError(
-                    f"row {n}: n_{side} is too large for a float")
-        if exponentiated_input:
-            # an absent contrast cell is nan: it passes and stays nan
-            if contrast_est <= 0:
-                raise ContractError(
-                    f"row {n}: exponentiated contrast.esti must be positive")
-            contrast_est = math.log(contrast_est)
-        sides = per_study.setdefault(name, {})
-        if side in sides:
-            raise ContractError(f"row {n}: duplicate subgroup12 {sg} for "
-                                f"study {name!r}")
-        sides[side] = len(parsed) // 6
-        # flat: 2 000 freed row tuples would stay on the tuple free list
-        parsed += est, se, ifrac, count, contrast_est, contrast_se
+                    f"row {n}: ifrac2 {ifrac2} inconsistent with subgroup12 + "
+                    f"0.5 - ifrac = {implied}")
+            if exponentiated_input:
+                if est <= 0:
+                    raise ContractError(f"row {n}: exponentiated est must be "
+                                        f"positive, got {est}")
+                est = math.log(est)
+            contrast_est = _number(contrast_est, "contrast.esti", n, True)
+            contrast_se = _number(contrast_se, "contrast.se", n, True)
+            side = "b" if sg > 0 else "a"
+            text = n_b if side == "b" else n_a
+            count = None
+            if has_counts and text:
+                try:
+                    count = int(text)
+                except ValueError:
+                    raise ContractError(
+                        f"row {n}: bad n_{side} value {text!r}") from None
+                if count < 0:
+                    raise ContractError(
+                        f"row {n}: n_{side} must be nonnegative, got {count}")
+                if count > sys.float_info.max:
+                    raise ContractError(
+                        f"row {n}: n_{side} is too large for a float")
+            if exponentiated_input:
+                # an absent contrast cell is nan: it passes and stays nan
+                if contrast_est <= 0:
+                    raise ContractError(f"row {n}: exponentiated "
+                                        f"contrast.esti must be positive")
+                contrast_est = math.log(contrast_est)
+            sides = per_study.setdefault(name, {})
+            if side in sides:
+                raise ContractError(f"row {n}: duplicate subgroup12 {sg} for "
+                                    f"study {name!r}")
+            sides[side] = len(parsed) // 6
+            # flat: 2 000 freed row tuples would stay on the tuple free list
+            parsed += est, se, ifrac, count, contrast_est, contrast_se
     est, se, ifrac, counts, contrast_est, contrast_se = (
         parsed[k::6] for k in range(6))
 
@@ -570,8 +574,8 @@ def _cmd_plotdata(config: RunConfig) -> int:
     _write_rows(os.path.join(out, "bubble.csv"), bubble)
 
     # the subgroup lines' medians and the combined 95% interval width at the
-    # same 41 prevalences, from one quantile batch
-    line_pi = np.linspace(0.0, 1.0, 41)
+    # 41 prevalences optimal_if scans, from one quantile batch
+    line_pi = np.linspace(0.0, 1.0, _OPT_POINTS)
     qs = cams.functional_quantiles(np.concatenate(
         [line_rows(cams, line_pi, g) for g in (0.0, 1.0)]),
         (0.5, 0.025, 0.975))
@@ -600,8 +604,9 @@ def _cmd_plotdata(config: RunConfig) -> int:
     if config.svg:
         _svg_forest(os.path.join(out, "forest.svg"), forest[1:])
         _svg_bubble(os.path.join(out, "bubble.svg"), bubble[1:], lines[1:])
+        # the marker's search reuses the widths just written
         _svg_width(os.path.join(out, "width_curve.svg"), line_pi, width,
-                   optimal_if(cams).pi_opt)
+                   _optimal_pi(cams, width)[0])
         _svg_trace(os.path.join(out, "trace.svg"), trace_rows[1:])
     return EXIT_OK
 

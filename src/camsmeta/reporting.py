@@ -49,6 +49,11 @@ _OPT_POINTS = 41
 _WALK_REACH = 2
 _FLAT_SD = 1e-8
 
+# closeness: scan points, and the scan points read on each side of the
+# prevalence where the line's posterior mean meets the target
+_CLOSE_POINTS = 101
+_CLOSE_REACH = 4
+
 # fit_map_prevalence's (phi, psi) grid sizes and Gauss-Hermite order
 _MAP_PHI_POINTS, _MAP_PSI_POINTS, _MAP_GH_POINTS = 201, 61, 21
 
@@ -172,24 +177,26 @@ def effects_at(fit: FitResult, pi: float) -> ReportedEffects:
     (delta + gamma) pi. The interaction entry is the fit's own gamma summary
     and does not depend on pi.
     """
-    return _effects_batch(fit, [pi])[0]
+    return _effects_batch(fit, [pi])[0][0]
 
 
-def _effects_batch(fit: FitResult, pis) -> list:
-    """``effects_at`` each prevalence in ``pis``, every summary read in one
-    ``functional_summaries`` batch."""
+def _effects_batch(fit: FitResult, pis) -> tuple[list, ParameterSummary]:
+    """``effects_at`` each prevalence in ``pis``, and the interaction (gamma)
+    summary they share: every summary is read in one ``functional_summaries``
+    batch, gamma as its last row."""
     _require_cams(fit)
     pis = [float(p) for p in pis]
     for pi in pis:
         _check_unit_interval(pi, "prevalence")
+    gamma = fit.functionals["gamma"]
     mu_a = line_rows(fit, pis)
-    overall = mu_a + np.multiply.outer(pis, fit.functionals["gamma"])
-    rows = fit.functional_summaries(np.stack(
+    overall = mu_a + np.multiply.outer(pis, gamma)
+    *rows, interaction = fit.functional_summaries(np.concatenate([np.stack(
         [mu_a, line_rows(fit, pis, 1.0), overall], axis=1).reshape(
-            -1, mu_a.shape[1]))
-    return [ReportedEffects(*rows[3 * k:3 * k + 3], fit.summaries["gamma"],
+            -1, gamma.size), gamma[None, :]]))
+    return [ReportedEffects(*rows[3 * k:3 * k + 3], interaction,
                             {"kind": "point", "value": pi})
-            for k, pi in enumerate(pis)]
+            for k, pi in enumerate(pis)], interaction
 
 
 def line_rows(fit: FitResult, pis, g: float = 0.0) -> np.ndarray:
@@ -256,24 +263,39 @@ def _refine(values, scan: np.ndarray, curve: np.ndarray, best: int) -> float:
     return min(max(_vertex(near, values(near)), a), b)
 
 
-def _line_sd_sum(fit: FitResult, pis: np.ndarray) -> np.ndarray:
-    """sd(mu_A) + sd(mu_B) at each prevalence, in closed form: with C the
-    posterior covariance of the location parameters, sum_k w_k (Sigma_k +
-    (mu_k - m)(mu_k - m)') over the lattice, a line with coefficients v has
-    sd sqrt(v' C v)."""
+def _line_moments(fit: FitResult, rows: np.ndarray):
+    """Posterior mean and sd of the functional in each row of ``rows``
+    (coefficients over ``fit.grid.param_names``), in closed form: with m =
+    sum_k w_k mu_k and C = sum_k w_k (Sigma_k + (mu_k - m)(mu_k - m)') the
+    posterior mean and covariance of the location parameters over the
+    lattice, a row v has mean v'm and sd sqrt(v' C v)."""
     grid = fit.grid
     p = len(grid.param_names)
     w = _mixture_weights(grid)
     mean = grid.cond_mean.reshape(-1, p)
-    centred = mean - w @ mean
+    m = w @ mean
+    centred = mean - m
     cov = ((w @ grid.cond_cov.reshape(-1, p * p)).reshape(p, p)
            + centred.T @ (w[:, None] * centred))
-    total = np.zeros(pis.size)
-    for g in (0.0, 1.0):
-        v = line_rows(fit, pis, g)
-        total += np.sqrt(np.clip(np.einsum("ij,jk,ik->i", v, cov, v), 0.0,
-                                 None))
-    return total
+    return rows @ m, np.sqrt(np.clip(np.einsum("ij,jk,ik->i", rows, cov, rows),
+                                     0.0, None))
+
+
+def _line_sd_sum(fit: FitResult, pis: np.ndarray) -> np.ndarray:
+    """sd(mu_A) + sd(mu_B) at each prevalence, in closed form
+    (``_line_moments``)."""
+    sd = _line_moments(fit, np.concatenate(
+        [line_rows(fit, pis, g) for g in (0.0, 1.0)]))[1]
+    return sd[:pis.size] + sd[pis.size:]
+
+
+def _widths(fit: FitResult, pis) -> np.ndarray:
+    """The combined width of the two subgroup 95% intervals at each
+    prevalence in ``pis``, from one quantile batch."""
+    qs = fit.functional_quantiles(np.concatenate(
+        [line_rows(fit, pis, g) for g in (0.0, 1.0)]), (0.025, 0.975))
+    span = (qs[:, 1] - qs[:, 0]).reshape(2, len(pis))
+    return span[0] + span[1]
 
 
 def optimal_if(fit: FitResult) -> OptimalIF:
@@ -292,18 +314,35 @@ def optimal_if(fit: FitResult) -> OptimalIF:
     law. Warns when the minimizer lies outside the observed information
     fractions, since the subgroup lines are extrapolated there.
     """
+    pi_opt, flat = _optimal_pi(fit)
+    return OptimalIF(pi_opt, float(_widths(fit, [pi_opt])[0]),
+                     flat_range=(0.0, 1.0) if flat else None)
+
+
+def _optimal_pi(fit: FitResult,
+                known: np.ndarray | None = None) -> tuple[float, bool]:
+    """``optimal_if``'s prevalence, and whether the width is flat, without
+    the width there, which ``report`` and ``plotdata`` do not use. ``known``
+    (when given) holds the widths at the _OPT_POINTS scan prevalences, as
+    ``plotdata``'s width curve does: no scan prevalence is then read
+    again."""
     _require_cams(fit)
+    scan = np.linspace(0.0, 1.0, _OPT_POINTS)
 
     def widths(pis) -> np.ndarray:
-        qs = fit.functional_quantiles(np.concatenate(
-            [line_rows(fit, pis, g) for g in (0.0, 1.0)]), (0.025, 0.975))
-        span = (qs[:, 1] - qs[:, 0]).reshape(2, len(pis))
-        return span[0] + span[1]
+        pis = np.asarray(pis, dtype=float)
+        if known is None:
+            return _widths(fit, pis)
+        at = np.rint(pis * (_OPT_POINTS - 1)).astype(int)
+        out = known[at]
+        read = scan[at] != pis
+        if read.any():
+            out[read] = _widths(fit, pis[read])
+        return out
 
-    scan = np.linspace(0.0, 1.0, _OPT_POINTS)
     sd_sum = _line_sd_sum(fit, scan)
     if np.ptp(sd_sum) <= _FLAT_SD * sd_sum.max():
-        return OptimalIF(0.5, float(widths([0.5])[0]), flat_range=(0.0, 1.0))
+        return 0.5, True
     start = int(np.argmin(sd_sum))
     left = max(start - _WALK_REACH, 0)
     right = min(start + _WALK_REACH, _OPT_POINTS - 1)
@@ -320,8 +359,8 @@ def optimal_if(fit: FitResult) -> OptimalIF:
             f"optimal prevalence {pi_opt:.4f} lies outside the observed "
             f"information fractions [{min(pifs):.4f}, {max(pifs):.4f}]; "
             f"the subgroup lines are extrapolated there",
-            ExtrapolationWarning, stacklevel=2)
-    return OptimalIF(pi_opt, float(widths([pi_opt])[0]))
+            ExtrapolationWarning, stacklevel=3)
+    return pi_opt, False
 
 
 def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -362,9 +401,18 @@ def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
 def _closeness(fit: FitResult, reference: FitResult, subgroup: str) -> float:
     """Prevalence at which the subgroup line's posterior median meets the
     reference median: a root of G(pi) = F_pi(target) - 1/2, F_pi the CDF of
-    the line at pi, found from a 101-point scan of G and refined to
-    _ROOT_TOL. When G never changes sign, the prevalence nearest in median,
-    from the same scan refined by two parabolic steps (see _scan_min)."""
+    the line at pi, on a scan of _CLOSE_POINTS prevalences, refined to
+    _ROOT_TOL by ``_bracketed_root``.
+
+    The line's posterior mean is linear in pi and closed-form
+    (``_line_moments``); the scan point nearest where it meets the target
+    locates the search, and G is read there and at _CLOSE_REACH scan points
+    on each side, in one batch. When that window holds a crossing, the
+    crossing nearest the locator wins: among the window's sign changes, the
+    one with the smallest |G| at an end. Otherwise (or when the mean does not
+    move with pi) the full scan decides by the same rule, and when G never
+    changes sign there, the prevalence nearest in median, from the same scan
+    refined by two parabolic steps (see _scan_min)."""
     if reference is None or reference.estimator != "BMS":
         raise ContractError("closeness strategies need a reference BMS fit")
     target = reference.summaries["mu_a" if subgroup == "a" else "mu_b"].median
@@ -373,20 +421,37 @@ def _closeness(fit: FitResult, reference: FitResult, subgroup: str) -> float:
     def excess(pis) -> np.ndarray:
         return fit.functional_cdf(line_rows(fit, pis, gamma), target) - 0.5
 
-    scan = np.linspace(0.0, 1.0, 101)
-    g = excess(scan)
-    sign = np.sign(g)
-    cross = np.flatnonzero(sign[:-1] * sign[1:] <= 0.0)
-    if cross.size and g.max() > g.min():
-        i = cross[np.argmin(np.minimum(np.abs(g[cross]), np.abs(g[cross + 1])))]
-        return _bracketed_root(lambda p: excess([p])[0], float(scan[i]),
-                               float(scan[i + 1]), g[i], g[i + 1])
+    def crossing(pis: np.ndarray) -> float | None:
+        g = excess(pis)
+        sign = np.sign(g)
+        cross = np.flatnonzero(sign[:-1] * sign[1:] <= 0.0)
+        if not (cross.size and g.max() > g.min()):
+            return None
+        i = cross[np.argmin(np.minimum(np.abs(g[cross]),
+                                       np.abs(g[cross + 1])))]
+        return _bracketed_root(lambda p: excess([p])[0], float(pis[i]),
+                               float(pis[i + 1]), g[i], g[i + 1])
+
+    scan = np.linspace(0.0, 1.0, _CLOSE_POINTS)
+    at0, at1 = _line_moments(
+        fit, line_rows(fit, [0.0, 1.0], gamma))[0].tolist()
+    slope = at1 - at0
+    # Python floats: a zero, nan or overflowing slope warns nowhere
+    start = (target - at0) / slope * (_CLOSE_POINTS - 1) if slope else math.nan
+    if math.isfinite(start):
+        i = min(max(round(start), 0), _CLOSE_POINTS - 1)
+        root = crossing(scan[max(i - _CLOSE_REACH, 0):i + _CLOSE_REACH + 1])
+        if root is not None:
+            return root
+    root = crossing(scan)
+    if root is not None:
+        return root
 
     def distances(pis) -> np.ndarray:
         return np.abs(fit.functional_quantiles(
             line_rows(fit, pis, gamma), (0.5,))[:, 0] - target)
 
-    return _scan_min(distances, 101)[0]
+    return _scan_min(distances, _CLOSE_POINTS)[0]
 
 
 def strategy_prevalence(data: MetaDataset, fit: FitResult, kind: str,
@@ -422,7 +487,7 @@ def strategy_prevalence(data: MetaDataset, fit: FitResult, kind: str,
     if kind == "overall_if":
         return overall_if(fit, data)
     if kind == "optimal_if":
-        return optimal_if(fit).pi_opt
+        return _optimal_pi(fit)[0]
     if kind == "closeness_a":
         return _closeness(fit, reference, "a")
     if kind == "closeness_b":
@@ -447,8 +512,9 @@ def report_effects(data: MetaDataset, fit: FitResult, spec: PrevalenceSpec,
 def report_policies(data: MetaDataset, fit: FitResult, specs,
                     reference: FitResult | None = None) -> list:
     """``report_effects`` of each policy in ``specs``. Every point-valued
-    policy is resolved first, in order, and all their summaries are then
-    read in one batch."""
+    policy is resolved first, in order, and all their summaries and the
+    interaction summary that every policy shares are then read in one
+    batch."""
     _require_cams(fit)
     points = {}
     for i, spec in enumerate(specs):
@@ -456,11 +522,11 @@ def report_policies(data: MetaDataset, fit: FitResult, specs,
             points[i] = float(spec.value)
         elif spec.kind != "beta":
             points[i] = strategy_prevalence(data, fit, spec.kind, reference)
-    read = dict(zip(points, _effects_batch(fit, points.values()))) \
-        if points else {}
+    effects, interaction = _effects_batch(fit, points.values())
+    read = dict(zip(points, effects))
     return [dataclasses.replace(read[i], prevalence_used={
                 "kind": spec.kind, "value": points[i]})
-            if i in read else marginalize_prevalence(fit, spec)
+            if i in read else _beta_effects(fit, spec, interaction)
             for i, spec in enumerate(specs)]
 
 
@@ -491,18 +557,27 @@ def marginalize_prevalence(fit: FitResult,
             prevalence_used={"kind": spec.kind, "value": float(spec.value)})
     if spec.kind != "beta":
         raise ContractError(f"cannot draw prevalences from kind {spec.kind!r}")
+    return _beta_effects(fit, spec, fit.summaries["gamma"])
+
+
+def _beta_effects(fit: FitResult, spec: PrevalenceSpec,
+                  interaction: ParameterSummary) -> ReportedEffects:
+    """``marginalize_prevalence`` of the beta law ``spec``, with the
+    interaction summary already read. Only the lattice nodes that the draws
+    hit have their covariance factored: LAPACK factors each matrix on its
+    own, so the draws do not depend on which other nodes are factored."""
     rng = np.random.default_rng(spec.seed)
     grid = fit.grid
     p = len(grid.param_names)
     w = grid.weight.reshape(-1)
-    mean = grid.cond_mean.reshape(-1, p)
-    cov = grid.cond_cov.reshape(-1, p, p)
-    vals, vecs = np.linalg.eigh(cov)
+    idx = rng.choice(w.size, size=BETA_DRAWS, p=w)
+    hit, node = np.unique(idx, return_inverse=True)
+    vals, vecs = np.linalg.eigh(grid.cond_cov.reshape(-1, p, p)[hit])
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) \
         @ vecs.swapaxes(-1, -2)
-    idx = rng.choice(w.size, size=BETA_DRAWS, p=w)
     z = rng.standard_normal((BETA_DRAWS, p))
-    theta = mean[idx] + np.einsum("npq,nq->np", root[idx], z)
+    theta = grid.cond_mean.reshape(-1, p)[idx] + np.einsum(
+        "npq,nq->np", root[node], z)
     wts, aa, bb = np.array(spec.components).T
     if wts.size == 1:
         pis = rng.beta(aa[0], bb[0], size=BETA_DRAWS)
@@ -518,7 +593,7 @@ def marginalize_prevalence(fit: FitResult,
     used = {"kind": "beta", "components": [list(c) for c in spec.components],
             "mean": spec.mean(), "draws": BETA_DRAWS, "seed": spec.seed}
     return ReportedEffects(_mc_summary(mu_a), _mc_summary(mu_b),
-                           _mc_summary(overall), fit.summaries["gamma"], used)
+                           _mc_summary(overall), interaction, used)
 
 
 def beta_moments(a: float, b: float) -> tuple[float, float]:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -60,6 +61,16 @@ def test_load_reports_row_numbers(tmp_path):
     rows[1] = rows[1].replace("0.4", "not_a_number", 1)
     write_csv(path, rows)
     with pytest.raises(ContractError, match="row 3"):
+        load_csv(path)
+
+
+def test_load_names_the_file_line_after_a_blank_line(tmp_path):
+    # a blank line counts: the bad se on the file's third line is row 3
+    path = str(tmp_path / "d.csv")
+    rows = two_row_study()
+    set_cell(rows, 0, 4, "x")
+    write_csv(path, [""] + rows)
+    with pytest.raises(ContractError, match=r"^row 3: bad se value 'x'$"):
         load_csv(path)
 
 
@@ -416,7 +427,8 @@ def test_report_reads_every_point_policy_in_one_summaries_batch(
         tmp_path, monkeypatch):
     # the seven point-valued strategies and a configured point value are
     # resolved first; their mu_A, mu_B and overall summaries are then one
-    # functional_summaries call of 3 rows each
+    # functional_summaries call of 3 rows each, whose last row is the
+    # interaction that every policy, the Beta law's included, reports
     calls = []
     summaries = camsmeta.FitResult.functional_summaries
     monkeypatch.setattr(camsmeta.FitResult, "functional_summaries",
@@ -427,14 +439,35 @@ def test_report_reads_every_point_policy_in_one_summaries_batch(
         "grid_nodes": "21", "prevalence": "point", "prevalence_value": "0.3",
         "beta_a": "2", "beta_b": "5"})
     assert run("report", cfg) == EXIT_OK
-    assert calls == [3 * (len(STRATEGY_KINDS) + 1)]
+    assert calls == [3 * (len(STRATEGY_KINDS) + 1) + 1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_report_interaction_is_the_fit_gamma_summary(tmp_path, seed):
+    # the gamma row of the point-policy batch is the fit's own gamma
+    # summary, bit for bit, in every strategy (quick-start data, N=101)
+    data = simulate(SimScenario(n_studies=8, gamma=0.3, tau=0.1,
+                                tau_gamma=0.1, uisd=1.0, seed=seed))
+    path, out = str(tmp_path / "d.csv"), str(tmp_path / "rep")
+    save_csv(data, path)
+    assert main(["report", "--input", path, "--output-dir", out,
+                 "--prevalence-value", "0.4", "--beta-a", "2",
+                 "--beta-b", "3"]) == EXIT_OK
+    strategies = json.load(open(os.path.join(out, "report.json")))[
+        "strategies"]
+    priors = PriorSpec(tau_scale=1.0, tau_gamma_scale=0.5)
+    gamma = fit_cams(data, priors, GridSpec.default(priors)).summaries["gamma"]
+    assert set(strategies) == {*STRATEGY_KINDS, "beta"}
+    for kind, entry in strategies.items():
+        assert entry["interaction"] == dataclasses.asdict(gamma), kind
 
 
 @pytest.mark.parametrize("svg", ["false", "true"])
 def test_plotdata_reads_lines_and_width_curve_in_one_batch(tmp_path,
                                                            monkeypatch, svg):
     # the bubble-line medians and the width curve share one quantile batch
-    # of 41 prevalences x 2 lines; only the SVG marker runs optimal_if
+    # of 41 prevalences x 2 lines; only the SVG marker runs optimal_if's
+    # search, and it reuses the curve's widths: one refining triple is new
     calls = []
     quantiles = camsmeta.FitResult.functional_quantiles
     monkeypatch.setattr(camsmeta.FitResult, "functional_quantiles",
@@ -447,7 +480,7 @@ def test_plotdata_reads_lines_and_width_curve_in_one_batch(tmp_path,
     assert run("plotdata", cfg) == EXIT_OK
     assert calls[0] == (2 * 41, (0.5, 0.025, 0.975))
     marker = calls[1:]
-    assert not marker if svg == "false" else 1 <= len(marker) <= 3
+    assert len(marker) == (svg == "true")
     rows = open(os.path.join(str(tmp_path / "plots"),
                              "width_curve.csv")).read().splitlines()
     assert len(rows) == 42

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from camsmeta import gaussmix, inference, reporting
+from camsmeta import gaussmix, inference, io_cli, reporting
 from camsmeta.errors import (CamsmetaWarning, ContractError, DomainError,
                              ExtrapolationWarning, GridEdgeWarning,
                              ValidationWarning)
@@ -530,16 +530,125 @@ def counted_cdf_rows():
         yield rows
 
 
-def test_closeness_solves_no_quantiles_and_few_cdf_rows(fitted):
-    # the search reads CDF values only: a 101-point scan plus a short
-    # bracketed refinement
-    data, cams, bms = fitted
+def quickstart_fits(seed, nodes=101):
+    """CAMS and BMS fits of the quick-start data (J=8) of one data seed."""
+    priors = PriorSpec()
+    grid = GridSpec.default(priors, n_nodes=nodes)
+    data = simulate(SimScenario(n_studies=8, gamma=0.3, tau=0.1,
+                                tau_gamma=0.1, uisd=1.0, seed=seed))
+    return data, fit_cams(data, priors, grid), fit_bms(data, priors, grid)
+
+
+def assert_closeness_reads_few_cdf_rows(data, cams, bms):
+    # the search reads CDF values only: the located window of 9 scan points
+    # plus a short bracketed refinement, at most 20 rows instead of the
+    # 101-point scan's 107
+    bms.summaries  # the reference medians: a quantile solve of their own
     for kind in ("closeness_a", "closeness_b"):
         with mock.patch.object(inference, "mixture_quantiles",
                                side_effect=AssertionError("quantile solve")), \
                 counted_cdf_rows() as rows:
             strategy_prevalence(data, cams, kind, reference=bms)
-        assert 101 < sum(rows) <= 130, kind
+        assert 2 * reporting._CLOSE_REACH + 1 < sum(rows) <= 20, kind
+
+
+def test_closeness_solves_no_quantiles_and_few_cdf_rows(fitted):
+    assert_closeness_reads_few_cdf_rows(*fitted)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_closeness_reads_few_cdf_rows_on_the_quick_start(seed):
+    # J=8, N=101, data seeds 0-7, as the benchmark's report runs it
+    assert_closeness_reads_few_cdf_rows(*quickstart_fits(seed))
+
+
+def closeness_scan_reference(fit, reference, subgroup):
+    """The closeness prevalence found without any locator: G at all 101 scan
+    points, the crossing with the smallest |G| at an end refined by
+    ``_bracketed_root``, else the nearest approach in median."""
+    target = reference.summaries[f"mu_{subgroup}"].median
+    gamma = 1.0 if subgroup == "b" else 0.0
+
+    def excess(pis):
+        return fit.functional_cdf(reporting.line_rows(fit, pis, gamma),
+                                  target) - 0.5
+
+    scan = np.linspace(0.0, 1.0, 101)
+    g = excess(scan)
+    sign = np.sign(g)
+    cross = np.flatnonzero(sign[:-1] * sign[1:] <= 0.0)
+    if cross.size and g.max() > g.min():
+        i = cross[np.argmin(np.minimum(np.abs(g[cross]), np.abs(g[cross + 1])))]
+        return _bracketed_root(lambda p: excess([p])[0], float(scan[i]),
+                               float(scan[i + 1]), g[i], g[i + 1])
+    return reporting._scan_min(lambda pis: np.abs(fit.functional_quantiles(
+        reporting.line_rows(fit, pis, gamma), (0.5,))[:, 0] - target), 101)[0]
+
+
+@pytest.mark.parametrize("scenario, nodes", [
+    *[(SimScenario(n_studies=8, gamma=0.3, tau=0.1, tau_gamma=0.1, uisd=1.0,
+                   seed=seed), 101) for seed in range(8)],
+    *[(SimScenario(n_studies=j, gamma=0.3, tau=0.1, tau_gamma=0.1, seed=seed),
+       61) for j in (3, 8, 15) for seed in range(5)],
+    *[(leverage_scenario(seed), 61) for seed in range(3)],
+    *[(SimScenario(n_studies=j, gamma=0.3, tau=0.1, tau_gamma=0.1, seed=seed),
+       61) for j in (30, 100) for seed in range(4)],
+], ids=lambda v: (f"J{v.n_studies}-seed{v.seed}"
+                  if isinstance(v, SimScenario) else str(v)))
+def test_closeness_locator_matches_the_full_scan(scenario, nodes):
+    # the closed-form locator reads G in a window of 9 scan points instead
+    # of all 101, and changes neither subgroup's prevalence by a bit
+    priors = PriorSpec()
+    grid = GridSpec.default(priors, nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CamsmetaWarning)
+        data = simulate(scenario)
+        cams, bms = fit_cams(data, priors, grid), fit_bms(data, priors, grid)
+        for subgroup in ("a", "b"):
+            assert reporting._closeness(cams, bms, subgroup) \
+                == closeness_scan_reference(cams, bms, subgroup), subgroup
+
+
+@contextlib.contextmanager
+def recorded_cdf_reads():
+    """The prevalences (delta coefficients of the coefficient rows) read by
+    each ``FitResult.functional_cdf`` call, in call order."""
+    reads = []
+    cdf = inference.FitResult.functional_cdf
+
+    def recording(self, specs, x):
+        reads.append((self._coef_matrix(specs)
+                       @ self.functionals["delta"]).tolist())
+        return cdf(self, specs, x)
+
+    with mock.patch.object(inference.FitResult, "functional_cdf", recording):
+        yield reads
+
+
+@pytest.mark.parametrize("locator", ["far_end", "flat", "nan"])
+def test_closeness_falls_back_to_the_full_scan(fitted, locator):
+    # a locator that starts at the far end of the scan from the root finds
+    # no sign change in its window, so all 101 points are read and the full
+    # scan's crossing is refined instead; a line mean that does not move
+    # with pi, or is not a number, locates nothing and goes to the scan
+    _, cams, bms = fitted
+    want = closeness_scan_reference(cams, bms, "a")
+    target = bms.summaries["mu_a"].median
+    scan = np.linspace(0.0, 1.0, 101)
+    # the line's mean meets the target at pi = 1 or at pi = 0
+    ends, first = {
+        "far_end": ([target - 1.0, target], [scan[-5:]])
+        if want < 0.5 else ([target, target + 1.0], [scan[:5]]),
+        "flat": ([target + 1.0] * 2, []),
+        "nan": ([math.nan] * 2, []),
+    }[locator]
+    with mock.patch.object(reporting, "_line_moments",
+                           lambda fit, rows: (np.array(ends), None)), \
+            recorded_cdf_reads() as reads:
+        got = reporting._closeness(cams, bms, "a")
+    assert got == want
+    assert reads[:len(first) + 1] == [p.tolist() for p in first + [scan]]
+    assert all(len(r) == 1 for r in reads[len(first) + 1:])
 
 
 def test_optimal_if_scan_needs_few_cdf_rows_per_quantile():
@@ -612,6 +721,72 @@ def test_spec_alone_sets_draws_and_seed(fitted):
     assert eff.prevalence_used["seed"] == spec.seed
     other = marginalize_prevalence(cams, PrevalenceSpec.beta(2.0, 3.0, seed=8))
     assert other.overall != eff.overall
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_beta_draws_factor_only_the_nodes_they_hit(seed):
+    # the Beta report of the quick-start data (N=101) is the one that
+    # factors every node's covariance, bit for bit
+    data, cams, bms = quickstart_fits(seed)
+    spec = PrevalenceSpec.beta(2.0, 3.0, seed=seed)
+    rng = np.random.default_rng(spec.seed)
+    grid = cams.grid
+    w = grid.weight.reshape(-1)
+    mean, cov = grid.cond_mean.reshape(-1, 3), grid.cond_cov.reshape(-1, 3, 3)
+    vals, vecs = np.linalg.eigh(cov)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) \
+        @ vecs.swapaxes(-1, -2)
+    idx = rng.choice(w.size, size=BETA_DRAWS, p=w)
+    z = rng.standard_normal((BETA_DRAWS, 3))
+    theta = mean[idx] + np.einsum("npq,nq->np", root[idx], z)
+    pis = rng.beta(2.0, 3.0, size=BETA_DRAWS)
+    alpha, delta, gamma = (theta @ cams.functionals[name]
+                           for name in ("alpha", "delta", "gamma"))
+    want = [reporting._mc_summary(x) for x in (
+        alpha + delta * pis, alpha + delta * pis + gamma,
+        alpha + (delta + gamma) * pis)]
+    for eff in (marginalize_prevalence(cams, spec),
+                report_policies(data, cams, [spec], bms)[0]):
+        assert [eff.mu_a, eff.mu_b, eff.overall] == want
+        assert eff.interaction == cams.summaries["gamma"]
+
+
+def test_plotdata_reads_no_scan_prevalence_twice(tmp_path):
+    # after the batch of the 41 scan prevalences (two lines each), the SVG
+    # marker's optimal_if reads only prevalences off the scan: the window
+    # and any fallback scan take the widths width_curve.csv holds
+    data = simulate(SimScenario(n_studies=8, gamma=0.3, tau=0.1,
+                                tau_gamma=0.1, uisd=1.0, seed=1))
+    path, out = str(tmp_path / "d.csv"), str(tmp_path / "plots")
+    io_cli.save_csv(data, path)
+    with warnings.catch_warnings(), recorded_quantile_reads() as reads:
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        assert io_cli.main(["plotdata", "--input", path, "--output-dir", out,
+                            "--svg", "true"]) == io_cli.EXIT_OK
+    assert reads[0] == 2 * SCAN_PI.tolist()
+    later = np.concatenate(reads[1:])
+    assert later.size and not np.isin(later, SCAN_PI).any()
+
+
+def test_plotdata_marker_falls_back_without_reading_the_scan(tmp_path):
+    # a locator that starts at the wrong end misses the optimum; the full
+    # scan it falls back to is the width curve, so the marker reads only
+    # the refining triple and lands where optimal_if does
+    data = simulate(SimScenario(n_studies=8, gamma=0.3, tau=0.1,
+                                tau_gamma=0.1, uisd=1.0, seed=1))
+    priors = PriorSpec()
+    cams = fit_cams(data, priors, GridSpec.default(priors, 101))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        want = optimal_if(cams)
+        far_end = -SCAN_PI if want.pi_opt < 0.5 else SCAN_PI
+        with mock.patch.object(reporting, "_line_sd_sum",
+                               lambda fit, pis: far_end.copy()), \
+                recorded_quantile_reads() as reads:
+            got = reporting._optimal_pi(cams, exact_widths(cams, SCAN_PI))
+    assert got == (want.pi_opt, False)
+    assert len(reads) == 2 and reads[0] == 2 * SCAN_PI.tolist()
+    assert not np.isin(np.concatenate(reads[1:]), SCAN_PI).any()
 
 
 def test_marginalizing_a_point_law_is_exact(fitted, monkeypatch):
