@@ -13,8 +13,7 @@ from .errors import (CamsmetaError, CamsmetaWarning, ContractError,
                      IdentifiabilityWarning, ValidationWarning)
 from .model_core import (CovarianceStructure, MetaDataset, MultiStudyRecord,
                          StudyRecord, SubgroupObservation, compose,
-                         compute_if, cov_gm, decompose, marginal_covariance,
-                         missing_observation, prevalence_from_counts)
+                         compute_if, cov_gm, decompose)
 from .contrasts import (ContrastBasis, contrast_mean_cov, helmert_basis,
                         kronecker_contrast, per_arm_prevalence,
                         precision_prevalence, transform_matrix)
@@ -22,14 +21,12 @@ from .gaussmix import (GaussianMixture1D, grid_interval, grid_quantile,
                        grid_tail_prob)
 from .inference import (ESTIMATORS, FitResult, GridSpec, ParameterSummary,
                         PosteriorGrid, PriorSpec, TracePoint,
-                        cross_term_correction, ecological_evidence,
-                        factorization_residual, factorized_loglikelihood,
-                        fit_bim, fit_bim_k, fit_bms, fit_cams, fit_overall,
-                        interaction_trace, joint_loglikelihood,
-                        tail_probability)
-from .reporting import (STRATEGY_KINDS, MapPrevalence, OptimalIF,
-                        PrevalenceSpec, ReportedEffects, bayes_risk,
-                        beta_moments, effects_at, fit_map_prevalence,
+                        cross_term_correction, factorization_residual,
+                        factorized_loglikelihood, fit_bim, fit_bim_k, fit_bms,
+                        fit_cams, fit_overall, interaction_trace,
+                        joint_loglikelihood)
+from .reporting import (STRATEGY_KINDS, OptimalIF, PrevalenceSpec,
+                        ReportedEffects, bayes_risk, beta_moments, effects_at,
                         marginalize_prevalence, optimal_if, overall_if,
                         report_effects, strategy_prevalence)
 from .verify import (SimScenario, check_bayes_optimum, check_equivalence,
@@ -45,21 +42,18 @@ __all__ = [
     "ValidationWarning",
     "CovarianceStructure", "MetaDataset", "MultiStudyRecord", "StudyRecord",
     "SubgroupObservation", "compose", "compute_if", "cov_gm", "decompose",
-    "marginal_covariance", "missing_observation", "prevalence_from_counts",
     "ContrastBasis", "contrast_mean_cov", "helmert_basis",
     "kronecker_contrast", "per_arm_prevalence", "precision_prevalence",
     "transform_matrix",
     "GaussianMixture1D", "grid_interval", "grid_quantile", "grid_tail_prob",
     "ESTIMATORS", "FitResult", "GridSpec", "ParameterSummary",
     "PosteriorGrid", "PriorSpec", "TracePoint", "cross_term_correction",
-    "ecological_evidence", "factorization_residual",
-    "factorized_loglikelihood", "fit_bim", "fit_bim_k", "fit_bms",
-    "fit_cams", "fit_overall", "interaction_trace", "joint_loglikelihood",
-    "tail_probability",
-    "STRATEGY_KINDS", "MapPrevalence", "OptimalIF", "PrevalenceSpec",
-    "ReportedEffects", "bayes_risk", "beta_moments", "effects_at",
-    "fit_map_prevalence", "marginalize_prevalence", "optimal_if",
-    "overall_if", "report_effects", "strategy_prevalence",
+    "factorization_residual", "factorized_loglikelihood", "fit_bim",
+    "fit_bim_k", "fit_bms", "fit_cams", "fit_overall", "interaction_trace",
+    "joint_loglikelihood",
+    "STRATEGY_KINDS", "OptimalIF", "PrevalenceSpec", "ReportedEffects",
+    "bayes_risk", "beta_moments", "effects_at", "marginalize_prevalence",
+    "optimal_if", "overall_if", "report_effects", "strategy_prevalence",
     "SimScenario", "check_bayes_optimum", "check_equivalence",
     "check_k_sufficiency", "check_kronecker", "leverage_scenario",
     "run_battery", "simulate",

@@ -87,7 +87,12 @@ _HART_MAX = 40.0
 
 @dataclass(frozen=True)
 class GaussianMixture1D:
-    """Mixture sum_i w_i Normal(mean_i, sd_i^2) with w >= 0 summing to 1."""
+    """Mixture sum_i w_i Normal(mean_i, sd_i^2) with w >= 0 summing to 1.
+
+    The type ``FitResult.functional_mixture`` returns: one functional's
+    posterior as a checked, normalized mixture, with its CDF and quantiles
+    read by the batched engine below.
+    """
 
     weights: np.ndarray
     means: np.ndarray
@@ -122,24 +127,6 @@ class GaussianMixture1D:
                           np.broadcast_to(self.sds, rows), xa.ravel())
         return out.reshape(xa.shape) if xa.shape else float(out[0])
 
-    def tail_prob(self, threshold: float) -> float:
-        """P(X > threshold), computed from the upper tail for accuracy."""
-        smooth = self.sds > 0
-        p = 0.0
-        if smooth.any():
-            z = (self.means[smooth] - threshold) / self.sds[smooth]
-            p += float(self.weights[smooth] @ _normal_cdf(z)[0])
-        if (~smooth).any():
-            p += float(self.weights[~smooth] @ (self.means[~smooth] > threshold))
-        return min(max(p, 0.0), 1.0)
-
-    def mean(self) -> float:
-        return float(self.weights @ self.means)
-
-    def var(self) -> float:
-        second = self.weights @ (self.sds ** 2 + self.means ** 2)
-        return float(second - self.mean() ** 2)
-
     # ------------------------------------------------------------------
     # quantiles
     # ------------------------------------------------------------------
@@ -151,17 +138,6 @@ class GaussianMixture1D:
 
     def quantile(self, q: float) -> float:
         return float(self.quantiles((q,))[0])
-
-    def median(self) -> float:
-        return self.quantile(0.5)
-
-    def interval(self, level: float = 0.95) -> tuple[float, float]:
-        """Equal-tailed credible interval."""
-        if not (0.0 < level < 1.0):
-            raise DomainError(f"interval level must lie in (0, 1), got {level}")
-        half = 0.5 * (1.0 - level)
-        lo, hi = self.quantiles((half, 1.0 - half))
-        return float(lo), float(hi)
 
 
 # ----------------------------------------------------------------------

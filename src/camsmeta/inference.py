@@ -304,13 +304,18 @@ def _mixture_weights(grid: PosteriorGrid) -> np.ndarray:
 
 def _summaries(grid: PosteriorGrid, vecs: np.ndarray) -> list:
     """Median, 95% interval and P(> 0) of each functional row of ``vecs``,
-    from one batched quantile solve."""
-    w = grid.weight.ravel()
+    from one batched quantile solve and one batched CDF pass."""
+    w = _mixture_weights(grid)
     mean, sd = _functional_moments(grid, vecs)
-    qs = mixture_quantiles(_mixture_weights(grid), mean, sd, (0.5, 0.025, 0.975))
-    return [ParameterSummary(med, lo, hi,
-                             GaussianMixture1D(w, mu, s).tail_prob(0.0))
-            for (med, lo, hi), mu, s in zip(qs.tolist(), mean, sd)]
+    qs = mixture_quantiles(w, mean, sd, (0.5, 0.025, 0.975))
+    # P(X > 0) is the CDF of -X at 0, sum w Phi(mu / sd): the upper tail is
+    # read directly, so a tiny P(> 0) keeps its relative accuracy. That CDF
+    # also counts an atom at 0, which is not positive, so such an atom sits
+    # at 1 in -X. The clip is for rounding that carries a weight sum past 1.
+    neg = np.where((sd == 0) & (mean == 0), 1.0, -mean)
+    p_pos = np.clip(mixture_cdf(w, neg, sd, 0.0), 0.0, 1.0)
+    return [ParameterSummary(med, lo, hi, p)
+            for (med, lo, hi), p in zip(qs.tolist(), p_pos.tolist())]
 
 
 def _halfnormal_logpdf(t: np.ndarray, scale: float) -> np.ndarray:
@@ -810,25 +815,6 @@ def fit_bim_k(data: MetaDataset, basis: ContrastBasis,
 # ----------------------------------------------------------------------
 # posterior queries
 # ----------------------------------------------------------------------
-
-def tail_probability(fit: FitResult, parameter: str, threshold: float) -> float:
-    """Posterior P(parameter > threshold)."""
-    if parameter in fit.functionals:
-        return fit.functional_mixture(parameter).tail_prob(threshold)
-    if parameter in fit.grid.scale_names:
-        nodes, w = fit.grid.scale_axis(parameter)
-        return grid_tail_prob(nodes, w, threshold)
-    raise ContractError(
-        f"unknown parameter {parameter!r}; have "
-        f"{sorted(fit.functionals) + list(fit.grid.scale_names)}")
-
-
-def ecological_evidence(fit: FitResult) -> float:
-    """max(P(delta > 0), P(delta < 0)): evidence for any across-study
-    prevalence-outcome association, direction-free."""
-    p = tail_probability(fit, "delta", 0.0)
-    return max(p, 1.0 - p)
-
 
 def interaction_trace(fit: FitResult, tau_gamma_values) -> list:
     """Conditional interaction posterior along the tau_gamma axis.

@@ -27,8 +27,6 @@ import numpy as np
 
 from .errors import ContractError, DomainError, ValidationWarning
 
-DEFAULT_SENTINEL_SE = 100.0
-
 # Reported info fractions are validated against the recomputed value at this
 # tolerance; the recomputed value always wins.
 IFRAC_MATCH_TOL = 1e-6
@@ -40,11 +38,7 @@ IFRAC_MATCH_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SubgroupObservation:
-    """One subgroup's estimate within a trial.
-
-    A subgroup recorded as missing is represented by estimate 0 and a sentinel
-    standard error (default 100), which carries essentially no weight.
-    """
+    """One subgroup's estimate within a trial."""
 
     subgroup_label: str
     estimate: float
@@ -58,12 +52,6 @@ class SubgroupObservation:
             raise DomainError(f"std_error must be positive, got {self.std_error}")
         if self.count is not None and self.count < 0:
             raise DomainError(f"count must be nonnegative, got {self.count}")
-
-
-def missing_observation(subgroup_label: str,
-                        sentinel_se: float = DEFAULT_SENTINEL_SE) -> SubgroupObservation:
-    """Sentinel observation for a subgroup absent from a trial."""
-    return SubgroupObservation(subgroup_label, 0.0, sentinel_se)
 
 
 @dataclass(frozen=True)
@@ -241,16 +229,6 @@ def compute_if(sigma_a: float, sigma_b: float) -> float:
     return va / (va + vb)
 
 
-def prevalence_from_counts(n_a: int, n_b: int) -> float:
-    """Subgroup B prevalence n_b / (n_a + n_b) from subject counts."""
-    if n_a < 0 or n_b < 0:
-        raise DomainError(f"counts must be nonnegative, got ({n_a}, {n_b})")
-    total = n_a + n_b
-    if total == 0:
-        raise DomainError("cannot form a prevalence from two zero counts")
-    return n_b / total
-
-
 # ----------------------------------------------------------------------
 # contrast / mean decomposition
 # ----------------------------------------------------------------------
@@ -298,15 +276,6 @@ def cov_gm(pi: float, var_a: float, var_b: float) -> float:
     if not (var_a > 0) or not (var_b > 0):
         raise DomainError(f"variances must be positive, got ({var_a}, {var_b})")
     return decompose_arrays(0.0, 0.0, var_a, var_b, pi)[4]
-
-
-def marginal_covariance(study: StudyRecord, het: CovarianceStructure,
-                        pi: float) -> np.ndarray:
-    """Marginal 2x2 covariance of one study's (y_A, y_B); see
-    :func:`cams_covariance`."""
-    return cams_covariance(study.obs_a.std_error ** 2,
-                           study.obs_b.std_error ** 2, pi, het.tau,
-                           het.tau_gamma)
 
 
 def cams_covariance(var_a, var_b, pi, tau, tau_gamma) -> np.ndarray:

@@ -4,9 +4,9 @@ The contribution-adjusted model separates what the trials identify (the
 interaction, the ecological slope) from what the analyst must choose: the
 subgroup prevalence at which absolute effects are read off. This module
 implements the reading-off: point policies (overall-IF, optimal-IF,
-closeness, averages, external values), full distributions (moment-matched
-Beta syntheses of external count data, marginalized reports), and the
-Bayes-risk view that justifies mean/median reporting prevalences.
+closeness, averages, external values), full distributions (marginalized
+reports over a Beta mixture), and the Bayes-risk view that justifies
+mean/median reporting prevalences.
 
 Whatever the policy, the interaction summary is computed from the fit's
 gamma functional alone, so it is bit-identical across policies.
@@ -21,13 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContractError, DomainError, ExtrapolationWarning,
-                     ValidationWarning)
-from .gaussmix import _normal_cdf, grid_quantile, mixture_quantiles
-from .inference import (FitResult, GridSpec, ParameterSummary,
-                        _functional_moments, _halfnormal_logpdf,
-                        _mixture_weights, _normalize_log_weights,
-                        _quad_log_weights)
+from .errors import ContractError, DomainError, ExtrapolationWarning
+from .gaussmix import _normal_cdf
+from .inference import (FitResult, ParameterSummary, _functional_moments,
+                        _mixture_weights)
 from .model_core import (MetaDataset, _check_unit_interval, decompose_arrays,
                          subgroup_arrays)
 
@@ -54,9 +51,6 @@ _FLAT_SD = 1e-8
 _CLOSE_POINTS = 101
 _CLOSE_REACH = 4
 
-# fit_map_prevalence's (phi, psi) grid sizes and Gauss-Hermite order
-_MAP_PHI_POINTS, _MAP_PSI_POINTS, _MAP_GH_POINTS = 201, 61, 21
-
 
 @dataclass(frozen=True)
 class PrevalenceSpec:
@@ -82,9 +76,11 @@ class PrevalenceSpec:
                           for w, a, b in self.components)
             if not comps:
                 raise ContractError("beta prevalence needs components")
-            for w, a, b in comps:
-                if w <= 0 or a <= 0 or b <= 0:
-                    raise DomainError("beta weights and parameters must be positive")
+            for comp in comps:
+                for name, v in zip(("weight", "a", "b"), comp):
+                    if not 0.0 < v < math.inf:
+                        raise DomainError(
+                            f"beta {name} must be positive and finite, got {v}")
             total = sum(w for w, _, _ in comps)
             object.__setattr__(self, "components",
                                tuple((w / total, a, b) for w, a, b in comps))
@@ -149,19 +145,6 @@ class OptimalIF:
     pi_opt: float
     width: float
     flat_range: tuple | None = None
-
-
-@dataclass(frozen=True)
-class MapPrevalence:
-    """Moment-matched Beta summary of a predictive prevalence synthesis."""
-
-    a: float
-    b: float
-    predictive_mean: float
-    predictive_sd: float
-    pooled_interval: tuple
-    predictive_interval: tuple
-    n_used: int
 
 
 def _require_cams(fit: FitResult) -> None:
@@ -603,101 +586,6 @@ def beta_moments(a: float, b: float) -> tuple[float, float]:
     mean = a / (a + b)
     var = a * b / ((a + b) ** 2 * (a + b + 1.0))
     return mean, math.sqrt(var)
-
-
-def _expit(x):
-    """1 / (1 + exp(-x)) without overflow: exp(-|x|) is at most 1."""
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, t) / (1.0 + t)
-
-
-def _log_expit(x):
-    """log(_expit(x)) = -log(1 + exp(-x)), accurate in both tails."""
-    return -np.logaddexp(0.0, -x)
-
-
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis, shifted by its maximum so that no
-    exp overflows."""
-    top = a.max(axis=-1)
-    return top + np.log(np.exp(a - top[..., None]).sum(axis=-1))
-
-
-def fit_map_prevalence(counts, sd_scale: float = 0.5) -> MapPrevalence:
-    """Predictive synthesis of subgroup prevalence from external count data.
-
-    Per study, the subgroup count is binomial with a logit-normal random
-    effect: logit(p_i) ~ Normal(phi, psi^2), flat prior on phi, half-normal
-    (sd_scale) on psi. The posterior runs on a 2-D (phi, psi) grid with
-    Gauss-Hermite integration of each study's likelihood; the predictive law
-    of a new study's prevalence is then moment-matched to a single Beta.
-
-    ``counts`` is a sequence of (n_subgroup, n_total) pairs; zero-total
-    entries are skipped with a warning.
-    """
-    clean = []
-    for i, (x, n) in enumerate(counts):
-        x, n = int(x), int(n)
-        if n == 0:
-            warnings.warn(f"count entry {i} has zero total; skipped",
-                          ValidationWarning, stacklevel=2)
-            continue
-        if x < 0 or x > n:
-            raise ContractError(f"count entry {i}: need 0 <= {x} <= {n}")
-        clean.append((x, n))
-    if not clean:
-        raise ContractError("no usable count entries")
-    if sd_scale <= 0:
-        raise DomainError("sd_scale must be positive")
-    xs = np.array([c[0] for c in clean], dtype=float)
-    ns = np.array([c[1] for c in clean], dtype=float)
-
-    # phi grid centered on the pooled logit, wide enough for the prior tail
-    p0 = (xs.sum() + 0.5) / (ns.sum() + 1.0)
-    center = math.log(p0) - math.log1p(-p0)
-    se0 = math.sqrt(1.0 / (xs.sum() + 0.5) + 1.0 / (ns.sum() - xs.sum() + 0.5))
-    span = 6.0 * math.sqrt(se0 ** 2 + (2.0 * sd_scale) ** 2)
-    phi = center + np.linspace(-span, span, _MAP_PHI_POINTS)
-    psi = GridSpec.axis(sd_scale, _MAP_PSI_POINTS)
-
-    t, wgh = np.polynomial.hermite.hermgauss(_MAP_GH_POINTS)
-    log_wgh = np.log(wgh) - 0.5 * math.log(math.pi)
-    eta = (phi[:, None, None] + psi[None, :, None] * math.sqrt(2.0) * t)
-    loglik = np.zeros((phi.size, psi.size))
-    for x, n in clean:
-        terms = x * _log_expit(eta) + (n - x) * _log_expit(-eta) + log_wgh
-        loglik += _logsumexp(terms)
-    lp_psi = _halfnormal_logpdf(psi, sd_scale) + _quad_log_weights(psi)
-    logw = loglik + _quad_log_weights(phi)[:, None] + lp_psi[None, :]
-    w = _normalize_log_weights(logw)
-
-    # predictive moments of expit(phi + psi Z) node-wise, then mixed
-    gh_norm = wgh / math.sqrt(math.pi)
-    p_eta = _expit(eta)
-    e1 = np.einsum("pqh,h->pq", p_eta, gh_norm)
-    e2 = np.einsum("pqh,h->pq", p_eta ** 2, gh_norm)
-    mean = float((w * e1).sum())
-    second = float((w * e2).sum())
-    var = max(second - mean ** 2, 0.0)
-    if var <= 0.0 or var >= mean * (1.0 - mean):
-        raise ContractError(
-            f"predictive moments ({mean}, {var}) admit no Beta match")
-    common = mean * (1.0 - mean) / var - 1.0
-    a = mean * common
-    b = (1.0 - mean) * common
-
-    # pooled population prevalence expit(phi): quantiles commute with expit
-    w_phi = w.sum(axis=1)
-    pooled = (float(_expit(grid_quantile(phi, w_phi, 0.025))),
-              float(_expit(grid_quantile(phi, w_phi, 0.975))))
-
-    # the predictive law is a normal mixture on the logit scale; its
-    # quantiles commute with expit
-    predictive = tuple(float(_expit(x)) for x in mixture_quantiles(
-        w.reshape(-1), np.repeat(phi, psi.size)[None, :],
-        np.tile(psi, phi.size)[None, :], (0.025, 0.975))[0])
-    return MapPrevalence(float(a), float(b), mean, math.sqrt(var),
-                         pooled, predictive, len(clean))
 
 
 # ----------------------------------------------------------------------

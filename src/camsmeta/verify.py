@@ -85,7 +85,7 @@ class SimScenario:
     trial with a very different composition.
 
     ``uisd`` attaches per-subgroup sample sizes n = (uisd / se)^2, giving
-    datasets with count columns.
+    datasets with count columns; it must be positive and finite.
     """
 
     n_studies: int
@@ -107,6 +107,9 @@ class SimScenario:
             raise ContractError("need at least two subgroups")
         if self.tau < 0 or self.tau_gamma < 0:
             raise DomainError("heterogeneities must be nonnegative")
+        if self.uisd is not None and not 0.0 < self.uisd < math.inf:
+            raise DomainError(
+                f"uisd must be positive and finite, got {self.uisd}")
         kind, params = _check_law("sigma_law", self.sigma_law, _SIGMA_LAWS)
         if kind == "lognormal":
             params = params[1:]  # the first is a log-scale location
@@ -175,12 +178,18 @@ def simulate(scenario: SimScenario) -> MetaDataset:
     yb = (alpha_j + scenario.delta * pi + scenario.gamma
           + (1.0 - pi) * dev + rng.normal(0.0, sd_b))
     width = len(str(j))
+    if scenario.uisd is not None:
+        with np.errstate(over="ignore"):
+            n_ab = (scenario.uisd / np.stack([sd_a, sd_b], axis=1)) ** 2
     studies = []
     for i in range(j):
         counts = (None, None)
         if scenario.uisd is not None:
-            counts = (max(1, round((scenario.uisd / sd_a[i]) ** 2)),
-                      max(1, round((scenario.uisd / sd_b[i]) ** 2)))
+            if not np.isfinite(n_ab[i]).all():
+                raise DomainError(
+                    f"study S{i + 1:0{width}d}: the subgroup count "
+                    f"(uisd / se)^2 overflows at uisd {scenario.uisd}")
+            counts = tuple(max(1, round(n)) for n in n_ab[i].tolist())
         obs_a = SubgroupObservation("A", float(ya[i]), float(sd_a[i]), counts[0])
         obs_b = SubgroupObservation("B", float(yb[i]), float(sd_b[i]), counts[1])
         studies.append(StudyRecord.from_observations(

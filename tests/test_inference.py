@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import tracemalloc
 import warnings
 
@@ -12,7 +13,7 @@ from scipy import stats
 from camsmeta.errors import (CamsmetaError, CamsmetaWarning, ContractError,
                              DomainError, GridEdgeWarning,
                              IdentifiabilityWarning)
-from camsmeta.gaussmix import (QUANTILE_TOL, GaussianMixture1D,
+from camsmeta.gaussmix import (QUANTILE_TOL, GaussianMixture1D, _normal_cdf,
                                grid_interval, grid_quantile, grid_tail_prob)
 from camsmeta import inference, verify
 from camsmeta.inference import (_LOG_2PI, ESTIMATORS, GridSpec,
@@ -20,12 +21,10 @@ from camsmeta.inference import (_LOG_2PI, ESTIMATORS, GridSpec,
                                 _axis_log_prior, _cholesky_rows,
                                 _functional_moments, _pair_blocks,
                                 _scalar_stats, _solve_grid, _summaries,
-                                cross_term_correction, ecological_evidence,
-                                factorization_residual,
+                                cross_term_correction, factorization_residual,
                                 factorized_loglikelihood, fit_bim, fit_bim_k,
                                 fit_bms, fit_cams, fit_overall,
-                                interaction_trace, joint_loglikelihood,
-                                tail_probability)
+                                interaction_trace, joint_loglikelihood)
 from camsmeta.contrasts import (ContrastBasis, helmert_basis,
                                 precision_prevalence)
 from camsmeta.model_core import (CovarianceStructure, MetaDataset,
@@ -716,16 +715,64 @@ def test_forced_pi_residual_matches_analytic():
         assert abs(resid) > 0  # the cut is real away from the balance point
 
 
-def test_tail_probability_matches_summary():
-    data = make_dataset(seed=14)
-    fit = fit_bim(data, PriorSpec(), GridSpec.default(PriorSpec(), n_nodes=31))
-    p = tail_probability(fit, "gamma", 0.0)
-    assert p == pytest.approx(fit.summaries["gamma"].p_positive, abs=1e-12)
-    # scale axes are queryable too
-    pt = tail_probability(fit, "tau_gamma", 0.05)
-    assert 0.0 <= pt <= 1.0
-    with pytest.raises(ContractError):
-        tail_probability(fit, "nonexistent", 0.0)
+def per_row_p_positive(weights, mu, sd):
+    """P(X > 0) of one mixture row as it was read before the batched pass:
+    Phi(mu / sd) summed over the smooth components, the positive atoms
+    added, clipped to [0, 1]."""
+    w = weights / weights.sum()
+    smooth = sd > 0
+    p = float(w[smooth] @ _normal_cdf(mu[smooth] / sd[smooth])[0])
+    p += float(w[~smooth] @ (mu[~smooth] > 0.0))
+    return min(max(p, 0.0), 1.0)
+
+
+def test_batched_p_positive_matches_the_per_row_read():
+    # quick-start data (the CLI simulate defaults), every estimator
+    priors = PriorSpec()
+    grid = GridSpec.default(priors, n_nodes=101)
+    for seed in range(8):
+        data = simulate(SimScenario(n_studies=8, gamma=0.3, tau=0.1,
+                                    tau_gamma=0.1, uisd=1.0, seed=seed))
+        for fit_one in (fit_cams, fit_bim, fit_bms, fit_overall):
+            fit = fit_one(data, priors, grid)
+            names = list(fit.functionals)
+            mean, sd = _functional_moments(
+                fit.grid, np.array([fit.functionals[n] for n in names]))
+            for name, mu, s in zip(names, mean, sd):
+                want = per_row_p_positive(fit.grid.weight.ravel(), mu, s)
+                assert abs(fit.summaries[name].p_positive - want) <= 1e-15
+
+
+def mixture_summary(weights, means, sds):
+    """``_summaries`` of X on a one-parameter lattice whose node k holds the
+    component weights[k] Normal(means[k], sds[k]^2)."""
+    w = np.asarray(weights, dtype=float)
+    grid = inference.PosteriorGrid(
+        np.arange(float(w.size)), np.zeros(1), np.log(w)[:, None], w[:, None],
+        np.asarray(means, dtype=float)[:, None, None],
+        np.square(np.asarray(sds, dtype=float))[:, None, None, None],
+        ("x",), ())
+    return _summaries(grid, np.ones((1, 1)))[0]
+
+
+def test_batched_p_positive_tails_and_atoms():
+    # far tail: read as the upper tail, not 1 - F (off by 4e-5 relative)
+    far = mixture_summary([1.0], [-7.0], [1.0]).p_positive
+    assert far == pytest.approx(0.5 * math.erfc(7.0 / math.sqrt(2.0)),
+                                rel=1e-8, abs=0.0)
+    assert mixture_summary([1.0], [-0.7], [0.7]).p_positive == pytest.approx(
+        stats.norm.sf(1.0, 0.3, 0.7), abs=1e-12)
+    # an atom at 0 is not positive, one above it is
+    for zero in (0.0, -0.0):
+        assert mixture_summary([1.0], [zero], [0.0]).p_positive == 0.0
+    assert mixture_summary([0.25, 0.25, 0.5], [0.0, -0.5, 1.0],
+                           np.zeros(3)).p_positive == 0.5
+    assert mixture_summary([0.4, 0.6], [-0.5, 0.5],
+                           [0.0, 0.5]).p_positive == pytest.approx(
+        0.6 * stats.norm.sf(0.5, 1.0, 0.5), abs=1e-12)
+    # positive atoms whose weights sum past 1 by rounding: clipped to 1
+    w = np.array([8.0, 17.0, 3.0]) / 28.0
+    assert mixture_summary(w, np.ones(3), np.zeros(3)).p_positive == 1.0
 
 
 def test_summaries_are_read_off_the_grid_on_first_access(monkeypatch):
@@ -754,13 +801,6 @@ def test_summaries_are_read_off_the_grid_on_first_access(monkeypatch):
     other = fit_cams(make_dataset(seed=4), priors, grid)
     moved = dataclasses.replace(fit, grid=other.grid)
     assert moved.summaries == other.summaries != fit.summaries
-
-
-def test_ecological_evidence_range():
-    data = make_dataset(seed=15)
-    fit = fit_cams(data, PriorSpec(), GridSpec.default(PriorSpec(), n_nodes=31))
-    e = ecological_evidence(fit)
-    assert 0.5 <= e <= 1.0
 
 
 def test_interaction_trace_zero_node_closed_form():

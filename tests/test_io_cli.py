@@ -319,6 +319,24 @@ def make_input(tmp_path, uisd=1.0):
     return path
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--beta-a", "inf"), ("--beta-a", "nan"),
+    ("--beta-b", "inf"), ("--beta-b", "nan"),
+])
+def test_report_refuses_a_non_finite_beta_law(tmp_path, capsys, flag, value):
+    beta = {"--beta-a": "2", "--beta-b": "3", flag: value}
+    out = tmp_path / "out"
+    code = main(["report", "--input", make_input(tmp_path), "--output-dir",
+                 str(out), "--prevalence-value", "0.4",
+                 *(x for kv in beta.items() for x in kv)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    name = flag.removeprefix("--beta-")
+    assert err == [f"error: beta {name} must be positive and finite, "
+                   f"got {float(value)}"]
+    assert not (out / "report.json").exists()
+
+
 def test_run_fit_writes_json(tmp_path):
     path = make_input(tmp_path)
     out = str(tmp_path / "out")
@@ -522,6 +540,22 @@ def test_simulate_rejects_malformed_laws(tmp_path, capsys, flag, law, why):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and why in err
     assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "simulated.csv"))
+
+
+@pytest.mark.parametrize("uisd, why", [
+    ("inf", "uisd must be positive and finite"),
+    ("nan", "uisd must be positive and finite"),
+    ("-1", "uisd must be positive and finite"),
+    ("0", "uisd must be positive and finite"),
+    ("1e308", "study S01: the subgroup count (uisd / se)^2 overflows"),
+])
+def test_simulate_refuses_a_bad_uisd(tmp_path, capsys, uisd, why):
+    out = str(tmp_path / "sim")
+    code = main(["simulate", "--sim-uisd", uisd, "--output-dir", out])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and why in err[0]
     assert not os.path.exists(os.path.join(out, "simulated.csv"))
 
 

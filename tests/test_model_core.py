@@ -5,11 +5,9 @@ import pytest
 
 from camsmeta import model_core
 from camsmeta.errors import DomainError, ValidationWarning
-from camsmeta.model_core import (CovarianceStructure, MetaDataset,
-                                 MultiStudyRecord, StudyRecord,
-                                 SubgroupObservation, compose, compute_if,
-                                 cov_gm, decompose, marginal_covariance,
-                                 missing_observation, prevalence_from_counts)
+from camsmeta.model_core import (MetaDataset, MultiStudyRecord, StudyRecord,
+                                 SubgroupObservation, cams_covariance,
+                                 compose, compute_if, cov_gm, decompose)
 
 
 def make_study(ya=0.1, yb=0.4, sa=0.2, sb=0.3, study_id="S1"):
@@ -43,15 +41,6 @@ def test_compute_if_rejects_nonpositive():
         compute_if(1.0, -2.0)
 
 
-def test_prevalence_from_counts():
-    assert prevalence_from_counts(30, 70) == pytest.approx(0.7)
-    assert prevalence_from_counts(1, 0) == 0.0
-    with pytest.raises(DomainError):
-        prevalence_from_counts(0, 0)
-    with pytest.raises(DomainError):
-        prevalence_from_counts(-1, 5)
-
-
 def test_observation_validation():
     with pytest.raises(DomainError):
         SubgroupObservation("A", math.nan, 1.0)
@@ -59,16 +48,6 @@ def test_observation_validation():
         SubgroupObservation("A", 0.0, 0.0)
     with pytest.raises(DomainError):
         SubgroupObservation("A", 0.0, 1.0, count=-3)
-
-
-def test_missing_observation_sentinel():
-    obs = missing_observation("B")
-    assert obs.estimate == 0.0
-    assert obs.std_error == 100.0
-    # a missing A subgroup pushes the information fraction toward 1
-    s = StudyRecord.from_observations("S1", missing_observation("A"),
-                                      SubgroupObservation("B", 0.2, 0.1))
-    assert s.info_fraction > 0.999
 
 
 def test_decompose_hand_case():
@@ -117,8 +96,7 @@ def test_marginal_covariance_against_loading_construction():
         sa, sb = rng.uniform(0.1, 2.0, size=2)
         tau, tg = rng.uniform(0.0, 1.0, size=2)
         pi = rng.uniform(0.01, 0.99)
-        s = make_study(sa=sa, sb=sb)
-        got = marginal_covariance(s, CovarianceStructure(tau, tg), pi)
+        got = cams_covariance(sa**2, sb**2, pi, tau, tg)
         ones = np.ones((2, 1))
         load = np.array([[0.0 - pi], [1.0 - pi]])
         want = (np.diag([sa**2, sb**2]) + tau**2 * (ones @ ones.T)
@@ -128,8 +106,7 @@ def test_marginal_covariance_against_loading_construction():
 
 
 def test_marginal_covariance_balanced_pattern():
-    s = make_study(sa=0.3, sb=0.3)
-    v = marginal_covariance(s, CovarianceStructure(0.0, 0.4), 0.5)
+    v = cams_covariance(0.09, 0.09, 0.5, 0.0, 0.4)
     assert v[0, 0] == pytest.approx(0.09 + 0.04)
     assert v[0, 1] == pytest.approx(-0.04)
 

@@ -11,14 +11,12 @@ from scipy import integrate, special, stats
 
 from camsmeta import gaussmix, inference, io_cli, reporting
 from camsmeta.errors import (CamsmetaWarning, ContractError, DomainError,
-                             ExtrapolationWarning, GridEdgeWarning,
-                             ValidationWarning)
+                             ExtrapolationWarning, GridEdgeWarning)
 from camsmeta.inference import GridSpec, PriorSpec, fit_bim, fit_bms, fit_cams
 from camsmeta.model_core import MetaDataset, StudyRecord, SubgroupObservation
 from camsmeta.reporting import (BETA_DRAWS, RISK_GRID, STRATEGY_KINDS,
-                                PrevalenceSpec, _bracketed_root, _expit,
-                                _log_expit, _logsumexp, bayes_risk,
-                                beta_moments, effects_at, fit_map_prevalence,
+                                PrevalenceSpec, _bracketed_root, bayes_risk,
+                                beta_moments, effects_at,
                                 marginalize_prevalence, optimal_if,
                                 overall_if, report_effects, report_policies,
                                 strategy_prevalence)
@@ -68,6 +66,10 @@ def test_prevalence_spec_validation():
         PrevalenceSpec("point")  # needs a value
     spec = PrevalenceSpec.beta(2.0, 5.0)
     assert spec.mean() == pytest.approx(2.0 / 7.0)
+    for comp in ((math.inf, 2.0, 3.0), (math.nan, 2.0, 3.0), (0.0, 2.0, 3.0),
+                 (1.0, 2.0, math.inf), (1.0, math.nan, 3.0)):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            PrevalenceSpec("beta", components=(comp,))
 
 
 def test_effects_at_endpoints(fitted):
@@ -811,63 +813,6 @@ def test_beta_moments_against_scipy():
         assert sd == pytest.approx(stats.beta.std(a, b), abs=1e-12)
     with pytest.raises(DomainError):
         beta_moments(0.0, 1.0)
-
-
-def test_logistic_helpers_against_scipy():
-    # RuntimeWarnings are errors (pyproject.toml), so no helper may overflow;
-    # the references may, and are silenced
-    x = np.concatenate([-np.logspace(-300, 308, 400), [-0.0, 0.0],
-                        np.logspace(-300, 308, 400),
-                        np.linspace(-800.0, 800.0, 3201)])
-    with np.errstate(all="ignore"):
-        want_expit = special.expit(x)
-        want_log = special.log_expit(x)
-    np.testing.assert_allclose(_expit(x), want_expit, rtol=1e-15, atol=1e-300)
-    np.testing.assert_allclose(_log_expit(x), want_log, rtol=1e-15, atol=0.0)
-    assert _expit(np.array(0.0)) == 0.5
-    rng = np.random.default_rng(5)
-    for scale in (1.0, 1e3, 1e300):
-        terms = rng.normal(0.0, scale, (7, 9, 21))
-        terms[1, 1, :20] = -np.inf
-        np.testing.assert_allclose(_logsumexp(terms),
-                                   special.logsumexp(terms, axis=-1),
-                                   rtol=1e-15, atol=1e-13)
-    counts = np.array([0, 1, 7, 80, 1000, 10 ** 6])
-    np.testing.assert_allclose([math.lgamma(n + 1.0) for n in counts],
-                               special.gammaln(counts + 1.0), rtol=1e-15,
-                               atol=0.0)
-
-
-def test_map_prevalence_moment_match():
-    counts = [(12, 80), (25, 150), (9, 60), (31, 210), (14, 95)]
-    mp = fit_map_prevalence(counts)
-    # the matched Beta reproduces the predictive moments by construction
-    mean, sd = beta_moments(mp.a, mp.b)
-    assert mean == pytest.approx(mp.predictive_mean, abs=1e-12)
-    assert sd == pytest.approx(mp.predictive_sd, abs=1e-12)
-    assert mp.n_used == 5
-    # prevalences here concentrate near 0.15
-    assert 0.10 < mp.predictive_mean < 0.20
-    lo, hi = mp.pooled_interval
-    plo, phi = mp.predictive_interval
-    assert plo < lo < hi < phi
-
-
-def test_map_prevalence_skips_empty():
-    with pytest.warns(ValidationWarning):
-        mp = fit_map_prevalence([(10, 90), (0, 0), (20, 80)])
-    assert mp.n_used == 2
-    with pytest.raises(ContractError), pytest.warns(ValidationWarning):
-        fit_map_prevalence([(0, 0)])
-
-
-def test_map_prevalence_concordant_studies():
-    # several large studies at the same proportion: the between-study scale
-    # concentrates near zero and the predictive mean sits on the proportion
-    mp = fit_map_prevalence([(300, 1000)] * 4)
-    assert mp.predictive_mean == pytest.approx(0.3, abs=0.02)
-    lo, hi = mp.pooled_interval
-    assert lo < 0.3 < hi
 
 
 def test_bayes_risk_point_mass(fitted):
