@@ -17,14 +17,12 @@ from .model_core import (CovarianceStructure, MetaDataset, MultiStudyRecord,
 from .contrasts import (ContrastBasis, contrast_mean_cov, helmert_basis,
                         kronecker_contrast, per_arm_prevalence,
                         precision_prevalence, transform_matrix)
-from .gaussmix import (GaussianMixture1D, grid_interval, grid_quantile,
-                       grid_tail_prob)
-from .inference import (ESTIMATORS, FitResult, GridSpec, ParameterSummary,
-                        PosteriorGrid, PriorSpec, TracePoint,
-                        cross_term_correction, factorization_residual,
-                        factorized_loglikelihood, fit_bim, fit_bim_k, fit_bms,
-                        fit_cams, fit_overall, interaction_trace,
-                        joint_loglikelihood)
+from .gaussmix import GaussianMixture1D
+from .inference import (FitResult, GridSpec, ParameterSummary, PosteriorGrid,
+                        PriorSpec, TracePoint, cross_term_correction,
+                        factorization_residual, factorized_loglikelihood,
+                        fit_bim, fit_bim_k, fit_bms, fit_cams, fit_overall,
+                        interaction_trace, joint_loglikelihood)
 from .reporting import (STRATEGY_KINDS, OptimalIF, PrevalenceSpec,
                         ReportedEffects, bayes_risk, beta_moments, effects_at,
                         marginalize_prevalence, optimal_if, overall_if,
@@ -45,12 +43,11 @@ __all__ = [
     "ContrastBasis", "contrast_mean_cov", "helmert_basis",
     "kronecker_contrast", "per_arm_prevalence", "precision_prevalence",
     "transform_matrix",
-    "GaussianMixture1D", "grid_interval", "grid_quantile", "grid_tail_prob",
-    "ESTIMATORS", "FitResult", "GridSpec", "ParameterSummary",
-    "PosteriorGrid", "PriorSpec", "TracePoint", "cross_term_correction",
-    "factorization_residual", "factorized_loglikelihood", "fit_bim",
-    "fit_bim_k", "fit_bms", "fit_cams", "fit_overall", "interaction_trace",
-    "joint_loglikelihood",
+    "GaussianMixture1D",
+    "FitResult", "GridSpec", "ParameterSummary", "PosteriorGrid", "PriorSpec",
+    "TracePoint", "cross_term_correction", "factorization_residual",
+    "factorized_loglikelihood", "fit_bim", "fit_bim_k", "fit_bms", "fit_cams",
+    "fit_overall", "interaction_trace", "joint_loglikelihood",
     "STRATEGY_KINDS", "OptimalIF", "PrevalenceSpec", "ReportedEffects",
     "bayes_risk", "beta_moments", "effects_at", "marginalize_prevalence",
     "optimal_if", "overall_if", "report_effects", "strategy_prevalence",

@@ -1,10 +1,11 @@
-"""Finite Gaussian mixtures in one dimension, plus discrete-grid quantiles.
+"""Finite Gaussian mixtures in one dimension: the CDF and quantile engine.
 
 The grid posterior of every fit is a weighted mixture of normal conditionals,
-so posterior summaries reduce to CDF evaluation and inversion of mixtures.
-Components with zero standard deviation are allowed and treated as atoms,
-which keeps degenerate fits (fixed heterogeneity, point-mass conditionals)
-inside the same code path.
+so every location summary reduces to CDF evaluation and inversion of
+mixtures; a heterogeneity SD is read off its axis's node weights, in
+``FitResult.summaries``. Components with zero standard deviation are allowed
+and treated as atoms, which keeps degenerate fits (fixed heterogeneity,
+point-mass conditionals) inside the same code path.
 
 One engine, ``mixture_quantiles``, inverts many mixtures at many levels in a
 single call. The q-quantile of a mixture lies in the exact bracket
@@ -339,54 +340,3 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
     order = np.argsort(q, kind="stable")
     out[:, order] = np.maximum.accumulate(out[:, order], axis=1)
     return out
-
-
-# ----------------------------------------------------------------------
-# quantiles of a discrete grid marginal
-# ----------------------------------------------------------------------
-# Scale parameters live on a fixed grid; their marginal posterior is a set of
-# node weights. The first node's weight stays an atom (the grid starts at 0
-# and genuine boundary mass belongs there); between later nodes the CDF is
-# interpolated linearly.
-
-def grid_quantile(nodes: np.ndarray, weights: np.ndarray, q: float) -> float:
-    nodes = np.asarray(nodes, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if nodes.shape != w.shape or nodes.ndim != 1:
-        raise ContractError("nodes and weights must be equal-length vectors")
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"quantile level must lie in (0, 1), got {q}")
-    cum = np.cumsum(w / w.sum())
-    if q <= cum[0] or nodes.size == 1:
-        return float(nodes[0])
-    idx = int(np.searchsorted(cum, q))
-    if idx >= nodes.size:
-        return float(nodes[-1])
-    c0, c1 = cum[idx - 1], cum[idx]
-    if c1 <= c0:
-        return float(nodes[idx])
-    frac = (q - c0) / (c1 - c0)
-    return float(nodes[idx - 1] + frac * (nodes[idx] - nodes[idx - 1]))
-
-
-def grid_interval(nodes, weights, level: float = 0.95) -> tuple[float, float]:
-    half = 0.5 * (1.0 - level)
-    return (grid_quantile(nodes, weights, half),
-            grid_quantile(nodes, weights, 1.0 - half))
-
-
-def grid_tail_prob(nodes, weights, threshold: float) -> float:
-    """P(X > threshold) = 1 - F(threshold) for the CDF grid_quantile inverts."""
-    nodes = np.asarray(nodes, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    cum = np.cumsum(w / w.sum())
-    if threshold < nodes[0]:
-        return 1.0
-    if threshold >= nodes[-1]:
-        return 0.0
-    idx = int(np.searchsorted(nodes, threshold, side="right"))
-    c0 = cum[idx - 1]
-    span = nodes[idx] - nodes[idx - 1]
-    frac = (threshold - nodes[idx - 1]) / span if span > 0 else 1.0
-    f = c0 + frac * (cum[idx] - c0)
-    return min(max(1.0 - f, 0.0), 1.0)

@@ -43,13 +43,10 @@ import numpy as np
 from .contrasts import ContrastBasis
 from .errors import (ContractError, DomainError, GridEdgeWarning,
                      IdentifiabilityWarning)
-from .gaussmix import (BLOCK_CELLS, GaussianMixture1D, grid_interval,
-                       grid_quantile, grid_tail_prob, mixture_cdf,
+from .gaussmix import (BLOCK_CELLS, GaussianMixture1D, mixture_cdf,
                        mixture_quantiles)
 from .model_core import (CovarianceStructure, MetaDataset, cams_covariance,
                          decompose_arrays, subgroup_arrays)
-
-ESTIMATORS = ("BIM", "BMS", "CAMS", "OVERALL", "BIM_K")
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -207,15 +204,20 @@ class FitResult:
     @cached_property
     def summaries(self) -> dict:
         """ParameterSummary of each functional and of each heterogeneity SD
-        in use, read off the grid on first access."""
+        in use, read off the grid on first access.
+
+        A heterogeneity SD's CDF is an atom at the zero node followed by
+        linear interpolation of the cumulative node weights, so its median
+        and 95% interval are one ``np.interp`` and its P(> 0) is the mass
+        off the zero node."""
         summaries = dict(zip(self.functionals, _summaries(
             self.grid, np.array(list(self.functionals.values()), dtype=float))))
         for name in self.grid.scale_names:
             nodes, w = self.grid.scale_axis(name)
-            lo, hi = grid_interval(nodes, w, 0.95)
+            cum = np.cumsum(w / w.sum())
+            med, lo, hi = np.interp((0.5, 0.025, 0.975), cum, nodes).tolist()
             summaries[name] = ParameterSummary(
-                grid_quantile(nodes, w, 0.5), lo, hi,
-                grid_tail_prob(nodes, w, 0.0))
+                med, lo, hi, float(np.clip(1.0 - cum[0], 0.0, 1.0)))
         return summaries
 
     def functional_mixture(self, spec) -> GaussianMixture1D:
@@ -318,26 +320,21 @@ def _summaries(grid: PosteriorGrid, vecs: np.ndarray) -> list:
             for (med, lo, hi), p in zip(qs.tolist(), p_pos.tolist())]
 
 
-def _halfnormal_logpdf(t: np.ndarray, scale: float) -> np.ndarray:
-    return (0.5 * math.log(2.0 / math.pi) - math.log(scale)
-            - 0.5 * (t / scale) ** 2)
-
-
-def _quad_log_weights(nodes: np.ndarray) -> np.ndarray:
-    """Trapezoid cell sizes as log weights; a single node gets weight 1."""
-    if nodes.size == 1:
-        return np.zeros(1)
-    w = np.empty(nodes.size)
-    w[0] = 0.5 * (nodes[1] - nodes[0])
-    w[-1] = 0.5 * (nodes[-1] - nodes[-2])
-    w[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
-    return np.log(w)
-
-
 def _axis_log_prior(nodes: np.ndarray, scale: float, in_use: bool) -> np.ndarray:
+    """Log prior mass of each node: the half-normal log density plus the log
+    of its trapezoid cell, a lone node's cell counting as 1; 0 on an axis
+    the fit does not use."""
     if not in_use:
         return np.zeros(nodes.size)
-    return _halfnormal_logpdf(nodes, scale) + _quad_log_weights(nodes)
+    log_pdf = (0.5 * math.log(2.0 / math.pi) - math.log(scale)
+               - 0.5 * (nodes / scale) ** 2)
+    if nodes.size == 1:
+        return log_pdf
+    cell = np.empty(nodes.size)
+    cell[0] = 0.5 * (nodes[1] - nodes[0])
+    cell[-1] = 0.5 * (nodes[-1] - nodes[-2])
+    cell[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
+    return log_pdf + np.log(cell)
 
 
 def _prior_blocks(priors: PriorSpec, functionals: dict, n_studies: int,

@@ -489,11 +489,6 @@ def _prevalence_spec(config: RunConfig, kind: str) -> PrevalenceSpec:
 def _cmd_report(config: RunConfig) -> int:
     data = _load_data(config)
     configured = _prevalence_spec(config, config.prevalence)
-    priors = _priors(config)
-    grid = GridSpec.default(priors, n_nodes=config.grid_nodes)
-    cams = _fit_one("cams", data, priors, grid, config)
-    reference = _fit_one("bms", data, priors, grid, config)
-
     skipped = {}
     counts = {c for s in data.studies for c in (s.obs_a.count, s.obs_b.count)}
     if None in counts:
@@ -511,6 +506,11 @@ def _cmd_report(config: RunConfig) -> int:
     specs = [_prevalence_spec(config, kind) for kind in kinds]
     if configured.kind not in kinds:
         specs.append(configured)
+    # every policy is built, so a bad one is refused, before the fits
+    priors = _priors(config)
+    grid = GridSpec.default(priors, n_nodes=config.grid_nodes)
+    cams = _fit_one("cams", data, priors, grid, config)
+    reference = _fit_one("bms", data, priors, grid, config)
     effects = [_effects_dict(eff) for eff
                in report_policies(data, cams, specs, reference)]
     strategies.update(zip(kinds, effects))

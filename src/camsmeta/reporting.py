@@ -487,8 +487,8 @@ def strategy_prevalence(data: MetaDataset, fit: FitResult, kind: str,
 def report_effects(data: MetaDataset, fit: FitResult, spec: PrevalenceSpec,
                    reference: FitResult | None = None) -> ReportedEffects:
     """Resolve a prevalence policy and report effects under it: a beta law
-    through ``marginalize_prevalence``, a point or external value or a named
-    strategy by ``effects_at`` the prevalence it resolves to."""
+    as ``marginalize_prevalence`` describes, a point or external value or a
+    named strategy by ``effects_at`` the prevalence it resolves to."""
     return report_policies(data, fit, [spec], reference)[0]
 
 
@@ -531,24 +531,20 @@ def marginalize_prevalence(fit: FitResult,
     is joint Monte Carlo over (alpha, delta, gamma) from the posterior
     mixture and pi from ``spec``, BETA_DRAWS draws from one generator
     seeded with ``spec.seed``; mu_B is mu_A + gamma draw for draw, and the
-    interaction summary is the exact grid functional.
+    interaction summary is the exact grid functional. Both are read by
+    ``report_policies``.
     """
-    _require_cams(fit)
-    if spec.kind in ("point", "external"):
-        return dataclasses.replace(
-            effects_at(fit, spec.value),
-            prevalence_used={"kind": spec.kind, "value": float(spec.value)})
-    if spec.kind != "beta":
+    if spec.kind not in ("point", "external", "beta"):
         raise ContractError(f"cannot draw prevalences from kind {spec.kind!r}")
-    return _beta_effects(fit, spec, fit.summaries["gamma"])
+    return report_policies(None, fit, [spec])[0]
 
 
 def _beta_effects(fit: FitResult, spec: PrevalenceSpec,
                   interaction: ParameterSummary) -> ReportedEffects:
-    """``marginalize_prevalence`` of the beta law ``spec``, with the
-    interaction summary already read. Only the lattice nodes that the draws
-    hit have their covariance factored: LAPACK factors each matrix on its
-    own, so the draws do not depend on which other nodes are factored."""
+    """Effects averaged over the beta law ``spec``, with the interaction
+    summary already read. Only the lattice nodes that the draws hit have
+    their covariance factored: LAPACK factors each matrix on its own, so the
+    draws do not depend on which other nodes are factored."""
     rng = np.random.default_rng(spec.seed)
     grid = fit.grid
     p = len(grid.param_names)
@@ -581,8 +577,9 @@ def _beta_effects(fit: FitResult, spec: PrevalenceSpec,
 
 def beta_moments(a: float, b: float) -> tuple[float, float]:
     """Closed-form (mean, sd) of a Beta(a, b) distribution."""
-    if a <= 0 or b <= 0:
-        raise DomainError("beta parameters must be positive")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise DomainError(f"beta parameters must be positive and finite, "
+                          f"got ({a}, {b})")
     mean = a / (a + b)
     var = a * b / ((a + b) ** 2 * (a + b + 1.0))
     return mean, math.sqrt(var)

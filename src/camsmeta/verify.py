@@ -76,9 +76,11 @@ class SimScenario:
         prevalence_law  ("fixed", p) | ("beta", a, b) | ("uniform", lo, hi)
                         | ("leverage", lo, hi, outlier)
 
-    Construction checks each law's kind and arity, that every parameter is
-    finite, that s, sd, lo, hi of the sigma law and a, b of the beta law are
-    positive, and that every other prevalence parameter lies in [0, 1].
+    Construction checks that alpha, delta and gamma are finite and that tau
+    and tau_gamma lie in [0, inf). It checks each law's kind and arity, that
+    every parameter is finite, that s, sd, lo, hi of the sigma law and a, b
+    of the beta law are positive, and that every other prevalence parameter
+    lies in [0, 1].
 
     The leverage law draws all but the last study uniformly on [lo, hi] and
     pins the last study at ``outlier`` with a tripled sampling SD: one small
@@ -105,8 +107,13 @@ class SimScenario:
             raise ContractError("need at least one study")
         if self.k_subgroups < 2:
             raise ContractError("need at least two subgroups")
-        if self.tau < 0 or self.tau_gamma < 0:
-            raise DomainError("heterogeneities must be nonnegative")
+        for name in ("alpha", "delta", "gamma", "tau", "tau_gamma"):
+            value = getattr(self, name)
+            if name.startswith("tau") and not 0.0 <= value < math.inf:
+                raise DomainError(
+                    f"{name} must be nonnegative and finite, got {value}")
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.uisd is not None and not 0.0 < self.uisd < math.inf:
             raise DomainError(
                 f"uisd must be positive and finite, got {self.uisd}")

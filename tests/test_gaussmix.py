@@ -16,7 +16,6 @@ from scipy.special import ndtr
 from camsmeta import gaussmix
 from camsmeta.errors import ContractError, DomainError
 from camsmeta.gaussmix import (QUANTILE_TOL, GaussianMixture1D, _normal_cdf,
-                               grid_interval, grid_quantile, grid_tail_prob,
                                mixture_quantiles)
 
 
@@ -109,58 +108,6 @@ def test_weight_normalization_guard():
     with pytest.raises(DomainError):
         GaussianMixture1D(np.array([1.2, -0.2]), np.array([0.0, 1.0]),
                           np.array([1.0, 1.0]))
-
-
-def piecewise_cdf(nodes, weights, x):
-    # independent construction: atom at the first node, then linear
-    # interpolation of the cumulative weights between nodes
-    cum = np.cumsum(weights) / np.sum(weights)
-    return float(np.interp(x, nodes, cum))
-
-
-def test_grid_quantile_hand_case():
-    nodes = np.array([0.0, 1.0, 2.0])
-    weights = np.array([0.5, 0.3, 0.2])
-    assert grid_quantile(nodes, weights, 0.4) == 0.0
-    assert grid_quantile(nodes, weights, 0.5) == 0.0
-    # beyond the atom the cdf climbs linearly: F(1) = 0.8, F(2) = 1
-    x = grid_quantile(nodes, weights, 0.65)
-    assert piecewise_cdf(nodes, weights, x) == pytest.approx(0.65, abs=1e-9)
-    x = grid_quantile(nodes, weights, 0.9)
-    assert piecewise_cdf(nodes, weights, x) == pytest.approx(0.9, abs=1e-9)
-    assert grid_quantile(nodes, weights, 0.999999) == pytest.approx(2.0, abs=1e-4)
-    with pytest.raises(DomainError):
-        grid_quantile(nodes, weights, 1.0)
-
-
-def test_grid_quantile_random_consistency():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = rng.integers(3, 40)
-        nodes = np.sort(rng.uniform(-3, 3, size=n))
-        weights = rng.uniform(0.0, 1.0, size=n)
-        weights[0] += 0.05
-        q = rng.uniform(0.05, 0.95)
-        x = grid_quantile(nodes, weights, q)
-        got = piecewise_cdf(nodes, weights, x)
-        assert got == pytest.approx(max(q, piecewise_cdf(nodes, weights,
-                                                         nodes[0])),
-                                    abs=1e-8)
-
-
-def test_grid_interval_and_tail():
-    nodes = np.linspace(0.0, 2.0, 21)
-    weights = np.exp(-0.5 * ((nodes - 0.8) / 0.3) ** 2)
-    weights[0] = 0.01
-    lo, hi = grid_interval(nodes, weights, 0.95)
-    assert lo < 0.8 < hi
-    assert piecewise_cdf(nodes, weights, lo) == pytest.approx(0.025, abs=1e-8)
-    assert piecewise_cdf(nodes, weights, hi) == pytest.approx(0.975, abs=1e-8)
-    t = grid_tail_prob(nodes, weights, 0.8)
-    assert t == pytest.approx(1.0 - piecewise_cdf(nodes, weights, 0.8),
-                              abs=1e-12)
-    assert grid_tail_prob(nodes, weights, -1.0) == pytest.approx(1.0)
-    assert grid_tail_prob(nodes, weights, 3.0) == pytest.approx(0.0)
 
 
 # ----------------------------------------------------------------------

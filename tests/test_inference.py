@@ -13,10 +13,9 @@ from scipy import stats
 from camsmeta.errors import (CamsmetaError, CamsmetaWarning, ContractError,
                              DomainError, GridEdgeWarning,
                              IdentifiabilityWarning)
-from camsmeta.gaussmix import (QUANTILE_TOL, GaussianMixture1D, _normal_cdf,
-                               grid_interval, grid_quantile, grid_tail_prob)
+from camsmeta.gaussmix import QUANTILE_TOL, GaussianMixture1D, _normal_cdf
 from camsmeta import inference, verify
-from camsmeta.inference import (_LOG_2PI, ESTIMATORS, GridSpec,
+from camsmeta.inference import (_LOG_2PI, FitResult, GridSpec,
                                 ParameterSummary, PriorSpec,
                                 _axis_log_prior, _cholesky_rows,
                                 _functional_moments, _pair_blocks,
@@ -57,10 +56,6 @@ def contrast_arrays(data):
     vg = np.array([s.obs_a.std_error**2 + s.obs_b.std_error**2
                    for s in data.studies])
     return g, vg
-
-
-def test_estimators_tuple():
-    assert ESTIMATORS == ("BIM", "BMS", "CAMS", "OVERALL", "BIM_K")
 
 
 def test_grid_axis_shape():
@@ -775,9 +770,152 @@ def test_batched_p_positive_tails_and_atoms():
     assert mixture_summary(w, np.ones(3), np.zeros(3)).p_positive == 1.0
 
 
+def old_scale_summary(nodes, weights):
+    """A scale SD's summary as three separate readers computed it before
+    ``FitResult.summaries`` read it with one ``np.interp``: each quantile
+    by ``searchsorted``, P(> 0) as 1 - F(0), F(0) the zero node's mass."""
+    cum = np.cumsum(weights / weights.sum())
+
+    def quantile(q):
+        if q <= cum[0] or nodes.size == 1:
+            return float(nodes[0])
+        idx = int(np.searchsorted(cum, q))
+        if idx >= nodes.size:
+            return float(nodes[-1])
+        c0, c1 = cum[idx - 1], cum[idx]
+        return float(nodes[idx - 1]
+                     + (q - c0) / (c1 - c0) * (nodes[idx] - nodes[idx - 1]))
+
+    tail = 0.0 if nodes.size == 1 else min(max(1.0 - cum[0], 0.0), 1.0)
+    return ParameterSummary(quantile(0.5), quantile(0.025), quantile(0.975),
+                            tail)
+
+
+def summary_gap(a, b):
+    return max(abs(x - y) for x, y in zip(dataclasses.astuple(a),
+                                          dataclasses.astuple(b)))
+
+
+def scale_fit(nodes, weights):
+    """A one-parameter fit whose tau axis carries ``weights`` on ``nodes``."""
+    nodes = np.asarray(nodes, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)[:, None]
+    grid = inference.PosteriorGrid(
+        nodes, np.zeros(1), log_w, w[:, None], np.zeros((nodes.size, 1, 1)),
+        np.ones((nodes.size, 1, 1, 1)), ("x",), ("tau",))
+    return FitResult("OVERALL", grid, {}, {"x": np.ones(1)})
+
+
+def piecewise_cdf(nodes, weights, x):
+    # independent construction: atom at the first node, then linear
+    # interpolation of the cumulative weights between nodes
+    cum = np.cumsum(weights) / np.sum(weights)
+    return float(np.interp(x, nodes, cum))
+
+
+def test_scale_summary_hand_case():
+    # an atom at the zero node, then a CDF that climbs linearly between
+    # nodes: F(0) = 0.5, F(1) = 0.8, F(2) = 1
+    tau = scale_fit([0.0, 1.0, 2.0], [0.5, 0.3, 0.2]).summaries["tau"]
+    assert (tau.median, tau.lower, tau.p_positive) == (0.0, 0.0, 0.5)
+    assert tau.upper == pytest.approx(1.875, abs=1e-12)
+    # every level inside the atom reads the zero node
+    tau = scale_fit([0.0, 1.0, 2.0], [0.98, 0.01, 0.01]).summaries["tau"]
+    assert (tau.median, tau.lower, tau.upper) == (0.0, 0.0, 0.0)
+    assert tau.p_positive == pytest.approx(0.02, abs=1e-15)
+    # a level on a node's cumulative weight reads that node
+    tau = scale_fit([0.0, 1.0, 2.0], [0.01, 0.49, 0.5]).summaries["tau"]
+    assert tau.median == 1.0
+    assert tau.lower == pytest.approx(0.015 / 0.49, abs=1e-12)
+    assert tau.upper == pytest.approx(1.95, abs=1e-12)
+    assert tau.p_positive == pytest.approx(0.99, abs=1e-15)
+    # a single-node axis is all atom
+    tau = scale_fit([0.0], [1.0]).summaries["tau"]
+    assert dataclasses.astuple(tau) == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_scale_summary_random_consistency():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n = rng.integers(3, 40)
+        nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0,
+                                                             size=n - 1))])
+        weights = rng.uniform(0.0, 1.0, size=n)
+        weights[0] += 0.05
+        tau = scale_fit(nodes, weights).summaries["tau"]
+        atom = piecewise_cdf(nodes, weights, 0.0)
+        for q, x in ((0.5, tau.median), (0.025, tau.lower),
+                     (0.975, tau.upper)):
+            assert piecewise_cdf(nodes, weights, x) == pytest.approx(
+                max(q, atom), abs=1e-8)
+        assert tau.p_positive == pytest.approx(1.0 - atom, abs=1e-15)
+
+
+def test_scale_summary_interval_and_tail():
+    nodes = np.linspace(0.0, 2.0, 21)
+    weights = np.exp(-0.5 * ((nodes - 0.8) / 0.3) ** 2)
+    weights[0] = 0.01
+    tau = scale_fit(nodes, weights).summaries["tau"]
+    assert tau.lower < 0.8 < tau.upper
+    for q, x in ((0.5, tau.median), (0.025, tau.lower), (0.975, tau.upper)):
+        assert piecewise_cdf(nodes, weights, x) == pytest.approx(q, abs=1e-8)
+    assert tau.p_positive == pytest.approx(
+        1.0 - piecewise_cdf(nodes, weights, 0.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("n_studies, n_nodes", [(3, 11), (8, 61), (15, 101),
+                                                (100, 61), (1000, 101)])
+def test_scale_summaries_match_the_old_grid_readers(n_studies, n_nodes):
+    # one np.interp per axis reads what the three separate readers read,
+    # to rounding, for every estimator
+    data = simulate(SimScenario(n_studies=n_studies, gamma=0.3, tau=0.1,
+                                tau_gamma=0.1, seed=n_studies))
+    priors = PriorSpec()
+    grid = GridSpec.default(priors, n_nodes=n_nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CamsmetaWarning)
+        fits = [fit(data, priors, grid)
+                for fit in (fit_cams, fit_bim, fit_bms, fit_overall)]
+    for fit in fits:
+        for name in fit.grid.scale_names:
+            assert summary_gap(fit.summaries[name], old_scale_summary(
+                *fit.grid.scale_axis(name))) <= 1e-15
+
+
+def old_axis_log_prior(nodes, scale, in_use):
+    """The axis prior as two helpers summed it before they were folded."""
+    if not in_use:
+        return np.zeros(nodes.size)
+    log_pdf = (0.5 * math.log(2.0 / math.pi) - math.log(scale)
+               - 0.5 * (nodes / scale) ** 2)
+    if nodes.size == 1:
+        return log_pdf + np.zeros(1)
+    w = np.empty(nodes.size)
+    w[0] = 0.5 * (nodes[1] - nodes[0])
+    w[-1] = 0.5 * (nodes[-1] - nodes[-2])
+    w[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
+    return log_pdf + np.log(w)
+
+
+def test_axis_log_prior_is_the_old_expression_bit_for_bit():
+    axes = [GridSpec.axis(scale, n) for scale in (1e-3, 0.3, 0.5, 1.0, 7.0)
+            for n in (1, 2, 3, 41, 101)]
+    axes += [np.array([0.0]), np.array([0.7]), np.array([0.0, 1.5])]
+    for nodes in axes:
+        for scale in (0.3, 1.0, 2.5):
+            for in_use in (True, False):
+                got = _axis_log_prior(nodes, scale, in_use)
+                want = old_axis_log_prior(nodes, scale, in_use)
+                assert got.shape == want.shape == nodes.shape
+                assert got.tobytes() == want.tobytes()
+
+
 def test_summaries_are_read_off_the_grid_on_first_access(monkeypatch):
     # a fit holds no summaries until they are read: then the batched
-    # functional summaries and the scale marginals' grid readers, once; a
+    # functional summaries and each scale marginal's reader, once; a
     # fit given another grid reads them off that grid
     assert [f.name for f in dataclasses.fields(inference.FitResult)] == [
         "estimator", "grid", "provenance", "functionals"]
@@ -791,12 +929,11 @@ def test_summaries_are_read_off_the_grid_on_first_access(monkeypatch):
     names = list(fit.functionals)
     want = dict(zip(names, _summaries(
         fit.grid, np.array([fit.functionals[n] for n in names]))))
+    assert list(fit.summaries) == names + ["tau", "tau_gamma"]
+    assert {name: fit.summaries[name] for name in names} == want
     for name in ("tau", "tau_gamma"):
-        nodes, w = fit.grid.scale_axis(name)
-        lo, hi = grid_interval(nodes, w, 0.95)
-        want[name] = ParameterSummary(grid_quantile(nodes, w, 0.5), lo, hi,
-                                      grid_tail_prob(nodes, w, 0.0))
-    assert fit.summaries == want
+        old = old_scale_summary(*fit.grid.scale_axis(name))
+        assert summary_gap(fit.summaries[name], old) <= 1e-15
     assert fit.summaries is fit.summaries and len(calls) == 1
     other = fit_cams(make_dataset(seed=4), priors, grid)
     moved = dataclasses.replace(fit, grid=other.grid)

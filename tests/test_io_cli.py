@@ -337,6 +337,20 @@ def test_report_refuses_a_non_finite_beta_law(tmp_path, capsys, flag, value):
     assert not (out / "report.json").exists()
 
 
+def test_report_refuses_a_bad_beta_law_before_any_fit(tmp_path, capsys,
+                                                      monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_cams ran before the policies were built")
+
+    monkeypatch.setattr(camsmeta.io_cli, "fit_cams", no_fit)
+    code = main(["report", "--input", make_input(tmp_path), "--output-dir",
+                 str(tmp_path / "out"), "--prevalence-value", "0.4",
+                 "--beta-a", "2", "--beta-b", "inf"])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        "error: beta b must be positive and finite, got inf"]
+
+
 def test_run_fit_writes_json(tmp_path):
     path = make_input(tmp_path)
     out = str(tmp_path / "out")
@@ -556,6 +570,23 @@ def test_simulate_refuses_a_bad_uisd(tmp_path, capsys, uisd, why):
     assert code == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and why in err[0]
+    assert not os.path.exists(os.path.join(out, "simulated.csv"))
+
+
+@pytest.mark.parametrize("flag, value, why", [
+    ("--sim-tau", "nan", "tau must be nonnegative and finite, got nan"),
+    ("--sim-tau-gamma", "inf",
+     "tau_gamma must be nonnegative and finite, got inf"),
+    ("--sim-gamma", "nan", "gamma must be finite, got nan"),
+    ("--sim-alpha", "inf", "alpha must be finite, got inf"),
+    ("--sim-delta", "-inf", "delta must be finite, got -inf"),
+])
+def test_simulate_names_a_non_finite_flag(tmp_path, capsys, flag, value, why):
+    out = str(tmp_path / "sim")
+    # "=" keeps argparse from reading "-inf" as a flag
+    assert main(["simulate", f"{flag}={value}", "--output-dir",
+                 out]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [f"error: {why}"]
     assert not os.path.exists(os.path.join(out, "simulated.csv"))
 
 

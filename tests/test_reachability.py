@@ -1,8 +1,11 @@
 """Every public name is reached by the package or the benchmark, or is kept on
 purpose. Uses are read from the source with ``ast``: each ``Name`` and
-``Attribute`` in src/camsmeta (``__init__`` left out, since it only
-re-exports) and in bench/, plus the function names the benchmark's tracer
-wraps. Nothing under bench/ is imported or written."""
+``Attribute`` read (not assigned) in src/camsmeta (``__init__`` left out,
+since it only re-exports) and in bench/, plus the function names the
+benchmark's tracer wraps. A file that binds a name itself, by assignment,
+``def`` or ``class``, reads its own binding, so its uses count only if it is
+the module the package exports the name from. Nothing under bench/ is
+imported or written."""
 
 import ast
 import glob
@@ -30,17 +33,45 @@ def parse(path):
         return ast.parse(fh.read(), filename=path)
 
 
+def home_modules():
+    """The module file ``__init__`` imports each public name from."""
+    package = os.path.join(ROOT, "src", "camsmeta")
+    return {alias.name: os.path.join(package, node.module + ".py")
+            for node in parse(os.path.join(package, "__init__.py")).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def bound_names(tree):
+    """The names a file binds by assignment, ``def`` or ``class``."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            bound |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Store)}
+    return bound
+
+
 def used_names():
     files = [f for f in glob.glob(os.path.join(ROOT, "src", "camsmeta", "*.py"))
              if os.path.basename(f) != "__init__.py"]
     files += glob.glob(os.path.join(ROOT, "bench", "*.py"))
+    homes = home_modules()
     used = set()
     for path in files:
-        for node in ast.walk(parse(path)):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        tree = parse(path)
+        here = {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)}
+        own = bound_names(tree)
+        used |= {n for n in here if homes.get(n) == path or n not in own}
     for node in parse(os.path.join(ROOT, "bench", "tracer.py")).body:
         if isinstance(node, ast.Assign) and any(
                 getattr(t, "id", None) == "FUNCTIONS" for t in node.targets):

@@ -815,6 +815,14 @@ def test_beta_moments_against_scipy():
         beta_moments(0.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (math.inf, 2.0),
+                                  (1.0, math.nan), (2.0, math.inf),
+                                  (-math.inf, 1.0), (0.0, 1.0)])
+def test_beta_moments_refuses_a_non_finite_or_non_positive_law(a, b):
+    with pytest.raises(DomainError, match="positive and finite"):
+        beta_moments(a, b)
+
+
 def test_bayes_risk_point_mass(fitted):
     _, cams, _ = fitted
     # under a point prevalence the optimum is that point, for either loss

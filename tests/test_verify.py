@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import special, stats
 
 from camsmeta import contrasts, inference, reporting, verify
 from camsmeta.errors import (ContractError, DomainError, GridEdgeWarning,
                              IdentifiabilityWarning)
 from camsmeta.gaussmix import GaussianMixture1D
 from camsmeta.inference import (GridSpec, PriorSpec, _block_cross_term,
-                                _functional_moments, fit_bim)
+                                _functional_moments, fit_bim, fit_cams)
 from camsmeta.model_core import compute_if
 from camsmeta.reporting import _beta_cdf
 from camsmeta.verify import (BREAK_MIN, TOL_GRID, SimScenario,
@@ -69,6 +69,49 @@ def test_simulate_validation():
         SimScenario(n_studies=0)
     with pytest.raises(DomainError):
         SimScenario(n_studies=3, tau=-0.1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["alpha", "delta", "gamma", "tau",
+                                   "tau_gamma"])
+def test_simulate_refuses_a_non_finite_effect_or_scale(field, value):
+    with pytest.raises(DomainError, match=rf"^{field} must be "
+                       rf"(nonnegative and )?finite, got {value}$"):
+        SimScenario(n_studies=3, **{field: value})
+
+
+def test_cams_location_posterior_is_calibrated():
+    # Cook, Gelman & Rubin (2006): with each replicate's parameters drawn
+    # from the prior and its data from the likelihood, u = F(true | data)
+    # is Uniform(0, 1). Per location parameter: the KS distance of u from
+    # uniform, and z = (12 var(u) - 1) / its null SD, which sees a wrong
+    # spread that KS misses. R, J, N, the seed and the thresholds (a 1 %
+    # family-wise false-alarm rate, Bonferroni over the 6 statistics) were
+    # fixed before the first run.
+    reps, alpha_each = 400, 0.01 / 6
+    names = ("alpha", "delta", "gamma")
+    priors = PriorSpec(tau_scale=0.3, tau_gamma_scale=0.3,
+                       location_prior=tuple((n, 0.0, 1.0) for n in names))
+    grid = GridSpec.default(priors, n_nodes=41)
+    z = np.random.default_rng(20240).standard_normal((reps, 5))
+    u = np.empty((reps, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridEdgeWarning)
+        for r, (t, tg, *truth) in enumerate(z * [0.3, 0.3, 1.0, 1.0, 1.0]):
+            data = simulate(SimScenario(
+                n_studies=8, alpha=truth[0], delta=truth[1], gamma=truth[2],
+                tau=abs(t), tau_gamma=abs(tg), seed=r))
+            u[r] = fit_cams(data, priors, grid).functional_cdf(names, truth)
+    null_sd = np.sqrt((1.8 - (reps - 3) / (reps - 1)) / reps)
+    ks_max = stats.kstwo.isf(alpha_each, reps)
+    z_max = stats.norm.isf(alpha_each / 2)
+    failed = {}
+    for name, col in zip(names, u.T):
+        ks = stats.kstest(col, "uniform").statistic
+        disp = (12.0 * np.var(col, ddof=1) - 1.0) / null_sd
+        if not (ks <= ks_max and abs(disp) <= z_max):
+            failed[name] = (ks, disp)
+    assert not failed, (failed, ks_max, z_max)
 
 
 def test_simulate_multi_subgroup():
