@@ -11,28 +11,42 @@ One engine, ``mixture_quantiles``, inverts many mixtures at many levels in a
 single call. The q-quantile of a mixture lies in the exact bracket
 [min_i(mu_i + sd_i z_q), max_i(mu_i + sd_i z_q)], z_q the standard normal
 quantile, because every component CDF is below q left of it and above q right
-of it. The first guess is the moment-matched normal quantile clipped into
-that bracket. Halley steps on the mixture pdf f and its slope f' follow:
-with the Newton step s = (F(x) - q) / f(x), the move is s / (1 - s f' / (2 f))
-when that divisor exceeds 1/2, else s. A move that leaves the bracket, or a
-Newton step s that fails to halve the previous one, is replaced by
-bisection, and mixtures that contain an atom bisect only. A quantile is done
-once its error bound is proven or its bracket is closed (narrower than
-tol = QUANTILE_TOL * min(w0, 1), w0 the width of its exact bracket, which
-scales with the data, or at the spacing of floats), never on a small step
-alone.
+of it. The first guess is a caller's ``start`` (``FitResult`` passes the
+quantiles of its merged lattice) or else the moment-matched normal quantile,
+clipped into that bracket either way. Halley steps on the mixture pdf f and
+its slope f' follow: with the Newton step s = (F(x) - q) / f(x), the move is
+h = s / H, H = 1 - s f' / (2 f), when H exceeds 1/2, else s. A move that
+leaves the bracket, or a Newton step s that fails to halve the previous one,
+is replaced by bisection, and mixtures that contain an atom bisect only. A
+quantile is done once its error bound is proven or its bracket is closed
+(narrower than tol = QUANTILE_TOL * min(w0, 1), w0 the width of its exact
+bracket, which scales with the data, or at the spacing of floats), never on
+a small step alone, so no start can spoil the accuracy.
 The bracket comes from the sign of F(x) - q alone, and the halving rule and
-the certified exit read the Newton step s, never the Halley move:
+the certified exits read the Newton step s:
 
-Certified exit. |f'| <= L = phi(1) sum_k w_k / sd_k^2 everywhere, since
-|d/dx phi(z_k) / sd_k| = |z_k| phi(z_k) / sd_k^2 and |z| phi(z) peaks at
-z = 1. At a point x with Newton step s = (F(x) - q) / f(x), suppose
+Certified exit, first order. |f'| <= L = phi(1) sum_k w_k / sd_k^2
+everywhere, since |d/dx phi(z_k) / sd_k| = |z_k| phi(z_k) / sd_k^2 and
+|z| phi(z) peaks at z = 1. At a point x with Newton step s, suppose
 4 L |s| <= f(x). Then f >= f(x) / 2 on [x - 2|s|, x + 2|s|], so F - q changes
 sign there and the root x* lies in it. Taylor's theorem about x gives
 0 = s f(x) + f(x) (x* - x) + f'(xi) (x* - x)^2 / 2, so
 |x - s - x*| <= L (2 s)^2 / (2 f(x)) = 2 L s^2 / f(x). When that is at most
 tol / 4, x - s, clipped into the bracket, is returned without
 another evaluation. A row with an atom has L = inf and never exits this way.
+
+Certified exit, third order. |f''| <= M = phi(0) sum_k w_k / sd_k^3, since
+max |(z^2 - 1) phi(z)| = phi(0). Under 4 L |s| <= f(x) as above, write
+d = x* - x (|d| <= 2|s|) and g(e) = s f + f e + f' e^2 / 2, the local
+quadratic of F - q. By Taylor's theorem with the Lagrange remainder,
+|g(d)| <= M (2|s|)^3 / 6. For the Halley move h (|h| <= 2|s|),
+g(d) - g(-h) = (d + h)(f + f' (d - h) / 2), and |f' (d - h) / 2| <=
+2 |s f'| <= f / 2, so
+|x - h - x*| = |d + h| <= (M (2|s|)^3 / 6 + |g(-h)|) / (f - 2 |s f'|),
+where g(-h) = f (s - h) + f' h^2 / 2 = s^3 f'^2 / (4 H^2 f). When that is at
+most tol / 4, x - h, clipped into the bracket, is returned without another
+evaluation: a start within about (tol f / M)^(1/3) of the root costs one
+evaluation. Atoms make M infinite too.
 
 Every component CDF comes from one numpy kernel, ``_normal_cdf``: with
 e = exp(-z^2 / 2), Phi(-|z|) = e * P(|z|) / Q(|z|) for the degree-6/7 rational
@@ -47,8 +61,10 @@ already 0, so an atom's infinite z needs no special case.
 
 CDF and pdf sums run in blocks of at most BLOCK_CELLS point-by-component
 cells, so the temporaries stay a few MB whatever the mixture and point count.
-Each row's sum is reduced on its own, so a mixture's result does not depend
-on the other rows of its batch.
+Each row's sum is reduced on its own, over a C-ordered temporary, and
+``mixture_quantiles`` makes its component arrays C-contiguous before its
+moment sums, so a mixture's result does not depend on the other rows of its
+batch or on the memory layout of its inputs.
 """
 
 from __future__ import annotations
@@ -72,7 +88,9 @@ QUANTILE_TOL = 1e-8
 BLOCK_CELLS = 2 ** 15
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# phi(1), the largest |z| phi(z): with it, sum_k w_k / sd_k^2 bounds |f'|
+# phi(1), the largest |z| phi(z): with it, sum_k w_k / sd_k^2 bounds |f'|;
+# phi(0) = _INV_SQRT_2PI, the largest |z^2 - 1| phi(z), with sum_k w_k /
+# sd_k^3 bounds |f''|
 _PHI_1 = _INV_SQRT_2PI * math.exp(-0.5)
 
 # Hart #5666: Phi(-a) = exp(-a^2 / 2) * P(a) / Q(a) for a >= 0, coefficients
@@ -92,12 +110,14 @@ class GaussianMixture1D:
 
     The type ``FitResult.functional_mixture`` returns: one functional's
     posterior as a checked, normalized mixture, with its CDF and quantiles
-    read by the batched engine below.
+    read by the batched engine below. ``coarse``, when given, is a smaller
+    mixture close to this one whose quantiles start this one's solve.
     """
 
     weights: np.ndarray
     means: np.ndarray
     sds: np.ndarray
+    coarse: GaussianMixture1D | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float).ravel()
@@ -115,6 +135,9 @@ class GaussianMixture1D:
         object.__setattr__(self, "weights", w / total)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "sds", sd)
+        if not (self.coarse is None
+                or isinstance(self.coarse, GaussianMixture1D)):
+            raise ContractError("coarse must be a GaussianMixture1D or None")
 
     # ------------------------------------------------------------------
     # distribution functions
@@ -133,9 +156,12 @@ class GaussianMixture1D:
     # ------------------------------------------------------------------
 
     def quantiles(self, levels) -> np.ndarray:
-        """Inverse CDF at each level, to within QUANTILE_TOL."""
+        """Inverse CDF at each level, to within QUANTILE_TOL, started from
+        the quantiles of ``coarse`` when there is one."""
+        start = (None if self.coarse is None
+                 else self.coarse.quantiles(levels)[None, :])
         return mixture_quantiles(self.weights, self.means[None, :],
-                                 self.sds[None, :], levels)[0]
+                                 self.sds[None, :], levels, start)[0]
 
     def quantile(self, q: float) -> float:
         return float(self.quantiles((q,))[0])
@@ -163,7 +189,8 @@ def _cdf_pdf(x, mu, inv_sd, w, want_pdf: bool):
     is summed on its own (pairwise), so its value does not depend on the
     other rows.
     """
-    z = np.subtract(x[:, None], mu)
+    # C order whatever the layout of mu, so that each row sums alike
+    z = np.subtract(x[:, None], mu, order="C")
     with np.errstate(invalid="ignore"):
         z *= inv_sd
     # an atom exactly at x gives 0 * inf; its CDF there is 1
@@ -235,23 +262,25 @@ def mixture_cdf(weights, means, sds, x) -> np.ndarray:
     return out
 
 
-def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
+def mixture_quantiles(weights, means, sds, levels, start=None) -> np.ndarray:
     """Quantiles of many Gaussian mixtures at many levels in one call.
 
     Row r of ``means`` and ``sds`` (both (m, n)) holds the components of
     mixture r; ``weights`` is one (n,) vector shared by all rows or an (m, n)
-    array with one weight row per mixture, each summing to 1. Returns the
-    (m, L) array whose entry [r, l] is the levels[l]-quantile of mixture r,
-    within its tolerance (see the module docstring for the method). Each row
+    array with one weight row per mixture, each summing to 1. ``start``, an
+    optional finite (m, L) array, is the first guess of each quantile in
+    place of the moment-matched one. Returns the (m, L) array whose entry
+    [r, l] is the levels[l]-quantile of mixture r, within its tolerance
+    whatever the start (see the module docstring for the method). Each row
     is made nondecreasing in the level, which keeps every entry within the
     largest tolerance of its row.
     """
     q = np.asarray(levels, dtype=float).ravel()
     if q.size == 0 or not np.all((q > 0.0) & (q < 1.0)):
         raise DomainError(f"quantile levels must lie in (0, 1), got {levels}")
-    mu = np.asarray(means, dtype=float)
-    sd = np.asarray(sds, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    mu = np.ascontiguousarray(means, dtype=float)
+    sd = np.ascontiguousarray(sds, dtype=float)
+    w = np.ascontiguousarray(weights, dtype=float)
     if mu.ndim != 2 or sd.shape != mu.shape or mu.size == 0 \
             or w.shape not in (mu.shape, mu.shape[1:]):
         raise ContractError(
@@ -266,33 +295,48 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
     if not (np.all(w >= 0) and np.all(sd >= 0)):
         raise DomainError("weights and sds must be nonnegative")
     m, n = mu.shape
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (m, q.size) or not np.isfinite(start).all():
+            raise ContractError(
+                f"start must be a finite ({m}, {q.size}) array, got shape "
+                f"{start.shape}")
     levels_z = np.array(list(map(NormalDist().inv_cdf, q.tolist())))
 
-    # moment-matched starting point and the exact bracket, per (row, level)
-    mean = np.empty(m)
-    second = np.empty(m)
-    slope = np.empty(m)
+    # the exact bracket per (row, level), and per row the bounds L on |f'|
+    # and M on |f''|, and the moments of the moment-matched start
     lo = np.empty((m, q.size))
     hi = np.empty((m, q.size))
+    slope = np.empty(m)
+    curve = np.empty(m)
+    mean = np.empty(m)
+    second = np.empty(m)
     for blk in _blocks(m, n):
         mu_b, sd_b = mu[blk], sd[blk]
         w_b = w if w.ndim == 1 else w[blk]
-        mean[blk] = (mu_b * w_b).sum(axis=1)
-        second[blk] = ((sd_b * sd_b + mu_b * mu_b) * w_b).sum(axis=1)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            slope[blk] = (w_b / (sd_b * sd_b)).sum(axis=1)
         for j, zq in enumerate(levels_z):
             comp = mu_b + sd_b * zq
             lo[blk, j] = comp.min(axis=1)
             hi[blk, j] = comp.max(axis=1)
-    spread = np.sqrt(np.clip(second - mean * mean, 0.0, None))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scaled = w_b / (sd_b * sd_b)
+            slope[blk] = scaled.sum(axis=1)
+            scaled /= sd_b
+            curve[blk] = scaled.sum(axis=1)
+        if start is None:
+            mean[blk] = (mu_b * w_b).sum(axis=1)
+            second[blk] = ((sd_b * sd_b + mu_b * mu_b) * w_b).sum(axis=1)
+    if start is None:
+        spread = np.sqrt(np.clip(second - mean * mean, 0.0, None))
+        start = mean[:, None] + spread[:, None] * levels_z
     lo, hi = lo.ravel(), hi.ravel()
     row = np.repeat(np.arange(m), q.size)
     target = np.tile(q, m)
-    x = np.clip(mean[row] + spread[row] * np.tile(levels_z, m), lo, hi)
+    x = np.clip(start.ravel(), lo, hi)
     newton_row = ~(sd == 0).any(axis=1)[row]
-    # L bounds |f'| of each (row, level); atoms make it infinite
+    # atoms make both bounds infinite
     slope = np.where(newton_row, _PHI_1 * slope[row], np.inf)
+    curve = np.where(newton_row, _INV_SQRT_2PI * curve[row], np.inf)
     last_step = hi - lo
     tol = QUANTILE_TOL * np.minimum(hi - lo, 1.0)
     out = 0.5 * (lo + hi)
@@ -314,26 +358,37 @@ def mixture_quantiles(weights, means, sds, levels) -> np.ndarray:
         b = np.where(below, hi[active], xa)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             step = (cdf - target[active]) / pdf
-            # Halley: the Newton step over 1 - s f' / (2 f), when that
-            # divisor is above 1/2 (so the move stays within 2 |s|)
+            # Halley: the Newton step over H = 1 - s f' / (2 f), when H is
+            # above 1/2 (so the move stays within 2 |s|)
             halley = 1.0 - step * dpdf / (2.0 * pdf)
-            cand = xa - np.where(halley > 0.5, step / halley, step)
+            move = np.where(halley > 0.5, step / halley, step)
+        cand = xa - move
+        size = np.abs(step)
         newton = (newton_row[active] & (cand >= a) & (cand <= b)
-                  & (np.abs(step) <= 0.5 * last_step[active]))
+                  & (size <= 0.5 * last_step[active]))
         mid = 0.5 * (a + b)
         nxt = np.where(newton, cand, mid)
-        # the root is within 2 L s^2 / f of x - s (see the module docstring)
+        # the certified exits of the module docstring: within 2 |s| of x,
+        # the root is within 2 L s^2 / f of x - s and within
+        # (4 M |s|^3 / 3 + |s|^3 f'^2 / (4 H^2 f)) / (f - 2 |s f'|) of x - h
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = slope[active] * np.abs(step)
-            proven = (4.0 * bound <= pdf) & (
-                2.0 * bound * np.abs(step) <= 0.25 * tol[active] * pdf)
-        nxt = np.where(proven, np.clip(xa - step, a, b), nxt)
+            bound = slope[active] * size
+            near = 4.0 * bound <= pdf
+            quarter = 0.25 * tol[active]
+            first = near & (2.0 * bound * size <= quarter * pdf)
+            cube = size * size * size
+            third = near & (
+                cube * (curve[active] * (4.0 / 3.0)
+                        + dpdf * dpdf / (4.0 * halley * halley * pdf))
+                <= quarter * (pdf - 2.0 * np.abs(step * dpdf)))
+        nxt = np.where(first, np.clip(xa - step, a, b), nxt)
+        nxt = np.where(third, np.clip(cand, a, b), nxt)
         # a bracket at the spacing of floats cannot shrink any further
         closed = (b - a <= tol[active]) | (mid <= a) | (mid >= b)
-        done = closed | proven
+        done = closed | first | third
         out[active] = nxt
         lo[active], hi[active], x[active] = a, b, nxt
-        last_step[active] = np.where(newton, np.abs(step), 0.5 * (b - a))
+        last_step[active] = np.where(newton, size, 0.5 * (b - a))
         active = active[~done]
 
     out = out.reshape(m, q.size)

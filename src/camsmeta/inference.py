@@ -24,6 +24,14 @@ the contrast (``_pair_blocks``); at the information fraction these
 decouple, so CAMS is a contrast block on the tau_gamma axis plus a mean
 block on the tau axis. ``fit_bim_k`` splits K-level contrasts likewise.
 
+Every quantile reader (``FitResult.functional_quantiles``, the summaries)
+starts its full-lattice solve from the quantiles of the merged lattice
+(``PosteriorGrid.merged``): COARSE x COARSE blocks of nodes, each one normal
+component with the block's weight, mean and covariance. Those quantiles cost
+a ninth of a full-lattice pass each, and from them most full-lattice
+quantiles are certified after one pass (``gaussmix``); the start moves no
+quantile by more than its tolerance.
+
 Location priors are flat by default; a flat prior requires at least as many
 studies as fixed effects. A proper normal prior on any functional an
 estimator reports is one more scalar observation, without heterogeneity
@@ -37,6 +45,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +65,10 @@ EDGE_MASS_TOL = 1e-3
 
 # GridSpec.axis: top node in prior scales; lowest positive node / top node
 GRID_SPAN, GRID_MIN_FRAC = 5.0, 1e-3
+
+# nodes per side of a block of the merged lattice that starts every
+# quantile solve: 34 x 34 blocks at 101 x 101 nodes
+COARSE = 3
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +181,51 @@ class PosteriorGrid:
         if not abs(self.weight.sum() - 1.0) <= 1e-10:
             raise ContractError(f"weights must sum to 1, got {self.weight.sum()!r}")
 
+    @cached_property
+    def merged(self) -> _Lattice:
+        """The lattice in blocks of COARSE x COARSE nodes (fewer at the far
+        edges), each block one component: its weight the sum of its nodes',
+        its mean and covariance those of the block's mixture of
+        conditionals under its own normalized node weights, the covariance
+        taken about the block mean so that no variance cancels. Dividing by
+        the block weight first keeps a block of subnormal weight a spread
+        component instead of an atom at 0; blocks of no weight are dropped.
+        Weight (K,), means (K, p), covariances (K, p, p)."""
+        t, g = self.weight.shape
+
+        def merge(values: np.ndarray) -> np.ndarray:
+            # block sums over the last two (lattice) axes, by strided slices
+            rows = values[..., ::COARSE, :].copy()
+            for k in range(1, COARSE):
+                part = values[..., k::COARSE, :]
+                rows[..., :part.shape[-2], :] += part
+            out = rows[..., ::COARSE].copy()
+            for k in range(1, COARSE):
+                part = rows[..., k::COARSE]
+                out[..., :part.shape[-1]] += part
+            return out
+
+        def spread(block: np.ndarray) -> np.ndarray:
+            # each block's value at each of its nodes
+            return block.repeat(COARSE, -2)[..., :t, :].repeat(
+                COARSE, -1)[..., :g]
+
+        total = merge(self.weight)
+        keep = total > 0.0
+        with np.errstate(invalid="ignore"):
+            u = self.weight / spread(total)
+        u[~spread(keep)] = 0.0
+        # parameter axes first: every product below runs over the lattice
+        theta = np.moveaxis(self.cond_mean, -1, 0).copy()
+        mean = merge(u * theta)
+        dev = theta - spread(mean)
+        cov = dev[:, None] * dev[None, :]
+        cov += self.cond_cov.transpose(2, 3, 0, 1)
+        cov *= u
+        cov = merge(cov)[:, :, keep]
+        return _Lattice(total[keep], np.ascontiguousarray(mean[:, keep].T),
+                        np.ascontiguousarray(cov.transpose(2, 0, 1)))
+
     def scale_axis(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Marginal (nodes, weights) for one heterogeneity parameter."""
         if name == "tau":
@@ -175,6 +233,15 @@ class PosteriorGrid:
         if name == "tau_gamma":
             return self.tau_gamma_nodes, self.weight.sum(axis=0)
         raise ContractError(f"unknown scale parameter {name!r}")
+
+
+class _Lattice(NamedTuple):
+    """Mixture components: weights (K,), means (K, p), covariances (K, p,
+    p), as ``PosteriorGrid.merged`` returns them."""
+
+    weight: np.ndarray
+    cond_mean: np.ndarray
+    cond_cov: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -228,10 +295,17 @@ class FitResult:
         coefficient vector over ``grid.param_names``.
 
         The mixture has one component per lattice node, the same components
-        ``functional_quantiles`` and ``functional_summaries`` read.
+        ``functional_quantiles`` and ``functional_summaries`` read, and its
+        ``coarse`` mixture is the functional on the merged lattice, which
+        starts their solves too.
         """
-        mean, sd = _functional_moments(self.grid, self._coef_matrix([spec]))
-        return GaussianMixture1D(self.grid.weight.ravel(), mean[0], sd[0])
+        vecs = self._coef_matrix([spec])
+        merged = self.grid.merged
+        (c_mean,), (c_sd,) = _functional_moments(merged, vecs)
+        (mean,), (sd,) = _functional_moments(self.grid, vecs)
+        return GaussianMixture1D(
+            self.grid.weight.ravel(), mean, sd,
+            GaussianMixture1D(merged.weight, c_mean, c_sd))
 
     def functional_quantiles(self, specs, levels) -> np.ndarray:
         """Quantiles of several functionals in one batched solve.
@@ -239,8 +313,11 @@ class FitResult:
         Entry [i, l] is the levels[l]-quantile of the posterior of specs[i];
         each spec is read as in ``functional_mixture``.
         """
-        mean, sd = _functional_moments(self.grid, self._coef_matrix(specs))
-        return mixture_quantiles(_mixture_weights(self.grid), mean, sd, levels)
+        vecs = self._coef_matrix(specs)
+        start = _merged_start(self.grid, vecs, levels)
+        return mixture_quantiles(_mixture_weights(self.grid),
+                                 *_functional_moments(self.grid, vecs),
+                                 levels, start)
 
     def functional_cdf(self, specs, x) -> np.ndarray:
         """Entry i is the posterior P(specs[i] <= x_i), with ``x`` one point
@@ -287,10 +364,11 @@ class TracePoint:
 # engine internals
 # ----------------------------------------------------------------------
 
-def _functional_moments(grid: PosteriorGrid, vecs: np.ndarray):
+def _functional_moments(grid, vecs: np.ndarray):
     """Component means and sds, shape (m, T*G), of the functionals in the
-    rows of ``vecs`` at every lattice node."""
-    p = len(grid.param_names)
+    rows of ``vecs`` at every lattice node; of ``grid.merged`` too, (m, K),
+    given that instead."""
+    p = vecs.shape[1]
     mean = vecs @ grid.cond_mean.reshape(-1, p).T
     outer = (vecs[:, :, None] * vecs[:, None, :]).reshape(len(vecs), p * p)
     sd = outer @ grid.cond_cov.reshape(-1, p * p).T
@@ -298,18 +376,31 @@ def _functional_moments(grid: PosteriorGrid, vecs: np.ndarray):
     return mean, np.sqrt(sd, out=sd)
 
 
-def _mixture_weights(grid: PosteriorGrid) -> np.ndarray:
-    """The lattice weights normalized as ``GaussianMixture1D`` stores them."""
+def _mixture_weights(grid) -> np.ndarray:
+    """The lattice weights (or those of ``grid.merged``) normalized as
+    ``GaussianMixture1D`` stores them."""
     w = grid.weight.ravel()
     return w / w.sum()
+
+
+def _merged_start(grid: PosteriorGrid, vecs: np.ndarray,
+                  levels) -> np.ndarray:
+    """The quantiles of the functional rows of ``vecs`` on the merged
+    lattice, which start their full-lattice solve. Solved before the
+    full-lattice moments exist, so that their memory peaks do not add."""
+    merged = grid.merged
+    return mixture_quantiles(_mixture_weights(merged),
+                             *_functional_moments(merged, vecs), levels)
 
 
 def _summaries(grid: PosteriorGrid, vecs: np.ndarray) -> list:
     """Median, 95% interval and P(> 0) of each functional row of ``vecs``,
     from one batched quantile solve and one batched CDF pass."""
+    levels = (0.5, 0.025, 0.975)
+    start = _merged_start(grid, vecs, levels)
     w = _mixture_weights(grid)
     mean, sd = _functional_moments(grid, vecs)
-    qs = mixture_quantiles(w, mean, sd, (0.5, 0.025, 0.975))
+    qs = mixture_quantiles(w, mean, sd, levels, start)
     # P(X > 0) is the CDF of -X at 0, sum w Phi(mu / sd): the upper tail is
     # read directly, so a tiny P(> 0) keeps its relative accuracy. That CDF
     # also counts an atom at 0, which is not positive, so such an atom sits
@@ -832,7 +923,8 @@ def interaction_trace(fit: FitResult, tau_gamma_values) -> list:
     idx = np.argmin(np.abs(grid.tau_gamma_nodes[None, :] - values[:, None]),
                     axis=1)
     # conditional weights over tau at each chosen tau_gamma node, from the
-    # log weights so that a column of negligible total mass cannot underflow
+    # log weights so that a column of negligible total mass cannot underflow;
+    # per-row weights have no merged lattice, so the start is moment-matched
     w = _normalize_log_weights(grid.log_weight.T[idx], axis=1)
     qs = mixture_quantiles(w, mean[idx], sd[idx], (0.5, 0.25, 0.75))
     return [TracePoint(float(grid.tau_gamma_nodes[i]), med, lo, hi)

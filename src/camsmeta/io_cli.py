@@ -762,6 +762,33 @@ def run(command: str, config: RunConfig) -> int:
     return _COMMANDS[command](config)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse reads only -N and -N.N as negative numbers, so "--flag -1e-3"
+    or "--flag -inf" failed as a missing value. Every flag here but --help
+    takes one value, so a token after a flag that ``float`` accepts is that
+    flag's value: it is joined to it as "--flag=-1e-3"."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for token in sys.argv[1:] if args is None else args:
+            flag = joined[-1] if joined else ""
+            if (flag.startswith("--") and "=" not in flag
+                    and not "--help".startswith(flag)
+                    and token.startswith("-") and _is_float(token)):
+                joined[-1] = f"{flag}={token}"
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The command and every config key as one flag each; every command
     takes every flag and reads the keys it needs."""
@@ -772,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate": "write a synthetic dataset CSV",
         "plotdata": "write forest/bubble/width/trace plot data",
     }
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="camsmeta",
         description="Contribution-adjusted Bayesian subgroup meta-analysis",
         epilog="commands:\n" + "\n".join(

@@ -16,7 +16,7 @@ from scipy.special import ndtr
 from camsmeta import gaussmix
 from camsmeta.errors import ContractError, DomainError
 from camsmeta.gaussmix import (QUANTILE_TOL, GaussianMixture1D, _normal_cdf,
-                               mixture_quantiles)
+                               mixture_cdf, mixture_quantiles)
 
 
 def erfc_cdf(z):
@@ -169,10 +169,27 @@ def test_batch_equals_single_mixture(rows, levels):
     weights, mixes = rows
     out = batch(weights, mixes, levels)
     for mix, xs in zip(mixes, out):
-        np.testing.assert_allclose(xs, mix.quantiles(levels),
-                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(xs, mix.quantiles(levels))
         if len(levels) == 1:
-            assert abs(mix.quantile(levels[0]) - xs[0]) <= 1e-12
+            assert mix.quantile(levels[0]) == xs[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixture_rows(), levels_st, st.floats(-60.0, 60.0))
+def test_results_do_not_depend_on_the_memory_layout(rows, levels, x):
+    # Fortran-ordered arrays, transposed views and strided views hold the
+    # same rows as C-ordered ones; quantiles and CDFs are equal bit for bit
+    weights, mixes = rows
+    means = np.array([mix.means for mix in mixes])
+    sds = np.array([mix.sds for mix in mixes])
+    want_q = mixture_quantiles(weights, means, sds, levels)
+    want_cdf = mixture_cdf(weights, means, sds, x)
+    for layout in (np.asfortranarray, lambda a: np.ascontiguousarray(a.T).T,
+                   lambda a: np.repeat(a, 2, axis=1)[:, ::2]):
+        args = (weights if weights.ndim == 1 else layout(weights),
+                layout(means), layout(sds))
+        np.testing.assert_array_equal(mixture_quantiles(*args, levels), want_q)
+        np.testing.assert_array_equal(mixture_cdf(*args, x), want_cdf)
 
 
 def test_single_normal_quantiles_within_a_quarter_tolerance():
@@ -194,17 +211,78 @@ def test_quantiles_match_a_brent_root_of_the_ndtr_cdf(rows, levels):
     mix = rows[1][0]
     got = mix.quantiles(levels)
     for q, x in zip(levels, got):
-        z = NormalDist().inv_cdf(q)
-        lo = np.min(mix.means + mix.sds * z) - 1.0
-        hi = np.max(mix.means + mix.sds * z) + 1.0
-        root = brentq(lambda t: dense_cdf(mix.weights, mix.means, mix.sds,
-                                          [t])[0] - q, lo, hi, xtol=1e-14)
+        root, dens = brent_quantile(mix, q)
         # the two CDF kernels differ by up to ~5e-16, which moves the root by
         # 5e-16 / density: below a density of 1e-7 (a level in a gap between
         # components) no CDF defines the root to QUANTILE_TOL
-        dens = mix.weights @ stats.norm.pdf(root, mix.means, mix.sds)
         if dens >= 1e-7:
             assert abs(x - root) <= QUANTILE_TOL, (q, x, root, dens)
+
+
+def brent_quantile(mix, q):
+    """The q-quantile of ``mix`` as a Brent root of the ndtr CDF, and the
+    mixture density there."""
+    z = NormalDist().inv_cdf(q)
+    lo = np.min(mix.means + mix.sds * z) - 1.0
+    hi = np.max(mix.means + mix.sds * z) + 1.0
+    root = brentq(lambda t: dense_cdf(mix.weights, mix.means, mix.sds,
+                                      [t])[0] - q, lo, hi, xtol=1e-14)
+    return root, mix.weights @ stats.norm.pdf(root, mix.means, mix.sds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixture_rows(max_rows=1, atoms=False), levels_st, st.data())
+def test_any_start_keeps_quantiles_within_tolerance(rows, levels, data):
+    # starts inside the exact bracket or far outside it (then clipped into
+    # it) end at the same root to within QUANTILE_TOL
+    mix = rows[1][0]
+    start = np.array([data.draw(st.floats(-1e3, 1e3) | st.floats(
+        np.min(mix.means) - 3.0, np.max(mix.means) + 3.0)) for _ in levels])
+    got = mixture_quantiles(mix.weights, mix.means[None, :], mix.sds[None, :],
+                            levels, start[None, :])[0]
+    for q, x in zip(levels, got):
+        root, dens = brent_quantile(mix, q)
+        # as in test_quantiles_match_a_brent_root_of_the_ndtr_cdf
+        if dens >= 1e-7:
+            assert abs(x - root) <= QUANTILE_TOL, (q, x, root, dens)
+
+
+def test_third_order_exit_certifies_what_the_first_order_one_cannot():
+    # two unit normals at -/+0.1: the median is 0, the bracket is 0.2 wide
+    # (tol 2e-9). From a start 1e-4 off, one evaluation has Newton step s
+    # near 1e-4: 2 L s^2 / f is some 1.2e-8, above tol / 4, while
+    # (4 M |s|^3 / 3 + |g(-h)|) / (f - 2 |s f'|) is some 1.3e-12
+    w = np.array([0.5, 0.5])
+    means, sds = np.array([[-0.1, 0.1]]), np.ones((1, 2))
+    start = np.array([[1e-4]])
+    x = np.array([1e-4])
+    cdf, pdf, dpdf = gaussmix._cdf_pdf(x, means, 1.0 / sds, w, True)
+    step = (cdf - 0.5) / pdf
+    slope = gaussmix._PHI_1 * 2.0 * 0.5
+    tol = QUANTILE_TOL * 0.2
+    assert 4.0 * slope * abs(step) <= pdf
+    assert 2.0 * slope * step * step / pdf > 0.25 * tol
+    calls = []
+    cdf_pdf = gaussmix._cdf_pdf
+
+    def counting(x, *args):
+        calls.append(len(x))
+        return cdf_pdf(x, *args)
+
+    with mock.patch.object(gaussmix, "_cdf_pdf", counting):
+        got = mixture_quantiles(w, means, sds, (0.5,), start)
+    assert calls == [1]
+    assert abs(got[0, 0]) <= 0.25 * tol
+
+
+def test_engine_rejects_a_bad_start():
+    w, mu, sd = np.array([0.5, 0.5]), np.zeros((1, 2)), np.ones((1, 2))
+    for bad in (np.zeros((1, 2)), np.zeros(1), np.zeros((2, 1)),
+                np.array([[np.nan]]), np.array([[np.inf]])):
+        with pytest.raises(ContractError, match="start"):
+            mixture_quantiles(w, mu, sd, (0.5,), bad)
+    assert mixture_quantiles(w, mu, sd, (0.5,), np.array([[1e300]]))[0, 0] \
+        == pytest.approx(0.0, abs=QUANTILE_TOL)
 
 
 def test_newton_step_on_a_subnormal_density_is_silent():

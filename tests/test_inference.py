@@ -15,8 +15,8 @@ from camsmeta.errors import (CamsmetaError, CamsmetaWarning, ContractError,
                              IdentifiabilityWarning)
 from camsmeta.gaussmix import QUANTILE_TOL, GaussianMixture1D, _normal_cdf
 from camsmeta import inference, verify
-from camsmeta.inference import (_LOG_2PI, FitResult, GridSpec,
-                                ParameterSummary, PriorSpec,
+from camsmeta.inference import (_LOG_2PI, COARSE, FitResult, GridSpec,
+                                ParameterSummary, PosteriorGrid, PriorSpec,
                                 _axis_log_prior, _cholesky_rows,
                                 _functional_moments, _pair_blocks,
                                 _scalar_stats, _solve_grid, _summaries,
@@ -272,6 +272,50 @@ def test_functional_mixture_is_what_the_batched_readers_read():
         assert mix.weights.size == 41 * 41
         np.testing.assert_array_equal(
             mix.quantiles(levels), fit.functional_quantiles([spec], levels)[0])
+
+
+def test_merged_lattice_is_the_direct_block_average():
+    # 5 x 7 nodes in 2 x 3 blocks of up to 3 x 3: the corner block has no
+    # weight and is dropped; the block holding only nodes (3, 6) and (4, 6)
+    # has subnormal weight (1 and 2 times 5e-324) and stays a spread
+    # component, not an atom at 0
+    rng = np.random.default_rng(11)
+    t, g, p = 5, 7, 2
+    weight = rng.uniform(0.1, 1.0, (t, g))
+    weight[:3, :3] = 0.0
+    weight[3:, 6:] = 0.0
+    weight /= weight.sum()
+    weight[3:, 6] = [5e-324, 1e-323]
+    mean = rng.normal(0.0, 1.0, (t, g, p))
+    root = rng.normal(0.0, 0.3, (t, g, p, p))
+    cov = root @ np.swapaxes(root, -1, -2)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weight)
+    grid = PosteriorGrid(np.arange(t) * 0.1, np.arange(g) * 0.1, log_w,
+                         weight, mean, cov, ("a", "b"), ("tau", "tau_gamma"))
+    want = []
+    for i in range(0, t, COARSE):
+        for j in range(0, g, COARSE):
+            w = weight[i:i + COARSE, j:j + COARSE].ravel()
+            if w.sum() == 0.0:
+                continue
+            u = w / w.sum()
+            m = mean[i:i + COARSE, j:j + COARSE].reshape(-1, p)
+            c = cov[i:i + COARSE, j:j + COARSE].reshape(-1, p, p)
+            centre = u @ m
+            dev = m - centre
+            want.append((w.sum(), centre, np.einsum(
+                "k,kij->ij", u, c + dev[:, :, None] * dev[:, None, :])))
+    merged = grid.merged
+    assert len(want) == merged.weight.size == 5
+    for (w, centre, c), got in zip(want, zip(*merged)):
+        assert got[0] == pytest.approx(w, rel=1e-15)
+        np.testing.assert_allclose(got[1], centre, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(got[2], c, rtol=1e-13, atol=1e-15)
+    assert merged.weight[-1] == 1.5e-323
+    assert np.linalg.eigvalsh(merged.cond_cov[-1]).min() > 0.0
+    assert merged.cond_mean.flags.c_contiguous
+    assert merged.cond_cov.flags.c_contiguous
 
 
 def node_first_stats(blocks):

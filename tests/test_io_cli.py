@@ -583,11 +583,48 @@ def test_simulate_refuses_a_bad_uisd(tmp_path, capsys, uisd, why):
 ])
 def test_simulate_names_a_non_finite_flag(tmp_path, capsys, flag, value, why):
     out = str(tmp_path / "sim")
-    # "=" keeps argparse from reading "-inf" as a flag
+    # the "=" form; test_a_number_after_a_flag_is_its_value covers "-inf"
+    # as a separate token
     assert main(["simulate", f"{flag}={value}", "--output-dir",
                  out]) == EXIT_ERROR
     assert capsys.readouterr().err.splitlines() == [f"error: {why}"]
     assert not os.path.exists(os.path.join(out, "simulated.csv"))
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--sim-alpha", "-1e-3"), ("--sim-alpha", "-.5e1"),
+    ("--sim-delta", "-inf"),
+    ("--prevalence-value", "-inf"), ("--tau-prior", "-0.5"),
+])
+def test_a_number_after_a_flag_is_its_value(flag, value):
+    # argparse alone reads only -N and -N.N as negative numbers
+    args = build_parser().parse_args(["simulate", flag, value])
+    assert getattr(args, flag[2:].replace("-", "_")) == value
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-.5e1"])
+def test_simulate_takes_a_negative_exponent_value(tmp_path, value):
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--sim-alpha", value, "--output-dir",
+                 out]) == EXIT_OK
+    assert len(load_csv(os.path.join(out, "simulated.csv")).studies) == 10
+
+
+def test_report_reaches_the_check_of_a_negative_infinite_prevalence(
+        tmp_path, capsys):
+    code = main(["report", "--input", make_input(tmp_path), "--output-dir",
+                 str(tmp_path / "out"), "--prevalence-value", "-inf"])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        "error: prevalence must lie in [0, 1], got -inf"]
+
+
+def test_a_flag_after_a_flag_is_still_a_missing_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--sim-alpha", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "argument --sim-alpha: expected one argument" in \
+        capsys.readouterr().err
 
 
 def test_run_simulate_then_fit(tmp_path):

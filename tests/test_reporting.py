@@ -653,24 +653,76 @@ def test_closeness_falls_back_to_the_full_scan(fitted, locator):
     assert all(len(r) == 1 for r in reads[len(first) + 1:])
 
 
+@contextlib.contextmanager
+def counted_cdf_rows_by_width():
+    """The lattice CDF rows that ``gaussmix._cdf_pdf`` evaluates, summed per
+    mixture width (number of components)."""
+    rows = {}
+    cdf_pdf = gaussmix._cdf_pdf
+
+    def counting(x, mu, *args):
+        rows[mu.shape[-1]] = rows.get(mu.shape[-1], 0) + len(x)
+        return cdf_pdf(x, mu, *args)
+
+    with mock.patch.object(gaussmix, "_cdf_pdf", counting):
+        yield rows
+
+
+def full_and_coarse_rows(rows, grid, quantiles):
+    """(full-lattice, merged-lattice) CDF rows per quantile, from the
+    per-width counts of ``counted_cdf_rows_by_width``."""
+    full = grid.weight.size
+    coarse = grid.merged.weight.size
+    assert set(rows) <= {full, coarse}, (rows, full, coarse)
+    return rows.get(full, 0) / quantiles, rows.get(coarse, 0) / quantiles
+
+
 def test_optimal_if_scan_needs_few_cdf_rows_per_quantile():
     # work-count guard on the quick-start data (J=8, N=101, data seeds 0-7):
-    # Halley steps and the certified exit keep the 41-point width scan of
-    # optimal_if at no more than 2.6 lattice CDF rows per quantile (about
-    # 3.1 with Newton steps alone, 3.9 without the certified exit either)
+    # started from the merged lattice's quantiles, with the third-order
+    # certified exit, the 41-point width scan of optimal_if costs at most
+    # 1.25 full-lattice CDF rows per quantile (1.10 measured; about 2.5
+    # from the moment-matched start, 3.1 with Newton steps alone, 3.9
+    # without the first-order exit either), plus at most 2.5 rows of the
+    # 34 x 34 merged lattice (2.00 measured)
     priors = PriorSpec()
     grid = GridSpec.default(priors, n_nodes=101)
     specs = [{"alpha": 1.0, "delta": float(p), "gamma": g}
              for g in (0.0, 1.0) for p in np.linspace(0.0, 1.0, 41)]
-    per_quantile = []
+    full, coarse = [], []
     for seed in range(8):
         data = simulate(SimScenario(n_studies=8, gamma=0.3, tau=0.1,
                                     tau_gamma=0.1, uisd=1.0, seed=seed))
         cams = fit_cams(data, priors, grid)
-        with counted_cdf_rows() as rows:
+        with counted_cdf_rows_by_width() as rows:
             cams.functional_quantiles(specs, (0.025, 0.975))
-        per_quantile.append(sum(rows) / (2 * len(specs)))
-    assert np.mean(per_quantile) <= 2.6, per_quantile
+        f, c = full_and_coarse_rows(rows, cams.grid, 2 * len(specs))
+        full.append(f)
+        coarse.append(c)
+    assert np.mean(full) <= 1.25, full
+    assert np.mean(coarse) <= 2.5, coarse
+
+
+def test_summaries_at_j1000_need_few_cdf_rows_per_quantile():
+    # every estimator's summaries at J=1000, N=101 (as the fit_j1000
+    # benchmark reads them), counting the P(> 0) row with the quantiles
+    # (1.33 full and 1.0-1.67 merged rows measured). BMS has a block of
+    # subnormal weight (5e-324); merged as sum(w mu) / sum(w) it collapsed
+    # into an atom, whose rows bisect: 14 merged rows per quantile
+    priors = PriorSpec()
+    grid = GridSpec.default(priors, n_nodes=101)
+    data = simulate(SimScenario(n_studies=1000, gamma=0.3, tau=0.1,
+                                tau_gamma=0.1, seed=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CamsmetaWarning)
+        fits = [fit(data, priors, grid)
+                for fit in (fit_cams, fit_bim, fit_bms, inference.fit_overall)]
+    for fit in fits:
+        with counted_cdf_rows_by_width() as rows:
+            fit.summaries
+        full, coarse = full_and_coarse_rows(rows, fit.grid,
+                                            3 * len(fit.functionals))
+        assert full <= 1.5 and coarse <= 2.0, (fit.estimator, full, coarse)
 
 
 def test_strategy_unknown(fitted):
