@@ -15,13 +15,17 @@ of it. The first guess is a caller's ``start`` (``FitResult`` passes the
 quantiles of its merged lattice) or else the moment-matched normal quantile,
 clipped into that bracket either way. Halley steps on the mixture pdf f and
 its slope f' follow: with the Newton step s = (F(x) - q) / f(x), the move is
-h = s / H, H = 1 - s f' / (2 f), when H exceeds 1/2, else s. A move that
-leaves the bracket, or a Newton step s that fails to halve the previous one,
-is replaced by bisection, and mixtures that contain an atom bisect only. A
-quantile is done once its error bound is proven or its bracket is closed
-(narrower than tol = QUANTILE_TOL * min(w0, 1), w0 the width of its exact
-bracket, which scales with the data, or at the spacing of floats), never on
-a small step alone, so no start can spoil the accuracy.
+h = s / H, H = 1 - s f' / (2 f), when H exceeds 1/2, else s. A quantile is
+done once its error bound is proven or its bracket is closed (narrower than
+tol = QUANTILE_TOL * min(w0, 1), w0 the width of its exact bracket, which
+scales with the data, or at the spacing of floats), never on a small step
+alone, so no start can spoil the accuracy. Each evaluation leaves x at an end
+of the bracket, and a move that does not land strictly inside it (one that
+leaves it, or one that does not move x: F(x) = q exactly, or a step below the
+spacing of floats), a Newton step s that fails to halve the previous one, and
+every step of a mixture that contains an atom are replaced by bisection. So
+every iteration ends the quantile or strictly shrinks its bracket, even
+where w / sd^2 overflows and neither certified exit below can fire.
 The bracket comes from the sign of F(x) - q alone, and the halving rule and
 the certified exits read the Newton step s:
 
@@ -46,7 +50,10 @@ g(d) - g(-h) = (d + h)(f + f' (d - h) / 2), and |f' (d - h) / 2| <=
 where g(-h) = f (s - h) + f' h^2 / 2 = s^3 f'^2 / (4 H^2 f). When that is at
 most tol / 4, x - h, clipped into the bracket, is returned without another
 evaluation: a start within about (tol f / M)^(1/3) of the root costs one
-evaluation. Atoms make M infinite too.
+evaluation. Atoms make M infinite too. So does an sd small enough that
+sum_k w_k / sd_k^3 overflows while sum_k w_k / sd_k^2 does not (near 1e-103,
+a scale that the estimators' scale-equivariance tests reach): there the
+first-order exit is the only one that certifies, which is why it stays.
 
 Every component CDF comes from one numpy kernel, ``_normal_cdf``: with
 e = exp(-z^2 / 2), Phi(-|z|) = e * P(|z|) / Q(|z|) for the degree-6/7 rational
@@ -199,13 +206,14 @@ def _cdf_pdf(x, mu, inv_sd, w, want_pdf: bool):
     cdf *= w
     if not want_pdf:
         return cdf.sum(axis=1), None, None
+    # where w / sd^2 overflows, f' sums +inf and -inf: nan, like an atom's
     with np.errstate(over="ignore", invalid="ignore"):
         dens *= inv_sd
         dens *= w
         z *= dens
         z *= inv_sd
-    return (cdf.sum(axis=1), dens.sum(axis=1) * _INV_SQRT_2PI,
-            z.sum(axis=1) * -_INV_SQRT_2PI)
+        return (cdf.sum(axis=1), dens.sum(axis=1) * _INV_SQRT_2PI,
+                z.sum(axis=1) * -_INV_SQRT_2PI)
 
 
 def _normal_cdf(z: np.ndarray):
@@ -364,7 +372,9 @@ def mixture_quantiles(weights, means, sds, levels, start=None) -> np.ndarray:
             move = np.where(halley > 0.5, step / halley, step)
         cand = xa - move
         size = np.abs(step)
-        newton = (newton_row[active] & (cand >= a) & (cand <= b)
+        # x is an end of [a, b]: a move that does not land strictly inside
+        # (a step of 0 or below the spacing of floats included) bisects
+        newton = (newton_row[active] & (cand > a) & (cand < b)
                   & (size <= 0.5 * last_step[active]))
         mid = 0.5 * (a + b)
         nxt = np.where(newton, cand, mid)

@@ -24,13 +24,13 @@ the contrast (``_pair_blocks``); at the information fraction these
 decouple, so CAMS is a contrast block on the tau_gamma axis plus a mean
 block on the tau axis. ``fit_bim_k`` splits K-level contrasts likewise.
 
-Every quantile reader (``FitResult.functional_quantiles``, the summaries)
-starts its full-lattice solve from the quantiles of the merged lattice
-(``PosteriorGrid.merged``): COARSE x COARSE blocks of nodes, each one normal
-component with the block's weight, mean and covariance. Those quantiles cost
-a ninth of a full-lattice pass each, and from them most full-lattice
-quantiles are certified after one pass (``gaussmix``); the start moves no
-quantile by more than its tolerance.
+Every quantile read (``FitResult.functional_quantiles``, the summaries) is
+one ``_lattice_quantiles`` call, which starts the full-lattice solve from the
+quantiles of the merged lattice (``PosteriorGrid.merged``): COARSE x COARSE
+blocks of nodes, each one normal component with the block's weight, mean and
+covariance. Those quantiles cost a ninth of a full-lattice pass each, and
+from them most full-lattice quantiles are certified after one pass
+(``gaussmix``); the start moves no quantile by more than its tolerance.
 
 Location priors are flat by default; a flat prior requires at least as many
 studies as fixed effects. A proper normal prior on any functional an
@@ -138,12 +138,15 @@ class GridSpec:
     def axis(prior_scale: float, n_nodes: int = 101) -> np.ndarray:
         if n_nodes < 1:
             raise ContractError("need at least one node")
-        if not 0 < prior_scale < math.inf:
-            raise DomainError(f"grid prior scale must be positive and finite, "
-                              f"got {prior_scale}")
         hi = GRID_SPAN * prior_scale
         # geomspace(a, b, 1) is [a]: a lone positive node goes at the top
         low = hi * GRID_MIN_FRAC if n_nodes > 2 else hi
+        # refused before geomspace, which raises or warns on such nodes
+        if not 0.0 < low <= hi < math.inf:
+            raise DomainError(
+                f"grid prior scale {prior_scale!r} must be positive and keep "
+                f"the grid nodes in the float range, but they run from "
+                f"{low!r} to {hi!r}; rescale the data and the priors")
         return np.concatenate([[0.0], np.geomspace(low, hi, n_nodes - 1)])
 
     @classmethod
@@ -313,11 +316,8 @@ class FitResult:
         Entry [i, l] is the levels[l]-quantile of the posterior of specs[i];
         each spec is read as in ``functional_mixture``.
         """
-        vecs = self._coef_matrix(specs)
-        start = _merged_start(self.grid, vecs, levels)
-        return mixture_quantiles(_mixture_weights(self.grid),
-                                 *_functional_moments(self.grid, vecs),
-                                 levels, start)
+        return _lattice_quantiles(self.grid, self._coef_matrix(specs),
+                                  levels)[0]
 
     def functional_cdf(self, specs, x) -> np.ndarray:
         """Entry i is the posterior P(specs[i] <= x_i), with ``x`` one point
@@ -383,24 +383,24 @@ def _mixture_weights(grid) -> np.ndarray:
     return w / w.sum()
 
 
-def _merged_start(grid: PosteriorGrid, vecs: np.ndarray,
-                  levels) -> np.ndarray:
-    """The quantiles of the functional rows of ``vecs`` on the merged
-    lattice, which start their full-lattice solve. Solved before the
-    full-lattice moments exist, so that their memory peaks do not add."""
+def _lattice_quantiles(grid: PosteriorGrid, vecs: np.ndarray, levels):
+    """The (m, L) quantiles at ``levels`` of the functional rows of
+    ``vecs``, and the lattice weights, means and sds they were read from.
+    The merged lattice is solved first, for the start of the full-lattice
+    solve, before the full-lattice moments exist, so that the two memory
+    peaks do not add."""
     merged = grid.merged
-    return mixture_quantiles(_mixture_weights(merged),
-                             *_functional_moments(merged, vecs), levels)
+    start = mixture_quantiles(_mixture_weights(merged),
+                              *_functional_moments(merged, vecs), levels)
+    w = _mixture_weights(grid)
+    mean, sd = _functional_moments(grid, vecs)
+    return mixture_quantiles(w, mean, sd, levels, start), w, mean, sd
 
 
 def _summaries(grid: PosteriorGrid, vecs: np.ndarray) -> list:
     """Median, 95% interval and P(> 0) of each functional row of ``vecs``,
     from one batched quantile solve and one batched CDF pass."""
-    levels = (0.5, 0.025, 0.975)
-    start = _merged_start(grid, vecs, levels)
-    w = _mixture_weights(grid)
-    mean, sd = _functional_moments(grid, vecs)
-    qs = mixture_quantiles(w, mean, sd, levels, start)
+    qs, w, mean, sd = _lattice_quantiles(grid, vecs, (0.5, 0.025, 0.975))
     # P(X > 0) is the CDF of -X at 0, sum w Phi(mu / sd): the upper tail is
     # read directly, so a tiny P(> 0) keeps its relative accuracy. That CDF
     # also counts an atom at 0, which is not positive, so such an atom sits

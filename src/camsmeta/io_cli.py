@@ -183,20 +183,15 @@ def load_csv(path: str, exponentiated_input: bool = False,
         g = est[b] - est[a]
         se_g = math.sqrt(se[a] ** 2 + se[b] ** 2)
         # an absent contrast cell is nan, which differs from nothing
-        for i in (a, b):
-            if abs(contrast_est[i] - g) > 1e-6:
-                warnings.warn(
-                    f"study {name!r}: contrast.esti {contrast_est[i]} "
-                    f"differs from est difference {g}",
-                    ValidationWarning, stacklevel=2)
-                break
-        for i in (a, b):
-            if abs(contrast_se[i] - se_g) > 1e-6:
-                warnings.warn(
-                    f"study {name!r}: contrast.se {contrast_se[i]} "
-                    f"differs from combined se {se_g}",
-                    ValidationWarning, stacklevel=2)
-                break
+        for column, cells, what, value in (
+                ("contrast.esti", contrast_est, "est difference", g),
+                ("contrast.se", contrast_se, "combined se", se_g)):
+            for i in (a, b):
+                if abs(cells[i] - value) > 1e-6:
+                    warnings.warn(
+                        f"study {name!r}: {column} {cells[i]} differs from "
+                        f"{what} {value}", ValidationWarning, stacklevel=2)
+                    break
         studies.append(record)
     return MetaDataset(tuple(studies), scale_label=scale_label)
 
@@ -298,13 +293,22 @@ _CONFIG_SCHEMA = {
 
 
 def _check_config(config) -> None:
-    # refuse a bad value before any command does work
-    _priors(config)  # PriorSpec refuses a bad prior scale up front
-    _estimator_names(config)
-    # a one-node axis pins its heterogeneity at 0, with no edge warning
+    # refuse a bad value before any command does work; a one-node axis pins
+    # its heterogeneity at 0, with no edge warning
     if config.grid_nodes < 2:
         raise ContractError(f"grid_nodes must be at least 2, got "
                             f"{config.grid_nodes}")
+    _priors_and_grid(config)
+    _estimator_names(config)
+    if config.seed < 0:
+        raise ContractError(f"seed must be nonnegative, got {config.seed}")
+
+
+def _priors_and_grid(config) -> tuple[PriorSpec, GridSpec]:
+    """The configured priors and the default grid on them."""
+    priors = PriorSpec(tau_scale=config.tau_prior,
+                       tau_gamma_scale=config.tau_gamma_prior)
+    return priors, GridSpec.default(priors, n_nodes=config.grid_nodes)
 
 
 def _estimator_names(config) -> list:
@@ -446,11 +450,6 @@ def _load_data(config: RunConfig) -> MetaDataset:
     return load_csv(config.input, config.exponentiated_input, config.scale_label)
 
 
-def _priors(config: RunConfig) -> PriorSpec:
-    return PriorSpec(tau_scale=config.tau_prior,
-                     tau_gamma_scale=config.tau_gamma_prior)
-
-
 def _fit_one(name: str, data: MetaDataset, priors: PriorSpec, grid: GridSpec,
              config: RunConfig) -> FitResult:
     if name == "bim":
@@ -465,8 +464,7 @@ def _fit_one(name: str, data: MetaDataset, priors: PriorSpec, grid: GridSpec,
 
 def _cmd_fit(config: RunConfig) -> int:
     data = _load_data(config)
-    priors = _priors(config)
-    grid = GridSpec.default(priors, n_nodes=config.grid_nodes)
+    priors, grid = _priors_and_grid(config)
     for name in _estimator_names(config):
         fit = _fit_one(name, data, priors, grid, config)
         _write_json(os.path.join(config.output_dir, f"fit_{name}.json"),
@@ -507,8 +505,7 @@ def _cmd_report(config: RunConfig) -> int:
     if configured.kind not in kinds:
         specs.append(configured)
     # every policy is built, so a bad one is refused, before the fits
-    priors = _priors(config)
-    grid = GridSpec.default(priors, n_nodes=config.grid_nodes)
+    priors, grid = _priors_and_grid(config)
     cams = _fit_one("cams", data, priors, grid, config)
     reference = _fit_one("bms", data, priors, grid, config)
     effects = [_effects_dict(eff) for eff
@@ -543,8 +540,7 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 def _cmd_plotdata(config: RunConfig) -> int:
     data = _load_data(config)
-    priors = _priors(config)
-    grid = GridSpec.default(priors, n_nodes=config.grid_nodes)
+    priors, grid = _priors_and_grid(config)
     cams = fit_cams(data, priors, grid)
     bim = fit_bim(data, priors, grid)
     out = config.output_dir
@@ -576,9 +572,8 @@ def _cmd_plotdata(config: RunConfig) -> int:
     # the subgroup lines' medians and the combined 95% interval width at the
     # 41 prevalences optimal_if scans, from one quantile batch
     line_pi = np.linspace(0.0, 1.0, _OPT_POINTS)
-    qs = cams.functional_quantiles(np.concatenate(
-        [line_rows(cams, line_pi, g) for g in (0.0, 1.0)]),
-        (0.5, 0.025, 0.975))
+    qs = cams.functional_quantiles(line_rows(cams, line_pi, (0.0, 1.0)),
+                                   (0.5, 0.025, 0.975))
     medians = qs[:, 0].reshape(2, -1)
     span = (qs[:, 2] - qs[:, 1]).reshape(2, -1)
     width = span[0] + span[1]

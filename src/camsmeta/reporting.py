@@ -182,13 +182,16 @@ def _effects_batch(fit: FitResult, pis) -> tuple[list, ParameterSummary]:
             for k, pi in enumerate(pis)], interaction
 
 
-def line_rows(fit: FitResult, pis, g: float = 0.0) -> np.ndarray:
+def line_rows(fit: FitResult, pis, g=0.0) -> np.ndarray:
     """Coefficient rows over ``fit.grid.param_names`` of the line alpha +
     delta pi + g gamma, one per prevalence pi in ``pis``: subgroup A's line
-    at g = 0, subgroup B's at g = 1."""
+    at g = 0, subgroup B's at g = 1. A sequence of offsets ``g`` gives the
+    line of each in turn, as one (len(g) * len(pis), p) array."""
     f = fit.functionals
-    return (f["alpha"] + np.multiply.outer(np.asarray(pis, dtype=float),
-                                           f["delta"]) + g * f["gamma"])
+    rows = (f["alpha"] + np.multiply.outer(np.asarray(pis, dtype=float),
+                                           f["delta"])
+            + np.multiply.outer(g, f["gamma"])[..., None, :])
+    return rows.reshape(-1, rows.shape[-1])
 
 
 def overall_if(fit: FitResult, data: MetaDataset) -> float:
@@ -267,16 +270,15 @@ def _line_moments(fit: FitResult, rows: np.ndarray):
 def _line_sd_sum(fit: FitResult, pis: np.ndarray) -> np.ndarray:
     """sd(mu_A) + sd(mu_B) at each prevalence, in closed form
     (``_line_moments``)."""
-    sd = _line_moments(fit, np.concatenate(
-        [line_rows(fit, pis, g) for g in (0.0, 1.0)]))[1]
-    return sd[:pis.size] + sd[pis.size:]
+    sd = _line_moments(fit, line_rows(fit, pis, (0.0, 1.0)))[1].reshape(2, -1)
+    return sd[0] + sd[1]
 
 
 def _widths(fit: FitResult, pis) -> np.ndarray:
     """The combined width of the two subgroup 95% intervals at each
     prevalence in ``pis``, from one quantile batch."""
-    qs = fit.functional_quantiles(np.concatenate(
-        [line_rows(fit, pis, g) for g in (0.0, 1.0)]), (0.025, 0.975))
+    qs = fit.functional_quantiles(line_rows(fit, pis, (0.0, 1.0)),
+                                  (0.025, 0.975))
     span = (qs[:, 1] - qs[:, 0]).reshape(2, len(pis))
     return span[0] + span[1]
 

@@ -60,6 +60,8 @@ def _check_law(name: str, law: tuple, arity: dict) -> tuple:
                             f"parameter(s), got {len(params)}")
     if not all(math.isfinite(p) for p in params):
         raise DomainError(f"{name} {law}: parameters must be finite")
+    if kind in ("uniform", "leverage") and params[0] > params[1]:
+        raise DomainError(f"{name} {law}: lo must not exceed hi")
     return kind, params
 
 
@@ -77,10 +79,11 @@ class SimScenario:
                         | ("leverage", lo, hi, outlier)
 
     Construction checks that alpha, delta and gamma are finite and that tau
-    and tau_gamma lie in [0, inf). It checks each law's kind and arity, that
-    every parameter is finite, that s, sd, lo, hi of the sigma law and a, b
-    of the beta law are positive, and that every other prevalence parameter
-    lies in [0, 1].
+    and tau_gamma lie in [0, inf), and stores a -0.0 of either as +0.0. It
+    checks each law's kind and arity, that every parameter is finite, that
+    s, sd, lo, hi of the sigma law and a, b of the beta law are positive,
+    that every other prevalence parameter lies in [0, 1] (a -0.0 is stored
+    as +0.0 there too), and that no law's lo exceeds its hi.
 
     The leverage law draws all but the last study uniformly on [lo, hi] and
     pins the last study at ``outlier`` with a tripled sampling SD: one small
@@ -109,9 +112,12 @@ class SimScenario:
             raise ContractError("need at least two subgroups")
         for name in ("alpha", "delta", "gamma", "tau", "tau_gamma"):
             value = getattr(self, name)
-            if name.startswith("tau") and not 0.0 <= value < math.inf:
-                raise DomainError(
-                    f"{name} must be nonnegative and finite, got {value}")
+            if name.startswith("tau"):
+                if not 0.0 <= value < math.inf:
+                    raise DomainError(
+                        f"{name} must be nonnegative and finite, got {value}")
+                # -0.0 passes, but numpy refuses it as a scale: keep +0.0
+                object.__setattr__(self, name, abs(value))
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
         if self.uisd is not None and not 0.0 < self.uisd < math.inf:
@@ -128,9 +134,13 @@ class SimScenario:
         if kind == "beta" and not all(p > 0 for p in params):
             raise DomainError(f"prevalence_law {self.prevalence_law}: beta "
                               f"parameters must be positive")
-        if kind != "beta" and not all(0.0 <= p <= 1.0 for p in params):
-            raise DomainError(f"prevalence_law {self.prevalence_law}: "
-                              f"prevalences must lie in [0, 1]")
+        if kind != "beta":
+            if not all(0.0 <= p <= 1.0 for p in params):
+                raise DomainError(f"prevalence_law {self.prevalence_law}: "
+                                  f"prevalences must lie in [0, 1]")
+            # a prevalence of -0.0 would be a subgroup SD of -0.0
+            object.__setattr__(self, "prevalence_law",
+                               (kind, *map(abs, params)))
 
 
 def _draw_prevalence(law: tuple, n: int, rng) -> np.ndarray:

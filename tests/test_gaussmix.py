@@ -299,6 +299,33 @@ def test_newton_step_on_a_subnormal_density_is_silent():
         assert mix.cdf(x - QUANTILE_TOL) <= q <= mix.cdf(x + QUANTILE_TOL)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-155])
+def test_a_step_that_does_not_move_bisects(scale):
+    # w / sd^2 overflows, so L and M are infinite and neither certified exit
+    # fires, f' sums +inf and -inf, and at the median F(x) = q exactly: a
+    # Newton step of 0 that used to pass the halving rule forever. A counter
+    # ends a search that does not end, instead of hanging
+    w = np.array([0.5, 0.5])
+    means, sds = np.array([[-scale, scale]]), np.array([[scale, scale]])
+    calls = []
+    cdf_pdf = gaussmix._cdf_pdf
+
+    def counting(x, *args):
+        calls.append(len(x))
+        assert len(calls) <= 300, "the quantile search does not end"
+        return cdf_pdf(x, *args)
+
+    levels = (0.5, 0.25)
+    with mock.patch.object(gaussmix, "_cdf_pdf", counting):
+        got = mixture_quantiles(w, means, sds, levels)
+        single = GaussianMixture1D(w, means[0], sds[0]).quantile(0.25)
+    # each within its tolerance (relative to the bracket, 2 * scale wide) of
+    # the same mixture at unit scale
+    unit = mixture_quantiles(w, means / scale, sds / scale, levels)
+    assert np.all(np.abs(got / scale - unit) <= 3.0 * QUANTILE_TOL)
+    assert single == got[0, 1]
+
+
 def test_per_row_weights_select_each_mixture():
     # the same components under two weightings give two different mixtures
     means = np.tile([-2.0, 0.0, 3.0], (2, 1))

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -68,6 +69,21 @@ def test_grid_axis_shape():
         GridSpec.axis(-1.0)
     with pytest.raises(DomainError):
         GridSpec.axis(np.inf)
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-322, 1e308, 4e307])
+def test_grid_axis_refuses_a_scale_whose_nodes_leave_the_float_range(scale):
+    # the lowest positive node underflows to 0, or the top one overflows:
+    # refused, naming the scale, before np.geomspace can raise or warn
+    with pytest.raises(DomainError, match=re.escape(
+            f"grid prior scale {scale!r}")):
+        GridSpec.axis(scale)
+    with pytest.raises(DomainError, match="grid prior scale"):
+        GridSpec.default(PriorSpec(tau_gamma_scale=scale), 3)
+    # at one or two nodes the lowest positive node is the top one
+    if scale < 1.0:
+        assert GridSpec.axis(scale, 1).tolist() == [0.0]
+        assert GridSpec.axis(scale, 2).tolist() == [0.0, 5.0 * scale]
 
 
 def test_two_node_axis_puts_its_positive_node_at_the_top():

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import camsmeta
-from camsmeta.errors import ContractError, DomainError, ValidationWarning
+from camsmeta.errors import (CamsmetaWarning, ContractError, DomainError,
+                             ValidationWarning)
 from camsmeta.inference import GridSpec, PriorSpec, fit_bms, fit_cams
 from camsmeta.io_cli import (_COMMANDS, _CONFIG_SCHEMA, EXIT_ERROR, EXIT_OK,
                              EXIT_VERIFY_FAIL, RunConfig, build_parser,
@@ -225,6 +226,24 @@ def test_load_warns_on_contrast_mismatch(tmp_path):
     write_csv(path, rows)
     with pytest.warns(ValidationWarning, match="contrast.esti"):
         load_csv(path)
+
+
+def test_load_warns_once_per_contrast_column_in_order(tmp_path):
+    path = str(tmp_path / "d.csv")
+    rows = two_row_study()
+    for k in (0, 1):
+        parts = rows[k].split(",")
+        parts[1], parts[2] = "0.9", "0.5"
+        rows[k] = ",".join(parts)
+    write_csv(path, rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_csv(path)
+    assert [str(w.message) for w in caught] == [
+        f"study 'S1': contrast.esti 0.9 differs from est difference "
+        f"{0.4 - 0.1}",
+        f"study 'S1': contrast.se 0.5 differs from combined se "
+        f"{math.sqrt(0.2 ** 2 + 0.3 ** 2)}"]
 
 
 def test_load_rejects_inconsistent_pair_ifrac(tmp_path):
@@ -547,6 +566,8 @@ def test_report_reference_bms_honours_alpha_heterogeneity(tmp_path):
     ("--sim-prevalence-law", "fixed:nan", "must be finite"),
     ("--sim-sigma-law", "lognormal:-1.6,0", "must be positive"),
     ("--sim-sigma-law", "gamma:1,2", "unknown sigma_law kind"),
+    ("--sim-sigma-law", "uniform:0.3,0.1", "lo must not exceed hi"),
+    ("--sim-prevalence-law", "leverage:0.8,0.2,0.5", "lo must not exceed hi"),
 ])
 def test_simulate_rejects_malformed_laws(tmp_path, capsys, flag, law, why):
     out = str(tmp_path / "sim")
@@ -748,6 +769,12 @@ def test_singular_node_names_the_node_and_both_prior_scales(tmp_path, capsys,
     ("--tau-prior", "1e300", "tau_nodes must be finite with a finite square"),
     ("--tau-gamma-prior", "1e300",
      "tau_gamma_nodes must be finite with a finite square"),
+    ("--tau-prior", "5e-324", "grid prior scale 5e-324 must be positive and "
+     "keep the grid nodes in the float range, but they run from 0.0 to "
+     "2.5e-323"),
+    ("--tau-gamma-prior", "1e308", "grid prior scale 1e+308 must be positive "
+     "and keep the grid nodes in the float range, but they run from inf to "
+     "inf"),
 ])
 def test_fit_on_extreme_prior_scale_is_clean_error(tmp_path, capsys, flag,
                                                    value, why):
@@ -789,6 +816,22 @@ def test_bad_prior_scale_is_refused_up_front(tmp_path, capsys, command, flag,
     assert "prior scales must be positive and finite" in err[0]
     with pytest.raises(DomainError, match="positive and finite"):
         RunConfig.from_sources(None, {flag[2:].replace("-", "_"): value})
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "-1"],
+    ["report", "--seed", "-1", "--beta-a", "2", "--beta-b", "3"],
+    ["verify", "--seed", "-99999"],
+    ["verify", "--seed", "-1"],
+], ids=["simulate", "report", "verify", "verify-1"])
+def test_negative_seed_is_refused_up_front(tmp_path, capsys, argv):
+    # numpy seeds only nonnegative integers; verify used to run its battery
+    # from base seed 20240 + seed, so -1 ran and -99999 was a traceback
+    out = tmp_path / "out"
+    assert main(argv + ["--output-dir", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: seed must be nonnegative, got {argv[2]}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config, why", [
@@ -1020,7 +1063,7 @@ def test_cli_contract_under_fuzzed_input(tmp_path, capsys):
         for command in ("fit", "report", "plotdata"):
             shutil.rmtree(out, ignore_errors=True)
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                warnings.simplefilter("ignore", CamsmetaWarning)
                 try:
                     code = main([command, *flags])
                 except SystemExit as exc:
@@ -1048,3 +1091,60 @@ def test_cli_contract_under_fuzzed_input(tmp_path, capsys):
                                 <= leaf["upper"]), (where, name, leaf)
     # the fuzz reaches both outcomes
     assert codes.get(EXIT_OK) and codes.get(EXIT_ERROR), codes
+
+
+# hostile values of every config key; counts also take -1 and 1 (none above
+# 3, so that no run builds a large grid or loops long), and laws bad strings
+FLAG_FUZZ_VALUES = ("-1e-3", "0", "-0", "nan", "inf", "-inf", "1e308",
+                    "5e-324", "x", "")
+FLAG_FUZZ_COUNTS = ("-1", "1")
+FLAG_FUZZ_LAWS = ("fixed", "fixed:", ":1", "fixed:-0", "fixed:1e308",
+                  "beta:1", "beta:-0,1", "beta:nan,2", "uniform:0.9,0.1",
+                  "lognormal:1e308,1", "leverage:0.2,0.8,-0", "x:1,2")
+# the keys verify reads and the keys every command checks up front; verify
+# runs only these, since any other key reaches nothing in it but the parser
+# and the checks, which the other commands run alike
+FLAG_FUZZ_VERIFY = ("seed", "verify_seeds", "tau_prior", "tau_gamma_prior",
+                    "grid_nodes", "estimators")
+
+
+def test_every_flag_under_hostile_values(tmp_path, capsys, monkeypatch):
+    # each config key with each hostile value, on top of base flags that make
+    # every key reach the code that reads it, through each command: exit 0,
+    # 2 or 3, or exit 1 with exactly one error line; any other warning than
+    # a CamsmetaWarning is an error
+    monkeypatch.chdir(tmp_path)  # hostile output paths land here
+    data = str(tmp_path / "data.csv")
+    save_csv(simulate(SimScenario(n_studies=3, gamma=0.3, tau=0.1,
+                                  tau_gamma=0.1, uisd=1.0, seed=1)), data)
+    base = ("--input", data, "--output-dir", "out", "--grid-nodes", "3",
+            "--verify-seeds", "1", "--sim-studies", "3",
+            "--prevalence-value", "0.4", "--beta-a", "2", "--beta-b", "3")
+    cases, codes = 0, {}
+    for key, (parser, default) in _CONFIG_SCHEMA.items():
+        values = FLAG_FUZZ_VALUES + (FLAG_FUZZ_COUNTS if parser is int else ())
+        values += FLAG_FUZZ_LAWS if isinstance(default, tuple) else ()
+        for value in values:
+            flags = base + (f"--{key.replace('_', '-')}", value)
+            for command in _COMMANDS:
+                if command == "verify" and key not in FLAG_FUZZ_VERIFY:
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    warnings.simplefilter("ignore", CamsmetaWarning)
+                    try:
+                        code = main([command, *flags])
+                    except SystemExit as exc:
+                        code = exc.code
+                err = capsys.readouterr().err
+                cases += 1
+                codes[code] = codes.get(code, 0) + 1
+                if code == EXIT_ERROR:
+                    lines = err.splitlines()
+                    assert len(lines) == 1 and lines[0].startswith(
+                        "error: "), (command, key, value, err)
+                else:
+                    assert code in (EXIT_OK, 2, EXIT_VERIFY_FAIL), (
+                        command, key, value, code)
+    # the loop ran its cases (1 234 today), and both outcomes occur
+    assert cases > 1000 and codes.get(EXIT_OK) and codes.get(EXIT_ERROR), codes

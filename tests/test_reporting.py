@@ -152,6 +152,16 @@ def scan_reference(fit):
     return pi, float(exact_widths(fit, [pi])[0])
 
 
+def test_line_rows_of_several_offsets_are_each_line_in_turn(fitted):
+    _, cams, _ = fitted
+    pis = np.linspace(0.0, 1.0, 5)
+    both = reporting.line_rows(cams, pis, (0.0, 1.0))
+    assert both.shape == (10, 3)
+    assert np.array_equal(both, np.concatenate(
+        [reporting.line_rows(cams, pis, g) for g in (0.0, 1.0)]))
+    assert reporting.line_rows(cams, [0.3]).shape == (1, 3)
+
+
 def test_optimal_if_properties(fitted):
     _, cams, _ = fitted
     with warnings.catch_warnings():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -69,6 +70,25 @@ def test_simulate_validation():
         SimScenario(n_studies=0)
     with pytest.raises(DomainError):
         SimScenario(n_studies=3, tau=-0.1)
+
+
+@pytest.mark.parametrize("field", ["tau", "tau_gamma"])
+def test_negative_zero_heterogeneity_is_stored_as_zero(field):
+    # -0.0 passes 0 <= tau, and numpy refuses it as a normal scale
+    scenario = SimScenario(n_studies=3, **{field: -0.0})
+    assert math.copysign(1.0, getattr(scenario, field)) == 1.0
+    assert simulate(scenario).sha256 == simulate(
+        SimScenario(n_studies=3, **{field: 0.0})).sha256
+
+
+def test_negative_zero_prevalence_is_stored_as_zero():
+    # a prevalence of -0.0 made a subgroup SD of -0.0, which numpy refused;
+    # as 0 it is a zero standard error, refused by the data model
+    scenario = SimScenario(n_studies=3,
+                           prevalence_law=("leverage", 0.2, 0.8, -0.0))
+    assert math.copysign(1.0, scenario.prevalence_law[3]) == 1.0
+    with pytest.raises(DomainError, match="std_error must be positive"):
+        simulate(scenario)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
