@@ -11,9 +11,9 @@ method rests on.
 from .errors import (CamsmetaError, CamsmetaWarning, ContractError,
                      DomainError, ExtrapolationWarning, GridEdgeWarning,
                      IdentifiabilityWarning, ValidationWarning)
-from .model_core import (CovarianceStructure, MetaDataset, MultiStudyRecord,
-                         StudyRecord, SubgroupObservation, compose,
-                         compute_if, cov_gm, decompose)
+from .model_core import (CovarianceStructure, MetaDataset, StudyRecord,
+                         SubgroupObservation, compose, compute_if, cov_gm,
+                         decompose)
 from .contrasts import (ContrastBasis, contrast_mean_cov, helmert_basis,
                         kronecker_contrast, per_arm_prevalence,
                         precision_prevalence, transform_matrix)
@@ -21,7 +21,7 @@ from .gaussmix import GaussianMixture1D
 from .inference import (FitResult, GridSpec, ParameterSummary, PosteriorGrid,
                         PriorSpec, TracePoint, cross_term_correction,
                         factorization_residual, factorized_loglikelihood,
-                        fit_bim, fit_bim_k, fit_bms, fit_cams, fit_overall,
+                        fit_bim, fit_bms, fit_cams, fit_overall,
                         interaction_trace, joint_loglikelihood)
 from .reporting import (STRATEGY_KINDS, OptimalIF, PrevalenceSpec,
                         ReportedEffects, bayes_risk, beta_moments, effects_at,
@@ -38,7 +38,7 @@ __all__ = [
     "CamsmetaError", "CamsmetaWarning", "ContractError", "DomainError",
     "ExtrapolationWarning", "GridEdgeWarning", "IdentifiabilityWarning",
     "ValidationWarning",
-    "CovarianceStructure", "MetaDataset", "MultiStudyRecord", "StudyRecord",
+    "CovarianceStructure", "MetaDataset", "StudyRecord",
     "SubgroupObservation", "compose", "compute_if", "cov_gm", "decompose",
     "ContrastBasis", "contrast_mean_cov", "helmert_basis",
     "kronecker_contrast", "per_arm_prevalence", "precision_prevalence",
@@ -46,7 +46,7 @@ __all__ = [
     "GaussianMixture1D",
     "FitResult", "GridSpec", "ParameterSummary", "PosteriorGrid", "PriorSpec",
     "TracePoint", "cross_term_correction", "factorization_residual",
-    "factorized_loglikelihood", "fit_bim", "fit_bim_k", "fit_bms", "fit_cams",
+    "factorized_loglikelihood", "fit_bim", "fit_bms", "fit_cams",
     "fit_overall", "interaction_trace", "joint_loglikelihood",
     "STRATEGY_KINDS", "OptimalIF", "PrevalenceSpec", "ReportedEffects",
     "bayes_risk", "beta_moments", "effects_at", "marginalize_prevalence",

@@ -1,13 +1,12 @@
 """Grid-based Bayesian fitting of the subgroup meta-analysis estimators.
 
-Five estimators share one engine:
+Four estimators share one engine:
 
 * ``BIM``     univariate random-effects pooling of the within-trial contrasts
 * ``BMS``     bivariate subgroup model with interactions centered at 0.5
 * ``CAMS``    bivariate model with an ecological slope in the information
               fraction and IF-centered interaction terms
 * ``OVERALL`` univariate pooling of the prevalence-weighted trial means
-* ``BIM_K``   multivariate contrast pooling for K subgroup levels
 
 Instead of MCMC, heterogeneity SDs live on a fixed grid (a zero node plus
 geometrically spaced nodes up to five prior scales). At every node the
@@ -22,7 +21,7 @@ statistics (``_scalar_stats``) add before one shared solve; no node inverts
 a covariance block. A (y_A, y_B) pair is its contrast plus its mean given
 the contrast (``_pair_blocks``); at the information fraction these
 decouple, so CAMS is a contrast block on the tau_gamma axis plus a mean
-block on the tau axis. ``fit_bim_k`` splits K-level contrasts likewise.
+block on the tau axis.
 
 Every quantile read (``FitResult.functional_quantiles``, the summaries) is
 one ``_lattice_quantiles`` call, which starts the full-lattice solve from the
@@ -49,7 +48,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contrasts import ContrastBasis
 from .errors import (ContractError, DomainError, GridEdgeWarning,
                      IdentifiabilityWarning)
 from .gaussmix import (BLOCK_CELLS, GaussianMixture1D, mixture_cdf,
@@ -718,7 +716,7 @@ def _axis_descriptor(nodes: np.ndarray) -> dict:
 
 def _provenance(data: MetaDataset, priors: PriorSpec, grid: GridSpec,
                 options: dict) -> dict:
-    prov = {
+    return {
         "priors": {
             "tau_scale": priors.tau_scale,
             "tau_gamma_scale": priors.tau_gamma_scale,
@@ -735,10 +733,8 @@ def _provenance(data: MetaDataset, priors: PriorSpec, grid: GridSpec,
         "scale_label": data.scale_label,
         "seed": None,
         "options": options,
+        "info_fractions": [float(s.info_fraction) for s in data.studies],
     }
-    if not data.is_multi:
-        prov["info_fractions"] = [float(s.info_fraction) for s in data.studies]
-    return prov
 
 
 # ----------------------------------------------------------------------
@@ -858,46 +854,6 @@ def fit_cams(data: MetaDataset, priors: PriorSpec | None = None,
     # literal kept until a benchmark change regenerates bench/golden/
     return FitResult("CAMS", posterior, _provenance(
         data, priors, grid, {"parametrization": "explicit"}), functionals)
-
-
-def fit_bim_k(data: MetaDataset, basis: ContrastBasis,
-              priors: PriorSpec | None = None,
-              grid: GridSpec | None = None) -> FitResult:
-    """Multivariate contrast pooling for K subgroup levels.
-
-    Per study the contrast vector g_j = C y_j is Normal(C B gamma,
-    C S_j C' + tau^2 (C B)(C B)'). Through L = (C B)^-1 C it is L y_j ~
-    N(gamma, A_j + tau^2 I), A_j = L S_j L' = U_j diag(lambda_j) U_j', so
-    q independent scalar observations U_j' L y_j ~ N(U_j' gamma, lambda_j +
-    tau^2) (log weights drop the constant J log|det C B|). At K = 2 this is
-    the univariate contrast model exactly.
-    """
-    priors = priors if priors is not None else PriorSpec()
-    grid = grid if grid is not None else GridSpec.default(priors)
-    if not data.is_multi:
-        raise ContractError("fit_bim_k needs MultiStudyRecord data")
-    k = basis.k
-    for s in data.studies:
-        if s.k != k:
-            raise ContractError(
-                f"study {s.study_id} has {s.k} subgroups, basis expects {k}")
-    q = k - 1
-    j = len(data.studies)
-    param_names = tuple(f"gamma_{i + 1}" for i in range(q))
-    functionals = {name: np.eye(q)[i] for i, name in enumerate(param_names)}
-    lmap = np.linalg.solve(basis.matrix_c @ basis.basis_b, basis.matrix_c)
-    var = np.stack([s.cov_diag for s in data.studies])
-    lam, u = np.linalg.eigh(np.einsum("ik,jk,lk->jil", lmap, var, lmap))
-    h = np.stack([s.estimates for s in data.studies]) @ lmap.T
-    blocks = [(np.einsum("jik,ji->jk", u, h).ravel(),
-               u.transpose(0, 2, 1).reshape(j * q, q), lam.ravel(),
-               (grid.tau_nodes ** 2)[:, None])]
-    # each study contributes q contrast observations
-    blocks += _prior_blocks(priors, functionals, j * q, q)
-    posterior = _solve_grid(blocks, param_names, priors, grid.tau_nodes,
-                            np.array([0.0]), ("tau",))
-    return FitResult("BIM_K", posterior,
-                     _provenance(data, priors, grid, {"k": k}), functionals)
 
 
 # ----------------------------------------------------------------------

@@ -201,8 +201,6 @@ def save_csv(data: MetaDataset, path: str) -> None:
 
     Contrast columns are written on both rows; numeric fields use repr so a
     round trip through load_csv is bit-exact."""
-    if data.is_multi:
-        raise ContractError("the CSV schema covers two-subgroup datasets only")
     with_counts = any(s.obs_a.count is not None or s.obs_b.count is not None
                       for s in data.studies)
     header = ["study.name", "contrast.esti", "contrast.se", "est", "se",
@@ -305,10 +303,17 @@ def _check_config(config) -> None:
 
 
 def _priors_and_grid(config) -> tuple[PriorSpec, GridSpec]:
-    """The configured priors and the default grid on them."""
+    """The configured priors and the default grid on them; an axis that
+    cannot be built is refused under the key of its prior scale."""
     priors = PriorSpec(tau_scale=config.tau_prior,
                        tau_gamma_scale=config.tau_gamma_prior)
-    return priors, GridSpec.default(priors, n_nodes=config.grid_nodes)
+    axes = []
+    for key in ("tau_prior", "tau_gamma_prior"):
+        try:
+            axes.append(GridSpec.axis(getattr(config, key), config.grid_nodes))
+        except DomainError as exc:
+            raise DomainError(f"{key}: {exc}") from None
+    return priors, GridSpec(*axes)
 
 
 def _estimator_names(config) -> list:

@@ -104,42 +104,6 @@ def _record_if(study_id: str, obs_a: SubgroupObservation,
 
 
 @dataclass(frozen=True)
-class MultiStudyRecord:
-    """A K-subgroup trial: estimate vector, diagonal covariance, prevalences."""
-
-    study_id: str
-    estimates: np.ndarray
-    cov_diag: np.ndarray
-    prevalence: np.ndarray
-
-    def __post_init__(self) -> None:
-        est = np.asarray(self.estimates, dtype=float)
-        var = np.asarray(self.cov_diag, dtype=float)
-        pi = np.asarray(self.prevalence, dtype=float)
-        object.__setattr__(self, "estimates", est)
-        object.__setattr__(self, "cov_diag", var)
-        object.__setattr__(self, "prevalence", pi)
-        k = est.shape[0]
-        if k < 2:
-            raise DomainError(f"study {self.study_id}: need K >= 2 subgroups, got {k}")
-        if var.shape != (k,) or pi.shape != (k,):
-            raise ContractError(
-                f"study {self.study_id}: estimates, cov_diag and prevalence "
-                f"must share length, got {est.shape}, {var.shape}, {pi.shape}")
-        if not np.all(var > 0):
-            raise DomainError(f"study {self.study_id}: all variances must be positive")
-        if np.any(pi < 0):
-            raise DomainError(f"study {self.study_id}: prevalences must be nonnegative")
-        if abs(pi.sum() - 1.0) > 1e-12:
-            raise DomainError(
-                f"study {self.study_id}: prevalences must sum to 1, got {pi.sum()!r}")
-
-    @property
-    def k(self) -> int:
-        return self.estimates.shape[0]
-
-
-@dataclass(frozen=True)
 class MetaDataset:
     """An ordered collection of studies sharing one effect scale."""
 
@@ -150,22 +114,17 @@ class MetaDataset:
         object.__setattr__(self, "studies", tuple(self.studies))
         if len(self.studies) == 0:
             raise ContractError("dataset must contain at least one study")
+        for i, s in enumerate(self.studies):
+            if not isinstance(s, StudyRecord):
+                raise ContractError(f"studies[{i}] is a {type(s).__name__}, "
+                                    f"not a StudyRecord")
         ids = [s.study_id for s in self.studies]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ContractError(f"duplicate study ids: {dupes}")
-        kinds = {type(s).__name__ for s in self.studies}
-        if len(kinds) > 1:
-            raise ContractError(f"mixed study record kinds in one dataset: {sorted(kinds)}")
-
-    @property
-    def is_multi(self) -> bool:
-        return isinstance(self.studies[0], MultiStudyRecord)
 
     @property
     def info_fractions(self) -> np.ndarray:
-        if self.is_multi:
-            raise ContractError("info_fractions applies to two-subgroup datasets only")
         return np.array([s.info_fraction for s in self.studies])
 
     @cached_property
@@ -175,17 +134,10 @@ class MetaDataset:
         always "True", so digests match those of earlier releases."""
         lines = [self.scale_label, "True"]
         for s in self.studies:
-            if isinstance(s, MultiStudyRecord):
-                parts = [s.study_id]
-                parts += [repr(float(v)) for v in s.estimates]
-                parts += [repr(float(v)) for v in s.cov_diag]
-                parts += [repr(float(v)) for v in s.prevalence]
-            else:
-                parts = [s.study_id,
-                         repr(s.obs_a.estimate), repr(s.obs_a.std_error),
-                         repr(s.obs_a.count), repr(s.obs_b.estimate),
-                         repr(s.obs_b.std_error), repr(s.obs_b.count)]
-            lines.append("|".join(parts))
+            lines.append("|".join([
+                s.study_id, repr(s.obs_a.estimate), repr(s.obs_a.std_error),
+                repr(s.obs_a.count), repr(s.obs_b.estimate),
+                repr(s.obs_b.std_error), repr(s.obs_b.count)]))
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -303,8 +255,6 @@ def cams_covariance(var_a, var_b, pi, tau, tau_gamma) -> np.ndarray:
 def subgroup_arrays(data: MetaDataset, pi=None):
     """Study vectors (y_A, y_B, sigma_A^2, sigma_B^2, pi); ``pi`` defaults
     to the information fractions, an override must lie in [0, 1]."""
-    if data.is_multi:
-        raise ContractError("this estimator needs two-subgroup study records")
     ya = np.array([s.obs_a.estimate for s in data.studies])
     yb = np.array([s.obs_b.estimate for s in data.studies])
     va = np.array([s.obs_a.std_error ** 2 for s in data.studies])

@@ -33,8 +33,8 @@ from .inference import (_CAMS_FUNCTIONALS, GridSpec, PosteriorGrid,
                         PriorSpec, _block_cross_term, _functional_moments,
                         _mvn_logpdf, _normal_logpdf, _pair_blocks,
                         _prior_blocks, _solve_grid, fit_bim, fit_cams)
-from .model_core import (MetaDataset, MultiStudyRecord, StudyRecord,
-                         SubgroupObservation, subgroup_arrays)
+from .model_core import (MetaDataset, StudyRecord, SubgroupObservation,
+                         subgroup_arrays)
 from .reporting import RISK_GRID, PrevalenceSpec, _beta_cdf, bayes_risk
 
 TOL_EXACT = 1e-10
@@ -99,7 +99,6 @@ class SimScenario:
     gamma: float = 0.0
     tau: float = 0.0
     tau_gamma: float = 0.0
-    k_subgroups: int = 2
     sigma_law: tuple = ("lognormal", -1.6, 0.4)
     prevalence_law: tuple = ("beta", 2.0, 2.0)
     uisd: float | None = None
@@ -108,8 +107,6 @@ class SimScenario:
     def __post_init__(self) -> None:
         if self.n_studies < 1:
             raise ContractError("need at least one study")
-        if self.k_subgroups < 2:
-            raise ContractError("need at least two subgroups")
         for name in ("alpha", "delta", "gamma", "tau", "tau_gamma"):
             value = getattr(self, name)
             if name.startswith("tau"):
@@ -167,21 +164,15 @@ def _draw_sigma(law: tuple, n: int, rng) -> np.ndarray:
 def simulate(scenario: SimScenario) -> MetaDataset:
     """Draw a synthetic dataset from the normal-normal hierarchy.
 
-    Two-subgroup form: alpha_j ~ N(alpha, tau^2), gamma_j ~ N(gamma,
-    tau_gamma^2), and
+    alpha_j ~ N(alpha, tau^2), gamma_j ~ N(gamma, tau_gamma^2), and
 
         y_Aj = alpha_j + delta pi_j - pi_j (gamma_j - gamma)       + eps_Aj
         y_Bj = alpha_j + delta pi_j + gamma + (1 - pi_j)(gamma_j - gamma) + eps_Bj
 
     so the interaction deviations are centered at the information fraction.
-    K-subgroup form: y_j = alpha_j 1 + B gamma_j + eps_j with gamma_j ~
-    N(gamma 1, tau^2 I) on the contrast scale and per-arm SDs from
-    ``sigma_law``; prevalences are the recomputed precision shares.
     """
     rng = np.random.default_rng(scenario.seed)
     j = scenario.n_studies
-    if scenario.k_subgroups > 2:
-        return _simulate_multi(scenario, rng)
     pi = _draw_prevalence(scenario.prevalence_law, j, rng)
     s = _draw_sigma(scenario.sigma_law, j, rng)
     if scenario.prevalence_law[0] == "leverage":
@@ -211,23 +202,6 @@ def simulate(scenario: SimScenario) -> MetaDataset:
         obs_b = SubgroupObservation("B", float(yb[i]), float(sd_b[i]), counts[1])
         studies.append(StudyRecord.from_observations(
             f"S{i + 1:0{width}d}", obs_a, obs_b))
-    return MetaDataset(tuple(studies))
-
-
-def _simulate_multi(scenario: SimScenario, rng) -> MetaDataset:
-    j, k = scenario.n_studies, scenario.k_subgroups
-    basis = helmert_basis(k)
-    gvec = np.full(k - 1, scenario.gamma)
-    width = len(str(j))
-    studies = []
-    for i in range(j):
-        sds = _draw_sigma(scenario.sigma_law, k, rng)
-        alpha_i = rng.normal(scenario.alpha, scenario.tau)
-        gamma_i = gvec + rng.normal(0.0, scenario.tau, size=k - 1)
-        y = alpha_i + basis.basis_b @ gamma_i + rng.normal(0.0, sds)
-        cov = sds ** 2
-        studies.append(MultiStudyRecord(
-            f"S{i + 1:0{width}d}", y, cov, precision_prevalence(cov)))
     return MetaDataset(tuple(studies))
 
 

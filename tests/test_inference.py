@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import re
 import tracemalloc
@@ -22,15 +21,12 @@ from camsmeta.inference import (_LOG_2PI, COARSE, FitResult, GridSpec,
                                 _functional_moments, _pair_blocks,
                                 _scalar_stats, _solve_grid, _summaries,
                                 cross_term_correction, factorization_residual,
-                                factorized_loglikelihood, fit_bim, fit_bim_k,
-                                fit_bms, fit_cams, fit_overall,
+                                factorized_loglikelihood, fit_bim, fit_bms,
+                                fit_cams, fit_overall,
                                 interaction_trace, joint_loglikelihood)
-from camsmeta.contrasts import (ContrastBasis, helmert_basis,
-                                precision_prevalence)
 from camsmeta.model_core import (CovarianceStructure, MetaDataset,
-                                 MultiStudyRecord, StudyRecord,
-                                 SubgroupObservation, cams_covariance,
-                                 subgroup_arrays)
+                                 StudyRecord, SubgroupObservation,
+                                 cams_covariance, subgroup_arrays)
 from camsmeta.verify import (BREAK_MIN, TOL_EXACT, SimScenario,
                              _cdf_witness, _gamma_bound, _grid_distance,
                              cams_oracle, simulate)
@@ -586,13 +582,10 @@ def test_a_prior_on_a_reported_functional_matches_the_dense_solve(case):
     assert fit.provenance["priors"]["location"] == {name: list(prior[1:])}
 
 
-@pytest.mark.parametrize("fit", [fit_bim, fit_bms, fit_cams, fit_overall,
-                                 fit_bim_k], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("fit", [fit_bim, fit_bms, fit_cams, fit_overall],
+                         ids=lambda f: f.__name__)
 def test_a_prior_on_an_unreported_name_is_refused(fit):
     data = make_dataset(seed=13)
-    if fit is fit_bim_k:
-        data = multi_dataset(3, seed=13)
-        fit = functools.partial(fit_bim_k, basis=helmert_basis(3))
     reported = sorted(fit(data).functionals)
     with pytest.raises(ContractError) as info:
         fit(data, priors=PriorSpec(location_prior=(("gama", 0.3, 1.0),)))
@@ -1033,100 +1026,6 @@ def test_provenance_hash_tracks_data():
     assert f1.provenance["dataset_sha256"] != f2.provenance["dataset_sha256"]
     assert f1.provenance["n_studies"] == 6
     assert f1.estimator == "BIM"
-
-
-def test_bim_k_matches_bim_at_k2():
-    data = make_dataset(seed=20)
-    multi = MetaDataset(tuple(
-        MultiStudyRecord(s.study_id,
-                         (s.obs_a.estimate, s.obs_b.estimate),
-                         (s.obs_a.std_error**2, s.obs_b.std_error**2),
-                         (1 - s.info_fraction, s.info_fraction))
-        for s in data.studies), scale_label=data.scale_label)
-    nodes = GridSpec.axis(0.5, 41)
-    bim = fit_bim(data, PriorSpec(tau_gamma_scale=0.5),
-                  GridSpec(np.array([0.0]), nodes))
-    # the contrast model names its single heterogeneity scale tau, so the
-    # prior scales must be matched by hand
-    bk = fit_bim_k(multi, helmert_basis(2), PriorSpec(tau_scale=0.5),
-                   GridSpec(nodes, np.array([0.0])))
-    sb, sk = bim.summaries["gamma"], bk.summaries["gamma_1"]
-    assert sk.median == sb.median
-    assert sk.lower == sb.lower
-    assert sk.upper == sb.upper
-
-
-def multi_dataset(k, seed, n=6):
-    rng = np.random.default_rng(seed)
-    studies = []
-    for i in range(n):
-        var = rng.uniform(0.01, 0.2, k)
-        studies.append(MultiStudyRecord(f"M{i + 1}", rng.normal(0.0, 0.5, k),
-                                        var, precision_prevalence(var)))
-    return MetaDataset(tuple(studies))
-
-
-def bim_k_basis(k, kind):
-    """Helmert contrasts, their basis columns rescaled (C B diagonal, not
-    I), or rescaled and mixed (C B upper triangular)."""
-    helmert = helmert_basis(k)
-    r = np.eye(k - 1)
-    if kind != "helmert":
-        r = np.diag(np.linspace(0.5, 2.0, k - 1))
-    if kind == "mixed":
-        r = r + np.triu(np.full((k - 1, k - 1), 0.3), 1)
-    return ContrastBasis(helmert.matrix_c, helmert.basis_b @ r, k)
-
-
-def bim_k_reference(data, basis, priors, taus):
-    """Node weights and conditional moments of the K-level contrast model,
-    solving every study's q x q covariance C S_j C' + tau^2 (C B)(C B)' as
-    a block at every tau node."""
-    c = basis.matrix_c
-    cb = c @ basis.basis_b
-    y = np.stack([c @ s.estimates for s in data.studies])
-    sampling = np.stack([c @ np.diag(s.cov_diag) @ c.T for s in data.studies])
-    v = sampling[None, None] + (taus ** 2)[:, None, None, None, None] * (cb @ cb.T)
-    x = np.broadcast_to(cb, (len(data.studies),) + cb.shape)
-    a, b, quad, logdet = block_gls_stats(y, x, v)
-    cov = np.linalg.inv(a)
-    mean = np.einsum("tgpq,tgq->tgp", cov, b)
-    fit_quad = np.einsum("tgp,tgp->tg", b, mean)
-    padded = np.concatenate([taus[:1], taus, taus[-1:]])
-    log_prior = (stats.halfnorm.logpdf(taus, scale=priors.tau_scale)
-                 + np.log(0.5 * (padded[2:] - padded[:-2])))
-    log_w = (-0.5 * (logdet + quad - fit_quad + np.linalg.slogdet(a)[1])
-             + log_prior[:, None])
-    w = np.exp(log_w - log_w.max())
-    return w / w.sum(), mean, cov
-
-
-@pytest.mark.parametrize("kind", ["helmert", "rescaled", "mixed"])
-@pytest.mark.parametrize("k", [3, 5])
-def test_bim_k_matches_the_block_solve(k, kind):
-    data = multi_dataset(k, seed=10 + k)
-    basis = bim_k_basis(k, kind)
-    priors = PriorSpec(tau_scale=0.3)
-    taus = GridSpec.axis(priors.tau_scale, 21)
-    fit = fit_bim_k(data, basis, priors, GridSpec(taus, np.array([0.0])))
-    weight, mean, cov = bim_k_reference(data, basis, priors, taus)
-    np.testing.assert_allclose(fit.grid.weight, weight, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(fit.grid.cond_mean, mean, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(fit.grid.cond_cov, cov, rtol=0, atol=1e-12)
-
-
-def test_bim_k_rejects_two_subgroup_dataset():
-    data = make_dataset(seed=21)
-    with pytest.raises(ContractError):
-        fit_bim_k(data, helmert_basis(2))
-
-
-def test_fit_rejects_multi_dataset():
-    multi = MetaDataset((MultiStudyRecord("M1", (0.1, 0.2, 0.3),
-                                          (0.04, 0.04, 0.04),
-                                          (0.2, 0.3, 0.5)),))
-    with pytest.raises(ContractError):
-        fit_bim(multi)
 
 
 def pair_dataset(est, se):

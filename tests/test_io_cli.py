@@ -292,6 +292,23 @@ def test_round_trip_bit_exact(tmp_path):
         assert repr(again.studies) == repr(data.studies)
 
 
+@pytest.mark.parametrize("n_studies, uisd, seed, digest", [
+    # the quickstart_j8 (seed 1) and fit_j1000 (seed 0) benchmark inputs
+    (8, 1.0, 1,
+     "44a1fb271d705b9de10eeb1bcca67d64441a97d435d0245286b2393075c7174b"),
+    (1000, None, 0,
+     "c68e686b0e3d52a9954d8fc28f011ba42a7310bb2451336ca30ff86b66262d41"),
+])
+def test_dataset_digest_is_pinned(tmp_path, n_studies, uisd, seed, digest):
+    # the dataset_sha256 every fit's provenance records, and bench/golden
+    # stores, survives a CSV round trip unchanged
+    data = simulate(SimScenario(n_studies=n_studies, gamma=0.3, tau=0.1,
+                                tau_gamma=0.1, uisd=uisd, seed=seed))
+    path = str(tmp_path / "data.csv")
+    save_csv(data, path)
+    assert data.sha256 == load_csv(path).sha256 == digest
+
+
 def test_config_defaults_and_overrides(tmp_path):
     cfg = RunConfig.from_sources(None, {})
     assert cfg.grid_nodes == 101
@@ -786,6 +803,22 @@ def test_fit_on_extreme_prior_scale_is_clean_error(tmp_path, capsys, flag,
     assert code == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and why in err[0]
+
+
+@pytest.mark.parametrize("flags, key, value", [
+    # both axes fail: the tau axis is built, and refused, first
+    (["--tau-prior", "5e-324", "--tau-gamma-prior", "1e308"], "tau_prior",
+     "5e-324"),
+    (["--tau-gamma-prior", "1e308"], "tau_gamma_prior", "1e+308"),
+])
+def test_grid_refusal_names_the_config_key(tmp_path, capsys, flags, key,
+                                           value):
+    code = main(["fit", "--input", str(tmp_path / "absent.csv"),
+                 "--output-dir", str(tmp_path)] + flags)
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {key}: grid prior scale {value} ")
 
 
 def test_fit_on_huge_estimates_is_clean_error(tmp_path, capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from camsmeta import model_core
-from camsmeta.errors import DomainError, ValidationWarning
-from camsmeta.model_core import (MetaDataset, MultiStudyRecord, StudyRecord,
+from camsmeta.errors import ContractError, DomainError, ValidationWarning
+from camsmeta.model_core import (MetaDataset, StudyRecord,
                                  SubgroupObservation, cams_covariance,
                                  compose, compute_if, cov_gm, decompose)
 
@@ -157,18 +157,20 @@ def test_from_observations_rejects_variances_outside_float64(se):
     assert tiny.info_fraction == 0.5
 
 
-def test_multi_study_record():
-    r = MultiStudyRecord("M1", (0.1, 0.2, 0.3), (0.04, 0.09, 0.01),
-                         (0.2, 0.3, 0.5))
-    assert r.k == 3
-    with pytest.raises(DomainError):
-        MultiStudyRecord("M1", (0.1, 0.2), (0.04, 0.09), (0.3, 0.4))
-
-
 def test_dataset_properties():
     data = MetaDataset((make_study(study_id="S1"),
                         make_study(study_id="S2", sa=0.4, sb=0.1)))
-    assert not data.is_multi
     assert data.scale_label == "log-RR"
     assert np.allclose(data.info_fractions,
                        [compute_if(0.2, 0.3), compute_if(0.4, 0.1)])
+
+
+def test_dataset_refuses_a_study_that_is_not_a_record():
+    # an object with a study_id is not enough: it would fail later, reading
+    # subgroup fields it does not have
+    class Foreign:
+        study_id = "S2"
+
+    with pytest.raises(ContractError,
+                       match=r"^studies\[1\] is a Foreign, not a StudyRecord$"):
+        MetaDataset((make_study(study_id="S1"), Foreign()))

@@ -4,8 +4,10 @@ purpose. Uses are read from the source with ``ast``: each ``Name`` and
 since it only re-exports) and in bench/, plus the function names the
 benchmark's tracer wraps. A file that binds a name itself, by assignment,
 ``def`` or ``class``, reads its own binding, so its uses count only if it is
-the module the package exports the name from. Nothing under bench/ is
-imported or written."""
+the module the package exports the name from. A module-level private ``def``
+or ``class`` must likewise be read somewhere in src/camsmeta or bench/; a
+helper that only tests read is dead code. Nothing under bench/ is imported
+or written."""
 
 import ast
 import glob
@@ -22,7 +24,6 @@ KEEP = {
     "cov_gm": "Cov(g, m), zero at the information fraction: criterion 01",
     "cross_term_correction": "likelihood factorization identity: criterion 03",
     "factorization_residual": "likelihood factorization identity: criterion 03",
-    "fit_bim_k": "README's K-subgroup form of BIM, pinned to BIM at K = 2",
     "leverage_scenario": "the leverage data of criterion 09",
     "report_effects": "one-policy form of report_policies: criterion 08",
 }
@@ -58,20 +59,29 @@ def bound_names(tree):
     return bound
 
 
-def used_names():
+def source_trees():
+    """Parsed src/camsmeta (without ``__init__``) and bench/ files by path."""
     files = [f for f in glob.glob(os.path.join(ROOT, "src", "camsmeta", "*.py"))
              if os.path.basename(f) != "__init__.py"]
     files += glob.glob(os.path.join(ROOT, "bench", "*.py"))
+    return {path: parse(path) for path in files}
+
+
+def read_names(tree):
+    """Every ``Name`` and ``Attribute`` the file reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def used_names():
     homes = home_modules()
     used = set()
-    for path in files:
-        tree = parse(path)
-        here = {node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(tree)
-                if isinstance(node, (ast.Name, ast.Attribute))
-                and isinstance(node.ctx, ast.Load)}
+    for path, tree in source_trees().items():
         own = bound_names(tree)
-        used |= {n for n in here if homes.get(n) == path or n not in own}
+        used |= {n for n in read_names(tree)
+                 if homes.get(n) == path or n not in own}
     for node in parse(os.path.join(ROOT, "bench", "tracer.py")).body:
         if isinstance(node, ast.Assign) and any(
                 getattr(t, "id", None) == "FUNCTIONS" for t in node.targets):
@@ -88,3 +98,15 @@ def test_every_public_name_is_reached_or_kept():
     # a kept name that gains a caller leaves the list
     assert not sorted(n for n in KEEP if n in used)
     assert set(KEEP) <= set(camsmeta.__all__)
+
+
+def test_every_private_helper_is_read_by_the_package_or_benchmark():
+    trees = source_trees()
+    read = set().union(*map(read_names, trees.values()))
+    orphans = sorted(
+        f"{os.path.relpath(path, ROOT)}:{node.name}"
+        for path, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and node.name.startswith("_") and node.name not in read)
+    assert not orphans, f"private helpers only tests read: {orphans}"

@@ -134,16 +134,6 @@ def test_cams_location_posterior_is_calibrated():
     assert not failed, (failed, ks_max, z_max)
 
 
-def test_simulate_multi_subgroup():
-    sc = SimScenario(n_studies=4, alpha=0.1, gamma=0.25, tau=0.1,
-                     k_subgroups=3, seed=9)
-    data = simulate(sc)
-    assert data.is_multi
-    for s in data.studies:
-        assert s.k == 3
-        assert sum(s.prevalence) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_leverage_scenario_shape():
     data = simulate(leverage_scenario(seed=0))
     pis = data.info_fractions
