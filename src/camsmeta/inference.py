@@ -18,13 +18,22 @@ that mixture, accumulated in a fixed node order for bit reproducibility.
 
 Every fit is a sum of independent scalar observations, in blocks whose GLS
 statistics (``_scalar_stats``) add before one shared solve; no node inverts
-a covariance block. A (y_A, y_B) pair is its contrast plus its mean given
-the contrast (``_pair_blocks``); at the information fraction these
-decouple, so CAMS is a contrast block on the tau_gamma axis plus a mean
-block on the tau axis.
+a covariance block, and every per-node sum is a product of the node weights
+against per-study terms formed once. A (y_A, y_B) pair is its contrast plus
+its mean given the contrast (``_pair_blocks``), whose row is affine in a
+per-node loading, so the pair needs no rows per node. At the information
+fraction the two decouple, so production CAMS is two 1-D solves, the
+contrast fit on the tau_gamma axis and the meta-regression on the tau axis,
+and its lattice is their product (``_product_grid``); the joint 2-D solve
+is left to a prior that couples them and to ``verify.cams_oracle``.
+
+Every summary reads the smallest grid that carries its functional: on a
+product lattice, a functional of one factor alone (alpha, beta, gamma, the
+overall line) reads that factor's 101 components, and one that spans both
+(delta, the subgroup lines) reads the lattice (``_factor_reads``).
 
 Every quantile read (``FitResult.functional_quantiles``, the summaries) is
-one ``_lattice_quantiles`` call, which starts the full-lattice solve from the
+one ``_lattice_quantiles`` call per grid, which starts the full-lattice solve from the
 quantiles of the merged lattice (``PosteriorGrid.merged``): COARSE x COARSE
 blocks of nodes, each one normal component with the block's weight, mean and
 covariance. Those quantiles cost a ninth of a full-lattice pass each, and
@@ -145,6 +154,12 @@ class GridSpec:
                 f"grid prior scale {prior_scale!r} must be positive and keep "
                 f"the grid nodes in the float range, but they run from "
                 f"{low!r} to {hi!r}; rescale the data and the priors")
+        # every fit squares the nodes
+        if hi * hi == math.inf:
+            raise DomainError(
+                f"grid prior scale {prior_scale!r} puts the top grid node at "
+                f"{hi!r}, whose square overflows float64; rescale the data "
+                f"and the priors")
         return np.concatenate([[0.0], np.geomspace(low, hi, n_nodes - 1)])
 
     @classmethod
@@ -161,6 +176,12 @@ class PosteriorGrid:
     to one additive constant; ``weight`` is its normalization. ``cond_mean``
     and ``cond_cov`` give the Gaussian conditional law of the location
     parameters at each node. Axes a fit does not use are singletons at 0.
+
+    A lattice that is the product of 1-D posteriors (``_product_grid``)
+    keeps them in ``factors``, as (grid, basis) pairs: a functional with
+    coefficients v over ``param_names`` has coefficients v @ basis over the
+    factor's. Its scale axes and the functionals that load on one factor
+    alone (``_factor_reads``) are read off that factor.
     """
 
     tau_nodes: np.ndarray
@@ -171,6 +192,7 @@ class PosteriorGrid:
     cond_cov: np.ndarray
     param_names: tuple
     scale_names: tuple
+    factors: tuple = ()
 
     def __post_init__(self) -> None:
         t, g = self.tau_nodes.size, self.tau_gamma_nodes.size
@@ -229,6 +251,9 @@ class PosteriorGrid:
 
     def scale_axis(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Marginal (nodes, weights) for one heterogeneity parameter."""
+        for factor, _ in self.factors:
+            if name in factor.scale_names:
+                return factor.scale_axis(name)
         if name == "tau":
             return self.tau_nodes, self.weight.sum(axis=1)
         if name == "tau_gamma":
@@ -397,16 +422,42 @@ def _lattice_quantiles(grid: PosteriorGrid, vecs: np.ndarray, levels):
 
 def _summaries(grid: PosteriorGrid, vecs: np.ndarray) -> list:
     """Median, 95% interval and P(> 0) of each functional row of ``vecs``,
-    from one batched quantile solve and one batched CDF pass."""
-    qs, w, mean, sd = _lattice_quantiles(grid, vecs, (0.5, 0.025, 0.975))
-    # P(X > 0) is the CDF of -X at 0, sum w Phi(mu / sd): the upper tail is
-    # read directly, so a tiny P(> 0) keeps its relative accuracy. That CDF
-    # also counts an atom at 0, which is not positive, so such an atom sits
-    # at 1 in -X. The clip is for rounding that carries a weight sum past 1.
-    neg = np.where((sd == 0) & (mean == 0), 1.0, -mean)
-    p_pos = np.clip(mixture_cdf(w, neg, sd, 0.0), 0.0, 1.0)
-    return [ParameterSummary(med, lo, hi, p)
-            for (med, lo, hi), p in zip(qs.tolist(), p_pos.tolist())]
+    from one batched quantile solve and one batched CDF pass per grid that
+    ``_factor_reads`` assigns rows to."""
+    out = [None] * len(vecs)
+    for sub, rows, at in _factor_reads(grid, vecs):
+        qs, w, mean, sd = _lattice_quantiles(sub, rows, (0.5, 0.025, 0.975))
+        # P(X > 0) is the CDF of -X at 0, sum w Phi(mu / sd): the upper tail
+        # is read directly, so a tiny P(> 0) keeps its relative accuracy.
+        # That CDF also counts an atom at 0, which is not positive, so such
+        # an atom sits at 1 in -X. The clip is for rounding that carries a
+        # weight sum past 1.
+        neg = np.where((sd == 0) & (mean == 0), 1.0, -mean)
+        p_pos = np.clip(mixture_cdf(w, neg, sd, 0.0), 0.0, 1.0)
+        for i, (med, lo, hi), p in zip(at.tolist(), qs.tolist(),
+                                       p_pos.tolist()):
+            out[i] = ParameterSummary(med, lo, hi, p)
+    return out
+
+
+def _factor_reads(grid: PosteriorGrid, vecs: np.ndarray) -> list:
+    """(grid, rows, at) triples that cover the functional rows of ``vecs``:
+    the rows ``at`` that load on one factor of a product lattice alone, in
+    that factor's coordinates, read its 1-D grid; the others read the
+    lattice."""
+    coefs = [vecs @ basis for _, basis in grid.factors]
+    loads = np.array([np.any(c != 0.0, axis=1) for c in coefs]).reshape(
+        -1, len(vecs))
+    alone = loads.sum(axis=0) == 1
+    reads = []
+    for (factor, _), coef, own in zip(grid.factors, coefs, loads):
+        at = np.flatnonzero(own & alone)
+        if at.size:
+            reads.append((factor, coef[at], at))
+    at = np.flatnonzero(~alone)
+    if at.size:
+        reads.append((grid, vecs[at], at))
+    return reads
 
 
 def _axis_log_prior(nodes: np.ndarray, scale: float, in_use: bool) -> np.ndarray:
@@ -450,68 +501,88 @@ def _prior_blocks(priors: PriorSpec, functionals: dict, n_studies: int,
     if not entries:
         return []
     _, mean, sd = map(np.array, zip(*entries))
-    return [(mean, rows, sd * sd, np.zeros((1, 1)))]
+    return [(mean, rows, sd * sd, np.zeros((1, 1)), None)]
 
 
 def _scalar_stats(y: np.ndarray, x: np.ndarray, var: np.ndarray,
-                  het2: np.ndarray, theta0: np.ndarray):
-    """(X'WX, X'Wr, r'Wr, sum log V) of one block of independent scalar
-    observations at every node, node axes last: shapes (p, p, T, G), (p, T,
-    G), (T, G) and (T, G), for the residuals r = y - x theta0 from a
-    centre theta0 (p,). y is (..., n), design rows x (..., n, p),
-    sampling variance var (..., n) plus the heterogeneity het2 (T, G), so
-    V = var + het2 and W = 1/V. Leading axes broadcast against the (T, G)
-    lattice and may be singletons; y and x are node-free or vary along the
-    tau_gamma axis alone, with one leading axis of length G. All three
-    statistics are matmuls of W against the per-study outer products of the
-    rows [x | r], r formed per chunk too. A DomainError when W or log V is
+                  het2: np.ndarray, k, theta0: np.ndarray):
+    """(X'WX, X'Wr, r'Wr, sum log V - log V0) of one block of independent
+    scalar observations at every node, node axes last: shapes (p, p, T, G),
+    (p, T, G), (T, G) and (T, G), for the residuals r = y - x theta0 from a
+    centre theta0 (p,), V0 being V at the first node. The rows [x | y] are
+    node-free, y (n,) and x (n, p), when ``k`` is None; otherwise y (2, n)
+    and x (2, n, p) hold rows a and b, and the rows at tau_gamma node g are
+    a - k[g] b for the loading k (G, n) (``_pair_blocks``). The sampling
+    variance var, (n,) or (G, n), plus the heterogeneity het2, (T, 1), (1,
+    G) or (1, 1), is V, and W = 1/V. Every statistic is a matmul of W
+    against per-study outer products formed once: r r' for node-free rows;
+    for affine rows, whose r r' is a a' - k (a b' + b a') + k^2 b b', those
+    three against W, W k and W k^2. Only a W that varies along both axes
+    (affine rows under tau heterogeneity) is formed over as many tau_gamma
+    nodes at a time as keep their outer products within BLOCK_CELLS, and it
+    takes one product per node with them. A DomainError when W or log V is
     not finite; a statistic that overflows is left for the caller to
     refuse."""
+    # rows is this function's own copy, centred in place
     rows = np.concatenate([x, y[..., None]], axis=-1)
     n, q = rows.shape[-2:]
-    node_free = rows.ndim == 2
-    g_count = het2.shape[1] if node_free else rows.shape[0]
-    var = np.broadcast_to(var, (g_count, n))
-    het2 = np.broadcast_to(het2, (het2.shape[0], g_count))
-    stats = np.empty((q * q,) + het2.shape)
-    logdet = np.empty(het2.shape)
-    # node-free rows take one (q^2, n) x (n, nodes) product; rows that vary
-    # along tau_gamma take one (T, n) x (n, q^2) product per node, written
-    # transposed (as a batch it runs faster than the transposed product),
-    # over as many nodes at a time as keep their outer products within
-    # BLOCK_CELLS. V, W and log V are formed per chunk, so no (T, G, n)
-    # array exists.
-    step = g_count if node_free else max(1, BLOCK_CELLS // (n * q * q))
-    for g in range(0, g_count, step):
-        blk = slice(g, g + step)
-        v = var[None, blk, :] + het2[:, blk, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows[..., -1] -= rows[..., :-1] @ theta0
+        if k is None:
+            terms = [_outer(rows)]
+        else:
+            a, b = rows
+            cross = a[:, :, None] * b[:, None, :]
+            cross += cross.transpose(0, 2, 1)
+            terms = [_outer(a), -cross.reshape(n, -1), _outer(b)]
+    t, g = np.broadcast_shapes(het2.shape, var.shape[:-1])
+    lattice = min(t, g) > 1
+    var = np.broadcast_to(var, (g, n))
+    het2 = np.broadcast_to(het2, (t, g))
+    # log V is summed as log V - log V0, V0 each study's variance at the
+    # first node: terms near 0 keep the sum accurate to the rounding of the
+    # terms, where terms near log V0 lose some 1e-13 over 1000 studies (and
+    # log(V / V0) is six times slower, log being slow near 1)
+    log_v0 = np.log(var[0] + het2[0, 0])
+    stats = np.empty((q * q, t, g))
+    logdet = np.empty((t, g))
+    step = max(1, BLOCK_CELLS // (n * q * q)) if lattice else g
+    for s in range(0, g, step):
+        blk = slice(s, s + step)
+        v = var[None, blk] + het2[:, blk, None]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             w, log_v = 1.0 / v, np.log(v)
+            log_v -= log_v0
         if not (np.isfinite(w).all() and np.isfinite(log_v).all()):
             raise DomainError(
                 "a study covariance overflows or underflows float64 when "
                 "inverted; are the standard errors on an extreme scale?")
-        # rows is this function's own copy, centred in place; node-free
-        # rows take this loop once
+        # a matvec sums a few studies faster than sum(axis=-1)
+        logdet[:, blk] = log_v @ np.ones(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            chunk = rows if node_free else rows[blk]
-            chunk[..., -1] -= chunk[..., :-1] @ theta0
-            if node_free:
-                stats[:, :, blk] = (_outer(chunk).T
-                                    @ w.reshape(-1, n).T).reshape(stats.shape)
-            else:
+            if lattice:
+                kb = k[blk, :, None]
+                outer = terms[0] + kb * (terms[1] + kb * terms[2])
                 stats[:, :, blk] = (np.swapaxes(w, 0, 1)
-                                    @ _outer(chunk)).transpose(2, 1, 0)
-        logdet[:, blk] = log_v.sum(axis=-1)
-    stats = stats.reshape((q, q) + het2.shape)
+                                    @ outer).transpose(2, 1, 0)
+                continue
+            # W on the left: this product sums the studies about ten times
+            # more accurately than its transpose
+            w = w.reshape(-1, n)
+            out = w @ terms[0]
+            for term in terms[1:]:
+                w *= k
+                out += w @ term
+        stats[:, :, blk] = out.T.reshape(q * q, t, -1)
+    stats = stats.reshape((q, q, t, g))
     return stats[:-1, :-1], stats[:-1, -1], stats[-1, -1], logdet
 
 
 def _overflow_error(statistic: str, blocks) -> DomainError:
     """The error for a GLS statistic that overflows float64, with the size
     of the blocks' responses and the smallest of their variances."""
-    big = max(float(np.abs(y).max()) for y, _, _, _ in blocks)
-    small = min(float(np.min(v)) for _, _, v, _ in blocks)
+    big = max(float(np.abs(y).max()) for y, *_ in blocks)
+    small = min(float(np.min(v)) for _, _, v, *_ in blocks)
     return DomainError(
         f"{statistic} overflows float64: estimates or location-prior means "
         f"reach {big:.3g} against sampling variances down to {small:.3g}; "
@@ -530,17 +601,26 @@ def _pair_blocks(ya, yb, va, vb, pi, x, taus, tg) -> list:
     pi, on the (taus, tg) lattice. In (g, m) coordinates (unit Jacobian)
     tau_gamma loads on g, tau on m, and only c = Cov(g, m) couples them: a
     pair is its contrast (variance v_g = var_g + tau_gamma^2) plus its mean
-    given g, with k = c / v_g, response m - k g, design x_m - k x_g and
-    variance tau^2 + (var_a var_b + var_m tau_gamma^2) / v_g, which cannot
-    cancel or overflow."""
+    given g, whose row [x_m | m] - k [x_g | g] is affine in k = c / v_g and
+    whose variance tau^2 + (var_a var_b + var_m tau_gamma^2) / v_g cannot
+    cancel or overflow. The mean block keeps the two rows per study and the
+    (G, J) loading k (``_scalar_stats``), not its rows at every node."""
     g, m, var_g, var_m, c = decompose_arrays(ya, yb, va, vb, pi)
     x_g = x[:, 1] - x[:, 0]
     tg2 = (tg ** 2)[:, None]
     v_g = var_g + tg2
-    k = c / v_g
-    return [(g, x_g, var_g, tg2.T),
-            (m - k * g, x[:, 0] + (pi - k)[..., None] * x_g,
-             va * (vb / v_g) + var_m * (tg2 / v_g), (taus ** 2)[:, None])]
+    return [(g, x_g, var_g, tg2.T, None),
+            (np.stack([m, g]), np.stack([x[:, 0] + pi[:, None] * x_g, x_g]),
+             va * (vb / v_g) + var_m * (tg2 / v_g), (taus ** 2)[:, None],
+             c / v_g)]
+
+
+def _first_node(y, x, var, het2, k):
+    """A block's responses, design rows and variances V at the first
+    lattice node."""
+    if k is not None:
+        y, x = y[0] - k[0] * y[1], x[0] - k[0][:, None] * x[1]
+    return y, x, var[(0,) * (var.ndim - 1)] + het2[0, 0]
 
 
 def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
@@ -563,7 +643,7 @@ def _solve_grid(blocks, param_names: tuple, priors: PriorSpec,
     the conditional moments are written node-first.
     """
     p = len(param_names)
-    stacked = np.concatenate([x[(0,) * (x.ndim - 2)] for _, x, _, _ in blocks])
+    stacked = np.concatenate([_first_node(*block)[1] for block in blocks])
 
     # the design's leading right singular vectors span every identified
     # direction; the per-node system is solved on those alone
@@ -644,11 +724,11 @@ def _pilot(blocks, p: int) -> np.ndarray:
     any theta0 leaves the log marginal unchanged."""
     a0, b0 = np.zeros((p, p)), np.zeros(p)
     with np.errstate(all="ignore"):
-        for y, x, var, het2 in blocks:
-            x0 = x[(0,) * (x.ndim - 2)]
-            w0 = 1.0 / (var[(0,) * (var.ndim - 1)] + het2[0, 0])
+        for block in blocks:
+            y0, x0, v0 = _first_node(*block)
+            w0 = 1.0 / v0
             a0 += x0.T @ (w0[:, None] * x0)
-            b0 += x0.T @ (w0 * y[(0,) * (y.ndim - 1)])
+            b0 += x0.T @ (w0 * y0)
         try:
             theta0 = np.linalg.pinv(a0) @ b0
         except np.linalg.LinAlgError:
@@ -754,7 +834,7 @@ def fit_bim(data: MetaDataset, priors: PriorSpec | None = None,
     g, _, var_g, *_ = decompose_arrays(*subgroup_arrays(data))
     functionals = {"gamma": np.array([1.0])}
     tg = grid.tau_gamma_nodes
-    blocks = [(g, np.ones((g.size, 1)), var_g, (tg ** 2)[None, :])]
+    blocks = [(g, np.ones((g.size, 1)), var_g, (tg ** 2)[None, :], None)]
     posterior = _solve_grid(
         blocks + _prior_blocks(priors, functionals, g.size, 1), ("gamma",),
         priors, np.array([0.0]), tg, ("tau_gamma",))
@@ -774,7 +854,7 @@ def fit_overall(data: MetaDataset, priors: PriorSpec | None = None,
     _, m, _, var_m, _ = decompose_arrays(*subgroup_arrays(data))
     functionals = {"mu": np.array([1.0])}
     taus = grid.tau_nodes
-    blocks = [(m, np.ones((m.size, 1)), var_m, (taus ** 2)[:, None])]
+    blocks = [(m, np.ones((m.size, 1)), var_m, (taus ** 2)[:, None], None)]
     posterior = _solve_grid(
         blocks + _prior_blocks(priors, functionals, m.size, 1), ("mu",),
         priors, taus, np.array([0.0]), ("tau",))
@@ -831,12 +911,17 @@ def fit_cams(data: MetaDataset, priors: PriorSpec | None = None,
     beta * pi + gamma * (x - pi).
 
     At the information fraction that covariance decouples the contrast g
-    from the mean m, so the fit adds the GLS statistics of two blocks:
+    from the mean m, and the likelihood is the product of two blocks:
     g_j ~ N(gamma, var_g + tau_gamma^2) on the tau_gamma axis and the
-    meta-regression m_j ~ N(alpha + (delta + gamma) pi_j, var_m + tau^2) on
-    the tau axis. Location priors are a third, node-free block, so a prior
-    coupling the first two stays exact. ``verify.cams_oracle`` is the joint
-    2-D solve.
+    meta-regression m_j ~ N(alpha + beta pi_j, var_m + tau^2) on the tau
+    axis. So the fit is two 1-D solves, the contrast fit of ``fit_bim`` and
+    the meta-regression on (alpha, beta), and the lattice is their product
+    (``_product_grid``). A location prior is one more observation of the
+    block it loads on. A prior that loads on both (one on delta = beta -
+    gamma), or a meta-regression that leaves a direction flat, keeps the
+    joint solve of the two blocks on the lattice. ``verify.cams_oracle``,
+    the joint solve of the (y_A, y_B) pairs, is the only other 2-D CAMS
+    solve.
     """
     priors = priors if priors is not None else PriorSpec()
     grid = grid if grid is not None else GridSpec.default(priors)
@@ -845,15 +930,70 @@ def fit_cams(data: MetaDataset, priors: PriorSpec | None = None,
     j = g.size
     functionals = {name: np.array(c) for name, c in _CAMS_FUNCTIONALS.items()}
     taus, tg = grid.tau_nodes, grid.tau_gamma_nodes
-    blocks = [(g, np.tile([0.0, 0.0, 1.0], (j, 1)), var_g, (tg ** 2)[None, :]),
+    blocks = [(g, np.tile([0.0, 0.0, 1.0], (j, 1)), var_g, (tg ** 2)[None, :],
+               None),
               (m, np.stack([np.ones(j), pi, pi], axis=1), var_m,
-               (taus ** 2)[:, None])]
-    posterior = _solve_grid(blocks + _prior_blocks(priors, functionals, j, 3),
-                            ("alpha", "delta", "gamma"), priors, taus, tg,
-                            ("tau", "tau_gamma"))
+               (taus ** 2)[:, None], None)]
+    blocks += _prior_blocks(priors, functionals, j, 3)
+    names = ("alpha", "delta", "gamma")
+    # (alpha, delta, gamma) = basis @ (alpha, beta, gamma)
+    basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0]])
+    factors = _factor_blocks(blocks, basis, (2, 1))
+    if factors is None:
+        posterior = _solve_grid(blocks, names, priors, taus, tg,
+                                ("tau", "tau_gamma"))
+    else:
+        zero = np.array([0.0])
+        posterior = _product_grid(
+            _solve_grid(factors[0], ("alpha", "beta"), priors, taus, zero,
+                        ("tau",)),
+            _solve_grid(factors[1], ("gamma",), priors, zero, tg,
+                        ("tau_gamma",)),
+            basis, names)
     # literal kept until a benchmark change regenerates bench/golden/
     return FitResult("CAMS", posterior, _provenance(
         data, priors, grid, {"parametrization": "explicit"}), functionals)
+
+
+def _factor_blocks(blocks, basis: np.ndarray, sizes: tuple):
+    """Node-free ``blocks`` over theta = basis phi split among the factors
+    that take ``sizes`` consecutive coordinates of phi each: per factor, the
+    rows that load on it alone, in its coordinates. None when a row loads
+    on two factors, or when a factor's rows leave one of its directions
+    flat (the joint solve then names the flat directions in theta)."""
+    edges = np.cumsum((0,) + sizes)
+    parts = [[] for _ in sizes]
+    for y, x, var, het2, _ in blocks:
+        coef = x @ basis
+        loads = np.array([np.any(coef[:, lo:hi] != 0.0, axis=1)
+                          for lo, hi in zip(edges[:-1], edges[1:])])
+        if np.any(loads.sum(axis=0) > 1):
+            return None
+        for part, rows, lo, hi in zip(parts, loads, edges[:-1], edges[1:]):
+            if rows.any():
+                part.append((y[rows], coef[rows, lo:hi], var[rows], het2,
+                             None))
+    ranks = [np.linalg.matrix_rank(np.concatenate([x for _, x, *_ in part]))
+             if part else 0 for part in parts]
+    return parts if ranks == list(sizes) else None
+
+
+def _product_grid(mean: PosteriorGrid, contrast: PosteriorGrid,
+                  basis: np.ndarray, param_names: tuple) -> PosteriorGrid:
+    """The lattice of the product of a (T, 1) posterior on the tau axis and
+    a (1, G) one on the tau_gamma axis, over theta = basis phi for phi their
+    coordinates in turn: log weights add and weights multiply, and the
+    conditional means and covariances that each factor gives theta through
+    its columns of ``basis`` add. The lattice keeps both factors, each with
+    those columns."""
+    split = len(mean.param_names)
+    factors = ((mean, basis[:, :split]), (contrast, basis[:, split:]))
+    return PosteriorGrid(
+        mean.tau_nodes, contrast.tau_gamma_nodes,
+        mean.log_weight + contrast.log_weight, mean.weight * contrast.weight,
+        sum(f.cond_mean @ cols.T for f, cols in factors),
+        sum(cols @ f.cond_cov @ cols.T for f, cols in factors),
+        param_names, mean.scale_names + contrast.scale_names, factors)
 
 
 # ----------------------------------------------------------------------

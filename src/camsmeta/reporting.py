@@ -354,7 +354,10 @@ def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
 
     Illinois false position keeps the root bracketed; a step that leaves
     the bracket, or one taken after two steps that failed to halve it, is a
-    bisection instead, so the bracket halves at least every third step.
+    bisection instead, so the bracket halves at least every third step. A
+    false position that rounds onto an end puts the root within rounding
+    of it, so the float next to that end is tried instead: bisection would
+    take some 20 steps to close a bracket that this closes at once.
     """
     if fa == 0.0:
         return a
@@ -364,6 +367,8 @@ def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
     older = old = math.inf  # the bracket widths one and two steps back
     while b - a > _ROOT_TOL:
         c = b - fb * (b - a) / (fb - fa)
+        if c in (a, b):
+            c = math.nextafter(c, a + b - c)
         if not (a < c < b) or b - a > 0.5 * older:
             c = 0.5 * (a + b)
         older, old = old, b - a
@@ -520,9 +525,23 @@ def report_policies(data: MetaDataset, fit: FitResult, specs,
 # ----------------------------------------------------------------------
 
 def _mc_summary(x: np.ndarray) -> ParameterSummary:
-    med, lo, hi = np.quantile(x, [0.5, 0.025, 0.975])
-    return ParameterSummary(float(med), float(lo), float(hi),
-                            float(np.mean(x > 0.0)))
+    """Median, 95% interval and share of positive draws of a Monte Carlo
+    sample. The order statistics are np.quantile's default ("linear")
+    rule, its interpolation written out: the virtual index (n - 1) q
+    between the order statistics a and b at its floor and ceiling, with
+    fraction t, gives a + (b - a) t, or b - (b - a) (1 - t) for t >= 1/2.
+    They are read off one np.partition, so that no report imports
+    numpy.ma, whose import np.quantile's first call pays."""
+    at = (x.size - 1) * np.array([0.5, 0.025, 0.975])
+    lo = np.floor(at).astype(int)
+    hi = np.minimum(lo + 1, x.size - 1)
+    t = at - lo
+    part = np.partition(x, sorted({*lo.tolist(), *hi.tolist()}))
+    a, b = part[lo], part[hi]
+    diff = b - a
+    med, low, high = np.where(t >= 0.5, b - diff * (1.0 - t),
+                              a + diff * t).tolist()
+    return ParameterSummary(med, low, high, float(np.mean(x > 0.0)))
 
 
 def marginalize_prevalence(fit: FitResult,

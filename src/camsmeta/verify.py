@@ -230,7 +230,10 @@ def cams_oracle(data: MetaDataset, pi, priors: PriorSpec,
     scalar observations, its contrast and its mean given it (``_pair_blocks``).
     ``pi`` (scalar or per study, in [0, 1]) sets the slope regressor and the
     interaction loading; at the information fractions the grid equals
-    ``fit_cams(...).grid`` to rounding. No summaries are computed.
+    ``fit_cams(...).grid`` to rounding. Production CAMS is two 1-D solves
+    whose product is its lattice, so this is the only 2-D CAMS solve; it
+    still shares ``_scalar_stats`` and ``_solve_grid`` with the fit. No
+    summaries are computed.
     """
     ya, yb, va, vb, p = subgroup_arrays(data, pi)
     row_a = np.stack([np.ones(p.size), p, np.zeros(p.size)], axis=1)

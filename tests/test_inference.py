@@ -345,7 +345,7 @@ def pinv_reference(blocks, param_names, priors, taus, tg, scale_names):
     included."""
     a, b, quad, logdet_v = node_first_stats(blocks)
     p = len(param_names)
-    rows = np.vstack([x[(0,) * (x.ndim - 2)] for _, x, _, _ in blocks])
+    rows = np.vstack([x[(0,) * (x.ndim - 2)] for _, x, *_ in blocks])
     rank = np.linalg.matrix_rank(rows)
     cov = np.linalg.pinv(a, hermitian=True)
     theta = (cov @ b[..., None])[..., 0]
@@ -518,6 +518,8 @@ def test_pair_stats_match_the_raw_coordinate_solve(seed):
     want = block_gls_stats(np.stack([ya, yb], 1), x,
                            cams_covariance(va, vb, pi, taus[:, None, None],
                                            tg[None, :, None]))
+    # the fit sums log V relative to the first node
+    want = want[:3] + (want[3] - want[3][0, 0],)
     for a, c in zip(got, want):
         assert a.shape == c.shape
         np.testing.assert_allclose(a, c, rtol=1e-9, atol=1e-9 * np.abs(c).max())
@@ -640,16 +642,18 @@ def test_cholesky_rows_match_lapack(r):
                          ids=lambda f: f.__name__)
 def test_each_fit_factors_its_node_systems_once(fit, monkeypatch):
     # the pilot solution is a pseudo-inverse, so the per-node solve is the
-    # only Cholesky pass of a fit
-    calls = []
+    # only Cholesky pass of a solve; CAMS solves once per axis
+    calls, solves = [], []
 
     def counting(*args):
         calls.append(args)
         return _cholesky_rows(*args)
 
     monkeypatch.setattr(inference, "_cholesky_rows", counting)
+    monkeypatch.setattr(inference, "_solve_grid", lambda *args: solves.append(
+        args) or _solve_grid(*args))
     fit(make_dataset(), PriorSpec(), GridSpec.default(PriorSpec(), 11))
-    assert len(calls) == 1
+    assert len(calls) == len(solves) == (2 if fit is fit_cams else 1)
 
 
 def test_bms_lattice_working_set_stays_per_chunk():
@@ -1215,3 +1219,92 @@ def test_fits_on_fuzzed_scales_succeed_or_fail_cleanly():
                     fit(data)
                 except CamsmetaError as exc:
                     assert "weights must sum to 1" not in str(exc), fit.__name__
+
+
+def quickstart_data(seed, n_studies=8):
+    """The benchmark's inputs: quick-start data (J=8, with counts) or the
+    fit_j1000 data (J=1000) of one data seed."""
+    return simulate(SimScenario(n_studies=n_studies, gamma=0.3, tau=0.1,
+                                tau_gamma=0.1,
+                                uisd=1.0 if n_studies == 8 else None,
+                                seed=seed))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cams_gamma_is_the_bim_posterior_bit_for_bit(seed):
+    # the paper's claim as an exact identity: the CAMS contrast factor is
+    # the BIM solve, so gamma and the tau_gamma marginal read the same bits
+    data = quickstart_data(seed)
+    grid = GridSpec.default(PriorSpec(), n_nodes=101)
+    cams, bim = fit_cams(data, PriorSpec(), grid), fit_bim(data, PriorSpec(),
+                                                          grid)
+    assert cams.summaries["gamma"] == bim.summaries["gamma"]
+    assert cams.summaries["tau_gamma"] == bim.summaries["tau_gamma"]
+    for got, want in zip(cams.grid.scale_axis("tau_gamma"),
+                         bim.grid.scale_axis("tau_gamma")):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_studies", [8, 1000])
+def test_product_lattice_matches_the_joint_oracle(n_studies):
+    data = quickstart_data(0, n_studies)
+    grid = GridSpec.default(PriorSpec(), n_nodes=101)
+    fit = fit_cams(data, PriorSpec(), grid)
+    assert [f.scale_names for f, _ in fit.grid.factors] == [
+        ("tau",), ("tau_gamma",)]
+    oracle = cams_oracle(data, data.info_fractions, PriorSpec(), grid)
+    assert _grid_distance(fit.grid, oracle) < TOL_EXACT
+
+
+@pytest.mark.parametrize("location, product", [
+    ((("delta", 0.5, 0.3),), False),
+    ((("alpha", 0.1, 0.2),), True),
+    ((("gamma", 0.3, 0.1),), True),
+    ((("alpha", 0.1, 0.2), ("beta", 0.6, 0.4), ("gamma", 0.3, 0.1)), True),
+])
+def test_a_prior_that_loads_on_both_blocks_keeps_the_joint_solve(location,
+                                                                  product):
+    # a delta = beta - gamma prior couples the blocks; alpha, beta and gamma
+    # priors are one more observation of one block each
+    data = make_dataset(seed=3, n=9)
+    priors = PriorSpec(location_prior=location)
+    grid = GridSpec.default(priors, n_nodes=21)
+    fit = fit_cams(data, priors, grid)
+    assert bool(fit.grid.factors) == product
+    oracle = cams_oracle(data, data.info_fractions, priors, grid)
+    assert _grid_distance(fit.grid, oracle) < TOL_EXACT
+
+
+def test_cams_refusals_and_warnings_keep_their_text():
+    grid = GridSpec.default(PriorSpec(), n_nodes=11)
+    with pytest.raises(ContractError) as info:
+        fit_cams(make_dataset(seed=8, n=2), PriorSpec(), grid)
+    assert str(info.value) == (
+        "flat location priors need at least 3 studies for 3 fixed effects "
+        "(got 2); supply proper location priors or more data")
+    # a meta-regression with one prevalence keeps the joint solve, whose
+    # warning names the flat direction in (alpha, delta, gamma)
+    with pytest.warns(IdentifiabilityWarning) as record:
+        fit = fit_cams(rank_deficient_data(), PriorSpec(), grid)
+    assert [str(w.message) for w in record] == [
+        "design is rank deficient (2 < 3); flat directions: ['+0.371*alpha; "
+        "-0.928*delta']; summaries along them are prior-driven only"]
+    assert fit.grid.factors == ()
+    # a prior too tight for the data fails at a node of the tau axis
+    tight = PriorSpec(location_prior=(("alpha", 0.0, 1e-12),))
+    with pytest.raises(DomainError, match=(
+            r"^the per-node GLS system is numerically singular at tau = \S+, "
+            r"tau_gamma = 0: the precision of the data does not match the "
+            r"tau_prior and tau_gamma_prior scales; rescale the data or the "
+            r"priors, or loosen a location prior that is too tight for the "
+            r"data: alpha \(sd 1e-12\)$")):
+        fit_cams(make_dataset(seed=2), tight, GridSpec.default(tight, 11))
+    data = simulate(SimScenario(n_studies=15, gamma=0.3, tau=10.0,
+                                tau_gamma=3.0, seed=1))
+    with pytest.warns(GridEdgeWarning) as record:
+        fit_cams(data)
+    assert [str(w.message) for w in record] == [
+        f"the last {name} grid node ({top}) holds {share} % of the posterior "
+        f"mass, so the grid truncates the posterior and its upper summaries "
+        f"are too low; raise the {name} prior scale"
+        for name, top, share in (("tau", 5, 36.5), ("tau_gamma", 2.5, 1.07))]

@@ -678,13 +678,19 @@ def counted_cdf_rows_by_width():
         yield rows
 
 
-def full_and_coarse_rows(rows, grid, quantiles):
-    """(full-lattice, merged-lattice) CDF rows per quantile, from the
-    per-width counts of ``counted_cdf_rows_by_width``."""
+def rows_per_quantile(rows, grid, quantiles):
+    """(full-lattice, merged-lattice, 1-D factor) CDF rows per quantile,
+    from the per-width counts of ``counted_cdf_rows_by_width``; the factor
+    class counts the full and merged grids of every factor of a product
+    lattice."""
     full = grid.weight.size
     coarse = grid.merged.weight.size
-    assert set(rows) <= {full, coarse}, (rows, full, coarse)
-    return rows.get(full, 0) / quantiles, rows.get(coarse, 0) / quantiles
+    factor = {f.weight.size for f, _ in grid.factors} | {
+        f.merged.weight.size for f, _ in grid.factors}
+    assert not factor & {full, coarse}, (factor, full, coarse)
+    assert set(rows) <= {full, coarse} | factor, (rows, full, coarse, factor)
+    return (rows.get(full, 0) / quantiles, rows.get(coarse, 0) / quantiles,
+            sum(rows.get(w, 0) for w in factor) / quantiles)
 
 
 def test_optimal_if_scan_needs_few_cdf_rows_per_quantile():
@@ -706,9 +712,11 @@ def test_optimal_if_scan_needs_few_cdf_rows_per_quantile():
         cams = fit_cams(data, priors, grid)
         with counted_cdf_rows_by_width() as rows:
             cams.functional_quantiles(specs, (0.025, 0.975))
-        f, c = full_and_coarse_rows(rows, cams.grid, 2 * len(specs))
+        f, c, factor = rows_per_quantile(rows, cams.grid, 2 * len(specs))
         full.append(f)
         coarse.append(c)
+        # the subgroup lines load on both factors: no 1-D read
+        assert factor == 0.0
     assert np.mean(full) <= 1.25, full
     assert np.mean(coarse) <= 2.5, coarse
 
@@ -718,7 +726,10 @@ def test_summaries_at_j1000_need_few_cdf_rows_per_quantile():
     # benchmark reads them), counting the P(> 0) row with the quantiles
     # (1.33 full and 1.0-1.67 merged rows measured). BMS has a block of
     # subnormal weight (5e-324); merged as sum(w mu) / sum(w) it collapsed
-    # into an atom, whose rows bisect: 14 merged rows per quantile
+    # into an atom, whose rows bisect: 14 merged rows per quantile. CAMS
+    # reads alpha and beta off its tau factor and gamma off its tau_gamma
+    # factor, and only delta off the lattice (0.33 full, 0.25 merged and
+    # 1.92 factor rows measured)
     priors = PriorSpec()
     grid = GridSpec.default(priors, n_nodes=101)
     data = simulate(SimScenario(n_studies=1000, gamma=0.3, tau=0.1,
@@ -730,9 +741,10 @@ def test_summaries_at_j1000_need_few_cdf_rows_per_quantile():
     for fit in fits:
         with counted_cdf_rows_by_width() as rows:
             fit.summaries
-        full, coarse = full_and_coarse_rows(rows, fit.grid,
-                                            3 * len(fit.functionals))
+        full, coarse, factor = rows_per_quantile(rows, fit.grid,
+                                                 3 * len(fit.functionals))
         assert full <= 1.5 and coarse <= 2.0, (fit.estimator, full, coarse)
+        assert factor <= 2.5, (fit.estimator, factor)
 
 
 def test_strategy_unknown(fitted):
