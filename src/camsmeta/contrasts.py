@@ -1,10 +1,9 @@
 """Contrast matrices and prevalence algebra for K subgroups.
 
-A contrast basis is a pair (C, B): C is a full-row-rank (K-1) x K matrix whose
-rows sum to zero, and B is a K x (K-1) matrix spanning the same contrast space
-with 1'B = 0. Stacking C over a prevalence row pi' gives the invertible
-transform T that splits a study's estimate vector into contrasts g = C y and
-the prevalence-weighted mean m = pi' y. With precision-proportional
+A contrast basis is a full-row-rank (K-1) x K matrix C whose rows sum to
+zero. Stacking C over a prevalence row pi' gives the invertible transform T
+that splits a study's estimate vector into contrasts g = C y and the
+prevalence-weighted mean m = pi' y. With precision-proportional
 prevalences, S pi is a multiple of the ones vector, so C S pi = 0 and the two
 blocks decouple.
 """
@@ -26,43 +25,30 @@ _ZERO_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ContrastBasis:
-    """Contrast rows C and a spanning basis B for K subgroup levels."""
+    """Contrast rows C for K subgroup levels."""
 
     matrix_c: np.ndarray
-    basis_b: np.ndarray
     k: int
 
     def __post_init__(self) -> None:
         c = np.atleast_2d(np.asarray(self.matrix_c, dtype=float))
-        b = np.atleast_2d(np.asarray(self.basis_b, dtype=float))
         object.__setattr__(self, "matrix_c", c)
-        object.__setattr__(self, "basis_b", b)
         k = self.k
         if c.shape != (k - 1, k):
             raise ContractError(f"C must be (K-1)xK = {(k - 1, k)}, got {c.shape}")
-        if b.shape != (k, k - 1):
-            raise ContractError(f"B must be Kx(K-1) = {(k, k - 1)}, got {b.shape}")
         scale = max(np.abs(c).max(), 1.0)
         if np.abs(c.sum(axis=1)).max() > _ZERO_TOL * scale:
             raise ContractError("contrast rows must sum to zero")
         if np.linalg.matrix_rank(c) != k - 1:
             raise ContractError("contrast rows must be linearly independent")
-        bscale = max(np.abs(b).max(), 1.0)
-        if np.abs(b.sum(axis=0)).max() > _ZERO_TOL * bscale:
-            raise ContractError("basis columns must sum to zero")
-        cb = c @ b
-        if abs(np.linalg.det(cb)) < 1e-12:
-            raise ContractError("C @ B must be nonsingular")
 
 
 def helmert_basis(k: int) -> ContrastBasis:
     """Unnormalized Helmert contrasts for k levels.
 
     Row i compares level i+1 against the mean of levels 1..i, scaled to
-    integer entries: (-1, ..., -1, i, 0, ..., 0). The companion basis is the
-    right pseudo-inverse B = C' (C C')^{-1}, so C @ B is the identity; that
-    normalization makes the K=2 case reduce to the plain contrast y_2 - y_1
-    with unit coefficient.
+    integer entries: (-1, ..., -1, i, 0, ..., 0), so the K=2 case is the
+    plain contrast y_2 - y_1 with unit coefficient.
     """
     if k < 2:
         raise DomainError(f"need at least 2 levels, got {k}")
@@ -70,8 +56,7 @@ def helmert_basis(k: int) -> ContrastBasis:
     for i in range(1, k):
         c[i - 1, :i] = -1.0
         c[i - 1, i] = float(i)
-    b = c.T @ np.linalg.inv(c @ c.T)
-    return ContrastBasis(c, b, k)
+    return ContrastBasis(c, k)
 
 
 def precision_prevalence(cov_diag: np.ndarray) -> np.ndarray:

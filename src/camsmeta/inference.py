@@ -27,18 +27,20 @@ contrast fit on the tau_gamma axis and the meta-regression on the tau axis,
 and its lattice is their product (``_product_grid``); the joint 2-D solve
 is left to a prior that couples them and to ``verify.cams_oracle``.
 
-Every summary reads the smallest grid that carries its functional: on a
-product lattice, a functional of one factor alone (alpha, beta, gamma, the
-overall line) reads that factor's 101 components, and one that spans both
-(delta, the subgroup lines) reads the lattice (``_factor_reads``).
+Every summary and the interaction trace read the smallest grid that
+carries the functional: on a product lattice, a functional of one factor
+alone (alpha, beta, gamma, the overall line) reads that factor's 101
+components, and one that spans both (delta, the subgroup lines) reads the
+lattice (``_factor_reads``).
 
 Every quantile read (``FitResult.functional_quantiles``, the summaries) is
-one ``_lattice_quantiles`` call per grid, which starts the full-lattice solve from the
-quantiles of the merged lattice (``PosteriorGrid.merged``): COARSE x COARSE
-blocks of nodes, each one normal component with the block's weight, mean and
-covariance. Those quantiles cost a ninth of a full-lattice pass each, and
-from them most full-lattice quantiles are certified after one pass
-(``gaussmix``); the start moves no quantile by more than its tolerance.
+one ``_lattice_quantiles`` call per grid, which starts the full-lattice
+solve from the quantiles of the merged lattice (``_merged_start``): COARSE
+x COARSE blocks of nodes, each one normal component with the block's
+weight, mean and covariance, which pool to the lattice's posterior moments.
+Those quantiles cost a ninth of a full-lattice pass each, and from them
+most full-lattice quantiles are certified after one pass (``gaussmix``);
+the start moves no quantile by more than its tolerance.
 
 Location priors are flat by default; a flat prior requires at least as many
 studies as fixed effects. A proper normal prior on any functional an
@@ -320,18 +322,16 @@ class FitResult:
         names to coefficients (e.g. {"alpha": 1, "delta": 0.3}), or a raw
         coefficient vector over ``grid.param_names``.
 
-        The mixture has one component per lattice node, the same components
-        ``functional_quantiles`` and ``functional_summaries`` read, and its
-        ``coarse`` mixture is the functional on the merged lattice, which
-        starts their solves too.
+        The mixture has one component per lattice node, the components
+        ``functional_quantiles`` and ``functional_cdf`` read, and its
+        ``coarse`` mixture, the functional on the merged lattice
+        (``_merged_start``), starts their solves too.
         """
         vecs = self._coef_matrix([spec])
-        merged = self.grid.merged
-        (c_mean,), (c_sd,) = _functional_moments(merged, vecs)
+        c_w, (c_mean,), (c_sd,) = _merged_start(self.grid, vecs)
         (mean,), (sd,) = _functional_moments(self.grid, vecs)
-        return GaussianMixture1D(
-            self.grid.weight.ravel(), mean, sd,
-            GaussianMixture1D(merged.weight, c_mean, c_sd))
+        return GaussianMixture1D(self.grid.weight.ravel(), mean, sd,
+                                 GaussianMixture1D(c_w, c_mean, c_sd))
 
     def functional_quantiles(self, specs, levels) -> np.ndarray:
         """Quantiles of several functionals in one batched solve.
@@ -406,15 +406,20 @@ def _mixture_weights(grid) -> np.ndarray:
     return w / w.sum()
 
 
+def _merged_start(grid: PosteriorGrid, vecs: np.ndarray):
+    """Weights (K,), means and sds (m, K) of the functional rows of ``vecs``
+    on ``grid.merged``, whose quantiles start every solve on ``grid``."""
+    return (_mixture_weights(grid.merged),
+            *_functional_moments(grid.merged, vecs))
+
+
 def _lattice_quantiles(grid: PosteriorGrid, vecs: np.ndarray, levels):
     """The (m, L) quantiles at ``levels`` of the functional rows of
     ``vecs``, and the lattice weights, means and sds they were read from.
     The merged lattice is solved first, for the start of the full-lattice
     solve, before the full-lattice moments exist, so that the two memory
     peaks do not add."""
-    merged = grid.merged
-    start = mixture_quantiles(_mixture_weights(merged),
-                              *_functional_moments(merged, vecs), levels)
+    start = mixture_quantiles(*_merged_start(grid, vecs), levels)
     w = _mixture_weights(grid)
     mean, sd = _functional_moments(grid, vecs)
     return mixture_quantiles(w, mean, sd, levels, start), w, mean, sd
@@ -1006,13 +1011,15 @@ def interaction_trace(fit: FitResult, tau_gamma_values) -> list:
     Each requested value snaps to the nearest grid node (the node actually
     used is returned). The conditional law of gamma given tau_gamma is the
     mixture over the remaining axis; reported with a 50% equal-tailed
-    interval.
+    interval. Gamma is read off the grid ``_factor_reads`` gives it: on a
+    CAMS product lattice the contrast factor, BIM's posterior.
     """
     if "gamma" not in fit.functionals or "tau_gamma" not in fit.grid.scale_names:
         raise ContractError(
             f"{fit.estimator} fit has no interaction/heterogeneity axis to trace")
-    grid = fit.grid
-    mean, sd = _functional_moments(grid, fit.functionals["gamma"][None, :])
+    [(grid, vec, _)] = _factor_reads(fit.grid,
+                                     fit.functionals["gamma"][None, :])
+    mean, sd = _functional_moments(grid, vec)
     t, g = grid.weight.shape
     mean, sd = mean.reshape(t, g).T, sd.reshape(t, g).T
     values = np.atleast_1d(np.asarray(tau_gamma_values, dtype=float))

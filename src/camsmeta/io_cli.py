@@ -468,12 +468,15 @@ def _fit_one(name: str, data: MetaDataset, priors: PriorSpec, grid: GridSpec,
 
 
 def _cmd_fit(config: RunConfig) -> int:
+    """Every estimator is fitted and serialized before any file is written,
+    so a fit that fails leaves no file behind; each FitResult is dropped
+    once serialized."""
     data = _load_data(config)
     priors, grid = _priors_and_grid(config)
-    for name in _estimator_names(config):
-        fit = _fit_one(name, data, priors, grid, config)
-        _write_json(os.path.join(config.output_dir, f"fit_{name}.json"),
-                    _fit_dict(fit))
+    out = {name: _fit_dict(_fit_one(name, data, priors, grid, config))
+           for name in _estimator_names(config)}
+    for name, fit in out.items():
+        _write_json(os.path.join(config.output_dir, f"fit_{name}.json"), fit)
     return EXIT_OK
 
 

@@ -9,7 +9,8 @@ reports over a Beta mixture), and the Bayes-risk view that justifies
 mean/median reporting prevalences.
 
 Whatever the policy, the interaction summary is computed from the fit's
-gamma functional alone, so it is bit-identical across policies.
+gamma functional alone, so it is bit-identical across policies. Posterior
+moments are pooled from the merged lattice (``_line_moments``).
 """
 
 from __future__ import annotations
@@ -251,17 +252,15 @@ def _refine(values, scan: np.ndarray, curve: np.ndarray, best: int) -> float:
 
 def _line_moments(fit: FitResult, rows: np.ndarray):
     """Posterior mean and sd of the functional in each row of ``rows``
-    (coefficients over ``fit.grid.param_names``), in closed form: with m =
-    sum_k w_k mu_k and C = sum_k w_k (Sigma_k + (mu_k - m)(mu_k - m)') the
-    posterior mean and covariance of the location parameters over the
-    lattice, a row v has mean v'm and sd sqrt(v' C v)."""
-    grid = fit.grid
-    p = len(grid.param_names)
-    w = _mixture_weights(grid)
-    mean = grid.cond_mean.reshape(-1, p)
-    m = w @ mean
-    centred = mean - m
-    cov = ((w @ grid.cond_cov.reshape(-1, p * p)).reshape(p, p)
+    (coefficients over ``fit.grid.param_names``), in closed form: a row v
+    has mean v'm and sd sqrt(v' C v), where m = sum_k w_k mu_k and C =
+    sum_k w_k (Sigma_k + (mu_k - m)(mu_k - m)') over the blocks k of
+    ``fit.grid.merged`` are, by the law of total variance, the lattice's."""
+    merged = fit.grid.merged
+    w = _mixture_weights(merged)
+    m = w @ merged.cond_mean
+    centred = merged.cond_mean - m
+    cov = (np.tensordot(w, merged.cond_cov, 1)
            + centred.T @ (w[:, None] * centred))
     return rows @ m, np.sqrt(np.clip(np.einsum("ij,jk,ik->i", rows, cov, rows),
                                      0.0, None))
@@ -638,27 +637,27 @@ def bayes_risk(fit: FitResult, spec: PrevalenceSpec,
 
     The subgroup-A gap delta (pi0 - pi) gives the squared risk E[delta^2]
     E[(pi0 - pi)^2] and the absolute risk E|delta| E|pi0 - pi|, in closed
-    form: over the lattice components N(m, s^2) of delta, E[delta^2] =
-    sum w (s^2 + m^2), E|delta| = sum w [s sqrt(2/pi) exp(-m^2 / 2 s^2) +
-    m (1 - 2 Phi(-m/s))] (|m| for an atom), and ``_prevalence_risk``.
-    Returns the risk on RISK_GRID and the argmin of the prevalence factor
-    by ``_scan_min`` on that grid.
+    form: E[delta^2] = sd^2 + mean^2 of delta (``_line_moments``), E|delta|
+    = sum w [s sqrt(2/pi) exp(-m^2 / 2 s^2) + m (1 - 2 Phi(-m/s))] over the
+    lattice components N(m, s^2) of delta (|m| for an atom), and
+    ``_prevalence_risk``. Returns the risk on RISK_GRID and the argmin of
+    the prevalence factor by ``_scan_min`` on that grid.
     """
     _require_cams(fit)
     if loss not in ("squared", "absolute"):
         raise ContractError(f"unknown loss {loss!r}")
     factor = _prevalence_risk(spec, loss)
-    w = fit.grid.weight.ravel()
-    (m,), (s,) = _functional_moments(fit.grid,
-                                     fit.functionals["delta"][None, :])
+    delta = fit.functionals["delta"][None, :]
     if loss == "squared":
-        scale = float(w @ (s * s + m * m))
+        mean, sd = _line_moments(fit, delta)
+        scale = float(sd @ sd + mean @ mean)
     else:
+        (m,), (s,) = _functional_moments(fit.grid, delta)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(s > 0.0, -m / s, -np.copysign(np.inf, m))
         lower, dens = _normal_cdf(z)
-        scale = float(w @ (s * math.sqrt(2.0 / math.pi) * dens
-                           + m * (1.0 - 2.0 * lower)))
+        scale = float(fit.grid.weight.ravel() @ (
+            s * math.sqrt(2.0 / math.pi) * dens + m * (1.0 - 2.0 * lower)))
     argmin, _, curve = _scan_min(factor, RISK_GRID.size)
     return scale * curve, argmin
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -231,9 +231,10 @@ def cams_oracle(data: MetaDataset, pi, priors: PriorSpec,
     ``pi`` (scalar or per study, in [0, 1]) sets the slope regressor and the
     interaction loading; at the information fractions the grid equals
     ``fit_cams(...).grid`` to rounding. Production CAMS is two 1-D solves
-    whose product is its lattice, so this is the only 2-D CAMS solve; it
-    still shares ``_scalar_stats`` and ``_solve_grid`` with the fit. No
-    summaries are computed.
+    whose product is its lattice, so this is the only 2-D CAMS solve. It
+    still shares ``_scalar_stats`` and ``_solve_grid`` with the fit, but
+    solves with no scale prior and weighs the nodes itself
+    (``_oracle_weights``). No summaries are computed.
     """
     ya, yb, va, vb, p = subgroup_arrays(data, pi)
     row_a = np.stack([np.ones(p.size), p, np.zeros(p.size)], axis=1)
@@ -241,8 +242,34 @@ def cams_oracle(data: MetaDataset, pi, priors: PriorSpec,
     taus, tg = grid.tau_nodes, grid.tau_gamma_nodes
     blocks = (_pair_blocks(ya, yb, va, vb, p, x, taus, tg)
               + _prior_blocks(priors, _CAMS_FUNCTIONALS, p.size, 3))
-    return _solve_grid(blocks, ("alpha", "delta", "gamma"), priors, taus, tg,
-                       ("tau", "tau_gamma"))
+    solved = _solve_grid(blocks, ("alpha", "delta", "gamma"), priors, taus,
+                         tg, ())
+    return _oracle_weights(solved, priors)
+
+
+def _oracle_weights(grid: PosteriorGrid, priors: PriorSpec) -> PosteriorGrid:
+    """``grid``, whose log weights are log marginal likelihoods, under the
+    half-normal priors of ``priors`` on both scale axes: each node's log
+    weight gains the log prior density of its tau and tau_gamma and the
+    logs of their trapezoid cells (half the distance between the node's
+    neighbours, a lone node's cell 1), and the weights are their exp,
+    shifted by the largest and normalized to sum 1."""
+    def log_prior(nodes: np.ndarray, scale: float) -> np.ndarray:
+        z = nodes / scale
+        log_pdf = (0.5 * math.log(2.0 / math.pi) - math.log(scale)
+                   - 0.5 * z * z)
+        if nodes.size == 1:
+            return log_pdf
+        edges = np.concatenate([nodes[:1], 0.5 * (nodes[:-1] + nodes[1:]),
+                                nodes[-1:]])
+        return log_pdf + np.log(np.diff(edges))
+
+    log_w = (grid.log_weight
+             + log_prior(grid.tau_nodes, priors.tau_scale)[:, None]
+             + log_prior(grid.tau_gamma_nodes, priors.tau_gamma_scale))
+    w = np.exp(log_w - np.max(log_w))
+    return replace(grid, log_weight=log_w, weight=w / np.sum(w),
+                   scale_names=("tau", "tau_gamma"))
 
 
 def _grid_distance(grid: PosteriorGrid, oracle: PosteriorGrid) -> float:

@@ -1243,6 +1243,28 @@ def test_cams_gamma_is_the_bim_posterior_bit_for_bit(seed):
     for got, want in zip(cams.grid.scale_axis("tau_gamma"),
                          bim.grid.scale_axis("tau_gamma")):
         np.testing.assert_array_equal(got, want)
+    # plotdata's trace of both, at every node
+    nodes = grid.tau_gamma_nodes
+    assert interaction_trace(cams, nodes) == interaction_trace(bim, nodes)
+
+
+def test_trace_of_a_joint_lattice_mixes_over_tau():
+    # a delta prior keeps CAMS on the joint lattice, whose gamma law at a
+    # tau_gamma node is the mixture over the tau axis of that column
+    data = make_dataset(seed=3, n=9)
+    priors = PriorSpec(location_prior=(("delta", 0.5, 0.3),))
+    fit = fit_cams(data, priors, GridSpec.default(priors, n_nodes=21))
+    grid = fit.grid
+    assert not grid.factors
+    (mean,), (sd,) = _functional_moments(grid, np.array([[0.0, 0.0, 1.0]]))
+    mean, sd = mean.reshape(grid.weight.shape), sd.reshape(grid.weight.shape)
+    for g in (0, 7, 20):
+        pt, = interaction_trace(fit, [grid.tau_gamma_nodes[g]])
+        column = grid.weight[:, g] / grid.weight[:, g].sum()
+        want = GaussianMixture1D(column, mean[:, g], sd[:, g]).quantiles(
+            (0.5, 0.25, 0.75))
+        np.testing.assert_allclose([pt.median, pt.lower, pt.upper], want,
+                                   rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("n_studies", [8, 1000])

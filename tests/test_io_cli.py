@@ -771,7 +771,8 @@ def test_singular_node_names_the_node_and_both_prior_scales(tmp_path, capsys,
     # tiny standard errors against the default prior scales: the error names
     # the lattice node whose system failed and the two scales to match. The
     # 1-D solves of CAMS and BIM stay regular there; the BMS pair solve,
-    # which weighs the contrast and the mean at once, is the one that fails
+    # which weighs the contrast and the mean at once, is the one that fails,
+    # and the fits that succeeded before it write no file either
     path = write_scaled_quickstart(tmp_path, factor)
     code = main(["fit", "--input", path, "--output-dir", str(tmp_path)])
     assert code == EXIT_ERROR
@@ -779,8 +780,7 @@ def test_singular_node_names_the_node_and_both_prior_scales(tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("error:")
     assert re.search(r"singular at tau = \S+, tau_gamma = \S+:", err[0])
     assert "tau_prior" in err[0] and "tau_gamma_prior" in err[0]
-    assert sorted(p.name for p in tmp_path.glob("fit_*.json")) == [
-        "fit_bim.json", "fit_cams.json"]
+    assert not list(tmp_path.glob("fit_*.json"))
 
 
 @pytest.mark.parametrize("flag, value, why", [

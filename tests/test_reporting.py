@@ -827,6 +827,68 @@ def test_beta_draws_factor_only_the_nodes_they_hit(seed):
         assert eff.interaction == cams.summaries["gamma"]
 
 
+def test_a_beta_mixture_reports_its_components_and_mixture_medians(fitted):
+    # two near-point-mass laws, at prevalences 0.5 and 0.25, weighted 3:7:
+    # each line's Monte Carlo median sits at level 0.5 of the line's exact
+    # law under the two-point prevalence mixture, to four standard errors
+    # of the level of a sample median
+    data, cams, _ = fitted
+    spec = PrevalenceSpec("beta", components=((3.0, 1e6, 1e6),
+                                              (7.0, 1e6, 3e6)), seed=0)
+    eff = report_effects(data, cams, spec)
+    used = eff.prevalence_used
+    assert used["components"] == [[0.3, 1e6, 1e6], [0.7, 1e6, 3e6]]
+    assert used["mean"] == pytest.approx(0.3 * 0.5 + 0.7 * 0.25, abs=1e-15)
+    pis, weights = [0.5, 0.25], np.array([0.3, 0.7])
+    mu_a = reporting.line_rows(cams, pis)
+    rows = {"mu_a": mu_a, "mu_b": reporting.line_rows(cams, pis, 1.0),
+            "overall": mu_a + np.multiply.outer(pis,
+                                                cams.functionals["gamma"])}
+    bound = 4.0 * math.sqrt(0.25 / BETA_DRAWS)
+    for name, line in rows.items():
+        median = getattr(eff, name).median
+        level = float(weights @ cams.functional_cdf(line, median))
+        assert abs(level - 0.5) <= bound, name
+
+
+def dense_moments(grid):
+    """The posterior mean and covariance of the location parameters, summed
+    over every lattice node."""
+    p = len(grid.param_names)
+    w = grid.weight.ravel() / grid.weight.sum()
+    mean = grid.cond_mean.reshape(-1, p)
+    m = w @ mean
+    dev = mean - m
+    cov = np.einsum("k,kij->ij", w, grid.cond_cov.reshape(-1, p, p))
+    return m, cov + np.einsum("k,ki,kj->ij", w, dev, dev)
+
+
+@pytest.mark.parametrize("case", ["cams_product", "bms_alpha_het",
+                                  "cams_delta_prior"])
+def test_pooled_merged_moments_are_the_lattice_moments(case):
+    # the merged blocks' weighted means and covariances about them pool to
+    # the lattice's mean and covariance (law of total variance), so the
+    # closed-form line moments need no lattice-wide sum
+    data = simulate(SimScenario(n_studies=8, gamma=0.3, tau=0.1,
+                                tau_gamma=0.1, uisd=1.0, seed=2))
+    priors = PriorSpec(location_prior=(("delta", 0.5, 0.3),)
+                       if case == "cams_delta_prior" else ())
+    grid = GridSpec.default(priors, n_nodes=101)
+    if case == "bms_alpha_het":
+        fit = fit_bms(data, priors, grid, alpha_heterogeneity=True)
+    else:
+        fit = fit_cams(data, priors, grid)
+    assert bool(fit.grid.factors) == (case == "cams_product")
+    assert min(fit.grid.weight.shape) == 101
+    p = len(fit.grid.param_names)
+    rows = np.vstack([np.eye(p), np.random.default_rng(5).normal(size=(6, p))])
+    m, cov = dense_moments(fit.grid)
+    want_sd = np.sqrt(np.einsum("ij,jk,ik->i", rows, cov, rows))
+    mean, sd = reporting._line_moments(fit, rows)
+    np.testing.assert_allclose(sd, want_sd, rtol=1e-12, atol=0)
+    assert np.all(np.abs(mean - rows @ m) <= 1e-12 * want_sd)
+
+
 def test_plotdata_reads_no_scan_prevalence_twice(tmp_path):
     # after the batch of the 41 scan prevalences (two lines each), the SVG
     # marker's optimal_if reads only prevalences off the scan: the window

@@ -12,11 +12,12 @@ from camsmeta import contrasts, inference, reporting, verify
 from camsmeta.errors import (ContractError, DomainError, GridEdgeWarning,
                              IdentifiabilityWarning)
 from camsmeta.gaussmix import GaussianMixture1D
-from camsmeta.inference import (GridSpec, PriorSpec, _block_cross_term,
-                                _functional_moments, fit_bim, fit_cams)
+from camsmeta.inference import (GridSpec, PriorSpec, _axis_log_prior,
+                                _block_cross_term, _functional_moments,
+                                _normalize_log_weights, fit_bim, fit_cams)
 from camsmeta.model_core import compute_if
 from camsmeta.reporting import _beta_cdf
-from camsmeta.verify import (BREAK_MIN, TOL_GRID, SimScenario,
+from camsmeta.verify import (BREAK_MIN, TOL_EXACT, TOL_GRID, SimScenario,
                              _beta_median, _cdf_witness, _mixture_gap_bound,
                              _unbalanced_scenario, cams_oracle,
                              check_bayes_optimum, check_equivalence,
@@ -238,14 +239,17 @@ def test_check_bayes_optimum_fails_on_a_wrong_delta_moment(monkeypatch,
                                                            loss):
     # the risk curve is checked against the delta moment of the independent
     # oracle lattice, so a delta posterior read 1e-8 off fails the check
-    # while its argmin, which the prevalence factor alone sets, stays put
-    moments = reporting._functional_moments
+    # while its argmin, which the prevalence factor alone sets, stays put;
+    # the squared loss reads delta's pooled moments, the absolute loss its
+    # moments at every node
+    reader = {"squared": "_line_moments", "absolute": "_functional_moments"}
+    moments = getattr(reporting, reader[loss])
 
-    def shifted(grid, vecs):
-        mean, sd = moments(grid, vecs)
+    def shifted(*args):
+        mean, sd = moments(*args)
         return mean * (1.0 + 1e-8), sd
 
-    monkeypatch.setattr(reporting, "_functional_moments", shifted)
+    monkeypatch.setattr(reporting, reader[loss], shifted)
     rep = check_bayes_optimum((2.0, 8.0), loss=loss)
     assert not rep["pass"]
     assert rep["curve_gap"] > verify.TOL_EXACT and rep["gap"] < TOL_GRID
@@ -381,6 +385,32 @@ def test_default_battery_passes_inside_the_grid():
     assert out["all_pass"]
     equivalence = [c for c in out["checks"] if c["check"] == "equivalence"]
     assert len(equivalence) == 55
+
+
+def zero_cell_ten_times_too_large(nodes, scale, in_use):
+    out = _axis_log_prior(nodes, scale, in_use)
+    if in_use and nodes.size > 1:
+        out[0] += math.log(10.0)
+    return out
+
+
+def tempered_weights(log_w, axis=None):
+    return _normalize_log_weights(0.99 * log_w, axis)
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("_axis_log_prior", zero_cell_ten_times_too_large),
+    ("_normalize_log_weights", tempered_weights)],
+    ids=["zero_cell_x10", "tempered_weights"])
+def test_battery_fails_a_mutant_of_the_fit_node_weights(monkeypatch, name,
+                                                        mutant):
+    # the oracle weighs its nodes itself, so a fault in the fit's axis prior
+    # or weight normalization moves the fits away from it
+    monkeypatch.setattr(inference, name, mutant)
+    out = run_battery()
+    assert not out["all_pass"]
+    assert any(c["check"] == "equivalence" and not c["force_half"]
+               and c["oracle_distance"] > TOL_EXACT for c in out["checks"])
 
 
 def dense_gap(mix_a, mix_b):
