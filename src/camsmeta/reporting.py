@@ -32,7 +32,7 @@ from .model_core import (MetaDataset, _check_unit_interval, decompose_arrays,
 STRATEGY_KINDS = ("average", "trial_weighted", "overall_if", "optimal_if",
                   "closeness_a", "closeness_b", "external")
 
-_ROOT_TOL = 1e-10
+_ROOT_TOL = 1e-12
 
 # joint Monte Carlo draws of a Beta-marginalized report
 BETA_DRAWS = 20000

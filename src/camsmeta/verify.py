@@ -19,7 +19,6 @@ Every check returns a plain dict so batteries serialize straight to JSON.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,12 +26,12 @@ import numpy as np
 from .contrasts import (contrast_mean_cov, helmert_basis, kronecker_contrast,
                         per_arm_prevalence, precision_prevalence,
                         transform_matrix)
-from .errors import ContractError, DomainError, IdentifiabilityWarning
-from .gaussmix import GaussianMixture1D
+from .errors import ContractError, DomainError
 from .inference import (_CAMS_FUNCTIONALS, GridSpec, PosteriorGrid,
                         PriorSpec, _block_cross_term, _functional_moments,
                         _mvn_logpdf, _normal_logpdf, _pair_blocks,
-                        _prior_blocks, _solve_grid, fit_bim, fit_cams)
+                        _prior_blocks, _solve_grid, fit_bim, fit_bms,
+                        fit_cams)
 from .model_core import (MetaDataset, StudyRecord, SubgroupObservation,
                          subgroup_arrays)
 from .reporting import RISK_GRID, PrevalenceSpec, _beta_cdf, bayes_risk
@@ -179,13 +178,18 @@ def simulate(scenario: SimScenario) -> MetaDataset:
         s[-1] *= 3.0
     sd_a = np.sqrt(pi) * s
     sd_b = np.sqrt(1.0 - pi) * s
+    ids = [f"S{i + 1:0{len(str(j))}d}" for i in range(j)]
+    if np.any(edge := (pi == 0.0) | (pi == 1.0)):
+        i = int(np.argmax(edge))
+        raise DomainError(
+            f"study {ids[i]}: prevalence_law {scenario.prevalence_law} drew "
+            f"{pi[i]:g}, so subgroup {'AB'[int(pi[i])]} has sampling SD 0")
     alpha_j = rng.normal(scenario.alpha, scenario.tau, size=j)
     gamma_j = rng.normal(scenario.gamma, scenario.tau_gamma, size=j)
     dev = gamma_j - scenario.gamma
     ya = alpha_j + scenario.delta * pi - pi * dev + rng.normal(0.0, sd_a)
     yb = (alpha_j + scenario.delta * pi + scenario.gamma
           + (1.0 - pi) * dev + rng.normal(0.0, sd_b))
-    width = len(str(j))
     if scenario.uisd is not None:
         with np.errstate(over="ignore"):
             n_ab = (scenario.uisd / np.stack([sd_a, sd_b], axis=1)) ** 2
@@ -195,13 +199,12 @@ def simulate(scenario: SimScenario) -> MetaDataset:
         if scenario.uisd is not None:
             if not np.isfinite(n_ab[i]).all():
                 raise DomainError(
-                    f"study S{i + 1:0{width}d}: the subgroup count "
+                    f"study {ids[i]}: the subgroup count "
                     f"(uisd / se)^2 overflows at uisd {scenario.uisd}")
             counts = tuple(max(1, round(n)) for n in n_ab[i].tolist())
         obs_a = SubgroupObservation("A", float(ya[i]), float(sd_a[i]), counts[0])
         obs_b = SubgroupObservation("B", float(yb[i]), float(sd_b[i]), counts[1])
-        studies.append(StudyRecord.from_observations(
-            f"S{i + 1:0{width}d}", obs_a, obs_b))
+        studies.append(StudyRecord.from_observations(ids[i], obs_a, obs_b))
     return MetaDataset(tuple(studies))
 
 
@@ -223,20 +226,21 @@ def leverage_scenario(seed: int = 0, n_studies: int = 8) -> SimScenario:
 # checks
 # ----------------------------------------------------------------------
 
-def cams_oracle(data: MetaDataset, pi, priors: PriorSpec,
+def cams_oracle(data: MetaDataset, priors: PriorSpec,
                 grid: GridSpec) -> PosteriorGrid:
     """Reference for ``fit_cams``: the joint GLS of the (y_A, y_B) pairs on
     the full (tau, tau_gamma) lattice, Cov(g, m) kept: each pair is two
     scalar observations, its contrast and its mean given it (``_pair_blocks``).
-    ``pi`` (scalar or per study, in [0, 1]) sets the slope regressor and the
-    interaction loading; at the information fractions the grid equals
-    ``fit_cams(...).grid`` to rounding. Production CAMS is two 1-D solves
-    whose product is its lattice, so this is the only 2-D CAMS solve. It
-    still shares ``_scalar_stats`` and ``_solve_grid`` with the fit, but
-    solves with no scale prior and weighs the nodes itself
+    The slope regressor and the interaction loading are the information
+    fractions (at a common 0.5 the solve is BMS with intercept
+    heterogeneity: ``check_equivalence``), so the design has full rank and
+    the grid equals ``fit_cams(...).grid`` to rounding. Production CAMS is
+    two 1-D solves whose product is its lattice, so this is the only 2-D
+    CAMS solve. It still shares ``_scalar_stats`` and ``_solve_grid`` with
+    the fit, but solves with no scale prior and weighs the nodes itself
     (``_oracle_weights``). No summaries are computed.
     """
-    ya, yb, va, vb, p = subgroup_arrays(data, pi)
+    ya, yb, va, vb, p = subgroup_arrays(data)
     row_a = np.stack([np.ones(p.size), p, np.zeros(p.size)], axis=1)
     x = np.stack([row_a, row_a + [0.0, 0.0, 1.0]], axis=1)
     taus, tg = grid.tau_nodes, grid.tau_gamma_nodes
@@ -355,38 +359,33 @@ def check_equivalence(scenario: SimScenario, force_half: bool = False,
     ``fit_cams`` makes; no summary is read) matches the oracle within the
     exact one (``oracle_distance``). The honest ``gamma_distance`` is
     ``_gamma_bound``, an upper bound on the sup distance of the two gamma
-    CDFs, so a pass is a proof. ``force_half`` runs the oracle at
-    prevalence 0.5 instead, which on unbalanced data must break the
-    agreement by more than ``BREAK_MIN``; there ``gamma_distance`` is
-    ``_cdf_witness``, a distance attained at quantile points of the two
-    gamma posteriors, so it can only read low and a pass is again certain.
+    CDFs, so a pass is a proof. ``force_half`` weighs every study at 0.5,
+    which on unbalanced data must break the agreement by more than
+    ``BREAK_MIN``. With alpha and delta collinear, that joint solve is BMS
+    with intercept heterogeneity to rounding, so the full-rank ``fit_bms``
+    is compared (test_forced_half_oracle_is_bms_with_intercept_heterogeneity
+    pins the identity). Its ``gamma_distance`` is ``_cdf_witness``, a
+    distance attained at quantile points of the two gamma posteriors, so it
+    can only read low and a pass is again certain.
     """
     data = simulate(scenario)
     priors = PriorSpec()
     grid = GridSpec.default(priors, n_nodes=n_nodes)
     bim = fit_bim(data, priors, grid)
-    with warnings.catch_warnings():
-        if force_half:
-            # identical fractions make alpha and delta collinear on purpose;
-            # the deficiency warning is expected here
-            warnings.simplefilter("ignore", IdentifiabilityWarning)
-        oracle = cams_oracle(data, 0.5 if force_half else data.info_fractions,
-                             priors, grid)
-    gamma = np.array([0.0, 0.0, 1.0])
-    _, w_bim = bim.grid.scale_axis("tau_gamma")
-    _, w_oracle = oracle.scale_axis("tau_gamma")
-    d_tg = float(np.max(np.abs(np.cumsum(w_bim) - np.cumsum(w_oracle))))
     # an honest fit must agree; a deliberately broken one must visibly differ
     if force_half:
-        d_oracle = None
-        mean, sd = _functional_moments(oracle, gamma[None, :])
-        oracle_gamma = GaussianMixture1D(oracle.weight.ravel(), mean[0], sd[0])
-        d_gamma = _cdf_witness(bim.functional_mixture("gamma"), oracle_gamma)
-        passed = d_gamma > BREAK_MIN
+        bms = fit_bms(data, priors, grid, alpha_heterogeneity=True)
+        other, d_oracle = bms.grid, None
+        d_gamma = _cdf_witness(bim.functional_mixture("gamma"),
+                               bms.functional_mixture("gamma"))
     else:
-        d_oracle = _grid_distance(fit_cams(data, priors, grid).grid, oracle)
-        d_gamma = _gamma_bound(bim.grid, oracle, gamma)
-        passed = max(d_gamma, d_tg) < TOL_GRID and d_oracle < TOL_EXACT
+        other = cams_oracle(data, priors, grid)
+        d_oracle = _grid_distance(fit_cams(data, priors, grid).grid, other)
+        d_gamma = _gamma_bound(bim.grid, other, np.array([0.0, 0.0, 1.0]))
+    cum = [np.cumsum(g.scale_axis("tau_gamma")[1]) for g in (bim.grid, other)]
+    d_tg = float(np.max(np.abs(cum[0] - cum[1])))
+    passed = (d_gamma > BREAK_MIN if force_half else
+              max(d_gamma, d_tg) < TOL_GRID and d_oracle < TOL_EXACT)
     return {
         "check": "equivalence",
         "seed": scenario.seed,
@@ -564,7 +563,7 @@ def check_bayes_optimum(dist, loss: str = "squared", seed: int = 0) -> dict:
     grid = GridSpec.default(priors, 41)
     spec = PrevalenceSpec.beta(a, b)
     curve, argmin = bayes_risk(fit_cams(data, priors, grid), spec, loss=loss)
-    oracle = cams_oracle(data, data.info_fractions, priors, grid)
+    oracle = cams_oracle(data, priors, grid)
     expected = _delta_risk_scale(oracle, loss) * factor
     curve_gap = float(np.max(np.abs(curve - expected))
                       / np.max(np.abs(expected)))

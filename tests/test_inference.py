@@ -15,11 +15,12 @@ from camsmeta.errors import (CamsmetaError, CamsmetaWarning, ContractError,
                              IdentifiabilityWarning)
 from camsmeta.gaussmix import QUANTILE_TOL, GaussianMixture1D, _normal_cdf
 from camsmeta import inference, verify
-from camsmeta.inference import (_LOG_2PI, COARSE, FitResult, GridSpec,
-                                ParameterSummary, PosteriorGrid, PriorSpec,
-                                _axis_log_prior, _cholesky_rows,
-                                _functional_moments, _pair_blocks,
-                                _scalar_stats, _solve_grid, _summaries,
+from camsmeta.inference import (_CAMS_FUNCTIONALS, _LOG_2PI, COARSE,
+                                FitResult, GridSpec, ParameterSummary,
+                                PosteriorGrid, PriorSpec, _axis_log_prior,
+                                _cholesky_rows, _functional_moments,
+                                _pair_blocks, _prior_blocks, _scalar_stats,
+                                _solve_grid, _summaries,
                                 cross_term_correction, factorization_residual,
                                 factorized_loglikelihood, fit_bim, fit_bms,
                                 fit_cams, fit_overall,
@@ -247,28 +248,23 @@ def test_cams_matches_bim_on_gamma():
     assert np.max(np.abs(wb - wc)) < 1e-12
 
 
-def full_lattice_mixture(grid, vec):
-    """The functional's mixture over every lattice node."""
-    mean, sd = _functional_moments(grid, np.asarray(vec, dtype=float)[None, :])
-    return GaussianMixture1D(grid.weight.reshape(-1), mean[0], sd[0])
-
-
 def test_oracle_forced_half_breaks_equivalence():
+    # the joint solve at a common 0.5 is BMS with intercept heterogeneity
     data = make_dataset(seed=6)
     grid = GridSpec.default(PriorSpec(), n_nodes=21)
-    with pytest.warns(IdentifiabilityWarning):
-        forced = cams_oracle(data, 0.5, PriorSpec(), grid)
+    forced = fit_bms(data, PriorSpec(), grid, alpha_heterogeneity=True)
     bim = fit_bim(data, PriorSpec(), grid)
-    gamma = np.array([0.0, 0.0, 1.0])
     assert _cdf_witness(bim.functional_mixture("gamma"),
-                        full_lattice_mixture(forced, gamma)) > BREAK_MIN
+                        forced.functional_mixture("gamma")) > BREAK_MIN
     # an upper bound on the honest distance, not a sample of it
-    honest = cams_oracle(data, data.info_fractions, PriorSpec(), grid)
-    assert _gamma_bound(bim.grid, honest, gamma) < 1e-10
+    honest = cams_oracle(data, PriorSpec(), grid)
+    assert _gamma_bound(bim.grid, honest, np.array([0.0, 0.0, 1.0])) < 1e-10
+    het = CovarianceStructure(0.1, 0.2)
     with pytest.raises(DomainError):
-        cams_oracle(data, 1.5, PriorSpec(), grid)
+        joint_loglikelihood(data, 0.2, 0.6, 0.3, het, pi=1.5)
     with pytest.raises(DomainError):
-        cams_oracle(data, [0.3, 0.4, -0.1, 0.5, 0.5, 0.5], PriorSpec(), grid)
+        joint_loglikelihood(data, 0.2, 0.6, 0.3, het,
+                            pi=[0.3, 0.4, -0.1, 0.5, 0.5, 0.5])
 
 
 def test_functional_mixture_is_what_the_batched_readers_read():
@@ -383,13 +379,27 @@ def captured_solve(monkeypatch, module, run):
     return calls[0]
 
 
-def oracle_args(monkeypatch, scenario, force_half):
-    """The solve arguments of a battery oracle: force-half or honest (at
-    the information fractions), on the battery's 61-node grid."""
+def oracle_args(monkeypatch, scenario):
+    """The solve arguments of a battery oracle, on the battery's 61-node
+    grid."""
     data = simulate(scenario)
     return captured_solve(monkeypatch, verify, lambda: verify.cams_oracle(
-        data, 0.5 if force_half else data.info_fractions, PriorSpec(),
-        GridSpec.default(PriorSpec(), n_nodes=61)))
+        data, PriorSpec(), GridSpec.default(PriorSpec(), n_nodes=61)))
+
+
+def forced_half_args(scenario):
+    """The solve arguments of the joint (y_A, y_B) solve with every study
+    weighted 0.5, on the battery's 61-node grid, built as ``cams_oracle``
+    builds its own at the information fractions: design rows (1, 0.5, 0)
+    and (1, 0.5, 1), so alpha and delta are collinear (rank 2 of 3)."""
+    priors = PriorSpec()
+    grid = GridSpec.default(priors, n_nodes=61)
+    ya, yb, va, vb, p = subgroup_arrays(simulate(scenario), 0.5)
+    x = np.broadcast_to([[1.0, 0.5, 0.0], [1.0, 0.5, 1.0]], (p.size, 2, 3))
+    taus, tg = grid.tau_nodes, grid.tau_gamma_nodes
+    blocks = (_pair_blocks(ya, yb, va, vb, p, x, taus, tg)
+              + _prior_blocks(priors, _CAMS_FUNCTIONALS, p.size, 3))
+    return blocks, ("alpha", "delta", "gamma"), priors, taus, tg, ()
 
 
 def bim_args(monkeypatch):
@@ -413,11 +423,11 @@ def test_one_path_solve_matches_a_pinv_reference(monkeypatch, case, want_rank):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IdentifiabilityWarning)
         args = {
-            "force_half": lambda: oracle_args(
-                monkeypatch, verify._unbalanced_scenario(21240), True),
+            "force_half": lambda: forced_half_args(
+                verify._unbalanced_scenario(21240)),
             "honest_oracle": lambda: oracle_args(monkeypatch, SimScenario(
                 n_studies=15, alpha=0.2, delta=0.8, gamma=0.3, tau=0.15,
-                tau_gamma=0.12, seed=2), False),
+                tau_gamma=0.12, seed=2)),
             "bim": lambda: bim_args(monkeypatch),
             "equal_fractions": lambda: cams_args(
                 monkeypatch, rank_deficient_data(), PriorSpec()),
@@ -480,7 +490,7 @@ def test_cams_matches_joint_oracle(seed, n_studies, n_nodes, location, tau,
         # a tight prior far from the data may push tau_gamma to the grid edge
         warnings.simplefilter("ignore", GridEdgeWarning)
         fit = fit_cams(data, priors, grid)
-        oracle = cams_oracle(data, data.info_fractions, priors, grid)
+        oracle = cams_oracle(data, priors, grid)
     assert np.max(np.abs(fit.grid.weight - oracle.weight)) < 1e-12
     assert _grid_distance(fit.grid, oracle) < TOL_EXACT
     names = list(fit.functionals)
@@ -1274,7 +1284,7 @@ def test_product_lattice_matches_the_joint_oracle(n_studies):
     fit = fit_cams(data, PriorSpec(), grid)
     assert [f.scale_names for f, _ in fit.grid.factors] == [
         ("tau",), ("tau_gamma",)]
-    oracle = cams_oracle(data, data.info_fractions, PriorSpec(), grid)
+    oracle = cams_oracle(data, PriorSpec(), grid)
     assert _grid_distance(fit.grid, oracle) < TOL_EXACT
 
 
@@ -1293,7 +1303,7 @@ def test_a_prior_that_loads_on_both_blocks_keeps_the_joint_solve(location,
     grid = GridSpec.default(priors, n_nodes=21)
     fit = fit_cams(data, priors, grid)
     assert bool(fit.grid.factors) == product
-    oracle = cams_oracle(data, data.info_fractions, priors, grid)
+    oracle = cams_oracle(data, priors, grid)
     assert _grid_distance(fit.grid, oracle) < TOL_EXACT
 
 

@@ -1137,9 +1137,10 @@ def test_cli_contract_under_fuzzed_input(tmp_path, capsys):
 FLAG_FUZZ_VALUES = ("-1e-3", "0", "-0", "nan", "inf", "-inf", "1e308",
                     "5e-324", "x", "")
 FLAG_FUZZ_COUNTS = ("-1", "1")
-FLAG_FUZZ_LAWS = ("fixed", "fixed:", ":1", "fixed:-0", "fixed:1e308",
-                  "beta:1", "beta:-0,1", "beta:nan,2", "uniform:0.9,0.1",
-                  "lognormal:1e308,1", "leverage:0.2,0.8,-0", "x:1,2")
+FLAG_FUZZ_LAWS = ("fixed", "fixed:", ":1", "fixed:-0", "fixed:0", "fixed:1",
+                  "fixed:1e308", "beta:1", "beta:-0,1", "beta:nan,2",
+                  "uniform:0.9,0.1", "lognormal:1e308,1",
+                  "leverage:0.2,0.8,-0", "x:1,2")
 # the keys verify reads and the keys every command checks up front; verify
 # runs only these, since any other key reaches nothing in it but the parser
 # and the checks, which the other commands run alike
@@ -1185,5 +1186,5 @@ def test_every_flag_under_hostile_values(tmp_path, capsys, monkeypatch):
                 else:
                     assert code in (EXIT_OK, 2, EXIT_VERIFY_FAIL), (
                         command, key, value, code)
-    # the loop ran its cases (1 234 today), and both outcomes occur
+    # the loop ran its cases (1 250 today), and both outcomes occur
     assert cases > 1000 and codes.get(EXIT_OK) and codes.get(EXIT_ERROR), codes

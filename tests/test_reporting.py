@@ -508,8 +508,9 @@ def test_bracketed_root_is_safeguarded(f, root):
         return f(x)
 
     got = _bracketed_root(counted, 0.0, 1.0, f(0.0), f(1.0))
-    assert abs(got - root) <= 1e-10
-    # the bracket halves at least every third step: 1 -> 1e-10 in 3 * 34
+    assert abs(got - root) <= 1e-12
+    # the bracket halves at least every third step, so 1 -> 1e-12 takes at
+    # most 3 * 40 calls; false position keeps these cases within 3 * 34
     assert len(calls) <= 3 * 34
 
 
@@ -572,6 +573,20 @@ def test_closeness_solves_no_quantiles_and_few_cdf_rows(fitted):
 def test_closeness_reads_few_cdf_rows_on_the_quick_start(seed):
     # J=8, N=101, data seeds 0-7, as the benchmark's report runs it
     assert_closeness_reads_few_cdf_rows(*quickstart_fits(seed))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_closeness_moves_little_under_a_one_ulp_change_of_the_lattice(seed):
+    # the root is refined far below the rounding of the lattice's own sums:
+    # CAMS conditional means scaled by one ulp move neither subgroup's
+    # closeness prevalence by more than 1e-13 (J=8, N=101, data seeds 0-7)
+    data, cams, bms = quickstart_fits(seed)
+    moved = dataclasses.replace(cams, grid=dataclasses.replace(
+        cams.grid, cond_mean=cams.grid.cond_mean * (1.0 + 2.2e-16)))
+    for subgroup in ("a", "b"):
+        assert abs(reporting._closeness(moved, bms, subgroup)
+                   - reporting._closeness(cams, bms, subgroup)) <= 1e-13, \
+            subgroup
 
 
 def closeness_scan_reference(fit, reference, subgroup):

@@ -12,16 +12,18 @@ from camsmeta import contrasts, inference, reporting, verify
 from camsmeta.errors import (ContractError, DomainError, GridEdgeWarning,
                              IdentifiabilityWarning)
 from camsmeta.gaussmix import GaussianMixture1D
-from camsmeta.inference import (GridSpec, PriorSpec, _axis_log_prior,
-                                _block_cross_term, _functional_moments,
-                                _normalize_log_weights, fit_bim, fit_cams)
-from camsmeta.model_core import compute_if
+from camsmeta.inference import (_CAMS_FUNCTIONALS, GridSpec, PriorSpec,
+                                _axis_log_prior, _block_cross_term,
+                                _first_node, _normalize_log_weights,
+                                _pair_blocks, _prior_blocks, _solve_grid,
+                                fit_bim, fit_bms, fit_cams)
+from camsmeta.model_core import compute_if, subgroup_arrays
 from camsmeta.reporting import _beta_cdf
 from camsmeta.verify import (BREAK_MIN, TOL_EXACT, TOL_GRID, SimScenario,
                              _beta_median, _cdf_witness, _mixture_gap_bound,
-                             _unbalanced_scenario, cams_oracle,
-                             check_bayes_optimum, check_equivalence,
-                             check_k_sufficiency, check_kronecker,
+                             _unbalanced_scenario, check_bayes_optimum,
+                             check_equivalence, check_k_sufficiency,
+                             check_kronecker,
                              leverage_scenario, run_battery, simulate)
 
 
@@ -84,12 +86,39 @@ def test_negative_zero_heterogeneity_is_stored_as_zero(field):
 
 def test_negative_zero_prevalence_is_stored_as_zero():
     # a prevalence of -0.0 made a subgroup SD of -0.0, which numpy refused;
-    # as 0 it is a zero standard error, refused by the data model
+    # as 0 it is a zero standard error, refused as the draw it comes from
     scenario = SimScenario(n_studies=3,
                            prevalence_law=("leverage", 0.2, 0.8, -0.0))
     assert math.copysign(1.0, scenario.prevalence_law[3]) == 1.0
-    with pytest.raises(DomainError, match="std_error must be positive"):
+    with pytest.raises(DomainError, match="S3: .* drew 0, so subgroup A "
+                                          "has sampling SD 0"):
         simulate(scenario)
+
+
+@pytest.mark.parametrize("uisd", [None, 1.0])
+@pytest.mark.parametrize("law, n_studies, message", [
+    (("fixed", 0.0), 10,
+     "study S01: prevalence_law ('fixed', 0.0) drew 0, so subgroup A has "
+     "sampling SD 0"),
+    (("fixed", 1.0), 10,
+     "study S01: prevalence_law ('fixed', 1.0) drew 1, so subgroup B has "
+     "sampling SD 0"),
+    # a Beta law with a tiny a draws an exact 0 at the second study
+    (("beta", 0.001, 1.0), 50,
+     "study S02: prevalence_law ('beta', 0.001, 1.0) drew 0, so subgroup A "
+     "has sampling SD 0"),
+])
+def test_simulate_refuses_a_prevalence_of_0_or_1(law, n_studies, message,
+                                                 uisd):
+    # one refusal naming the study, the law and the subgroup, before any
+    # count is computed: no division warning, no blame on uisd
+    scenario = SimScenario(n_studies=n_studies, gamma=0.3, tau=0.1,
+                           tau_gamma=0.1, prevalence_law=law, uisd=uisd)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            simulate(scenario)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -456,25 +485,81 @@ def test_gap_bound_and_witness_bracket_the_lattice_max(pair):
     assert _cdf_witness(mix_ref, mix) <= bound + 1e-14
 
 
-@pytest.mark.parametrize("scenario, n_nodes", [
+# the battery's five force-half scenarios at its default base seed, and the
+# forced-break test's
+FORCE_HALF_CASES = pytest.mark.parametrize("scenario, n_nodes", [
     *[(_unbalanced_scenario(20240 + 1000 + i), 61) for i in range(5)],
     (FORCED_BREAK, 41),
 ], ids=[*(f"battery{i}" for i in range(5)), "forced_break"])
+
+
+@FORCE_HALF_CASES
 def test_force_half_witness_reads_near_the_dense_max(scenario, n_nodes):
-    # the battery's five force-half scenarios at its default base seed, and
-    # the forced-break test's: a few quantile points find the break that a
-    # dense lattice shows, far above the pass threshold
+    # a few quantile points find the break that a dense lattice shows, far
+    # above the pass threshold
     data = simulate(scenario)
     grid = GridSpec.default(PriorSpec(), n_nodes=n_nodes)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IdentifiabilityWarning)
-        forced = cams_oracle(data, 0.5, PriorSpec(), grid)
     bim = fit_bim(data, PriorSpec(), grid).functional_mixture("gamma")
-    mean, sd = _functional_moments(forced, np.array([[0.0, 0.0, 1.0]]))
-    oracle = GaussianMixture1D(forced.weight.ravel(), mean[0], sd[0])
-    witness = _cdf_witness(bim, oracle)
-    assert witness >= 0.9 * dense_gap(bim, oracle)
+    bms = fit_bms(data, PriorSpec(), grid,
+                  alpha_heterogeneity=True).functional_mixture("gamma")
+    witness = _cdf_witness(bim, bms)
+    assert witness >= 0.9 * dense_gap(bim, bms)
     assert witness > 10 * BREAK_MIN
+
+
+def forced_half_oracle(data, priors, grid):
+    """The joint GLS of the (y_A, y_B) pairs with every study weighted 0.5,
+    built and weighted as ``cams_oracle`` builds its own at the information
+    fractions: design rows (1, 0.5, 0) and (1, 0.5, 1), so alpha and delta
+    are collinear and the rank is 2 of 3."""
+    ya, yb, va, vb, p = subgroup_arrays(data, 0.5)
+    x = np.broadcast_to([[1.0, 0.5, 0.0], [1.0, 0.5, 1.0]], (p.size, 2, 3))
+    taus, tg = grid.tau_nodes, grid.tau_gamma_nodes
+    blocks = (_pair_blocks(ya, yb, va, vb, p, x, taus, tg)
+              + _prior_blocks(priors, _CAMS_FUNCTIONALS, p.size, 3))
+    with pytest.warns(IdentifiabilityWarning,
+                      match=r"rank deficient \(2 < 3\)"):
+        solved = _solve_grid(blocks, ("alpha", "delta", "gamma"), priors,
+                             taus, tg, ())
+    return verify._oracle_weights(solved, priors)
+
+
+@FORCE_HALF_CASES
+def test_forced_half_oracle_is_bms_with_intercept_heterogeneity(scenario,
+                                                                n_nodes):
+    # what the rank-2 solve identifies, alpha + delta / 2 and gamma, is what
+    # BMS with intercept heterogeneity solves at full rank: the force-half
+    # check compares that fit, and this is why it is the same check
+    data = simulate(scenario)
+    priors = PriorSpec()
+    grid = GridSpec.default(priors, n_nodes=n_nodes)
+    forced = forced_half_oracle(data, priors, grid)
+    bms = fit_bms(data, priors, grid, alpha_heterogeneity=True).grid
+    assert np.max(np.abs(forced.weight - bms.weight)) <= 1e-12
+    assert np.max(np.abs(forced.cond_mean[..., 2]
+                         - bms.cond_mean[..., 1])) <= 1e-11
+    assert np.max(np.abs(np.sqrt(forced.cond_cov[..., 2, 2])
+                         - np.sqrt(bms.cond_cov[..., 1, 1]))) <= 1e-11
+
+
+def test_every_battery_solve_is_full_rank(monkeypatch):
+    # the stacked first-node design rows of each grid solve, ranked as
+    # _solve_grid ranks them, have one direction per parameter: no solve
+    # the battery makes leaves a direction flat
+    ranks = []
+
+    def ranked(blocks, param_names, *args):
+        stacked = np.concatenate([_first_node(*block)[1] for block in blocks])
+        _, svals, _ = np.linalg.svd(stacked, full_matrices=False)
+        tol = svals.max() * max(stacked.shape) * np.finfo(float).eps
+        ranks.append((int((svals > tol).sum()), len(param_names)))
+        return _solve_grid(blocks, param_names, *args)
+
+    monkeypatch.setattr(verify, "_solve_grid", ranked)
+    monkeypatch.setattr(inference, "_solve_grid", ranked)
+    assert run_battery(seeds=3, n_nodes=31)["all_pass"]
+    assert len(ranks) > 20
+    assert [(rank, p) for rank, p in ranks if rank != p] == []
 
 
 def move_weight(grid):
